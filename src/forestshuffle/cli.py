@@ -194,6 +194,8 @@ def _cmd_primitives(args) -> int:
                 print(s.key)
         return 0
 
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     values = [primitive_count_recursive(n) for n in range(args.count + 1)]
     if args.json:
         print(json.dumps(values))
@@ -297,6 +299,11 @@ def _cmd_rb(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # smaller values leave the sampled checks an empty degree range or no cases
+    if args.max_degree is not None and args.max_degree < 2:
+        raise ValueError(f"--max-degree must be at least 2, got {args.max_degree}")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     cfg = SuiteConfig(max_degree=args.max_degree, samples=args.samples, seed=args.seed)
     try:
         reports = run_suite(args.suite, cfg)

@@ -7,12 +7,21 @@ equal exactly when they are isomorphic as decorated rooted trees.  This is
 achieved by keeping children in canonical order (lexicographic on canonical
 keys, built bottom-up) at every construction site.
 
+Canonical-order invariant: a tree's ``children`` and a forest's ``trees`` are
+sorted by canonical key, and tree keys contain no whitespace (a forest key
+joins its tree keys with single spaces).  The public constructors sort
+whatever they are given.  Only the private builders ``RootedTree._build`` and
+``Forest._build`` may skip the sort, and only on parts that are already
+canonical: the trees of an existing forest, a subsequence of a sorted tuple,
+or a merge of two sorted tuples.
+
 All values are immutable and hashable; every operation is a pure function.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -40,6 +49,8 @@ __all__ = [
 VertexRef = tuple[int, ...]
 
 _ATOM_RE = re.compile(r"[A-Za-z0-9_]+")
+
+_by_key = attrgetter("key")
 
 
 class TreeSyntaxError(ValueError):
@@ -122,17 +133,31 @@ class RootedTree:
     key: str
     size: int
 
-    def __init__(self, decoration: Decoration, children: Sequence["RootedTree"] = ()):
-        children = tuple(sorted(children, key=lambda t: t.key))
-        object.__setattr__(self, "decoration", decoration)
-        object.__setattr__(self, "children", children)
+    def __new__(cls, decoration: Decoration, children: Sequence["RootedTree"] = ()):
+        children = tuple(sorted(children, key=_by_key))
         if children:
-            key = decoration.text + "[" + ",".join(c.key for c in children) + "]"
+            key = decoration.text + "[" + ",".join([c.key for c in children]) + "]"
         else:
             key = decoration.text
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "size", 1 + sum(c.size for c in children))
-        object.__setattr__(self, "_hash", hash(key))
+        return cls._build(decoration, children, key, 1 + sum([c.size for c in children]))
+
+    @classmethod
+    def _build(
+        cls, decoration: Decoration, children: tuple["RootedTree", ...], key: str, size: int
+    ) -> "RootedTree":
+        """Set every field from already-canonical parts, without sorting.
+
+        ``children`` must be sorted by key, and ``key`` and ``size`` must be
+        the ones the public constructor would compute from them.
+        """
+        self = object.__new__(cls)
+        set_decoration, set_children, set_key, set_size, set_hash = _TREE_SETTERS
+        set_decoration(self, decoration)
+        set_children(self, children)
+        set_key(self, key)
+        set_size(self, size)
+        set_hash(self, hash(key))
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RootedTree is immutable")
@@ -154,7 +179,7 @@ class RootedTree:
         return f"RootedTree({self.key!r})"
 
     def as_forest(self) -> "Forest":
-        return Forest((self,))
+        return Forest._build((self,), self.size)
 
 
 class Forest:
@@ -171,13 +196,24 @@ class Forest:
     key: str
     size: int
 
-    def __init__(self, trees: Sequence[RootedTree] = ()):
-        trees = tuple(sorted(trees, key=lambda t: t.key))
-        object.__setattr__(self, "trees", trees)
-        key = " ".join(t.key for t in trees) if trees else "()"
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "size", sum(t.size for t in trees))
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, trees: Sequence[RootedTree] = ()):
+        trees = tuple(sorted(trees, key=_by_key))
+        return cls._build(trees, sum([t.size for t in trees]))
+
+    @classmethod
+    def _build(cls, trees: tuple[RootedTree, ...], size: int) -> "Forest":
+        """Set every field from already-canonical parts, without sorting.
+
+        ``trees`` must be sorted by key and ``size`` must be their total size.
+        """
+        key = " ".join([t.key for t in trees]) if trees else "()"
+        self = object.__new__(cls)
+        set_trees, set_key, set_size, set_hash = _FOREST_SETTERS
+        set_trees(self, trees)
+        set_key(self, key)
+        set_size(self, size)
+        set_hash(self, hash(key))
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Forest is immutable")
@@ -213,12 +249,27 @@ class Forest:
         return f"Forest({self.key!r})"
 
 
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each slot, in ``__slots__`` order.  The builders
+    write fields through them: faster than ``object.__setattr__``, and still
+    past the ``__setattr__`` that keeps instances immutable."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+_TREE_SETTERS = _slot_setters(RootedTree)
+_FOREST_SETTERS = _slot_setters(Forest)
+
 EMPTY = Forest(())
 
 
 def b_plus(decoration: Decoration, forest: Forest) -> RootedTree:
     """Graft a new root decorated by ``decoration`` below ``forest``."""
-    return RootedTree(decoration, forest.trees)
+    if forest.is_empty:
+        return RootedTree._build(decoration, (), decoration.text, 1)
+    # tree keys hold no whitespace, so this turns the forest key into the
+    # comma-joined child keys
+    key = decoration.text + "[" + forest.key.replace(" ", ",") + "]"
+    return RootedTree._build(decoration, forest.trees, key, forest.size + 1)
 
 
 def concat(first: Forest, second: Forest) -> Forest:
@@ -227,7 +278,9 @@ def concat(first: Forest, second: Forest) -> Forest:
         return second
     if second.is_empty:
         return first
-    return Forest(first.trees + second.trees)
+    # merging two sorted runs; sorted() finds the runs and merges them
+    trees = tuple(sorted(first.trees + second.trees, key=_by_key))
+    return Forest._build(trees, first.size + second.size)
 
 
 def canonical_key(forest: Forest) -> bytes:
@@ -339,10 +392,6 @@ def induced_subtree(tree: RootedTree, refs: Iterable[VertexRef]) -> Forest:
 def render_forest(forest: Forest) -> str:
     """Canonical text of a forest; the empty forest renders as "()"."""
     return forest.key
-
-
-def render_tree(tree: RootedTree) -> str:
-    return tree.key
 
 
 class _Parser:

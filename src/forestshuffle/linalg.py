@@ -11,14 +11,7 @@ Values are immutable: all operations return fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Generic, Hashable, Iterable, Mapping, Protocol, TypeVar
-
-
-class BasisElement(Protocol):
-    key: str
-
-    def __hash__(self) -> int: ...
-
+from typing import Callable, Generic, Hashable, Iterable, Mapping, TypeVar
 
 B = TypeVar("B", bound=Hashable)
 
@@ -29,6 +22,20 @@ def _clean(terms: Mapping[B, Fraction]) -> dict[B, Fraction]:
     return {b: c for b, c in terms.items() if c}
 
 
+def _add_into(acc: dict[B, Fraction], terms: Mapping[B, Fraction]) -> None:
+    """Add nonzero ``terms`` into ``acc``, dropping sums that cancel, so a
+    zero-free ``acc`` stays zero-free."""
+    for b, c in terms.items():
+        if b in acc:
+            total = acc[b] + c
+            if total:
+                acc[b] = total
+            else:
+                del acc[b]
+        else:
+            acc[b] = c
+
+
 class LinComb(Generic[B]):
     """A finite rational linear combination over a free basis."""
 
@@ -36,6 +43,13 @@ class LinComb(Generic[B]):
 
     def __init__(self, terms: Mapping[B, Fraction] | None = None):
         object.__setattr__(self, "_terms", _clean(terms or {}))
+
+    @classmethod
+    def _trusted(cls, terms: dict[B, Fraction]) -> "LinComb[B]":
+        """Wrap ``terms`` without cleaning; every coefficient must be nonzero."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("LinComb is immutable")
@@ -67,9 +81,8 @@ class LinComb(Generic[B]):
 
     def __add__(self, other: "LinComb[B]") -> "LinComb[B]":
         terms = dict(self._terms)
-        for b, c in other._terms.items():
-            terms[b] = terms.get(b, Fraction(0)) + c
-        return LinComb(terms)
+        _add_into(terms, other._terms)
+        return LinComb._trusted(terms)
 
     def __sub__(self, other: "LinComb[B]") -> "LinComb[B]":
         return self + other.scale(-1)
@@ -81,14 +94,19 @@ class LinComb(Generic[B]):
         c = Fraction(c)
         if not c:
             return LinComb({})
-        return LinComb({b: c * v for b, v in self._terms.items()})
+        if c == 1:
+            return self
+        return LinComb._trusted({b: c * v for b, v in self._terms.items()})
 
     def map_basis(self, fn: Callable[[B], "LinComb"]) -> "LinComb":
         """Linear extension of a basis map."""
         acc: dict = {}
         for b, c in self._terms.items():
             for b2, c2 in fn(b)._terms.items():
-                acc[b2] = acc.get(b2, Fraction(0)) + c * c2
+                if b2 in acc:
+                    acc[b2] += c * c2
+                else:
+                    acc[b2] = c * c2
         return LinComb(acc)
 
     def __eq__(self, other: object) -> bool:
@@ -104,9 +122,8 @@ class LinComb(Generic[B]):
 def lincomb_sum(parts: Iterable[LinComb]) -> LinComb:
     acc: dict = {}
     for part in parts:
-        for b, c in part._terms.items():
-            acc[b] = acc.get(b, Fraction(0)) + c
-    return LinComb(acc)
+        _add_into(acc, part._terms)
+    return LinComb._trusted(acc)
 
 
 class TensorComb(Generic[B]):
@@ -154,7 +171,10 @@ class TensorComb(Generic[B]):
             raise ValueError("arity mismatch")
         terms = dict(self._terms)
         for legs, c in other._terms.items():
-            terms[legs] = terms.get(legs, Fraction(0)) + c
+            if legs in terms:
+                terms[legs] += c
+            else:
+                terms[legs] = c
         return TensorComb(self.arity, terms)
 
     def __sub__(self, other: "TensorComb[B]") -> "TensorComb[B]":
@@ -190,7 +210,10 @@ class TensorComb(Generic[B]):
         for legs, c in self._terms.items():
             for b2, c2 in fn(legs[i])._terms.items():
                 new = legs[:i] + (b2,) + legs[i + 1 :]
-                acc[new] = acc.get(new, Fraction(0)) + c * c2
+                if new in acc:
+                    acc[new] += c * c2
+                else:
+                    acc[new] = c * c2
         return TensorComb(self.arity, acc)
 
     def expand_leg(self, i: int, fn: Callable[[B], "TensorComb[B]"]) -> "TensorComb[B]":
@@ -202,7 +225,10 @@ class TensorComb(Generic[B]):
             extra = expansion.arity
             for sub, c2 in expansion._terms.items():
                 new = legs[:i] + sub + legs[i + 1 :]
-                acc[new] = acc.get(new, Fraction(0)) + c * c2
+                if new in acc:
+                    acc[new] += c * c2
+                else:
+                    acc[new] = c * c2
         if extra is None:
             raise ValueError("cannot expand a leg of the zero tensor")
         return TensorComb(self.arity + extra - 1, acc)
@@ -215,7 +241,10 @@ class TensorComb(Generic[B]):
         for legs, c in self._terms.items():
             for b2, c2 in op(legs[i], legs[j])._terms.items():
                 new = legs[:i] + (b2,) + legs[i + 1 : j] + legs[j + 1 :]
-                acc[new] = acc.get(new, Fraction(0)) + c * c2
+                if new in acc:
+                    acc[new] += c * c2
+                else:
+                    acc[new] = c * c2
         return TensorComb(self.arity - 1, acc)
 
     def __eq__(self, other: object) -> bool:
@@ -239,17 +268,10 @@ def tensor(*factors: LinComb) -> TensorComb:
         nxt: dict[tuple, Fraction] = {}
         for legs, c in terms.items():
             for b, c2 in factor._terms.items():
-                nxt[legs + (b,)] = nxt.get(legs + (b,), Fraction(0)) + c * c2
+                # distinct (legs, b) pairs give distinct tuples: no collisions
+                nxt[legs + (b,)] = c * c2
         terms = nxt
     return TensorComb(len(factors), terms)
-
-
-def tensorcomb_sum(arity: int, parts: Iterable[TensorComb]) -> TensorComb:
-    acc: dict = {}
-    for part in parts:
-        for legs, c in part._terms.items():
-            acc[legs] = acc.get(legs, Fraction(0)) + c
-    return TensorComb(arity, acc)
 
 
 # ---------------------------------------------------------------------------

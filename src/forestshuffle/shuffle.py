@@ -41,20 +41,22 @@ _atoms_cache: dict[str, tuple[str, ...]] = {}
 _MEMO_SIZE_LIMIT = 8
 
 
+# _graft_all and _concat_all map distinct forests to distinct forests and keep
+# every coefficient, so a clean input gives a clean output without _clean.
 def _graft_all(dec, x: LinComb[Forest]) -> LinComb[Forest]:
     """Linear extension of F -> B+^dec(F) (single-tree forests)."""
-    return LinComb({b_plus(dec, f).as_forest(): c for f, c in x.items()})
+    return LinComb._trusted({b_plus(dec, f).as_forest(): c for f, c in x._terms.items()})
 
 
 def _concat_all(x: LinComb[Forest], rest: Forest) -> LinComb[Forest]:
     if rest.is_empty:
         return x
-    return LinComb({concat(f, rest): c for f, c in x.items()})
+    return LinComb._trusted({concat(f, rest): c for f, c in x._terms.items()})
 
 
 def _without(forest: Forest, index: int) -> Forest:
     trees = forest.trees
-    return Forest(trees[:index] + trees[index + 1 :])
+    return Forest._build(trees[:index] + trees[index + 1 :], forest.size - trees[index].size)
 
 
 def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinComb[Forest]:
@@ -109,12 +111,11 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
 
 def shuffle_lin(x: LinComb[Forest], y: LinComb[Forest], lam: Fraction | int = 0) -> LinComb[Forest]:
     """Bilinear extension of the forest shuffle."""
-    acc: dict[Forest, Fraction] = {}
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            for g, c in forest_shuffle(f1, f2, lam).items():
-                acc[g] = acc.get(g, Fraction(0)) + c1 * c2 * c
-    return LinComb(acc)
+    return lincomb_sum(
+        forest_shuffle(f1, f2, lam).scale(c1 * c2)
+        for f1, c1 in x._terms.items()
+        for f2, c2 in y._terms.items()
+    )
 
 
 def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinComb[Forest]:
@@ -141,14 +142,21 @@ def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinC
         result = LinComb.of(first)
     else:
         k, n = len(first.trees), len(second.trees)
-        parts = []
-        for i, ti in enumerate(first.trees):
-            inner = star_product(Forest(ti.children), second, lam)
-            parts.append(_concat_all(_graft_all(ti.decoration, inner), _without(first, i)).scale(Fraction(1, k)))
-        for j, tj in enumerate(second.trees):
-            inner = star_product(first, Forest(tj.children), lam)
-            parts.append(_concat_all(_graft_all(tj.decoration, inner), _without(second, j)).scale(Fraction(1, n)))
-        result = lincomb_sum(parts)
+        left = lincomb_sum(
+            _concat_all(
+                _graft_all(ti.decoration, star_product(Forest(ti.children), second, lam)),
+                _without(first, i),
+            )
+            for i, ti in enumerate(first.trees)
+        )
+        right = lincomb_sum(
+            _concat_all(
+                _graft_all(tj.decoration, star_product(first, Forest(tj.children), lam)),
+                _without(second, j),
+            )
+            for j, tj in enumerate(second.trees)
+        )
+        result = left.scale(Fraction(1, k)) + right.scale(Fraction(1, n))
         if lam:
             result = result + diamond_product(first, second, lam).scale(lam)
 
@@ -195,12 +203,11 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
 
 def diamond_lin(x: LinComb[Forest], y: LinComb[Forest], lam: Fraction | int = 0) -> LinComb[Forest]:
     """Bilinear extension of the diamond product (zero absorbs)."""
-    acc: dict[Forest, Fraction] = {}
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            for g, c in diamond_product(f1, f2, lam).items():
-                acc[g] = acc.get(g, Fraction(0)) + c1 * c2 * c
-    return LinComb(acc)
+    return lincomb_sum(
+        diamond_product(f1, f2, lam).scale(c1 * c2)
+        for f1, c1 in x._terms.items()
+        for f2, c2 in y._terms.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +239,8 @@ def _multiset_difference(forest: Forest, part: Forest) -> Forest | None:
             remaining.remove(t)
         except ValueError:
             return None
-    return Forest(remaining)
+    # removing items from a sorted list keeps it sorted
+    return Forest._build(tuple(remaining), forest.size - part.size)
 
 
 def shuffle_coefficient(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,28 @@ class TestErrorPaths:
         code, _, err = run(capsys, "verify", "--suite", "nope")
         assert code == 2
 
+    def test_negative_primitive_count_is_status_2(self, capsys):
+        code, out, err = run(capsys, "primitives", "--count", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--count must be at least 0" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--max-degree", "1"), "--max-degree must be at least 2"),
+            (("--max-degree", "-3"), "--max-degree must be at least 2"),
+            (("--max-degree", "0", "--samples", "0"), "--max-degree must be at least 2"),
+            (("--samples", "0"), "--samples must be at least 1"),
+            (("--max-degree", "2", "--samples", "-1"), "--samples must be at least 1"),
+        ],
+    )
+    def test_bad_verify_flags_are_status_2(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify", "--suite", "all", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestVerify:
     def test_deterministic_json(self, capsys):
@@ -160,7 +183,49 @@ class TestVerify:
             )
             assert code == 0, (name, out)
 
+    def test_smallest_accepted_flags_run(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--max-degree", "2", "--samples", "1", "--seed", "1",
+        )
+        assert code == 0, out
+        assert out.count("[ok]") == 6
+
     def test_verify_all_at_degree_five(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "5", "--seed", "42")
         assert code == 0
         assert out.count("[ok]") == 6 and "FAILED" not in out
+
+
+class TestGoldenOutput:
+    """The --json output of the product kernels, pinned byte for byte."""
+
+    PAIRS = [
+        ("a", "b"),
+        ("a[b]", "c"),
+        ("a b", "c[a]"),
+        ("a[b,c]", "b[a] c"),
+        ("a*b[1]", "c c"),
+        ("a[b[c]] b", "a[a] 1"),
+        ("a[b] a*c", "b[c,a] b"),
+    ]
+
+    # sha256 of the concatenated outputs over PAIRS, in order
+    DIGESTS = {
+        ("shuffle", "0"): "5913ff7f7e3e48fd0feb5158c0e73d54cfa768dad484d2522716c3418aa964a0",
+        ("shuffle", "1"): "055012c97c3695ef81031ac8c554c51baf92ba82340c87420af7720e753f181c",
+        ("star", "0"): "7506e33ff36a590461d3be1fd72eef7bb7ccffae2553c015e6b3b06a5edfd7b2",
+        ("star", "1"): "a746f3463f82ceaaee0fa8aebdb5f38db6d449977170c45eed37f4ff47b4803b",
+        ("diamond", "0"): "2b6ed1faf5ba696477c106abf13df65f55259270add552553f94d60f0df3052f",
+        ("diamond", "1"): "06bfcc0db944b1f0101875b992376d63321b1dac6ff0fcad01c258acd83b1dad",
+    }
+
+    @pytest.mark.parametrize("product, lam", sorted(DIGESTS))
+    def test_product_json_digest(self, capsys, product, lam):
+        digest = hashlib.sha256()
+        for first, second in self.PAIRS:
+            code, out, _ = run(
+                capsys, "shuffle", first, second, "--product", product, "--lambda", lam, "--json"
+            )
+            assert code == 0
+            digest.update(out.encode("utf-8"))
+        assert digest.hexdigest() == self.DIGESTS[product, lam]

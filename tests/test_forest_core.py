@@ -29,8 +29,9 @@ from forestshuffle import (
 )
 from forestshuffle.linalg import TensorComb
 from forestshuffle.sampling import forests_up_to, default_alphabet
+from forestshuffle.shuffle import _multiset_difference, _without
 
-from conftest import forests, trees
+from conftest import any_decorations, any_forests, any_trees, forests, trees
 
 
 def P(text: str) -> Forest:
@@ -184,6 +185,49 @@ class TestStructuralOps:
     def test_leaf_refs(self):
         t = P("a[b[c],d]").single_tree()
         assert set(leaf_refs(t)) == {(0, 0), (1,)}
+
+
+def assert_same_forest(built: Forest, reference: Forest) -> None:
+    assert built.trees == reference.trees
+    assert [t.key for t in built.trees] == [t.key for t in reference.trees]
+    assert (built.key, built.size, hash(built)) == (reference.key, reference.size, hash(reference))
+    assert built == reference
+
+
+class TestDirectBuilders:
+    """Every path that skips the sort agrees with the sorting constructor."""
+
+    @given(d=any_decorations, f=any_forests)
+    def test_b_plus(self, d, f):
+        built, reference = b_plus(d, f), RootedTree(d, list(f.trees))
+        assert built.decoration == reference.decoration
+        assert built.children == reference.children
+        assert [c.key for c in built.children] == [c.key for c in reference.children]
+        assert (built.key, built.size, hash(built)) == (reference.key, reference.size, hash(reference))
+        assert built == reference
+
+    @given(t=any_trees)
+    def test_as_forest(self, t):
+        assert_same_forest(t.as_forest(), Forest([t]))
+
+    @given(f=any_forests, g=any_forests)
+    def test_concat(self, f, g):
+        assert_same_forest(concat(f, g), Forest([*f.trees, *g.trees]))
+
+    @given(f=any_forests)
+    def test_without(self, f):
+        for i in range(len(f.trees)):
+            assert_same_forest(_without(f, i), Forest(f.trees[:i] + f.trees[i + 1 :]))
+
+    @given(f=any_forests, g=any_forests)
+    def test_multiset_difference(self, f, g):
+        assert_same_forest(_multiset_difference(concat(f, g), g), Forest(list(f.trees)))
+
+    def test_composite_and_unit_decorations(self):
+        f = P("a*b[1,c] 1[a*b]")
+        assert_same_forest(concat(f, P("1")), P("1 a*b[1,c] 1[a*b]"))
+        assert b_plus(Decoration(["a", "b"]), f) == P("a*b[a*b[1,c],1[a*b]]").single_tree()
+        assert_same_forest(_without(f, 0), P("a*b[1,c]"))
 
 
 class TestFreeModule:
