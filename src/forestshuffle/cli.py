@@ -23,7 +23,7 @@ from .dual import (
     graft_linear,
 )
 from .forest import GuardExceeded, TreeSyntaxError, parse_forest, parse_tree
-from .linalg import LinComb, lincomb_json, render_lincomb, render_tensor, tensor_json
+from .linalg import LinComb, lincomb_json, render_lincomb, tensor_json
 from .primitives import SHAPE_GUARD, enumerate_shapes, primitive_count_recursive
 from .rota_baxter import (
     corrupted_forest_algebra,
@@ -124,7 +124,7 @@ def _cmd_coproduct(args) -> int:
     if args.json:
         print(json.dumps(tensor_json(result), indent=2, sort_keys=True))
     else:
-        print(render_tensor(result))
+        print(render_lincomb(result))
     return 0
 
 
@@ -135,7 +135,7 @@ def _cmd_dual(args) -> int:
     if args.json:
         print(json.dumps(tensor_json(result), indent=2, sort_keys=True))
     else:
-        print(render_tensor(result))
+        print(render_lincomb(result))
     return 0
 
 
@@ -251,8 +251,6 @@ def _cmd_rb(args) -> int:
             "seed": args.seed,
         }
     else:
-        from .shuffle import diamond_product
-
         walg = word_algebra(args.weight)
         failures = []
         cases = 0
@@ -264,9 +262,9 @@ def _cmd_rb(args) -> int:
             if lhs != rhs:
                 failures.append({"forest": f.key, "lhs": render_lincomb(lhs), "rhs": render_lincomb(rhs)})
             g = random_forest(rng, rng.randint(1, 3), alphabet)
-            image = LinComb.zero()
-            for h, c in diamond_product(f, g, args.weight).items():
-                image = image + phi_bar(h, walg, word_embedding).scale(c)
+            image = diamond_product(f, g, args.weight).map_basis(
+                lambda h: phi_bar(h, walg, word_embedding)
+            )
             direct = walg.product(
                 phi_bar(f, walg, word_embedding), phi_bar(g, walg, word_embedding)
             )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forest import EMPTY, Forest, RootedTree, b_plus
-from .linalg import LinComb, TensorComb
+from .linalg import LinComb, TensorComb, lincomb_sum
 from .words import is_linear
 
 __all__ = [
@@ -63,10 +63,9 @@ def trunk_coproduct(arg: Forest | RootedTree) -> TensorComb[Forest]:
 
 def trunk_coproduct_lin(x: LinComb[Forest]) -> TensorComb[Forest]:
     """Linear extension of the trunk coproduct."""
-    acc = TensorComb.zero(2)
-    for f, c in x.items():
-        acc = acc + trunk_coproduct(f).scale(c)
-    return acc
+    return TensorComb.sum_of(
+        2, [(legs, c * c2) for f, c in x._terms.items() for legs, c2 in trunk_coproduct(f)._terms.items()]
+    )
 
 
 def counit(x: LinComb[Forest] | Forest) -> Fraction:
@@ -117,7 +116,7 @@ def antipode_square_residual(tree: RootedTree) -> LinComb[Forest]:
     antipode square commutes on that tree."""
     from .shuffle import shuffle_lin
 
-    acc = LinComb.zero()
-    for (left, right), c in trunk_coproduct(tree.as_forest()).items():
-        acc = acc + shuffle_lin(LinComb.of(left, c), antipode_leg(right))
-    return acc
+    return lincomb_sum(
+        shuffle_lin(LinComb.of(left, c), antipode_leg(right))
+        for (left, right), c in trunk_coproduct(tree.as_forest())._terms.items()
+    )

@@ -44,7 +44,7 @@ from .forest import (
     subtree_at,
     vertex_refs,
 )
-from .linalg import LinComb, TensorComb
+from .linalg import LinComb, TensorComb, bilinear
 from .shuffle import shuffle_coefficient
 
 __all__ = [
@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 ORACLE_GUARD = 8
+
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +245,23 @@ def _alpha(size_i: int, n: int) -> int:
     return (size_i + 1) * (n - size_i)
 
 
+def _component_splits(trees: tuple[RootedTree, ...], i: int):
+    """Every split of the components other than ``trees[i]`` into a chosen
+    forest and the rest: (number chosen, chosen, rest), lazily."""
+    others = trees[:i] + trees[i + 1 :]
+    for r in range(len(others) + 1):
+        for picked in itertools.combinations(range(len(others)), r):
+            chosen = set(picked)
+            f_in = tuple(others[j] for j in picked)
+            f_out = tuple(t for j, t in enumerate(others) if j not in chosen)
+            # subsequences of a sorted tuple are sorted
+            yield (
+                r,
+                Forest._build(f_in, sum(t.size for t in f_in)),
+                Forest._build(f_out, sum(t.size for t in f_out)),
+            )
+
+
 def dual_recursive(forest: Forest) -> TensorComb[Forest]:
     """The dual coproduct by its inductive formula."""
     hit = _dual_cache.get(forest.key)
@@ -253,35 +272,26 @@ def dual_recursive(forest: Forest) -> TensorComb[Forest]:
         result = TensorComb.of((EMPTY, EMPTY))
     elif forest.is_tree:
         tree = forest.single_tree()
-        inner = dual_recursive(Forest(tree.children))
-        acc: dict[tuple[Forest, Forest], Fraction] = {}
-        for (left, right), c in inner.items():
+        pairs = []
+        for (left, right), c in dual_recursive(Forest(tree.children))._terms.items():
             if right.is_connected:
-                legs = (b_plus(tree.decoration, left).as_forest(), right)
-                acc[legs] = acc.get(legs, Fraction(0)) + c
+                pairs.append(((b_plus(tree.decoration, left).as_forest(), right), c))
             if left.is_connected:
-                legs = (left, b_plus(tree.decoration, right).as_forest())
-                acc[legs] = acc.get(legs, Fraction(0)) + c
-        result = TensorComb(2, acc)
+                pairs.append(((left, b_plus(tree.decoration, right).as_forest()), c))
+        result = TensorComb.sum_of(2, pairs)
     else:
-        trees = forest.trees
-        n = len(trees)
-        acc = {(forest, EMPTY): Fraction(1), (EMPTY, forest): Fraction(1)}
-        for i in range(n):
-            red = reduced_dual(trees[i].as_forest())
+        n = len(forest.trees)
+        pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
+        for i, tree in enumerate(forest.trees):
+            red = reduced_dual(tree.as_forest())
             if red.is_zero:
                 continue
-            others = trees[:i] + trees[i + 1 :]
-            for r in range(n):
-                for picked in itertools.combinations(range(n - 1), r):
-                    chosen = set(picked)
-                    f_in = Forest([others[j] for j in range(n - 1) if j in chosen])
-                    f_out = Forest([others[j] for j in range(n - 1) if j not in chosen])
-                    a = _alpha(r, n)
-                    for (x, y), c in red.items():
-                        legs = (concat(x, f_in), concat(y, f_out))
-                        acc[legs] = acc.get(legs, Fraction(0)) + a * c
-        result = TensorComb(2, acc)
+            pairs.extend(
+                ((concat(x, f_in), concat(y, f_out)), _alpha(r, n) * c)
+                for r, f_in, f_out in _component_splits(forest.trees, i)
+                for (x, y), c in red._terms.items()
+            )
+        result = TensorComb.sum_of(2, pairs)
 
     _dual_cache[forest.key] = result
     return result
@@ -307,35 +317,30 @@ def _dual_combinatorial_terms(
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))
     if forest.is_tree:
-        tree = forest.single_tree()
-        acc: dict[tuple[Forest, Forest], Fraction] = {}
-        for fam in admissible_families(tree):
-            legs = (fam.t_complement, fam.t_gamma)
-            acc[legs] = acc.get(legs, Fraction(0)) + weight(fam.c_gamma)
-        return TensorComb(2, acc)
+        return TensorComb.sum_of(
+            2,
+            (
+                ((fam.t_complement, fam.t_gamma), weight(fam.c_gamma))
+                for fam in admissible_families(forest.single_tree())
+            ),
+        )
 
-    trees = forest.trees
-    n = len(trees)
-    acc = {(forest, EMPTY): Fraction(1), (EMPTY, forest): Fraction(1)}
-    for i in range(n):
-        tree = trees[i]
-        size_i = tree.size
-        others = trees[:i] + trees[i + 1 :]
-        for fam in admissible_families(tree):
-            if not fam.gamma or len(fam.gamma) == size_i:
-                continue
-            for r in range(n):
-                a = weight(_alpha(r, n))
-                for picked in itertools.combinations(range(n - 1), r):
-                    chosen = set(picked)
-                    f_in = Forest([others[j] for j in range(n - 1) if j in chosen])
-                    f_out = Forest([others[j] for j in range(n - 1) if j not in chosen])
-                    legs = (
-                        concat(fam.t_complement, f_in),
-                        concat(fam.t_gamma, f_out),
-                    )
-                    acc[legs] = acc.get(legs, Fraction(0)) + weight(fam.c_gamma) * a
-    return TensorComb(2, acc)
+    n = len(forest.trees)
+    pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
+    for i, tree in enumerate(forest.trees):
+        families = [
+            (fam.t_complement, fam.t_gamma, weight(fam.c_gamma))
+            for fam in admissible_families(tree)
+            if 0 < len(fam.gamma) < tree.size
+        ]
+        if not families:
+            continue
+        for r, f_in, f_out in _component_splits(forest.trees, i):
+            a = weight(_alpha(r, n))
+            pairs.extend(
+                ((concat(comp, f_in), concat(gamma, f_out)), w * a) for comp, gamma, w in families
+            )
+    return TensorComb.sum_of(2, pairs)
 
 
 def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
@@ -513,11 +518,9 @@ def graft_leaves(base: Forest | RootedTree, scion: Forest | RootedTree) -> LinCo
     if base.is_empty:
         return LinComb.of(scion_f)
     tree = base.single_tree()
-    acc: dict[Forest, Fraction] = {}
-    for leaf in leaf_refs(tree):
-        grafted = graft_at(tree, leaf, scion_f).as_forest()
-        acc[grafted] = acc.get(grafted, Fraction(0)) + 1
-    return LinComb(acc)
+    return LinComb.sum_of(
+        (graft_at(tree, leaf, scion_f).as_forest(), _ONE) for leaf in leaf_refs(tree)
+    )
 
 
 def graft_linear(base: Forest | RootedTree, scion: Forest | RootedTree) -> LinComb[Forest]:
@@ -528,17 +531,9 @@ def graft_linear(base: Forest | RootedTree, scion: Forest | RootedTree) -> LinCo
     return graft_leaves(base, scion)
 
 
-def _bilinear(op):
-    def lifted(x: LinComb[Forest], y: LinComb[Forest]) -> LinComb[Forest]:
-        acc: dict[Forest, Fraction] = {}
-        for f1, c1 in x.items():
-            for f2, c2 in y.items():
-                for g, c in op(f1, f2).items():
-                    acc[g] = acc.get(g, Fraction(0)) + c1 * c2 * c
-        return LinComb(acc)
-
-    return lifted
+def graft_leaves_lin(x: LinComb[Forest], y: LinComb[Forest]) -> LinComb[Forest]:
+    return bilinear(graft_leaves, x, y)
 
 
-graft_leaves_lin = _bilinear(graft_leaves)
-graft_linear_lin = _bilinear(graft_linear)
+def graft_linear_lin(x: LinComb[Forest], y: LinComb[Forest]) -> LinComb[Forest]:
+    return bilinear(graft_linear, x, y)

@@ -31,6 +31,7 @@ __all__ = [
     "VertexRef",
     "TreeSyntaxError",
     "GuardExceeded",
+    "MAX_TREE_DEPTH",
     "b_plus",
     "concat",
     "parse_forest",
@@ -394,10 +395,18 @@ def render_forest(forest: Forest) -> str:
     return forest.key
 
 
+# Deepest root-to-leaf path, in vertices, that the parser accepts.  The
+# parser and the structural recursions (shuffle, coproduct, dual) take one
+# stack frame per level, and at CPython's default recursion limit of 1000
+# they fail from depth 1,000 on; deeper input exits with a guard error.
+MAX_TREE_DEPTH = 800
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> TreeSyntaxError:
         return TreeSyntaxError(message, self.pos)
@@ -428,6 +437,11 @@ class _Parser:
         return Decoration(atoms)
 
     def parse_tree(self) -> RootedTree:
+        self.depth += 1
+        if self.depth > MAX_TREE_DEPTH:
+            raise GuardExceeded(
+                f"trees are guarded to depth {MAX_TREE_DEPTH} (at position {self.pos})"
+            )
         dec = self.parse_decoration()
         children: list[RootedTree] = []
         if self.peek() == "[":
@@ -443,6 +457,7 @@ class _Parser:
             if self.peek() != "]":
                 raise self.error('expected "," or "]"')
             self.pos += 1
+        self.depth -= 1
         return RootedTree(dec, children)
 
     def parse_forest(self) -> Forest:
@@ -456,10 +471,13 @@ class _Parser:
                 raise self.error('trailing input after "()"')
             return EMPTY
         trees = [self.parse_tree()]
-        self.skip_ws()
         while self.pos < len(self.text):
-            trees.append(self.parse_tree())
+            start = self.pos
             self.skip_ws()
+            if self.pos == start:
+                raise self.error("expected whitespace or end of input")
+            if self.pos < len(self.text):
+                trees.append(self.parse_tree())
         return Forest(trees)
 
 

@@ -1,9 +1,14 @@
 """Exact rational linear combinations over free bases.
 
 LinComb is a finite formal sum of basis elements with nonzero Fraction
-coefficients; TensorComb is the same over ordered tuples of basis elements
-(tensors of a fixed arity).  Basis elements only need to be hashable and to
-expose a ``key`` string used for deterministic ordering.
+coefficients; TensorComb is a LinComb whose basis elements are ordered
+tuples of basis elements (tensors of a fixed arity).  Basis elements only
+need to be hashable and to expose a ``key`` string used for deterministic
+ordering.
+
+Terms that may repeat are summed in one place, ``_accumulate``; its front
+ends are ``LinComb.sum_of``, ``TensorComb.sum_of``, ``lincomb_sum``, the
+linear extension ``map_basis`` and the bilinear extension ``bilinear``.
 
 Values are immutable: all operations return fresh objects.
 """
@@ -11,29 +16,37 @@ Values are immutable: all operations return fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Generic, Hashable, Iterable, Mapping, TypeVar
+
+__all__ = [
+    "LinComb",
+    "TensorComb",
+    "bilinear",
+    "lincomb_json",
+    "lincomb_sum",
+    "render_lincomb",
+    "render_tensor",
+    "tensor",
+    "tensor_json",
+]
 
 B = TypeVar("B", bound=Hashable)
 
-Q = Fraction
 
-
-def _clean(terms: Mapping[B, Fraction]) -> dict[B, Fraction]:
-    return {b: c for b, c in terms.items() if c}
-
-
-def _add_into(acc: dict[B, Fraction], terms: Mapping[B, Fraction]) -> None:
-    """Add nonzero ``terms`` into ``acc``, dropping sums that cancel, so a
-    zero-free ``acc`` stays zero-free."""
-    for b, c in terms.items():
+def _accumulate(acc: dict, pairs: Iterable[tuple[B, Fraction]]) -> dict:
+    """Add (basis, coefficient) pairs into ``acc``, dropping zero coefficients
+    and sums that cancel, so a zero-free ``acc`` stays zero-free."""
+    for b, c in pairs:
         if b in acc:
             total = acc[b] + c
             if total:
                 acc[b] = total
             else:
                 del acc[b]
-        else:
+        elif c:
             acc[b] = c
+    return acc
 
 
 class LinComb(Generic[B]):
@@ -41,8 +54,11 @@ class LinComb(Generic[B]):
 
     __slots__ = ("_terms",)
 
+    # the number of tensor legs; a plain combination has none
+    arity: int | None = None
+
     def __init__(self, terms: Mapping[B, Fraction] | None = None):
-        object.__setattr__(self, "_terms", _clean(terms or {}))
+        object.__setattr__(self, "_terms", _accumulate({}, (terms or {}).items()))
 
     @classmethod
     def _trusted(cls, terms: dict[B, Fraction]) -> "LinComb[B]":
@@ -51,8 +67,12 @@ class LinComb(Generic[B]):
         object.__setattr__(self, "_terms", terms)
         return self
 
+    def _like(self, terms: dict[B, Fraction]) -> "LinComb[B]":
+        """A trusted combination over the same basis as ``self``."""
+        return LinComb._trusted(terms)
+
     def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("LinComb is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls) -> "LinComb[B]":
@@ -61,6 +81,12 @@ class LinComb(Generic[B]):
     @classmethod
     def of(cls, basis: B, coeff: Fraction | int = 1) -> "LinComb[B]":
         return cls({basis: Fraction(coeff)})
+
+    @classmethod
+    def sum_of(cls, pairs: Iterable[tuple[B, Fraction]]) -> "LinComb[B]":
+        """The sum of (basis, Fraction coefficient) pairs; repeated basis
+        elements add up."""
+        return cls._trusted(_accumulate({}, pairs))
 
     @property
     def is_zero(self) -> bool:
@@ -72,17 +98,25 @@ class LinComb(Generic[B]):
     def support(self) -> frozenset[B]:
         return frozenset(self._terms)
 
+    @staticmethod
+    def _item_key(item: tuple[B, Fraction]) -> str:
+        return item[0].key
+
+    @staticmethod
+    def _basis_text(basis: B) -> str:
+        return basis.key
+
     def items(self) -> list[tuple[B, Fraction]]:
         """Terms sorted by canonical key."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].key)
+        return sorted(self._terms.items(), key=self._item_key)
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __add__(self, other: "LinComb[B]") -> "LinComb[B]":
-        terms = dict(self._terms)
-        _add_into(terms, other._terms)
-        return LinComb._trusted(terms)
+        if self.arity != other.arity:
+            raise ValueError("arity mismatch")
+        return self._like(_accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "LinComb[B]") -> "LinComb[B]":
         return self + other.scale(-1)
@@ -93,54 +127,63 @@ class LinComb(Generic[B]):
     def scale(self, c: Fraction | int) -> "LinComb[B]":
         c = Fraction(c)
         if not c:
-            return LinComb({})
+            return self._like({})
         if c == 1:
             return self
-        return LinComb._trusted({b: c * v for b, v in self._terms.items()})
+        return self._like({b: c * v for b, v in self._terms.items()})
 
     def map_basis(self, fn: Callable[[B], "LinComb"]) -> "LinComb":
         """Linear extension of a basis map."""
-        acc: dict = {}
-        for b, c in self._terms.items():
-            for b2, c2 in fn(b)._terms.items():
-                if b2 in acc:
-                    acc[b2] += c * c2
-                else:
-                    acc[b2] = c * c2
-        return LinComb(acc)
+        return lincomb_sum(fn(b).scale(c) for b, c in self._terms.items())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LinComb) and self._terms == other._terms
+        return (
+            isinstance(other, LinComb)
+            and self.arity == other.arity
+            and self._terms == other._terms
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self.arity, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        return f"LinComb({render_lincomb(self)!r})"
+        return f"{type(self).__name__}({render_lincomb(self)!r})"
 
 
 def lincomb_sum(parts: Iterable[LinComb]) -> LinComb:
-    acc: dict = {}
-    for part in parts:
-        _add_into(acc, part._terms)
-    return LinComb._trusted(acc)
+    return LinComb.sum_of(chain.from_iterable(part._terms.items() for part in parts))
 
 
-class TensorComb(Generic[B]):
+def bilinear(op: Callable[..., LinComb], x: LinComb, y: LinComb, *args) -> LinComb:
+    """Bilinear extension of a basis operation ``op(b1, b2, *args)``."""
+    return lincomb_sum(
+        op(b1, b2, *args).scale(c1 * c2)
+        for b1, c1 in x._terms.items()
+        for b2, c2 in y._terms.items()
+    )
+
+
+class TensorComb(LinComb[tuple[B, ...]]):
     """A rational linear combination of tensors (tuples) of fixed arity."""
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ("arity",)
 
     def __init__(self, arity: int, terms: Mapping[tuple[B, ...], Fraction] | None = None):
-        object.__setattr__(self, "arity", arity)
-        cleaned = _clean(terms or {})
-        for legs in cleaned:
+        super().__init__(terms)
+        for legs in self._terms:
             if len(legs) != arity:
                 raise ValueError(f"tensor term {legs} does not have arity {arity}")
-        object.__setattr__(self, "_terms", cleaned)
+        object.__setattr__(self, "arity", arity)
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("TensorComb is immutable")
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict[tuple[B, ...], Fraction]) -> "TensorComb[B]":
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "arity", arity)
+        return self
+
+    def _like(self, terms: dict[tuple[B, ...], Fraction]) -> "TensorComb[B]":
+        return TensorComb._trusted(self.arity, terms)
 
     @classmethod
     def zero(cls, arity: int) -> "TensorComb[B]":
@@ -150,47 +193,26 @@ class TensorComb(Generic[B]):
     def of(cls, legs: tuple[B, ...], coeff: Fraction | int = 1) -> "TensorComb[B]":
         return cls(len(legs), {legs: Fraction(coeff)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+    @classmethod
+    def sum_of(
+        cls, arity: int, pairs: Iterable[tuple[tuple[B, ...], Fraction]]
+    ) -> "TensorComb[B]":
+        """The sum of (legs, Fraction coefficient) pairs of the given arity."""
+        return cls._trusted(arity, _accumulate({}, pairs))
 
-    def coefficient(self, legs: tuple[B, ...]) -> Fraction:
-        return self._terms.get(legs, Fraction(0))
+    @staticmethod
+    def _item_key(item: tuple[tuple[B, ...], Fraction]) -> tuple[str, ...]:
+        return tuple(leg.key for leg in item[0])
 
-    def support(self) -> frozenset[tuple[B, ...]]:
-        return frozenset(self._terms)
-
-    def items(self) -> list[tuple[tuple[B, ...], Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: tuple(leg.key for leg in kv[0]))
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "TensorComb[B]") -> "TensorComb[B]":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        terms = dict(self._terms)
-        for legs, c in other._terms.items():
-            if legs in terms:
-                terms[legs] += c
-            else:
-                terms[legs] = c
-        return TensorComb(self.arity, terms)
-
-    def __sub__(self, other: "TensorComb[B]") -> "TensorComb[B]":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "TensorComb[B]":
-        c = Fraction(c)
-        if not c:
-            return TensorComb(self.arity, {})
-        return TensorComb(self.arity, {legs: c * v for legs, v in self._terms.items()})
+    @staticmethod
+    def _basis_text(legs: tuple[B, ...]) -> str:
+        return " (x) ".join(f"({leg.key})" for leg in legs)
 
     def permute(self, perm: tuple[int, ...]) -> "TensorComb[B]":
         """Reorder legs: result leg i is input leg perm[i]."""
-        return TensorComb(
+        return TensorComb.sum_of(
             self.arity,
-            {tuple(legs[p] for p in perm): c for legs, c in self._terms.items()},
+            ((tuple(legs[p] for p in perm), c) for legs, c in self._terms.items()),
         )
 
     def flip(self) -> "TensorComb[B]":
@@ -204,111 +226,81 @@ class TensorComb(Generic[B]):
             raise ValueError("tau23 is for arity-4 tensors")
         return self.permute((0, 2, 1, 3))
 
+    def _releg(
+        self, arity: int, fn: Callable[[tuple[B, ...]], Iterable[tuple[tuple[B, ...], Fraction]]]
+    ) -> "TensorComb[B]":
+        """Linear extension of a map from one term's legs to (legs, coefficient)
+        pairs of the given arity."""
+        return TensorComb.sum_of(
+            arity,
+            ((new, c * c2) for legs, c in self._terms.items() for new, c2 in fn(legs)),
+        )
+
     def map_leg(self, i: int, fn: Callable[[B], LinComb]) -> "TensorComb[B]":
         """Apply a linear basis map to leg ``i``; arity is preserved."""
-        acc: dict = {}
-        for legs, c in self._terms.items():
-            for b2, c2 in fn(legs[i])._terms.items():
-                new = legs[:i] + (b2,) + legs[i + 1 :]
-                if new in acc:
-                    acc[new] += c * c2
-                else:
-                    acc[new] = c * c2
-        return TensorComb(self.arity, acc)
+        return self._releg(
+            self.arity,
+            lambda legs: (
+                (legs[:i] + (b,) + legs[i + 1 :], c) for b, c in fn(legs[i])._terms.items()
+            ),
+        )
 
     def expand_leg(self, i: int, fn: Callable[[B], "TensorComb[B]"]) -> "TensorComb[B]":
         """Replace leg ``i`` by the legs of a tensor-valued map of it."""
-        acc: dict = {}
-        extra = None
-        for legs, c in self._terms.items():
-            expansion = fn(legs[i])
-            extra = expansion.arity
-            for sub, c2 in expansion._terms.items():
-                new = legs[:i] + sub + legs[i + 1 :]
-                if new in acc:
-                    acc[new] += c * c2
-                else:
-                    acc[new] = c * c2
-        if extra is None:
+        images = {legs[i]: fn(legs[i]) for legs in self._terms}
+        if not images:
             raise ValueError("cannot expand a leg of the zero tensor")
-        return TensorComb(self.arity + extra - 1, acc)
+        extra = next(iter(images.values())).arity
+        return self._releg(
+            self.arity + extra - 1,
+            lambda legs: (
+                (legs[:i] + sub + legs[i + 1 :], c) for sub, c in images[legs[i]]._terms.items()
+            ),
+        )
 
     def contract(self, i: int, j: int, op: Callable[[B, B], LinComb]) -> "TensorComb[B]":
         """Combine legs i and j (i < j) through a bilinear basis operation."""
         if not i < j:
             raise ValueError("need i < j")
-        acc: dict = {}
-        for legs, c in self._terms.items():
-            for b2, c2 in op(legs[i], legs[j])._terms.items():
-                new = legs[:i] + (b2,) + legs[i + 1 : j] + legs[j + 1 :]
-                if new in acc:
-                    acc[new] += c * c2
-                else:
-                    acc[new] = c * c2
-        return TensorComb(self.arity - 1, acc)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TensorComb)
-            and self.arity == other.arity
-            and self._terms == other._terms
+        return self._releg(
+            self.arity - 1,
+            lambda legs: (
+                (legs[:i] + (b,) + legs[i + 1 : j] + legs[j + 1 :], c)
+                for b, c in op(legs[i], legs[j])._terms.items()
+            ),
         )
-
-    def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"TensorComb({render_tensor(self)!r})"
 
 
 def tensor(*factors: LinComb) -> TensorComb:
     """Tensor product of linear combinations, one leg per factor."""
     terms: dict[tuple, Fraction] = {(): Fraction(1)}
     for factor in factors:
-        nxt: dict[tuple, Fraction] = {}
-        for legs, c in terms.items():
-            for b, c2 in factor._terms.items():
-                # distinct (legs, b) pairs give distinct tuples: no collisions
-                nxt[legs + (b,)] = c * c2
-        terms = nxt
-    return TensorComb(len(factors), terms)
+        # distinct (legs, b) pairs give distinct tuples: no collisions
+        terms = {
+            legs + (b,): c * c2 for legs, c in terms.items() for b, c2 in factor._terms.items()
+        }
+    return TensorComb._trusted(len(factors), terms)
 
 
 # ---------------------------------------------------------------------------
-# text form: "p/q F" terms joined by " + ", negative terms use " - "
+# text form: "p/q F" terms joined by " + ", negative terms use " - "; a
+# tensor term writes its legs as "(F1) (x) (F2)"
 
 
-def _coeff_text(c: Fraction) -> str:
-    return str(c)
-
-
-def render_lincomb(x: LinComb, wrap: Callable[[B], str] | None = None) -> str:
+def render_lincomb(x: LinComb) -> str:
     if x.is_zero:
         return "0"
-    wrap = wrap or (lambda b: b.key)
     parts: list[str] = []
     for b, c in x.items():
-        sign = "-" if c < 0 else "+"
-        body = f"{_coeff_text(abs(c))} {wrap(b)}"
+        body = f"{str(abs(c))} {x._basis_text(b)}"
         if not parts:
-            parts.append(body if sign == "+" else f"- {body}")
+            parts.append(body if c > 0 else f"- {body}")
         else:
-            parts.append(f"{sign} {body}")
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
     return " ".join(parts)
 
 
-def render_tensor(t: TensorComb) -> str:
-    if t.is_zero:
-        return "0"
-    parts: list[str] = []
-    for legs, c in t.items():
-        sign = "-" if c < 0 else "+"
-        body = f"{_coeff_text(abs(c))} " + " (x) ".join(f"({leg.key})" for leg in legs)
-        if not parts:
-            parts.append(body if sign == "+" else f"- {body}")
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
+render_tensor = render_lincomb
 
 
 def lincomb_json(x: LinComb, field: str = "forest") -> dict:

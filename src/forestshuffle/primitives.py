@@ -4,12 +4,10 @@ enumeration over unlabeled shapes, and the recursive count.
 A tree is primitive exactly when every internal vertex has fertility at
 least two; the property depends only on the shape.  The recursive count
 builds a tree from a multiset of smaller primitive subtrees hung below the
-root, one combination-with-repetition factor per distinct subtree size.
+root, counting the multisets by the Euler transform.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 from .forest import Decoration, Forest, GuardExceeded, RootedTree, UNIT
 
@@ -94,55 +92,45 @@ def _children_choices(partition: tuple[int, ...]) -> list[tuple[RootedTree, ...]
     return [tuple(t for grp in pick for t in grp) for pick in product(*groups)]
 
 
+def _rooted_counts(n: int, single_child: bool) -> list[int]:
+    """a(0..n): the number of rooted trees with m vertices built from a root
+    over a multiset of smaller such trees, with a(0) = 0 and a(1) = 1.
+
+    M(m), the number of multisets of these trees with m vertices in total,
+    comes from the Euler transform M(m) = 1/m sum_k c(k) M(m-k) with
+    c(k) = sum_{d|k} d a(d), in O(n^2) big-integer steps.  Then
+    a(m+1) = M(m), less the a(m) one-child roots unless ``single_child``.
+    """
+    a = [0, 1]
+    c = [0]
+    multisets = [1]
+    for m in range(1, n):
+        c.append(sum(d * a[d] for d in range(1, m + 1) if m % d == 0))
+        multisets.append(sum(c[k] * multisets[m - k] for k in range(1, m + 1)) // m)
+        a.append(multisets[m] - (0 if single_child else a[m]))
+    return a[: n + 1]
+
+
 def count_shapes(n: int) -> int:
     """Independent count of unlabeled rooted trees with n vertices, by the
     multiset-of-children recursion (no enumeration)."""
     if n < 1:
         return 0
-    counts: dict[int, int] = {1: 1}
-
-    def at(m: int) -> int:
-        if m not in counts:
-            total = 0
-            for k in range(1, m):
-                for partition in integer_partitions(m - 1, k):
-                    factor = 1
-                    for size in set(partition):
-                        factor *= comb(at(size) + partition.count(size) - 1, partition.count(size))
-                    total += factor
-            counts[m] = total
-        return counts[m]
-
-    return at(n)
+    return _rooted_counts(n, single_child=True)[n]
 
 
 def primitive_count_recursive(n: int) -> int:
-    """The number of primitive trees with n vertices, by the recursion
+    """The number of primitive trees with n vertices: a root over a
+    multiset of primitive subtrees, never exactly one,
 
-        p(n+1) = sum_{k=2..n} sum_{partitions n1>=..>=nk of n}
-                 prod_{distinct ni} C(p(ni) + multiplicity - 1, multiplicity)
+        p(n+1) = M_p(n) - p(n)   for n >= 1,  p(0) = 0,  p(1) = 1,
 
-    with p(0)=0, p(1)=1, p(2)=0.  Exact big-integer arithmetic throughout.
+    where M_p(n) counts multisets of primitive trees with n vertices in
+    total.  Exact big-integer arithmetic throughout.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p: dict[int, int] = {0: 0, 1: 1, 2: 0}
-
-    def at(m: int) -> int:
-        if m not in p:
-            total = 0
-            prev = m - 1
-            for k in range(2, prev + 1):
-                for partition in integer_partitions(prev, k):
-                    factor = 1
-                    for size in set(partition):
-                        mult = partition.count(size)
-                        factor *= comb(at(size) + mult - 1, mult)
-                    total += factor
-            p[m] = total
-        return p[m]
-
-    return at(n)
+    return _rooted_counts(n, single_child=False)[n]
 
 
 def primitive_count_brute(n: int, guard: int = SHAPE_GUARD) -> int:

@@ -21,15 +21,14 @@ from fractions import Fraction
 from typing import Callable
 
 from .forest import Decoration, Forest, RootedTree, UNIT, b_plus
-from .linalg import LinComb, render_lincomb
-from .shuffle import diamond_lin
+from .linalg import LinComb, bilinear, render_lincomb
+from .shuffle import diamond_product
 from .words import Word, word_shuffle
 
 __all__ = [
     "RotaBaxterAlgebra",
     "word_P",
     "word_diamond",
-    "word_diamond_lin",
     "word_algebra",
     "forest_rb_operator",
     "forest_algebra",
@@ -70,21 +69,12 @@ def word_diamond(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     )
 
 
-def word_diamond_lin(x: LinComb[Word], y: LinComb[Word], lam: Fraction | int = 0) -> LinComb[Word]:
-    acc: dict[Word, Fraction] = {}
-    for w, c1 in x.items():
-        for v, c2 in y.items():
-            for u, c in word_diamond(w, v, lam).items():
-                acc[u] = acc.get(u, Fraction(0)) + c1 * c2 * c
-    return LinComb(acc)
-
-
 def word_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
     lam = Fraction(lam)
     return RotaBaxterAlgebra(
         name="words",
         weight=lam,
-        product=lambda x, y: word_diamond_lin(x, y, lam),
+        product=lambda x, y: bilinear(word_diamond, x, y, lam),
         operator=lambda x: LinComb({word_P(w): c for w, c in x.items()}),
     )
 
@@ -99,7 +89,7 @@ def forest_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
     return RotaBaxterAlgebra(
         name="forests",
         weight=lam,
-        product=lambda x, y: diamond_lin(x, y, lam),
+        product=lambda x, y: bilinear(diamond_product, x, y, lam),
         operator=lambda x: LinComb(
             {forest_rb_operator(f).as_forest(): c for f, c in x.items()}
         ),
@@ -114,7 +104,7 @@ def corrupted_forest_algebra(lam: Fraction | int, atom: str = "a") -> RotaBaxter
     return RotaBaxterAlgebra(
         name=f"forests-corrupted-{atom}",
         weight=lam,
-        product=lambda x, y: diamond_lin(x, y, lam),
+        product=lambda x, y: bilinear(diamond_product, x, y, lam),
         operator=lambda x: LinComb({b_plus(dec, f).as_forest(): c for f, c in x.items()}),
     )
 

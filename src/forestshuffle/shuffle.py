@@ -15,17 +15,15 @@ on canonical keys and are semantically invisible.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
-from .forest import EMPTY, Forest, RootedTree, b_plus, concat
-from .linalg import LinComb, lincomb_sum
+from .forest import Forest, RootedTree, b_plus, concat
+from .linalg import LinComb, bilinear, lincomb_sum
 
 __all__ = [
     "forest_shuffle",
     "shuffle_lin",
     "star_product",
     "diamond_product",
-    "diamond_lin",
     "shuffle_coefficient",
     "find_nonassociativity_witness",
 ]
@@ -57,6 +55,16 @@ def _concat_all(x: LinComb[Forest], rest: Forest) -> LinComb[Forest]:
 def _without(forest: Forest, index: int) -> Forest:
     trees = forest.trees
     return Forest._build(trees[:index] + trees[index + 1 :], forest.size - trees[index].size)
+
+
+def _component_pairs(first: Forest, second: Forest):
+    """The component split of F = T1..Tk against F' = t1..tn behind the
+    1/(kn) prefactor: every (Ti, tj, (F without Ti)(F' without tj)), lazily
+    and with Ti, tj still trees."""
+    for i, ti in enumerate(first.trees):
+        rest_i = _without(first, i)
+        for j, tj in enumerate(second.trees):
+            yield ti, tj, concat(rest_i, _without(second, j))
 
 
 def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinComb[Forest]:
@@ -93,16 +101,10 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
             fused = _graft_all(t.decoration * u.decoration, forest_shuffle(f, g, lam))
             result = result + fused.scale(lam)
     else:
-        k, n = len(first.trees), len(second.trees)
-        parts = []
-        for i, ti in enumerate(first.trees):
-            rest_i = _without(first, i)
-            for j, tj in enumerate(second.trees):
-                rest = concat(rest_i, _without(second, j))
-                parts.append(
-                    _concat_all(forest_shuffle(ti.as_forest(), tj.as_forest(), lam), rest)
-                )
-        result = lincomb_sum(parts).scale(Fraction(1, k * n))
+        result = lincomb_sum(
+            _concat_all(forest_shuffle(ti.as_forest(), tj.as_forest(), lam), rest)
+            for ti, tj, rest in _component_pairs(first, second)
+        ).scale(Fraction(1, len(first.trees) * len(second.trees)))
 
     if first.size + second.size <= _MEMO_SIZE_LIMIT:
         _shuffle_cache[key] = result
@@ -111,11 +113,7 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
 
 def shuffle_lin(x: LinComb[Forest], y: LinComb[Forest], lam: Fraction | int = 0) -> LinComb[Forest]:
     """Bilinear extension of the forest shuffle."""
-    return lincomb_sum(
-        forest_shuffle(f1, f2, lam).scale(c1 * c2)
-        for f1, c1 in x._terms.items()
-        for f2, c2 in y._terms.items()
-    )
+    return bilinear(forest_shuffle, x, y, lam)
 
 
 def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinComb[Forest]:
@@ -185,29 +183,14 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
         inner = star_product(Forest(t.children), Forest(u.children), lam)
         result = _graft_all(t.decoration * u.decoration, inner)
     else:
-        k, n = len(first.trees), len(second.trees)
-        parts = []
-        for i, ti in enumerate(first.trees):
-            rest_i = _without(first, i)
-            for j, tj in enumerate(second.trees):
-                rest = concat(rest_i, _without(second, j))
-                parts.append(
-                    _concat_all(diamond_product(ti.as_forest(), tj.as_forest(), lam), rest)
-                )
-        result = lincomb_sum(parts).scale(Fraction(1, k * n))
+        result = lincomb_sum(
+            _concat_all(diamond_product(ti.as_forest(), tj.as_forest(), lam), rest)
+            for ti, tj, rest in _component_pairs(first, second)
+        ).scale(Fraction(1, len(first.trees) * len(second.trees)))
 
     if first.size + second.size <= _MEMO_SIZE_LIMIT:
         _diamond_cache[key] = result
     return result
-
-
-def diamond_lin(x: LinComb[Forest], y: LinComb[Forest], lam: Fraction | int = 0) -> LinComb[Forest]:
-    """Bilinear extension of the diamond product (zero absorbs)."""
-    return lincomb_sum(
-        diamond_product(f1, f2, lam).scale(c1 * c2)
-        for f1, c1 in x._terms.items()
-        for f2, c2 in y._terms.items()
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +271,12 @@ def _coeff(target: Forest, first: Forest, second: Forest, lam: Fraction) -> Frac
             if lam and root.decoration == t.decoration * u.decoration:
                 result += lam * _coeff(body, Forest(t.children), Forest(u.children), lam)
     else:
-        k, n = len(first.trees), len(second.trees)
         result = Fraction(0)
-        for i, ti in enumerate(first.trees):
-            rest_i = _without(first, i)
-            for j, tj in enumerate(second.trees):
-                rest = concat(rest_i, _without(second, j))
-                core = _multiset_difference(target, rest)
-                if core is None:
-                    continue
+        for ti, tj, rest in _component_pairs(first, second):
+            core = _multiset_difference(target, rest)
+            if core is not None:
                 result += _coeff(core, ti.as_forest(), tj.as_forest(), lam)
-        result /= k * n
+        result /= len(first.trees) * len(second.trees)
 
     _coeff_cache[key] = result
     return result

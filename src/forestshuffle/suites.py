@@ -45,7 +45,7 @@ from .forest import (
     render_forest,
     vertex_refs,
 )
-from .linalg import LinComb, TensorComb, render_lincomb, render_tensor, tensor
+from .linalg import LinComb, TensorComb, render_lincomb, tensor
 from .primitives import (
     decorate_distinct,
     enumerate_shapes,
@@ -148,8 +148,6 @@ class SuiteReport:
 def _show(value) -> str:
     if isinstance(value, LinComb):
         return render_lincomb(value)
-    if isinstance(value, TensorComb):
-        return render_tensor(value)
     if isinstance(value, Forest):
         return render_forest(value)
     return str(value)
@@ -212,20 +210,27 @@ def suite_forest_core(cfg: SuiteConfig) -> SuiteReport:
         rep.check("canonical key permutation invariance", f.key, f.key, g.key)
 
     top = cfg.degree(5)
+    # the pool comes in nondecreasing size, so each inner loop stops at the
+    # first operand that overshoots: every other one would overshoot too
     pool = forests_up_to(top, alphabet)
-    for f, g in itertools.product(pool, repeat=2):
-        if f.size + g.size > top:
-            continue
-        rep.check("concat commutative", f"{f.key} | {g.key}", concat(f, g), concat(g, f))
-    for f, g, h in itertools.product(pool, repeat=3):
-        if f.size + g.size + h.size > top:
-            continue
-        rep.check(
-            "concat associative",
-            f"{f.key} | {g.key} | {h.key}",
-            concat(concat(f, g), h),
-            concat(f, concat(g, h)),
-        )
+    for f in pool:
+        for g in pool:
+            if f.size + g.size > top:
+                break
+            rep.check("concat commutative", f"{f.key} | {g.key}", concat(f, g), concat(g, f))
+    for f in pool:
+        for g in pool:
+            if f.size + g.size > top:
+                break
+            for h in pool:
+                if f.size + g.size + h.size > top:
+                    break
+                rep.check(
+                    "concat associative",
+                    f"{f.key} | {g.key} | {h.key}",
+                    concat(concat(f, g), h),
+                    concat(f, concat(g, h)),
+                )
     for f in pool:
         rep.check("concat unital", f.key, concat(EMPTY, f), f)
 
@@ -375,12 +380,7 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
 
     linear_ok = []
     for tf in trees_up_to(cfg.degree(6), alphabet):
-        d = trunk_coproduct(tf)
-        left = LinComb.zero()
-        right = LinComb.zero()
-        for (l, r), c in d.items():
-            left = left + LinComb.of(r, c * counit(l))
-            right = right + LinComb.of(l, c * counit(r))
+        left = LinComb.sum_of((r, c * counit(l)) for (l, r), c in trunk_coproduct(tf).items())
         rep.check("left counit", tf.key, LinComb.of(tf), left)
         from .words import is_linear
 
@@ -389,7 +389,7 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
             "right counit dichotomy (holds iff linear)",
             tf.key,
             expected,
-            right == LinComb.of(tf),
+            _right_counit_holds(tf),
         )
     rep.check(
         "right counit fails on the canonical witness a[b,c]",
@@ -457,9 +457,7 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
 
 
 def _right_counit_holds(tf: Forest) -> bool:
-    right = LinComb.zero()
-    for (l, r), c in trunk_coproduct(tf).items():
-        right = right + LinComb.of(l, c * counit(r))
+    right = LinComb.sum_of((l, c * counit(r)) for (l, r), c in trunk_coproduct(tf).items())
     return right == LinComb.of(tf)
 
 
@@ -509,7 +507,7 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
 
     # grafting/trunk-coproduct pairing, batched per degree
     for n in range(1, cfg.degree(6) + 1):
-        cograft: dict[Forest, dict[tuple[Forest, Forest], Fraction]] = {}
+        cograft: dict[Forest, list[tuple[tuple[Forest, Forest], Fraction]]] = {}
         pool: dict[int, list[Forest]] = {0: [EMPTY]}
         for s in range(1, n + 1):
             pool[s] = list(trees_of_size(s, alphabet))
@@ -517,12 +515,10 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
             for t1 in pool[k]:
                 for t2 in pool[n - k]:
                     for f, c in graft_linear(t1, t2).items():
-                        cograft.setdefault(f, {})
-                        cograft[f][(t1, t2)] = cograft[f].get((t1, t2), Fraction(0)) + c
+                        cograft.setdefault(f, []).append(((t1, t2), c))
         for tf in pool[n]:
-            got = {k: v for k, v in cograft.get(tf, {}).items() if v}
-            expected = dict(trunk_coproduct(tf).items())
-            rep.check("grafting pairs the trunk coproduct", tf.key, expected, got)
+            got = TensorComb.sum_of(2, cograft.get(tf, ()))
+            rep.check("grafting pairs the trunk coproduct", tf.key, trunk_coproduct(tf), got)
 
     cap = max(1, cfg.degree(5) - 2)
     for _ in range(cfg.count(300)):
@@ -707,9 +703,7 @@ def suite_rota_baxter(cfg: SuiteConfig) -> SuiteReport:
         for _ in range(cfg.count(200) // 2):
             f = random_forest(rng, rng.randint(1, 4), alphabet)
             g = random_forest(rng, rng.randint(1, 3), alphabet)
-            image = LinComb.zero()
-            for h, c in diamond_product(f, g, lam).items():
-                image = image + phi_bar(h, walg, word_embedding).scale(c)
+            image = diamond_product(f, g, lam).map_basis(lambda h: phi_bar(h, walg, word_embedding))
             rep.check(
                 f"induced map is a diamond morphism (weight {lam})",
                 f"{f.key} | {g.key}",

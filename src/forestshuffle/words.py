@@ -28,6 +28,8 @@ __all__ = [
     "deshuffle",
 ]
 
+_ONE = Fraction(1)
+
 
 class Word:
     """An immutable sequence of letters, each a Decoration."""
@@ -85,18 +87,12 @@ def word_shuffle(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
             return LinComb.of(Word(b))
         if not b:
             return LinComb.of(Word(a))
-        acc: dict[Word, Fraction] = {}
-
-        def put(head: Decoration, rest: LinComb[Word], c: Fraction) -> None:
-            for word, c2 in rest.items():
-                key = Word((head,) + word.letters)
-                acc[key] = acc.get(key, Fraction(0)) + c * c2
-
-        put(a[0], go(a[1:], b), Fraction(1))
-        put(b[0], go(a, b[1:]), Fraction(1))
+        parts = [(a[0], go(a[1:], b)), (b[0], go(a, b[1:]))]
         if lam:
-            put(a[0] * b[0], go(a[1:], b[1:]), lam)
-        return LinComb(acc)
+            parts.append((a[0] * b[0], go(a[1:], b[1:]).scale(lam)))
+        return LinComb.sum_of(
+            (Word((head,) + word.letters), c) for head, rest in parts for word, c in rest._terms.items()
+        )
 
     return go(w.letters, v.letters)
 
@@ -108,16 +104,15 @@ def word_shuffle_brute(w: Word, v: Word) -> LinComb[Word]:
     letters among len(w)+len(v) slots.  Only the lam=0 case.
     """
     n, m = len(w), len(v)
-    acc: dict[Word, Fraction] = {}
+    pairs = []
     for positions in itertools.combinations(range(n + m), n):
         letters: list[Decoration | None] = [None] * (n + m)
         for i, p in enumerate(positions):
             letters[p] = w.letters[i]
         it = iter(v.letters)
         letters = [x if x is not None else next(it) for x in letters]
-        word = Word(letters)
-        acc[word] = acc.get(word, Fraction(0)) + 1
-    return LinComb(acc)
+        pairs.append((Word(letters), _ONE))
+    return LinComb.sum_of(pairs)
 
 
 def word_to_tree(w: Word) -> Forest:
@@ -168,12 +163,12 @@ def deconcatenation(w: Word) -> TensorComb[Word]:
 
 def deshuffle(w: Word) -> TensorComb[Word]:
     """Dual of the plain shuffle: all subsequence/complement splits."""
-    acc: dict[tuple[Word, Word], Fraction] = {}
+    pairs = []
     indices = range(len(w))
     for r in range(len(w) + 1):
         for picked in itertools.combinations(indices, r):
             chosen = set(picked)
             left = Word(tuple(w.letters[i] for i in indices if i in chosen))
             right = Word(tuple(w.letters[i] for i in indices if i not in chosen))
-            acc[(left, right)] = acc.get((left, right), Fraction(0)) + 1
-    return TensorComb(2, acc)
+            pairs.append(((left, right), _ONE))
+    return TensorComb.sum_of(2, pairs)

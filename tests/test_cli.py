@@ -6,6 +6,7 @@ import json
 import pytest
 
 from forestshuffle.cli import main
+from forestshuffle.forest import MAX_TREE_DEPTH, parse_forest
 
 
 def run(capsys, *argv):
@@ -135,6 +136,29 @@ class TestErrorPaths:
             main(["shuffle", "a", "b", "--lambda", "0.5"])
         assert exc.value.code == 2
 
+    def test_deep_tree_is_status_4(self, capsys):
+        def linear(depth):
+            return "a[" * (depth - 1) + "a" + "]" * (depth - 1)
+
+        for argv in (["coproduct", linear(1200)], ["dual", linear(1200)], ["shuffle", linear(1200), "b"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 4 and out == ""
+            assert "depth" in err and "Traceback" not in err
+        # at the limit a structural recursion still runs through every level
+        deepest, below = linear(MAX_TREE_DEPTH), linear(MAX_TREE_DEPTH - 1)
+        assert parse_forest(deepest).size == MAX_TREE_DEPTH
+        code, out, _ = run(capsys, "pair", deepest, "a", below)
+        assert code == 0 and int(out) > 0
+        code, _, _ = run(capsys, "pair", linear(MAX_TREE_DEPTH + 1), "a", deepest)
+        assert code == 4
+
+    def test_trees_need_whitespace_between_them(self, capsys):
+        code, out, err = run(capsys, "shuffle", "a[b,c]d", "e")
+        assert code == 3 and out == ""
+        assert "whitespace" in err and "position 6" in err
+        code, out, _ = run(capsys, "shuffle", "a[b,c] d", "e")
+        assert code == 0 and out
+
     def test_unknown_suite_is_status_2(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope")
         assert code == 2
@@ -218,6 +242,20 @@ class TestGoldenOutput:
         ("diamond", "0"): "2b6ed1faf5ba696477c106abf13df65f55259270add552553f94d60f0df3052f",
         ("diamond", "1"): "06bfcc0db944b1f0101875b992376d63321b1dac6ff0fcad01c258acd83b1dad",
     }
+
+    # sha256 of verify --suite all --json --max-degree 5, per seed
+    VERIFY_DIGESTS = {
+        0: "5d0f7c7df63f78f4bc2009b36054267268d1a7371929626991134e4a49e6cd49",
+        42: "8a8dee2e049452b257f0b3bdc1506754b5aa06393eaf23c3ce549934ac0b73d7",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(VERIFY_DIGESTS))
+    def test_verify_json_digest_at_degree_five(self, capsys, seed):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--json", "--max-degree", "5", "--seed", str(seed)
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.VERIFY_DIGESTS[seed]
 
     @pytest.mark.parametrize("product, lam", sorted(DIGESTS))
     def test_product_json_digest(self, capsys, product, lam):
