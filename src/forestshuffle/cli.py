@@ -22,7 +22,7 @@ from .dual import (
     graft_leaves,
     graft_linear,
 )
-from .forest import GuardExceeded, TreeSyntaxError, parse_forest, parse_tree
+from .forest import MAX_TREE_DEPTH, Forest, GuardExceeded, TreeSyntaxError, parse_forest, parse_tree
 from .linalg import LinComb, lincomb_json, render_lincomb, tensor_json
 from .primitives import SHAPE_GUARD, enumerate_shapes, primitive_count_recursive
 from .rota_baxter import (
@@ -112,8 +112,26 @@ def _emit_lincomb(x: LinComb, as_json: bool) -> None:
         print(render_lincomb(x))
 
 
+def _depth(forest: Forest) -> int:
+    """Vertices on the longest root-to-leaf path, read off the canonical key."""
+    level = deepest = 0
+    for ch in forest.key:
+        if ch == "[":
+            level += 1
+            deepest = max(deepest, level)
+        elif ch == "]":
+            level -= 1
+    return 0 if forest.is_empty else deepest + 1
+
+
 def _cmd_shuffle(args) -> int:
     first, second = parse_forest(args.first), parse_forest(args.second)
+    # the products peel one root of either operand per level
+    if _depth(first) + _depth(second) > MAX_TREE_DEPTH:
+        raise GuardExceeded(
+            f"the operands' depths are guarded to {MAX_TREE_DEPTH} in sum, "
+            f"got {_depth(first)} + {_depth(second)}"
+        )
     op = {"shuffle": forest_shuffle, "star": star_product, "diamond": diamond_product}[args.product]
     _emit_lincomb(op(first, second, args.weight), args.json)
     return 0

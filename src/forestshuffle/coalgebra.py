@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forest import EMPTY, Forest, RootedTree, b_plus
-from .linalg import LinComb, TensorComb, lincomb_sum
+from .linalg import LinComb, TensorComb, lincomb_sum, tensor_map_basis
 from .words import is_linear
 
 __all__ = [
@@ -63,9 +63,7 @@ def trunk_coproduct(arg: Forest | RootedTree) -> TensorComb[Forest]:
 
 def trunk_coproduct_lin(x: LinComb[Forest]) -> TensorComb[Forest]:
     """Linear extension of the trunk coproduct."""
-    return TensorComb.sum_of(
-        2, [(legs, c * c2) for f, c in x._terms.items() for legs, c2 in trunk_coproduct(f)._terms.items()]
-    )
+    return tensor_map_basis(x, 2, trunk_coproduct)
 
 
 def counit(x: LinComb[Forest] | Forest) -> Fraction:

@@ -283,13 +283,19 @@ def dual_recursive(forest: Forest) -> TensorComb[Forest]:
         n = len(forest.trees)
         pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
         for i, tree in enumerate(forest.trees):
-            red = reduced_dual(tree.as_forest())
-            if red.is_zero:
+            # reduced_dual(tree), recursing from this frame: the two terms
+            # with an empty leg are T⊗∅ and ∅⊗T, each with coefficient 1
+            red = [
+                ((x, y), c)
+                for (x, y), c in dual_recursive(tree.as_forest())._terms.items()
+                if not (x.is_empty or y.is_empty)
+            ]
+            if not red:
                 continue
             pairs.extend(
                 ((concat(x, f_in), concat(y, f_out)), _alpha(r, n) * c)
                 for r, f_in, f_out in _component_splits(forest.trees, i)
-                for (x, y), c in red._terms.items()
+                for (x, y), c in red
             )
         result = TensorComb.sum_of(2, pairs)
 

@@ -396,10 +396,13 @@ def render_forest(forest: Forest) -> str:
 
 
 # Deepest root-to-leaf path, in vertices, that the parser accepts.  The
-# parser and the structural recursions (shuffle, coproduct, dual) take one
-# stack frame per level, and at CPython's default recursion limit of 1000
-# they fail from depth 1,000 on; deeper input exits with a guard error.
-MAX_TREE_DEPTH = 800
+# structural recursions take up to two stack frames per level (a tree, then
+# the forest of its children): on trees with a branch at every level the
+# shuffle, dual and families verbs fail near depth 500 at CPython's default
+# recursion limit of 1000, so the limit leaves room for the caller's frames.
+# A product recurses through both operands; the CLI bounds their depth sum
+# by the same limit.  Deeper input exits with a guard error.
+MAX_TREE_DEPTH = 400
 
 
 class _Parser:

@@ -8,7 +8,8 @@ ordering.
 
 Terms that may repeat are summed in one place, ``_accumulate``; its front
 ends are ``LinComb.sum_of``, ``TensorComb.sum_of``, ``lincomb_sum``, the
-linear extension ``map_basis`` and the bilinear extension ``bilinear``.
+linear extensions ``map_basis`` and ``tensor_map_basis`` and the bilinear
+extension ``bilinear``.
 
 Values are immutable: all operations return fresh objects.
 """
@@ -29,6 +30,7 @@ __all__ = [
     "render_tensor",
     "tensor",
     "tensor_json",
+    "tensor_map_basis",
 ]
 
 B = TypeVar("B", bound=Hashable)
@@ -134,7 +136,7 @@ class LinComb(Generic[B]):
 
     def map_basis(self, fn: Callable[[B], "LinComb"]) -> "LinComb":
         """Linear extension of a basis map."""
-        return lincomb_sum(fn(b).scale(c) for b, c in self._terms.items())
+        return LinComb.sum_of(_images(self, lambda b: fn(b)._terms.items()))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -148,6 +150,14 @@ class LinComb(Generic[B]):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({render_lincomb(self)!r})"
+
+
+def _images(
+    x: LinComb, fn: Callable[[B], Iterable[tuple[Hashable, Fraction]]]
+) -> Iterable[tuple[Hashable, Fraction]]:
+    """The terms of the linear extension to ``x`` of a map from basis elements
+    to (basis, coefficient) pairs, unsummed."""
+    return ((b2, c * c2) for b, c in x._terms.items() for b2, c2 in fn(b))
 
 
 def lincomb_sum(parts: Iterable[LinComb]) -> LinComb:
@@ -231,10 +241,7 @@ class TensorComb(LinComb[tuple[B, ...]]):
     ) -> "TensorComb[B]":
         """Linear extension of a map from one term's legs to (legs, coefficient)
         pairs of the given arity."""
-        return TensorComb.sum_of(
-            arity,
-            ((new, c * c2) for legs, c in self._terms.items() for new, c2 in fn(legs)),
-        )
+        return TensorComb.sum_of(arity, _images(self, fn))
 
     def map_leg(self, i: int, fn: Callable[[B], LinComb]) -> "TensorComb[B]":
         """Apply a linear basis map to leg ``i``; arity is preserved."""
@@ -269,6 +276,12 @@ class TensorComb(LinComb[tuple[B, ...]]):
                 for b, c in op(legs[i], legs[j])._terms.items()
             ),
         )
+
+
+def tensor_map_basis(x: LinComb, arity: int, fn: Callable[[B], TensorComb]) -> TensorComb:
+    """Linear extension of a basis map whose values are tensors of the given
+    arity; ``map_basis`` for tensor values."""
+    return TensorComb.sum_of(arity, _images(x, lambda b: fn(b)._terms.items()))
 
 
 def tensor(*factors: LinComb) -> TensorComb:

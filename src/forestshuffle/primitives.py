@@ -9,7 +9,7 @@ root, counting the multisets by the Euler transform.
 
 from __future__ import annotations
 
-from .forest import Decoration, Forest, GuardExceeded, RootedTree, UNIT
+from .forest import Decoration, GuardExceeded, RootedTree, UNIT
 
 __all__ = [
     "SHAPE_GUARD",

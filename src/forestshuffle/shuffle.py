@@ -38,6 +38,10 @@ _atoms_cache: dict[str, tuple[str, ...]] = {}
 # long-running suites do not pin every big expansion in memory
 _MEMO_SIZE_LIMIT = 8
 
+# The recursive products below collect their sub-results in plain loops and
+# sum them afterwards, so each level of an operand costs one or two stack
+# frames and no accumulator frames (see forest.MAX_TREE_DEPTH).
+
 
 # _graft_all and _concat_all map distinct forests to distinct forests and keep
 # every coefficient, so a clean input gives a clean output without _clean.
@@ -101,10 +105,10 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
             fused = _graft_all(t.decoration * u.decoration, forest_shuffle(f, g, lam))
             result = result + fused.scale(lam)
     else:
-        result = lincomb_sum(
-            _concat_all(forest_shuffle(ti.as_forest(), tj.as_forest(), lam), rest)
-            for ti, tj, rest in _component_pairs(first, second)
-        ).scale(Fraction(1, len(first.trees) * len(second.trees)))
+        parts = []
+        for ti, tj, rest in _component_pairs(first, second):
+            parts.append(_concat_all(forest_shuffle(ti.as_forest(), tj.as_forest(), lam), rest))
+        result = lincomb_sum(parts).scale(Fraction(1, len(first.trees) * len(second.trees)))
 
     if first.size + second.size <= _MEMO_SIZE_LIMIT:
         _shuffle_cache[key] = result
@@ -139,22 +143,15 @@ def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinC
     elif second.is_empty:
         result = LinComb.of(first)
     else:
-        k, n = len(first.trees), len(second.trees)
-        left = lincomb_sum(
-            _concat_all(
-                _graft_all(ti.decoration, star_product(Forest(ti.children), second, lam)),
-                _without(first, i),
-            )
-            for i, ti in enumerate(first.trees)
-        )
-        right = lincomb_sum(
-            _concat_all(
-                _graft_all(tj.decoration, star_product(first, Forest(tj.children), lam)),
-                _without(second, j),
-            )
-            for j, tj in enumerate(second.trees)
-        )
-        result = left.scale(Fraction(1, k)) + right.scale(Fraction(1, n))
+        left, right = [], []
+        for i, ti in enumerate(first.trees):
+            inner = star_product(Forest(ti.children), second, lam)
+            left.append(_concat_all(_graft_all(ti.decoration, inner), _without(first, i)))
+        for j, tj in enumerate(second.trees):
+            inner = star_product(first, Forest(tj.children), lam)
+            right.append(_concat_all(_graft_all(tj.decoration, inner), _without(second, j)))
+        result = lincomb_sum(left).scale(Fraction(1, len(first.trees)))
+        result = result + lincomb_sum(right).scale(Fraction(1, len(second.trees)))
         if lam:
             result = result + diamond_product(first, second, lam).scale(lam)
 
@@ -183,10 +180,10 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
         inner = star_product(Forest(t.children), Forest(u.children), lam)
         result = _graft_all(t.decoration * u.decoration, inner)
     else:
-        result = lincomb_sum(
-            _concat_all(diamond_product(ti.as_forest(), tj.as_forest(), lam), rest)
-            for ti, tj, rest in _component_pairs(first, second)
-        ).scale(Fraction(1, len(first.trees) * len(second.trees)))
+        parts = []
+        for ti, tj, rest in _component_pairs(first, second):
+            parts.append(_concat_all(diamond_product(ti.as_forest(), tj.as_forest(), lam), rest))
+        result = lincomb_sum(parts).scale(Fraction(1, len(first.trees) * len(second.trees)))
 
     if first.size + second.size <= _MEMO_SIZE_LIMIT:
         _diamond_cache[key] = result

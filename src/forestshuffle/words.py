@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .forest import Decoration, EMPTY, Forest, RootedTree
 from .linalg import LinComb, TensorComb

@@ -152,6 +152,32 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "pair", linear(MAX_TREE_DEPTH + 1), "a", deepest)
         assert code == 4
 
+    def test_branching_trees_at_the_limit(self, capsys):
+        def comb(depth):  # a[a[...,b],b]: a branch on every level
+            tree = "a"
+            for _ in range(depth - 1):
+                tree = f"a[{tree},b]"
+            return tree
+
+        # two stack frames per level: a tree, then the forest of its children
+        deepest, below = comb(MAX_TREE_DEPTH), comb(MAX_TREE_DEPTH - 1)
+        for argv in (
+            ["shuffle", below, "b"],
+            ["shuffle", "b", below],
+            ["shuffle", below, "b", "--product", "star"],
+            ["shuffle", comb(MAX_TREE_DEPTH - 2), "b[c]", "--product", "diamond"],
+            ["dual", deepest],
+            ["dual", deepest, "--mode", "combinatorial"],
+            # below with its deepest leaf a replaced by a[b]
+            ["pair", "a[" * (MAX_TREE_DEPTH - 2) + "a[b]" + ",b]" * (MAX_TREE_DEPTH - 2), "b", below],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "") and out.strip() not in ("", "0"), argv[:1]
+        # a product recurses through both operands
+        for first, second in ((deepest, "b"), (comb(MAX_TREE_DEPTH // 2 + 1), comb(MAX_TREE_DEPTH // 2))):
+            code, out, err = run(capsys, "shuffle", first, second, "--product", "star")
+            assert code == 4 and out == "" and "in sum" in err
+
     def test_trees_need_whitespace_between_them(self, capsys):
         code, out, err = run(capsys, "shuffle", "a[b,c]d", "e")
         assert code == 3 and out == ""

@@ -29,7 +29,7 @@ from forestshuffle import (
     trunk_coproduct,
     word_shuffle,
 )
-from forestshuffle.linalg import bilinear, render_lincomb
+from forestshuffle.linalg import bilinear, render_lincomb, tensor_map_basis
 
 from conftest import decorations, forests, nonempty_forests, trees
 
@@ -89,6 +89,12 @@ class TestAccumulator:
         )
         assert bilinear(forest_shuffle, x, y, 1) == expected
         assert bilinear(forest_shuffle, x, LinComb.zero(), 1).is_zero
+
+    def test_tensor_map_basis_keeps_the_arity(self):
+        x = LinComb({P("a[b]"): Fraction(2), P("c"): Fraction(-1)})
+        expected = trunk_coproduct(P("a[b]")).scale(2) - trunk_coproduct(P("c"))
+        assert tensor_map_basis(x, 2, trunk_coproduct) == expected
+        assert tensor_map_basis(LinComb.zero(), 2, trunk_coproduct) == TensorComb.zero(2)
 
 
 class TestTensorComb:
