@@ -14,10 +14,14 @@ Three independent routes to the dual coproduct coexist here:
   formulas above.
 
 The recursive/combinatorial forms carry the alpha/fertility weights as
-stated; strict duality normalizes differently, and the oracle empirically
-realizes the same support with reciprocal coefficients (see
-``dual_conjectured_oracle``).  The verification suite evaluates and reports
-that relation rather than assuming it.
+stated; strict duality normalizes differently.  The oracle has the same
+support as the combinatorial form with reciprocal coefficients (see
+``dual_conjectured_oracle``) on every forest the suites check, but not
+always the same coefficients: they are equal on forests with distinct
+decorations and can differ on repeated components (on ``a[b] a[b]`` the
+oracle gives 1/2 for (a)⊗(a[b] b), the reciprocal form 1).  The
+verification suite evaluates and reports that relation rather than
+assuming it.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ __all__ = [
     "dual_conjectured_oracle",
     "dual_oracle",
     "ORACLE_GUARD",
+    "FAMILY_GUARD",
+    "family_count",
     "graft_leaves",
     "graft_linear",
     "graft_leaves_lin",
@@ -68,6 +74,10 @@ __all__ = [
 ]
 
 ORACLE_GUARD = 8
+
+# Most admissible families one tree may have; a linear tree with 16 vertices
+# has exactly this many.
+FAMILY_GUARD = 2**16
 
 _ONE = Fraction(1)
 
@@ -89,40 +99,68 @@ class AdmissibleFamily:
     c_gamma: int
 
 
-def _family_sets(tree: RootedTree) -> list[tuple[frozenset[VertexRef], int]]:
-    """Inductive enumeration of admissible vertex sets with fertilities.
+# (gamma, t_gamma, t_complement, c_gamma): a family and its two induced sides
+_Family = tuple[frozenset[VertexRef], Forest, Forest, int]
+
+
+def family_count(tree: RootedTree) -> int:
+    """The number of admissible families of a tree, without listing them.
+
+    Follows the enumeration in ``_family_sets``: 2 for a leaf, twice the
+    child's count under a single-child root, and under a root with n >= 2
+    children the two boundary families plus two for every proper nonempty
+    family of each child.
+    """
+    kids = tree.children
+    if not kids:
+        return 2
+    if len(kids) == 1:
+        return 2 * family_count(kids[0])
+    return 2 + sum([2 * (family_count(kid) - 2) for kid in kids])
+
+
+def _family_sets(tree: RootedTree) -> list[_Family]:
+    """Inductive enumeration of admissible vertex sets with both induced
+    sides and fertilities.
 
     Single-child root: families of the child, each taken with and without
-    the root, fertility unchanged.  Root with n >= 2 children: besides the
-    two boundary families (whole vertex set and empty set, fertility 1),
-    every family is built from a proper nonempty family of one child, taken
-    either as is or joined with the root and all other children; fertility
-    is n times the child's.
+    the root, fertility unchanged; the root joins the side it goes to.  Root
+    with n >= 2 children: besides the two boundary families (whole vertex
+    set and empty set, fertility 1), every family is built from a proper
+    nonempty family of one child, taken either as is or joined with the
+    root and all other children; fertility is n times the child's.  Both
+    sides are assembled from canonical parts with ``b_plus`` and ``concat``
+    instead of being induced again from the vertex sets.
     """
     kids = tree.children
     n = len(kids)
+    dec = tree.decoration
     if n == 0:
-        return [(frozenset(), 1), (frozenset({()}), 1)]
+        leaf = tree.as_forest()
+        return [(frozenset(), EMPTY, leaf, 1), (frozenset({()}), leaf, EMPTY, 1)]
     if n == 1:
-        out: list[tuple[frozenset[VertexRef], int]] = []
-        for sub, c in _family_sets(kids[0]):
+        out: list[_Family] = []
+        for sub, g, h, c in _family_sets(kids[0]):
             lifted = frozenset((0,) + p for p in sub)
-            out.append((lifted, c))
-            out.append((lifted | {()}, c))
+            out.append((lifted, g, b_plus(dec, h).as_forest(), c))
+            out.append((lifted | {()}, b_plus(dec, g).as_forest(), h, c))
         return out
 
     child_vertices = [frozenset((i,) + p for p in vertex_refs(kids[i])) for i in range(n)]
     all_vertices: frozenset[VertexRef] = frozenset({()}).union(*child_vertices)
-    out = [(frozenset(), 1), (all_vertices, 1)]
+    whole = tree.as_forest()
+    out = [(frozenset(), EMPTY, whole, 1), (all_vertices, whole, EMPTY, 1)]
     for i in range(n):
-        child_size = kids[i].size
+        kid = kids[i]
         rest = all_vertices - child_vertices[i] - {()}
-        for sub, c in _family_sets(kids[i]):
-            if not sub or len(sub) == child_size:
+        # a subsequence of the sorted children is sorted
+        others = Forest._build(kids[:i] + kids[i + 1 :], tree.size - 1 - kid.size)
+        for sub, g, h, c in _family_sets(kid):
+            if not sub or len(sub) == kid.size:
                 continue
             lifted = frozenset((i,) + p for p in sub)
-            out.append((lifted, n * c))
-            out.append((lifted | {()} | rest, n * c))
+            out.append((lifted, g, b_plus(dec, concat(others, h)).as_forest(), n * c))
+            out.append((lifted | {()} | rest, b_plus(dec, concat(others, g)).as_forest(), h, n * c))
     return out
 
 
@@ -134,20 +172,21 @@ def admissible_families(tree: RootedTree) -> tuple[AdmissibleFamily, ...]:
     """All admissible families of a nonempty tree, in deterministic order.
 
     The boundary families (empty set and full vertex set) are always
-    present with contracted fertility 1.
+    present with contracted fertility 1.  Guarded to ``FAMILY_GUARD``
+    families: a linear tree with n vertices has 2^n of them.
     """
-    all_refs = frozenset(vertex_refs(tree))
-    out = []
-    for gamma, c in sorted(_family_sets(tree), key=lambda gc: _set_key(gc[0])):
-        out.append(
-            AdmissibleFamily(
-                gamma=gamma,
-                t_gamma=induced_subtree(tree, gamma),
-                t_complement=induced_subtree(tree, all_refs - gamma),
-                c_gamma=c,
-            )
+    count = family_count(tree)
+    if count > FAMILY_GUARD:
+        raise GuardExceeded(
+            f"admissible families are guarded to {FAMILY_GUARD} per tree, "
+            f"a tree of {tree.size} vertices has {count}"
         )
-    return tuple(out)
+    return tuple(
+        AdmissibleFamily(gamma, t_gamma, t_complement, c)
+        for gamma, t_gamma, t_complement, c in sorted(
+            _family_sets(tree), key=lambda fam: _set_key(fam[0])
+        )
+    )
 
 
 def _induced_fertilities(tree: RootedTree, selected: frozenset[VertexRef]) -> dict[VertexRef, int]:
@@ -359,7 +398,13 @@ def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
 
 def dual_conjectured_oracle(forest: Forest) -> TensorComb[Forest]:
     """The combinatorial form with reciprocal coefficients (c -> 1/c,
-    alpha -> 1/alpha): the conjectured closed form of ``dual_oracle``."""
+    alpha -> 1/alpha).
+
+    Its support equals that of ``dual_oracle`` on every forest the suites
+    check.  Its coefficients are only conjectured to be the oracle's: they
+    are equal on distinct decorations and can differ on repeated
+    components, e.g. 1 here against the oracle's 1/2 for (a)⊗(a[b] b) in
+    the coproduct of ``a[b] a[b]``."""
     return _dual_combinatorial_terms(forest, invert=True)
 
 
@@ -518,7 +563,11 @@ def oracle_reduced_is_zero(forest: Forest) -> bool:
 
 def graft_leaves(base: Forest | RootedTree, scion: Forest | RootedTree) -> LinComb[Forest]:
     """Sum of the graftings of the scion onto each leaf of the base tree;
-    the empty base acts as unit."""
+    the empty base acts as unit and returns the scion.
+
+    The base and the scion are each a tree, a one-tree forest or the empty
+    forest.  Grafting a scion of two or more trees onto a leaf raises
+    ``ValueError`` (see ``graft_at``)."""
     base = base.as_forest() if isinstance(base, RootedTree) else base
     scion_f = scion.as_forest() if isinstance(scion, RootedTree) else scion
     if base.is_empty:
@@ -530,7 +579,9 @@ def graft_leaves(base: Forest | RootedTree, scion: Forest | RootedTree) -> LinCo
 
 
 def graft_linear(base: Forest | RootedTree, scion: Forest | RootedTree) -> LinComb[Forest]:
-    """As graft_leaves, but zero whenever the base has more than one leaf."""
+    """As graft_leaves, but zero whenever the base has more than one leaf.
+
+    Takes the same base and scion as ``graft_leaves``."""
     base = base.as_forest() if isinstance(base, RootedTree) else base
     if not base.is_empty and len(leaf_refs(base.single_tree())) > 1:
         return LinComb.zero()

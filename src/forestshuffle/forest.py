@@ -329,14 +329,21 @@ def fertility_profile(tree: RootedTree) -> dict[VertexRef, int]:
 def graft_at(tree: RootedTree, ref: VertexRef, scion: RootedTree | Forest) -> RootedTree:
     """Graft the root of ``scion`` as a new direct descendant of ``ref``.
 
-    Grafting the empty forest returns the tree unchanged.  The result is
-    re-canonicalized, so refs issued for the input are invalidated.
+    The scion is a tree, a one-tree forest or the empty forest; a forest of
+    two or more trees raises ``ValueError``.  Grafting the empty forest
+    returns the tree unchanged.  The result is re-canonicalized, so refs
+    issued for the input are invalidated.
     """
     if isinstance(scion, Forest):
         if scion.is_empty:
             subtree_at(tree, ref)  # still validate the ref
             return tree
-        scion = scion.single_tree()
+        if not scion.is_tree:
+            raise ValueError(
+                "the scion must be a tree, a one-tree forest or the empty forest, "
+                f"got a forest of {len(scion.trees)} trees: {scion.key!r}"
+            )
+        scion = scion.trees[0]
 
     def rebuild(node: RootedTree, path: VertexRef) -> RootedTree:
         if not path:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -178,6 +179,20 @@ class TestErrorPaths:
             code, out, err = run(capsys, "shuffle", first, second, "--product", "star")
             assert code == 4 and out == "" and "in sum" in err
 
+    def test_families_guard_is_status_4(self, capsys):
+        linear = "a[" * 29 + "a" + "]" * 29  # 2^30 admissible families
+        for argv in (["families", linear], ["dual", linear, "--mode", "combinatorial"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 5
+            assert code == 4 and out == ""
+            assert "admissible families are guarded" in err
+
+    def test_graft_scion_of_two_trees_is_status_2(self, capsys):
+        code, out, err = run(capsys, "graft", "a", "a a")
+        assert code == 2 and out == ""
+        assert "one-tree forest" in err and "2 trees" in err
+
     def test_trees_need_whitespace_between_them(self, capsys):
         code, out, err = run(capsys, "shuffle", "a[b,c]d", "e")
         assert code == 3 and out == ""
@@ -247,7 +262,8 @@ class TestVerify:
 
 
 class TestGoldenOutput:
-    """The --json output of the product kernels, pinned byte for byte."""
+    """The --json output of the product kernels and of the admissible-family
+    routes, pinned byte for byte."""
 
     PAIRS = [
         ("a", "b"),
@@ -274,6 +290,29 @@ class TestGoldenOutput:
         0: "5d0f7c7df63f78f4bc2009b36054267268d1a7371929626991134e4a49e6cd49",
         42: "8a8dee2e049452b257f0b3bdc1506754b5aa06393eaf23c3ce549934ac0b73d7",
     }
+
+    FAMILY_TREES = ["a", "a[b[c],d]", "a[b,b]", "a[b[c],b[c],d]", "a*b[1[c],c[a,a]]", "r[s[u[x],v[y]]]"]
+    DUAL_FORESTS = ["a[b] a[b]", "a[b,c[a]] d", "a[b[c],d]", "b[a] b[a] c", "a[b,b[c]] a", "a*b[1] c[a,a]"]
+
+    # sha256 of the concatenated outputs over FAMILY_TREES / DUAL_FORESTS, in order
+    FAMILY_DIGEST = "a1d6e49209dd513a893f789a3177701ec8cee23e56d8515b13af815ea12d28c8"
+    DUAL_DIGEST = "5e286e43784596a752bbfa6e75d84f4071ac7eadd0f27a9bc8400f8b268bfb5f"
+
+    @pytest.mark.parametrize(
+        "argvs, expected",
+        [
+            ([["families", t, "--json"] for t in FAMILY_TREES], FAMILY_DIGEST),
+            ([["dual", f, "--mode", "combinatorial", "--json"] for f in DUAL_FORESTS], DUAL_DIGEST),
+        ],
+        ids=["families", "dual-combinatorial"],
+    )
+    def test_family_json_digest(self, capsys, argvs, expected):
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            digest.update(out.encode("utf-8"))
+        assert digest.hexdigest() == expected
 
     @pytest.mark.parametrize("seed", sorted(VERIFY_DIGESTS))
     def test_verify_json_digest_at_degree_five(self, capsys, seed):

@@ -30,6 +30,8 @@ from forestshuffle import (
     vertex_refs,
 )
 from forestshuffle.dual import (
+    FAMILY_GUARD,
+    family_count,
     forests_on_multiset,
     graft_leaves_lin,
     graft_linear_lin,
@@ -47,7 +49,7 @@ from forestshuffle.sampling import (
 )
 from forestshuffle.words import Word, deshuffle, word_to_tree
 
-from conftest import trees
+from conftest import any_trees, trees
 
 P = parse_forest
 Q = Fraction
@@ -138,6 +140,34 @@ class TestAdmissibleFamilies:
             for fam in admissible_families(tf.single_tree()):
                 assert fam.t_gamma.is_connected
                 assert fam.t_complement.is_connected
+
+    @staticmethod
+    def assert_sides_are_induced(t):
+        refs = frozenset(vertex_refs(t))
+        fams = admissible_families(t)
+        for fam in fams:
+            assert fam.t_gamma == induced_subtree(t, fam.gamma), (t.key, sorted(fam.gamma))
+            assert fam.t_complement == induced_subtree(t, refs - fam.gamma), (t.key, sorted(fam.gamma))
+        assert family_count(t) == len(fams)
+
+    def test_sides_are_the_induced_subtrees(self):
+        for tf in trees_up_to(6, default_alphabet(("a", "b"))):
+            self.assert_sides_are_induced(tf.single_tree())
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_trees)
+    def test_sides_are_the_induced_subtrees_on_any_tree(self, t):
+        self.assert_sides_are_induced(t)
+
+    def test_guard(self):
+        def linear(n):
+            return P("a[" * (n - 1) + "a" + "]" * (n - 1)).single_tree()
+
+        assert family_count(linear(16)) == FAMILY_GUARD
+        with pytest.raises(GuardExceeded, match="guarded to 65536 per tree, a tree of 17 vertices has 131072"):
+            admissible_families(linear(17))
+        with pytest.raises(GuardExceeded):
+            dual_combinatorial(Forest([linear(30), P("b").single_tree()]))
 
 
 class TestContraction:
@@ -290,6 +320,17 @@ class TestGrafting:
 
     def test_single_leaf(self):
         assert graft_leaves(P("a"), P("b")) == LinComb.of(P("a[b]"))
+
+    def test_scion_is_a_tree_or_empty(self):
+        t = P("a[b]").single_tree()
+        assert graft_at(t, (0,), P("c")) == graft_at(t, (0,), P("c").single_tree())
+        assert graft_at(t, (0,), EMPTY) == t
+        for scion in ("c c", "c d[a] e"):
+            n = len(P(scion).trees)
+            with pytest.raises(ValueError, match=f"tree, a one-tree forest or the empty forest, got a forest of {n} trees"):
+                graft_at(t, (0,), P(scion))
+            with pytest.raises(ValueError, match=f"forest of {n} trees"):
+                graft_leaves(P("a"), P(scion))
 
     def test_two_leaves(self):
         assert graft_leaves(P("a[b,c]"), P("d")) == LinComb(
