@@ -8,10 +8,14 @@ Three independent routes to the dual coproduct coexist here:
   root with a projection keeping only tree (or empty) legs;
 * ``dual_combinatorial`` — a sum over admissible vertex families weighted by
   contracted fertilities (must agree with the recursive form exactly);
-* ``dual_oracle``      — strict duality against the shuffle, by brute-force
-  pairing over every basis split of the decoration multiset.  This is
-  ground truth by definition and deliberately shares no code with the two
-  formulas above.
+* ``dual_oracle``      — strict duality against the shuffle, the sum of
+  <F, f1 ⧢ f2> f1⊗f2, computed as the transpose of the weight-0 shuffle
+  recursion: it un-shuffles the target instead of pairing candidates.
+
+``dual_oracle_brute`` is the reference for the oracle: it pairs every basis
+split of the decoration multiset through ``shuffle_coefficient``, which is
+ground truth by definition, and deliberately shares no code with the two
+formulas or the transpose.  The verification suites check against it.
 
 The recursive/combinatorial forms carry the alpha/fertility weights as
 stated; strict duality normalizes differently.  The oracle has the same
@@ -39,6 +43,7 @@ from .forest import (
     RootedTree,
     UNIT,
     VertexRef,
+    _scion_forest,
     b_plus,
     concat,
     fertility_profile,
@@ -61,6 +66,7 @@ __all__ = [
     "dual_combinatorial",
     "dual_conjectured_oracle",
     "dual_oracle",
+    "dual_oracle_brute",
     "ORACLE_GUARD",
     "FAMILY_GUARD",
     "family_count",
@@ -484,24 +490,19 @@ def _multiset_splits(
         yield tuple(left), tuple(right)
 
 
-def dual_oracle(forest: Forest, alphabet: Sequence[Decoration] | None = None) -> TensorComb[Forest]:
-    """The dual coproduct from first principles.
+def dual_oracle_brute(forest: Forest) -> TensorComb[Forest]:
+    """The dual coproduct from first principles, by brute-force pairing.
 
     Sums <F, f1 ⧢ f2> f1⊗f2 over every pair of basis forests decorated from
     the multiset of F's own decorations (the only pairs that can pair
-    nonzero at weight 0).  Guarded to |F| <= 8 vertices.  The ``alphabet``
-    argument restricts the basis to forests over those decorations; by
-    default the multiset is read off the input.
+    nonzero at weight 0).  Guarded to |F| <= 8 vertices.  The reference for
+    ``dual_oracle``: it shares no code with the formulas or the transpose.
     """
     if forest.size > ORACLE_GUARD:
         raise GuardExceeded(
-            f"dual_oracle is guarded to {ORACLE_GUARD} vertices, got {forest.size}"
+            f"dual_oracle_brute is guarded to {ORACLE_GUARD} vertices, got {forest.size}"
         )
     ms = _decoration_multiset(forest)
-    if alphabet is not None:
-        allowed = set(alphabet)
-        if not set(ms) <= allowed:
-            raise ValueError("forest uses decorations outside the given alphabet")
     components = len(forest.trees)
     acc: dict[tuple[Forest, Forest], Fraction] = {}
     for left_ms, right_ms in _multiset_splits(ms):
@@ -519,6 +520,89 @@ def dual_oracle(forest: Forest, alphabet: Sequence[Decoration] | None = None) ->
                 if c:
                     acc[(f1, f2)] = c
     return TensorComb(2, acc)
+
+
+def _tree_splits(trees: tuple[RootedTree, ...]):
+    """Every split of a sorted tuple of trees into two sub-multisets, each
+    split once: (first, second) as sorted tuples, lazily.
+
+    Does the job of ``_multiset_splits`` on trees, but is kept apart from it
+    so that the brute-force reference shares no code with the transpose."""
+    runs = [tuple(run) for _, run in itertools.groupby(trees, key=lambda t: t.key)]
+    for take in itertools.product(*(range(len(run) + 1) for run in runs)):
+        yield (
+            tuple(t for run, k in zip(runs, take) for t in run[:k]),
+            tuple(t for run, k in zip(runs, take) for t in run[k:]),
+        )
+
+
+def _transpose(forest: Forest) -> TensorComb[Forest]:
+    """The transpose of the weight-0 shuffle, by recursion over the target."""
+    if forest.is_empty:
+        return TensorComb.of((EMPTY, EMPTY))
+    pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
+    trees = forest.trees
+    if len(trees) == 1:
+        tree = trees[0]
+        if not tree.children:
+            # a single vertex has only the trivial terms
+            return TensorComb.sum_of(2, pairs)
+        dec = tree.decoration
+        body = Forest._build(tree.children, tree.size - 1)
+        for (x, y), c in _transpose(body)._terms.items():
+            if y.is_tree:
+                pairs.append(((b_plus(dec, x).as_forest(), y), c))
+            if x.is_tree:
+                pairs.append(((x, b_plus(dec, y).as_forest()), c))
+        return TensorComb.sum_of(2, pairs)
+
+    for i, core in enumerate(trees):
+        # trees are sorted, so equal components sit next to each other
+        if i and trees[i - 1] == core:
+            continue
+        red = [
+            (x, y, x.trees[0], y.trees[0], c)
+            for (x, y), c in _transpose(core.as_forest())._terms.items()
+            if not (x.is_empty or y.is_empty)
+        ]
+        if not red:
+            continue
+        for first, second in _tree_splits(trees[:i] + trees[i + 1 :]):
+            r1 = Forest._build(first, sum(t.size for t in first))
+            r2 = Forest._build(second, sum(t.size for t in second))
+            norm = (len(first) + 1) * (len(second) + 1)
+            pairs.extend(
+                (
+                    (concat(x, r1), concat(y, r2)),
+                    c * Fraction((1 + first.count(t)) * (1 + second.count(u)), norm),
+                )
+                for x, y, t, u, c in red
+            )
+    return TensorComb.sum_of(2, pairs)
+
+
+def dual_oracle(forest: Forest) -> TensorComb[Forest]:
+    """The strict-duality coproduct sum <F, f1 ⧢ f2> f1⊗f2, as the transpose
+    of the weight-0 shuffle recursion.
+
+    The empty forest gives ∅⊗∅; every other F gives F⊗∅ + ∅⊗F plus:
+
+    * for a tree B+^a(G), each term x⊗y of G's coproduct with coefficient c
+      gives B+^a(x)⊗y when y is a tree and x⊗B+^a(y) when x is a tree;
+    * for a forest of n >= 2 trees, each distinct component C (the rest R),
+      each split of R into sub-multisets R1 and R2, and each term t⊗u of C's
+      coproduct with two tree legs and coefficient c give (t R1)⊗(u R2)
+      with coefficient c·m(t, t R1)·m(u, u R2)/((|R1|+1)(|R2|+1)), where
+      m(t, G) is the multiplicity of the tree t in G.
+
+    Equal to ``dual_oracle_brute`` term for term; guarded to the same
+    ``ORACLE_GUARD`` vertices.
+    """
+    if forest.size > ORACLE_GUARD:
+        raise GuardExceeded(
+            f"dual_oracle is guarded to {ORACLE_GUARD} vertices, got {forest.size}"
+        )
+    return _transpose(forest)
 
 
 def oracle_reduced_is_zero(forest: Forest) -> bool:
@@ -566,10 +650,10 @@ def graft_leaves(base: Forest | RootedTree, scion: Forest | RootedTree) -> LinCo
     the empty base acts as unit and returns the scion.
 
     The base and the scion are each a tree, a one-tree forest or the empty
-    forest.  Grafting a scion of two or more trees onto a leaf raises
-    ``ValueError`` (see ``graft_at``)."""
+    forest.  A scion of two or more trees raises ``ValueError``, whatever
+    the base."""
+    scion_f = _scion_forest(scion)
     base = base.as_forest() if isinstance(base, RootedTree) else base
-    scion_f = scion.as_forest() if isinstance(scion, RootedTree) else scion
     if base.is_empty:
         return LinComb.of(scion_f)
     tree = base.single_tree()
@@ -581,7 +665,9 @@ def graft_leaves(base: Forest | RootedTree, scion: Forest | RootedTree) -> LinCo
 def graft_linear(base: Forest | RootedTree, scion: Forest | RootedTree) -> LinComb[Forest]:
     """As graft_leaves, but zero whenever the base has more than one leaf.
 
-    Takes the same base and scion as ``graft_leaves``."""
+    Takes the same base and scion as ``graft_leaves``, and checks the scion
+    before looking at the base."""
+    _scion_forest(scion)
     base = base.as_forest() if isinstance(base, RootedTree) else base
     if not base.is_empty and len(leaf_refs(base.single_tree())) > 1:
         return LinComb.zero()

@@ -326,6 +326,19 @@ def fertility_profile(tree: RootedTree) -> dict[VertexRef, int]:
     return {r: subtree_at(tree, r).fertility for r in vertex_refs(tree)}
 
 
+def _scion_forest(scion: RootedTree | Forest) -> Forest:
+    """The scion of a grafting as a forest of at most one tree; a forest of
+    two or more trees raises ``ValueError``."""
+    if isinstance(scion, RootedTree):
+        return scion.as_forest()
+    if len(scion.trees) > 1:
+        raise ValueError(
+            "the scion must be a tree, a one-tree forest or the empty forest, "
+            f"got a forest of {len(scion.trees)} trees: {scion.key!r}"
+        )
+    return scion
+
+
 def graft_at(tree: RootedTree, ref: VertexRef, scion: RootedTree | Forest) -> RootedTree:
     """Graft the root of ``scion`` as a new direct descendant of ``ref``.
 
@@ -334,16 +347,11 @@ def graft_at(tree: RootedTree, ref: VertexRef, scion: RootedTree | Forest) -> Ro
     returns the tree unchanged.  The result is re-canonicalized, so refs
     issued for the input are invalidated.
     """
-    if isinstance(scion, Forest):
-        if scion.is_empty:
-            subtree_at(tree, ref)  # still validate the ref
-            return tree
-        if not scion.is_tree:
-            raise ValueError(
-                "the scion must be a tree, a one-tree forest or the empty forest, "
-                f"got a forest of {len(scion.trees)} trees: {scion.key!r}"
-            )
-        scion = scion.trees[0]
+    scion_f = _scion_forest(scion)
+    if scion_f.is_empty:
+        subtree_at(tree, ref)  # still validate the ref
+        return tree
+    scion = scion_f.trees[0]
 
     def rebuild(node: RootedTree, path: VertexRef) -> RootedTree:
         if not path:

@@ -24,7 +24,7 @@ from .dual import (
     contraction_fertility,
     dual_combinatorial,
     dual_conjectured_oracle,
-    dual_oracle,
+    dual_oracle_brute,
     dual_recursive,
     graft_leaves_lin,
     graft_linear,
@@ -482,7 +482,7 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
     conjecture_holds = True
     for n in range(0, cfg.degree(6) + 1):
         for f in _distinct_forest_shapes(n):
-            oracle = dual_oracle(f)
+            oracle = dual_oracle_brute(f)
             rep.check(
                 "support duality vs oracle",
                 f.key,
@@ -757,7 +757,7 @@ def normalization_report(max_degree: int = 6) -> dict:
     supports = True
     for n in range(0, max_degree + 1):
         for f in _distinct_forest_shapes(n):
-            oracle = dual_oracle(f)
+            oracle = dual_oracle_brute(f)
             formula = dual_recursive(f)
             inv = dual_conjectured_oracle(f)
             same_support = oracle.support() == formula.support()

@@ -193,6 +193,18 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert "one-tree forest" in err and "2 trees" in err
 
+    # the empty base, and a multi-leaf base under --op linear, return without
+    # grafting, but the scion is still checked
+    @pytest.mark.parametrize(
+        "argv",
+        [("graft", "()", "a a"), ("graft", "a[b,c]", "a a", "--op", "linear")],
+        ids=["empty-base", "linear-multi-leaf-base"],
+    )
+    def test_graft_scion_is_checked_before_the_early_returns(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "one-tree forest" in err and "2 trees" in err
+
     def test_trees_need_whitespace_between_them(self, capsys):
         code, out, err = run(capsys, "shuffle", "a[b,c]d", "e")
         assert code == 3 and out == ""
@@ -262,8 +274,8 @@ class TestVerify:
 
 
 class TestGoldenOutput:
-    """The --json output of the product kernels and of the admissible-family
-    routes, pinned byte for byte."""
+    """The --json output of the product kernels, of the admissible-family
+    routes and of the strict-duality oracle, pinned byte for byte."""
 
     PAIRS = [
         ("a", "b"),
@@ -297,14 +309,16 @@ class TestGoldenOutput:
     # sha256 of the concatenated outputs over FAMILY_TREES / DUAL_FORESTS, in order
     FAMILY_DIGEST = "a1d6e49209dd513a893f789a3177701ec8cee23e56d8515b13af815ea12d28c8"
     DUAL_DIGEST = "5e286e43784596a752bbfa6e75d84f4071ac7eadd0f27a9bc8400f8b268bfb5f"
+    ORACLE_DIGEST = "1adf9c196cba094a1b8c216fea0ef540f190b6b78166278e4ae74caa4fdd2136"
 
     @pytest.mark.parametrize(
         "argvs, expected",
         [
             ([["families", t, "--json"] for t in FAMILY_TREES], FAMILY_DIGEST),
             ([["dual", f, "--mode", "combinatorial", "--json"] for f in DUAL_FORESTS], DUAL_DIGEST),
+            ([["dual", f, "--mode", "oracle", "--json"] for f in DUAL_FORESTS], ORACLE_DIGEST),
         ],
-        ids=["families", "dual-combinatorial"],
+        ids=["families", "dual-combinatorial", "dual-oracle"],
     )
     def test_family_json_digest(self, capsys, argvs, expected):
         digest = hashlib.sha256()

@@ -31,6 +31,7 @@ from forestshuffle import (
 )
 from forestshuffle.dual import (
     FAMILY_GUARD,
+    dual_oracle_brute,
     family_count,
     forests_on_multiset,
     graft_leaves_lin,
@@ -49,7 +50,7 @@ from forestshuffle.sampling import (
 )
 from forestshuffle.words import Word, deshuffle, word_to_tree
 
-from conftest import any_trees, trees
+from conftest import any_forests, any_trees, trees
 
 P = parse_forest
 Q = Fraction
@@ -305,6 +306,25 @@ class TestDualOracle:
         with pytest.raises(GuardExceeded):
             dual_oracle(big.as_forest())
 
+    # the transpose against the brute pairing, coefficients included
+    def test_transpose_equals_brute_on_two_atoms(self):
+        for f in forests_up_to(5, default_alphabet(("a", "b"))):
+            assert dual_oracle(f) == dual_oracle_brute(f), f.key
+
+    def test_transpose_equals_brute_on_distinct_shapes(self):
+        for f in distinct_forest_shapes(6):
+            assert dual_oracle(f) == dual_oracle_brute(f), f.key
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_forests.filter(lambda f: f.size <= 6))
+    def test_transpose_equals_brute_on_any_forest(self, f):
+        assert dual_oracle(f) == dual_oracle_brute(f)
+
+    def test_brute_guard(self):
+        big = decorate_distinct(enumerate_shapes(9)[0])
+        with pytest.raises(GuardExceeded):
+            dual_oracle_brute(big.as_forest())
+
     def test_basis_enumerations(self):
         a, b = Decoration(["a"]), Decoration(["b"])
         assert len(trees_on_multiset([a])) == 1
@@ -329,8 +349,11 @@ class TestGrafting:
             n = len(P(scion).trees)
             with pytest.raises(ValueError, match=f"tree, a one-tree forest or the empty forest, got a forest of {n} trees"):
                 graft_at(t, (0,), P(scion))
-            with pytest.raises(ValueError, match=f"forest of {n} trees"):
-                graft_leaves(P("a"), P(scion))
+            # the empty base and a multi-leaf base under graft_linear graft
+            # nothing, yet the scion is checked on them too
+            for op, base in ((graft_leaves, "a"), (graft_leaves, "()"), (graft_linear, "()"), (graft_linear, "a[b,c]")):
+                with pytest.raises(ValueError, match=f"forest of {n} trees"):
+                    op(P(base), P(scion))
 
     def test_two_leaves(self):
         assert graft_leaves(P("a[b,c]"), P("d")) == LinComb(

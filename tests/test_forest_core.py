@@ -104,7 +104,7 @@ class TestParseRender:
             P("a[b c")
         assert err.value.position > 0
 
-    @given(f=forests)
+    @given(f=any_forests)
     def test_roundtrip(self, f):
         assert parse_forest(render_forest(f)) == f
 
