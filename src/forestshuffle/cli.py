@@ -27,12 +27,11 @@ from .linalg import LinComb, lincomb_json, render_lincomb, tensor_json
 from .primitives import SHAPE_GUARD, enumerate_shapes, primitive_count_recursive
 from .rota_baxter import (
     corrupted_forest_algebra,
+    diamond_morphism_sides,
     forest_algebra,
-    forest_rb_operator,
-    phi_bar,
+    intertwining_sides,
     rb_verify,
     word_algebra,
-    word_embedding,
 )
 from .sampling import default_alphabet, random_forest, random_word
 from .shuffle import diamond_product, forest_shuffle, shuffle_coefficient, star_product
@@ -274,18 +273,12 @@ def _cmd_rb(args) -> int:
         cases = 0
         for _ in range(samples):
             f = random_forest(rng, rng.randint(1, max(1, degree - 1)), alphabet)
-            lhs = phi_bar(forest_rb_operator(f).as_forest(), walg, word_embedding)
-            rhs = walg.operator(phi_bar(f, walg, word_embedding))
+            rhs, lhs = intertwining_sides(f, walg)
             cases += 1
             if lhs != rhs:
                 failures.append({"forest": f.key, "lhs": render_lincomb(lhs), "rhs": render_lincomb(rhs)})
             g = random_forest(rng, rng.randint(1, 3), alphabet)
-            image = diamond_product(f, g, args.weight).map_basis(
-                lambda h: phi_bar(h, walg, word_embedding)
-            )
-            direct = walg.product(
-                phi_bar(f, walg, word_embedding), phi_bar(g, walg, word_embedding)
-            )
+            direct, image = diamond_morphism_sides(f, g, walg)
             cases += 1
             if image != direct:
                 failures.append(

@@ -15,7 +15,8 @@ Three independent routes to the dual coproduct coexist here:
 ``dual_oracle_brute`` is the reference for the oracle: it pairs every basis
 split of the decoration multiset through ``shuffle_coefficient``, which is
 ground truth by definition, and deliberately shares no code with the two
-formulas or the transpose.  The verification suites check against it.
+formulas or the transpose.  The tests check the transpose against it term
+for term; the verification suites call the transpose.
 
 The recursive/combinatorial forms carry the alpha/fertility weights as
 stated; strict duality normalizes differently.  The oracle has the same
@@ -74,9 +75,6 @@ __all__ = [
     "graft_linear",
     "graft_leaves_lin",
     "graft_linear_lin",
-    "trees_on_multiset",
-    "forests_on_multiset",
-    "oracle_reduced_is_zero",
 ]
 
 ORACLE_GUARD = 8
@@ -429,7 +427,7 @@ def _decoration_multiset(forest: Forest) -> tuple[Decoration, ...]:
     return tuple(sorted(decs))
 
 
-def trees_on_multiset(decorations: Sequence[Decoration]) -> tuple[Forest, ...]:
+def _trees_on_multiset(decorations: Sequence[Decoration]) -> tuple[Forest, ...]:
     """Every tree whose vertex decorations are exactly the given multiset."""
     ms = tuple(sorted(decorations))
     if not ms:
@@ -443,14 +441,14 @@ def trees_on_multiset(decorations: Sequence[Decoration]) -> tuple[Forest, ...]:
                 continue
             seen.add(dec)
             rest = ms[:i] + ms[i + 1 :]
-            for body in forests_on_multiset(rest):
+            for body in _forests_on_multiset(rest):
                 out.add(b_plus(dec, body).as_forest())
         hit = tuple(sorted(out, key=lambda f: f.key))
         _trees_on_cache[ms] = hit
     return hit
 
 
-def forests_on_multiset(decorations: Sequence[Decoration]) -> tuple[Forest, ...]:
+def _forests_on_multiset(decorations: Sequence[Decoration]) -> tuple[Forest, ...]:
     """Every forest whose vertex decorations are exactly the given multiset."""
     ms = tuple(sorted(decorations))
     if not ms:
@@ -468,8 +466,8 @@ def forests_on_multiset(decorations: Sequence[Decoration]) -> tuple[Forest, ...]
                 remaining = list(rest)
                 for d in chosen:
                     remaining.remove(d)
-                for t in trees_on_multiset([anchor] + chosen):
-                    for f in forests_on_multiset(remaining):
+                for t in _trees_on_multiset([anchor] + chosen):
+                    for f in _forests_on_multiset(remaining):
                         out.add(concat(t, f))
         hit = tuple(sorted(out, key=lambda f: f.key))
         _forests_on_cache[ms] = hit
@@ -506,8 +504,8 @@ def dual_oracle_brute(forest: Forest) -> TensorComb[Forest]:
     components = len(forest.trees)
     acc: dict[tuple[Forest, Forest], Fraction] = {}
     for left_ms, right_ms in _multiset_splits(ms):
-        for f1 in forests_on_multiset(left_ms):
-            for f2 in forests_on_multiset(right_ms):
+        for f1 in _forests_on_multiset(left_ms):
+            for f2 in _forests_on_multiset(right_ms):
                 if f1.is_empty or f2.is_empty:
                     if concat(f1, f2) == forest:
                         acc[(f1, f2)] = Fraction(1)
@@ -595,50 +593,15 @@ def dual_oracle(forest: Forest) -> TensorComb[Forest]:
       with coefficient c·m(t, t R1)·m(u, u R2)/((|R1|+1)(|R2|+1)), where
       m(t, G) is the multiplicity of the tree t in G.
 
-    Equal to ``dual_oracle_brute`` term for term; guarded to the same
-    ``ORACLE_GUARD`` vertices.
+    Equal to ``dual_oracle_brute`` term for term, which the tests check;
+    the verification suites call this function, not the brute.  Guarded to
+    the same ``ORACLE_GUARD`` vertices.
     """
     if forest.size > ORACLE_GUARD:
         raise GuardExceeded(
             f"dual_oracle is guarded to {ORACLE_GUARD} vertices, got {forest.size}"
         )
     return _transpose(forest)
-
-
-def oracle_reduced_is_zero(forest: Forest) -> bool:
-    """Whether the strict-duality coproduct of a tree has no nontrivial
-    terms, i.e. the tree is primitive for the oracle.
-
-    Scans every split of the decoration multiset into two nonempty tree
-    bases (the only candidates for a tree target), with an early exit on
-    the first nonzero pairing.
-    """
-    tree = forest.single_tree()
-    if forest.size > ORACLE_GUARD:
-        raise GuardExceeded(
-            f"oracle primitivity is guarded to {ORACLE_GUARD} vertices, got {forest.size}"
-        )
-    # cheap witnesses first: split below any fertility-1 vertex
-    for ref in vertex_refs(tree):
-        node = subtree_at(tree, ref)
-        if node.fertility == 1:
-            child = ref + (0,)
-            scion = subtree_at(tree, child).as_forest()
-            keep = frozenset(vertex_refs(tree)) - frozenset(
-                child + rel for rel in vertex_refs(subtree_at(tree, child))
-            )
-            base = induced_subtree(tree, keep)
-            if shuffle_coefficient(forest, base, scion, 0):
-                return False
-    ms = _decoration_multiset(forest)
-    for left_ms, right_ms in _multiset_splits(ms):
-        if not left_ms or not right_ms:
-            continue
-        for f1 in trees_on_multiset(left_ms):
-            for f2 in trees_on_multiset(right_ms):
-                if shuffle_coefficient(forest, f1, f2, 0):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -58,13 +58,13 @@ def integer_partitions(n: int, k: int) -> list[tuple[int, ...]]:
 _shape_cache: dict[int, tuple[RootedTree, ...]] = {}
 
 
-def enumerate_shapes(n: int, guard: int = SHAPE_GUARD) -> tuple[RootedTree, ...]:
+def enumerate_shapes(n: int) -> tuple[RootedTree, ...]:
     """All unlabeled rooted trees with n vertices, each exactly once,
     in canonical-key order."""
     if n < 1:
         raise ValueError("shapes have at least one vertex")
-    if n > guard:
-        raise GuardExceeded(f"shape enumeration is guarded to {guard} vertices, got {n}")
+    if n > SHAPE_GUARD:
+        raise GuardExceeded(f"shape enumeration is guarded to {SHAPE_GUARD} vertices, got {n}")
     hit = _shape_cache.get(n)
     if hit is None:
         if n == 1:
@@ -133,7 +133,7 @@ def primitive_count_recursive(n: int) -> int:
     return _rooted_counts(n, single_child=False)[n]
 
 
-def primitive_count_brute(n: int, guard: int = SHAPE_GUARD) -> int:
+def primitive_count_brute(n: int) -> int:
     """Count primitive shapes by filtering the full enumeration.
 
     For n <= 7, every shape's structural verdict is additionally
@@ -142,10 +142,10 @@ def primitive_count_brute(n: int, guard: int = SHAPE_GUARD) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > guard:
-        raise GuardExceeded(f"brute primitive count is guarded to {guard} vertices, got {n}")
+    if n > SHAPE_GUARD:
+        raise GuardExceeded(f"brute primitive count is guarded to {SHAPE_GUARD} vertices, got {n}")
     count = 0
-    for shape in enumerate_shapes(n, guard):
+    for shape in enumerate_shapes(n):
         verdict = is_primitive(shape)
         if n <= 7:
             from .dual import reduced_dual
@@ -165,12 +165,12 @@ def shape_of(tree: RootedTree) -> RootedTree:
     return RootedTree(UNIT, [shape_of(c) for c in tree.children])
 
 
-def decorate_distinct(shape: RootedTree, prefix: str = "v") -> RootedTree:
+def decorate_distinct(shape: RootedTree) -> RootedTree:
     """Decorate a shape with pairwise-distinct atoms (canonical preorder)."""
     counter = [0]
 
     def walk(node: RootedTree) -> RootedTree:
-        dec = Decoration((f"{prefix}{counter[0]}",))
+        dec = Decoration((f"v{counter[0]}",))
         counter[0] += 1
         return RootedTree(dec, [walk(c) for c in node.children])
 

@@ -39,6 +39,8 @@ __all__ = [
     "rb_verify",
     "word_embedding",
     "phi_bar",
+    "intertwining_sides",
+    "diamond_morphism_sides",
 ]
 
 
@@ -188,3 +190,23 @@ def phi_bar(
         acc = image if acc is None else target.product(acc, image)
     assert acc is not None
     return acc
+
+
+def intertwining_sides(f: Forest, words: RotaBaxterAlgebra) -> tuple[LinComb, LinComb]:
+    """Both sides of "the induced map intertwines the operators" on a
+    nonempty forest: P(phi_bar(f)) and phi_bar(B+(f)), into the word
+    algebra ``words`` through ``word_embedding``."""
+    return (
+        words.operator(phi_bar(f, words, word_embedding)),
+        phi_bar(forest_rb_operator(f).as_forest(), words, word_embedding),
+    )
+
+
+def diamond_morphism_sides(f: Forest, g: Forest, words: RotaBaxterAlgebra) -> tuple[LinComb, LinComb]:
+    """Both sides of "the induced map is a diamond morphism" on two nonempty
+    forests: phi_bar(f) phi_bar(g) and phi_bar(f ◇ g), into the word algebra
+    ``words`` through ``word_embedding``, at the weight of ``words``."""
+    return (
+        words.product(phi_bar(f, words, word_embedding), phi_bar(g, words, word_embedding)),
+        diamond_product(f, g, words.weight).map_basis(lambda h: phi_bar(h, words, word_embedding)),
+    )

@@ -275,7 +275,8 @@ class TestVerify:
 
 class TestGoldenOutput:
     """The --json output of the product kernels, of the admissible-family
-    routes and of the strict-duality oracle, pinned byte for byte."""
+    routes, of the strict-duality oracle, of the induced-map checks and of
+    the verification suites, pinned byte for byte."""
 
     PAIRS = [
         ("a", "b"),
@@ -301,6 +302,15 @@ class TestGoldenOutput:
     VERIFY_DIGESTS = {
         0: "5d0f7c7df63f78f4bc2009b36054267268d1a7371929626991134e4a49e6cd49",
         42: "8a8dee2e049452b257f0b3bdc1506754b5aa06393eaf23c3ce549934ac0b73d7",
+    }
+
+    # sha256 of verify --suite all --json --seed 0 at the suites' full degrees
+    FULL_VERIFY_DIGEST = "7db11ded9c1663d863573fe01723179aa18c9d5c56720eb3620ca6de0a559d40"
+
+    # sha256 of rb --check morphism --json, per weight
+    MORPHISM_DIGESTS = {
+        "0": "4f3d9ef5dad356da07fbd0de06a6770e7afde47446b2dfdc1d02e2c1f5a15e34",
+        "1": "ea3e07c017f74a3cf61a7819cd0a9b7a0bcd00429ce499c9e09d86135dc064ca",
     }
 
     FAMILY_TREES = ["a", "a[b[c],d]", "a[b,b]", "a[b[c],b[c],d]", "a*b[1[c],c[a,a]]", "r[s[u[x],v[y]]]"]
@@ -335,6 +345,17 @@ class TestGoldenOutput:
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.VERIFY_DIGESTS[seed]
+
+    def test_verify_json_digest_at_full_degrees(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--json", "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.FULL_VERIFY_DIGEST
+
+    @pytest.mark.parametrize("lam", sorted(MORPHISM_DIGESTS))
+    def test_rb_morphism_json_digest(self, capsys, lam):
+        code, out, _ = run(capsys, "rb", "--check", "morphism", "--json", "--lambda", lam)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.MORPHISM_DIGESTS[lam]
 
     @pytest.mark.parametrize("product, lam", sorted(DIGESTS))
     def test_product_json_digest(self, capsys, product, lam):

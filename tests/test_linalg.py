@@ -4,10 +4,12 @@ package's exported names."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -155,3 +157,38 @@ def test_package_namespace_resolves():
         if name.startswith("_") or isinstance(value, types.ModuleType):
             continue
         assert any(getattr(m, name, None) is value for m in modules), name
+
+
+def _module_files():
+    root = Path(forestshuffle.__file__).parent
+    return sorted(p for p in root.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads (an ``__all__`` entry counts as
+    a read)."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", _module_files(), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_scan_sees_one():
+    source = "from __future__ import annotations\nimport os\nfrom a.b import c, d as e\nprint(c)\n"
+    assert _unused_imports(source) == ["os (line 2)", "e (line 3)"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -68,6 +69,20 @@ class TestEnumerateShapes:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             enumerate_shapes(13)
+
+    def test_distinct_forest_shapes_are_pinned(self):
+        # the suites' forests: keys, decorations x0.. and order, n = 0..9
+        from forestshuffle.suites import _distinct_forest_shapes
+
+        digest = hashlib.sha256()
+        counts = []
+        for n in range(10):
+            forests = _distinct_forest_shapes(n)
+            counts.append(len(forests))
+            for f in forests:
+                digest.update((f.key + "\n").encode("utf-8"))
+        assert counts == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+        assert digest.hexdigest() == "23d9b03d397ff789a320716a9687d8856b9f08e3ab22756f34d750f4cdde8c29"
 
 
 class TestIntegerPartitions:
