@@ -61,7 +61,6 @@ from .dual import (
 from .primitives import (
     decorate_distinct,
     enumerate_shapes,
-    integer_partitions,
     is_primitive,
     primitive_count_brute,
     primitive_count_recursive,

@@ -23,8 +23,8 @@ from .dual import (
     graft_linear,
 )
 from .forest import MAX_TREE_DEPTH, Forest, GuardExceeded, TreeSyntaxError, parse_forest, parse_tree
-from .linalg import LinComb, lincomb_json, render_lincomb, tensor_json
-from .primitives import SHAPE_GUARD, enumerate_shapes, primitive_count_recursive
+from .linalg import LinComb, TensorComb, lincomb_json, render_lincomb, tensor_json
+from .primitives import enumerate_shapes, is_primitive, primitive_count_recursive
 from .rota_baxter import (
     corrupted_forest_algebra,
     diamond_morphism_sides,
@@ -47,13 +47,16 @@ def _rational(text: str) -> Fraction:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each verb takes only the flags it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lambda", dest="weight", type=_rational, default=Fraction(0),
-                        help="quasi-shuffle weight as p/q (default 0)")
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--max-degree", type=int, default=None, help="cap exhaustive degrees")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled cases")
-    common.add_argument("--samples", type=int, default=None, help="cap sampled case counts")
+    weighted = argparse.ArgumentParser(add_help=False)
+    weighted.add_argument("--lambda", dest="weight", type=_rational, default=Fraction(0),
+                          help="quasi-shuffle weight as p/q (default 0)")
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--max-degree", type=int, default=None, help="cap exhaustive degrees")
+    sampled.add_argument("--seed", type=int, default=0, help="seed for sampled cases")
+    sampled.add_argument("--samples", type=int, default=None, help="cap sampled case counts")
 
     parser = argparse.ArgumentParser(
         prog="forestshuffle",
@@ -61,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("shuffle", parents=[common], help="shuffle of two forests")
+    p = sub.add_parser("shuffle", parents=[common, weighted], help="shuffle of two forests")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--product", choices=("shuffle", "star", "diamond"), default="shuffle")
@@ -76,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("families", parents=[common], help="admissible vertex families of a tree")
     p.add_argument("tree")
 
-    p = sub.add_parser("pair", parents=[common], help="coefficient of FOREST in F1 shuffle F2")
+    p = sub.add_parser("pair", parents=[common, weighted], help="coefficient of FOREST in F1 shuffle F2")
     p.add_argument("forest")
     p.add_argument("first")
     p.add_argument("second")
@@ -94,19 +97,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the primitive shapes with N vertices")
     p.add_argument("--csv", metavar="PATH", help="also write n,p_n rows to PATH")
 
-    p = sub.add_parser("rb", parents=[common], help="quasi-universal Rota-Baxter checks")
+    p = sub.add_parser("rb", parents=[common, weighted, sampled], help="quasi-universal Rota-Baxter checks")
     p.add_argument("--backend", choices=("words", "forests"), default="forests")
     p.add_argument("--check", choices=("identity", "morphism"), default="identity")
     p.add_argument("--corrupt", action="store_true", help="use the corrupted negative-control operator")
 
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p = sub.add_parser("verify", parents=[common, sampled], help="run verification suites")
     p.add_argument("--suite", default="all", help="suite name or 'all'")
     return parser
 
 
-def _emit_lincomb(x: LinComb, as_json: bool) -> None:
+def _emit(x: LinComb, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(lincomb_json(x), indent=2, sort_keys=True))
+        payload = tensor_json(x) if isinstance(x, TensorComb) else lincomb_json(x)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render_lincomb(x))
 
@@ -132,27 +136,19 @@ def _cmd_shuffle(args) -> int:
             f"got {_depth(first)} + {_depth(second)}"
         )
     op = {"shuffle": forest_shuffle, "star": star_product, "diamond": diamond_product}[args.product]
-    _emit_lincomb(op(first, second, args.weight), args.json)
+    _emit(op(first, second, args.weight), args.json)
     return 0
 
 
 def _cmd_coproduct(args) -> int:
-    result = trunk_coproduct(parse_forest(args.tree))
-    if args.json:
-        print(json.dumps(tensor_json(result), indent=2, sort_keys=True))
-    else:
-        print(render_lincomb(result))
+    _emit(trunk_coproduct(parse_forest(args.tree)), args.json)
     return 0
 
 
 def _cmd_dual(args) -> int:
     forest = parse_forest(args.forest)
     mode = {"recursive": dual_recursive, "combinatorial": dual_combinatorial, "oracle": dual_oracle}
-    result = mode[args.mode](forest)
-    if args.json:
-        print(json.dumps(tensor_json(result), indent=2, sort_keys=True))
-    else:
-        print(render_lincomb(result))
+    _emit(mode[args.mode](forest), args.json)
     return 0
 
 
@@ -191,18 +187,12 @@ def _cmd_pair(args) -> int:
 
 def _cmd_graft(args) -> int:
     op = graft_leaves if args.op == "leaves" else graft_linear
-    _emit_lincomb(op(parse_forest(args.base), parse_forest(args.scion)), args.json)
+    _emit(op(parse_forest(args.base), parse_forest(args.scion)), args.json)
     return 0
 
 
 def _cmd_primitives(args) -> int:
     if args.list_size is not None:
-        from .primitives import is_primitive
-
-        if args.list_size > SHAPE_GUARD:
-            raise GuardExceeded(
-                f"shape listing is guarded to {SHAPE_GUARD} vertices, got {args.list_size}"
-            )
         shapes = [s for s in enumerate_shapes(args.list_size) if is_primitive(s)]
         if args.json:
             print(json.dumps([s.key for s in shapes], indent=2))

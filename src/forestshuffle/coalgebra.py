@@ -13,6 +13,7 @@ argument is rejected rather than silently extended.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .forest import EMPTY, Forest, RootedTree, b_plus
 from .linalg import LinComb, TensorComb, lincomb_sum, tensor_map_basis
@@ -27,8 +28,6 @@ __all__ = [
     "antipode_square_residual",
 ]
 
-_delta_cache: dict[str, TensorComb[Forest]] = {}
-
 
 def trunk_coproduct(arg: Forest | RootedTree) -> TensorComb[Forest]:
     """The coproduct: Δ(∅) = ∅⊗∅ and, for T = B+^a(F),
@@ -41,23 +40,22 @@ def trunk_coproduct(arg: Forest | RootedTree) -> TensorComb[Forest]:
     forest = arg.as_forest() if isinstance(arg, RootedTree) else arg
     if not forest.is_connected:
         raise ValueError(f"the trunk coproduct is defined on trees only, got {forest.key!r}")
-    hit = _delta_cache.get(forest.key)
-    if hit is not None:
-        return hit
+    return _trunk(forest)
 
+
+# the cache wrapper makes this two stack frames per level of a linear tree,
+# within the budget of forest.MAX_TREE_DEPTH
+@cache
+def _trunk(forest: Forest) -> TensorComb[Forest]:
     if forest.is_empty:
-        result = TensorComb.of((EMPTY, EMPTY))
-    else:
-        tree = forest.single_tree()
-        body = Forest(tree.children)
-        result = TensorComb.of((EMPTY, forest))
-        if body.is_connected:
-            inner = trunk_coproduct(body)
-            result = result + inner.map_leg(
-                0, lambda f: LinComb.of(b_plus(tree.decoration, f).as_forest())
-            )
-
-    _delta_cache[forest.key] = result
+        return TensorComb.of((EMPTY, EMPTY))
+    tree = forest.single_tree()
+    body = Forest(tree.children)
+    result = TensorComb.of((EMPTY, forest))
+    if body.is_connected:
+        result = result + _trunk(body).map_leg(
+            0, lambda f: LinComb.of(b_plus(tree.decoration, f).as_forest())
+        )
     return result
 
 

@@ -34,7 +34,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Iterable
 
 from .forest import (
     EMPTY,
@@ -281,6 +282,8 @@ def contraction_fertility(
 # ---------------------------------------------------------------------------
 # the dual coproduct, three ways
 
+# a plain dict, not functools.cache: a wrapper would cost dual_recursive one
+# more stack frame per level (see forest.MAX_TREE_DEPTH)
 _dual_cache: dict[str, TensorComb[Forest]] = {}
 
 
@@ -415,10 +418,6 @@ def dual_conjectured_oracle(forest: Forest) -> TensorComb[Forest]:
 # ---------------------------------------------------------------------------
 # strict duality oracle
 
-_trees_on_cache: dict[tuple[Decoration, ...], tuple[Forest, ...]] = {}
-_forests_on_cache: dict[tuple[Decoration, ...], tuple[Forest, ...]] = {}
-
-
 def _decoration_multiset(forest: Forest) -> tuple[Decoration, ...]:
     decs: list[Decoration] = []
     for t in forest.trees:
@@ -427,51 +426,43 @@ def _decoration_multiset(forest: Forest) -> tuple[Decoration, ...]:
     return tuple(sorted(decs))
 
 
-def _trees_on_multiset(decorations: Sequence[Decoration]) -> tuple[Forest, ...]:
-    """Every tree whose vertex decorations are exactly the given multiset."""
-    ms = tuple(sorted(decorations))
+@cache
+def _trees_on_multiset(ms: tuple[Decoration, ...]) -> tuple[Forest, ...]:
+    """Every tree whose vertex decorations are exactly the given sorted
+    multiset."""
     if not ms:
         return ()
-    hit = _trees_on_cache.get(ms)
-    if hit is None:
-        out: set[Forest] = set()
-        seen: set[Decoration] = set()
-        for i, dec in enumerate(ms):
-            if dec in seen:
-                continue
-            seen.add(dec)
-            rest = ms[:i] + ms[i + 1 :]
-            for body in _forests_on_multiset(rest):
-                out.add(b_plus(dec, body).as_forest())
-        hit = tuple(sorted(out, key=lambda f: f.key))
-        _trees_on_cache[ms] = hit
-    return hit
+    out: set[Forest] = set()
+    seen: set[Decoration] = set()
+    for i, dec in enumerate(ms):
+        if dec in seen:
+            continue
+        seen.add(dec)
+        for body in _forests_on_multiset(ms[:i] + ms[i + 1 :]):
+            out.add(b_plus(dec, body).as_forest())
+    return tuple(sorted(out, key=lambda f: f.key))
 
 
-def _forests_on_multiset(decorations: Sequence[Decoration]) -> tuple[Forest, ...]:
-    """Every forest whose vertex decorations are exactly the given multiset."""
-    ms = tuple(sorted(decorations))
+@cache
+def _forests_on_multiset(ms: tuple[Decoration, ...]) -> tuple[Forest, ...]:
+    """Every forest whose vertex decorations are exactly the given sorted
+    multiset."""
     if not ms:
         return (EMPTY,)
-    hit = _forests_on_cache.get(ms)
-    if hit is None:
-        out: set[Forest] = set()
-        anchor = ms[0]
-        rest = ms[1:]
-        # the anchor decoration sits inside one component; choose that
-        # component's remaining decorations, then the rest of the forest
-        for r in range(len(rest) + 1):
-            for picked in set(itertools.combinations(rest, r)):
-                chosen = list(picked)
-                remaining = list(rest)
-                for d in chosen:
-                    remaining.remove(d)
-                for t in _trees_on_multiset([anchor] + chosen):
-                    for f in _forests_on_multiset(remaining):
-                        out.add(concat(t, f))
-        hit = tuple(sorted(out, key=lambda f: f.key))
-        _forests_on_cache[ms] = hit
-    return hit
+    out: set[Forest] = set()
+    anchor = ms[0]
+    rest = ms[1:]
+    # the anchor decoration sits inside one component; choose that
+    # component's remaining decorations, then the rest of the forest
+    for r in range(len(rest) + 1):
+        for picked in set(itertools.combinations(rest, r)):
+            remaining = list(rest)
+            for d in picked:
+                remaining.remove(d)
+            for t in _trees_on_multiset((anchor,) + picked):
+                for f in _forests_on_multiset(tuple(remaining)):
+                    out.add(concat(t, f))
+    return tuple(sorted(out, key=lambda f: f.key))
 
 
 def _multiset_splits(

@@ -316,10 +316,8 @@ def render_lincomb(x: LinComb) -> str:
 render_tensor = render_lincomb
 
 
-def lincomb_json(x: LinComb, field: str = "forest") -> dict:
-    return {
-        "terms": [{"coeff": str(c), field: b.key} for b, c in x.items()]
-    }
+def lincomb_json(x: LinComb) -> dict:
+    return {"terms": [{"coeff": str(c), "forest": b.key} for b, c in x.items()]}
 
 
 def tensor_json(t: TensorComb) -> dict:

@@ -10,13 +10,13 @@ root, counting the multisets by the Euler transform.
 from __future__ import annotations
 
 from .forest import Decoration, GuardExceeded, RootedTree, UNIT
+from .sampling import trees_of_size
 
 __all__ = [
     "SHAPE_GUARD",
     "is_primitive",
     "enumerate_shapes",
     "count_shapes",
-    "integer_partitions",
     "primitive_count_recursive",
     "primitive_count_brute",
     "shape_of",
@@ -37,59 +37,15 @@ def is_primitive(tree: RootedTree) -> bool:
     return True
 
 
-def integer_partitions(n: int, k: int) -> list[tuple[int, ...]]:
-    """All weakly decreasing k-tuples of positive integers summing to n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-
-    def go(remaining: int, parts: int, cap: int) -> list[tuple[int, ...]]:
-        if parts == 0:
-            return [()] if remaining == 0 else []
-        out = []
-        top = min(cap, remaining - (parts - 1))
-        for first in range(top, 0, -1):
-            for rest in go(remaining - first, parts - 1, first):
-                out.append((first,) + rest)
-        return out
-
-    return go(n, k, n)
-
-
-_shape_cache: dict[int, tuple[RootedTree, ...]] = {}
-
-
 def enumerate_shapes(n: int) -> tuple[RootedTree, ...]:
     """All unlabeled rooted trees with n vertices, each exactly once,
-    in canonical-key order."""
+    in canonical-key order: the trees of ``sampling.trees_of_size`` over
+    the unit decoration."""
     if n < 1:
         raise ValueError("shapes have at least one vertex")
     if n > SHAPE_GUARD:
         raise GuardExceeded(f"shape enumeration is guarded to {SHAPE_GUARD} vertices, got {n}")
-    hit = _shape_cache.get(n)
-    if hit is None:
-        if n == 1:
-            hit = (RootedTree(UNIT),)
-        else:
-            out: list[RootedTree] = []
-            for k in range(1, n):
-                for partition in integer_partitions(n - 1, k):
-                    for children in _children_choices(partition):
-                        out.append(RootedTree(UNIT, children))
-            hit = tuple(sorted(set(out), key=lambda t: t.key))
-        _shape_cache[n] = hit
-    return hit
-
-
-def _children_choices(partition: tuple[int, ...]) -> list[tuple[RootedTree, ...]]:
-    """All multisets of shapes realizing a given partition of subtree sizes."""
-    from itertools import combinations_with_replacement, product
-
-    groups: list[list[tuple[RootedTree, ...]]] = []
-    for size in sorted(set(partition)):
-        count = partition.count(size)
-        pool = enumerate_shapes(size)
-        groups.append([tuple(c) for c in combinations_with_replacement(pool, count)])
-    return [tuple(t for grp in pick for t in grp) for pick in product(*groups)]
+    return tuple(f.trees[0] for f in trees_of_size(n, (UNIT,)))
 
 
 def _rooted_counts(n: int, single_child: bool) -> list[int]:

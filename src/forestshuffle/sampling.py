@@ -8,6 +8,7 @@ generators are deterministic functions of the supplied ``random.Random``.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Sequence
 
 from .forest import Decoration, EMPTY, Forest, RootedTree
@@ -29,55 +30,43 @@ def default_alphabet(names: Sequence[str] = ("a", "b")) -> tuple[Decoration, ...
     return tuple(Decoration((n,)) for n in names)
 
 
-_tree_cache: dict[tuple[int, tuple[Decoration, ...]], tuple[Forest, ...]] = {}
-_forest_cache: dict[tuple[int, tuple[Decoration, ...]], tuple[Forest, ...]] = {}
-
-
+@cache
 def trees_of_size(n: int, alphabet: tuple[Decoration, ...]) -> tuple[Forest, ...]:
     """All decorated trees with exactly n vertices, as single-tree forests."""
     if n <= 0:
         return ()
-    key = (n, alphabet)
-    hit = _tree_cache.get(key)
-    if hit is None:
-        out = [
-            RootedTree(dec, forest.trees).as_forest()
-            for dec in alphabet
-            for forest in forests_of_size(n - 1, alphabet)
-        ]
-        hit = tuple(sorted(set(out), key=lambda f: f.key))
-        _tree_cache[key] = hit
-    return hit
+    out = {
+        RootedTree(dec, forest.trees).as_forest()
+        for dec in alphabet
+        for forest in forests_of_size(n - 1, alphabet)
+    }
+    return tuple(sorted(out, key=lambda f: f.key))
 
 
+@cache
 def forests_of_size(n: int, alphabet: tuple[Decoration, ...]) -> tuple[Forest, ...]:
     """All decorated forests with exactly n vertices (n=0 gives just ∅)."""
     if n < 0:
         return ()
     if n == 0:
         return (EMPTY,)
-    key = (n, alphabet)
-    hit = _forest_cache.get(key)
-    if hit is None:
-        # choose a multiset of trees: force the lexicographically largest
-        # tree first to enumerate each multiset once
-        out: set[Forest] = set()
+    # choose a multiset of trees: force the lexicographically largest
+    # tree first to enumerate each multiset once
+    out: set[Forest] = set()
 
-        def extend(remaining: int, max_key: str | None, acc: tuple[RootedTree, ...]) -> None:
-            if remaining == 0:
-                out.add(Forest(acc))
-                return
-            for s in range(1, remaining + 1):
-                for tf in trees_of_size(s, alphabet):
-                    t = tf.single_tree()
-                    if max_key is not None and t.key > max_key:
-                        continue
-                    extend(remaining - s, t.key, acc + (t,))
+    def extend(remaining: int, max_key: str | None, acc: tuple[RootedTree, ...]) -> None:
+        if remaining == 0:
+            out.add(Forest(acc))
+            return
+        for s in range(1, remaining + 1):
+            for tf in trees_of_size(s, alphabet):
+                t = tf.single_tree()
+                if max_key is not None and t.key > max_key:
+                    continue
+                extend(remaining - s, t.key, acc + (t,))
 
-        extend(n, None, ())
-        hit = tuple(sorted(out, key=lambda f: f.key))
-        _forest_cache[key] = hit
-    return hit
+    extend(n, None, ())
+    return tuple(sorted(out, key=lambda f: f.key))
 
 
 def trees_up_to(n: int, alphabet: tuple[Decoration, ...]) -> list[Forest]:

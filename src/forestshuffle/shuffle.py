@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forest import Forest, RootedTree, b_plus, concat
+from .forest import Forest, b_plus, concat
 from .linalg import LinComb, bilinear, lincomb_sum
 
 __all__ = [
@@ -28,11 +28,13 @@ __all__ = [
     "find_nonassociativity_witness",
 ]
 
-_shuffle_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}
-_star_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}
-_diamond_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}
-_coeff_cache: dict[tuple[str, str, str, Fraction], Fraction] = {}
-_atoms_cache: dict[str, tuple[str, ...]] = {}
+# The memos of the four recursions below are plain dicts: a functools.cache
+# wrapper costs one stack frame per memoized call, halving the depth that
+# forest.MAX_TREE_DEPTH is sized for.
+_shuffle_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # forest_shuffle
+_star_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # star_product
+_diamond_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # diamond_product
+_coeff_cache: dict[tuple[str, str, str, Fraction], Fraction] = {}  # _coeff
 
 # products of large operands are not memoized (their sub-results are), so
 # long-running suites do not pin every big expansion in memory
@@ -195,20 +197,13 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
 
 
 def _atom_multiset(forest: Forest) -> tuple[str, ...]:
-    hit = _atoms_cache.get(forest.key)
-    if hit is None:
-        atoms: list[str] = []
-
-        def walk(node: RootedTree) -> None:
-            atoms.extend(node.decoration.atoms)
-            for c in node.children:
-                walk(c)
-
-        for t in forest.trees:
-            walk(t)
-        hit = tuple(sorted(atoms))
-        _atoms_cache[forest.key] = hit
-    return hit
+    atoms: list[str] = []
+    stack = list(forest.trees)
+    while stack:
+        node = stack.pop()
+        atoms.extend(node.decoration.atoms)
+        stack.extend(node.children)
+    return tuple(sorted(atoms))
 
 
 def _multiset_difference(forest: Forest, part: Forest) -> Forest | None:
@@ -279,19 +274,16 @@ def _coeff(target: Forest, first: Forest, second: Forest, lam: Fraction) -> Frac
     return result
 
 
-def find_nonassociativity_witness(
-    max_degree: int, atoms: tuple[str, ...] = ("a", "b", "c", "d"), lam: Fraction | int = 0
-) -> tuple[Forest, Forest, Forest] | None:
-    """Search for forests x, y, z with (x⧢y)⧢z != x⧢(y⧢z).
+def find_nonassociativity_witness(max_degree: int) -> tuple[Forest, Forest, Forest] | None:
+    """Search for forests x, y, z decorated by a, b, c, d with
+    (x⧢y)⧢z != x⧢(y⧢z) at weight 0.
 
     Scans nonempty forests in canonical order by total degree; returns the
     first witness found, or None if none exists up to ``max_degree``.
     """
-    from .sampling import forests_of_size
+    from .sampling import default_alphabet, forests_of_size
 
-    from .forest import Decoration
-
-    alphabet = tuple(Decoration((a,)) for a in atoms)
+    alphabet = default_alphabet(("a", "b", "c", "d"))
     pool: list[Forest] = []
     for n in range(1, max_degree - 1):
         pool.extend(forests_of_size(n, alphabet))
@@ -302,8 +294,8 @@ def find_nonassociativity_witness(
             for z in pool:
                 if x.size + y.size + z.size > max_degree:
                     continue
-                left = shuffle_lin(forest_shuffle(x, y, lam), LinComb.of(z), lam)
-                right = shuffle_lin(LinComb.of(x), forest_shuffle(y, z, lam), lam)
+                left = shuffle_lin(forest_shuffle(x, y), LinComb.of(z))
+                right = shuffle_lin(LinComb.of(x), forest_shuffle(y, z))
                 if left != right:
                     return (x, y, z)
     return None

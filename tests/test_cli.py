@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from forestshuffle.cli import main
+from forestshuffle.cli import _build_parser, main
 from forestshuffle.forest import MAX_TREE_DEPTH, parse_forest
 
 
@@ -132,6 +132,50 @@ class TestErrorPaths:
             main(["shuffle", "a"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dual", "a[b]", "--lambda", "1"),
+            ("coproduct", "a[b]", "--seed", "3"),
+            ("verify", "--suite", "shuffle", "--lambda", "5"),
+            ("families", "a[b]", "--max-degree", "3"),
+            ("graft", "a", "b", "--samples", "2"),
+            ("primitives", "--count", "3", "--seed", "1"),
+            ("shuffle", "a", "b", "--seed", "1"),
+            ("pair", "a[b]", "a", "b", "--max-degree", "3"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_flag_the_verb_does_not_read_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_each_verb_accepts_only_the_flags_it_reads(self, capsys):
+        operands = {
+            "shuffle": ["a", "b"], "coproduct": ["a"], "dual": ["a"], "families": ["a"],
+            "pair": ["a", "a", "()"], "graft": ["a", "b"], "primitives": ["--count", "1"],
+            "rb": [], "verify": [],
+        }
+        flags = {"--json": [], "--lambda": ["1"], "--max-degree": ["3"], "--seed": ["1"], "--samples": ["2"]}
+        parser = _build_parser()
+        accepted = set()
+        for verb, rest in operands.items():
+            for flag, value in flags.items():
+                try:
+                    parser.parse_args([verb, *rest, flag, *value])
+                except SystemExit:
+                    continue
+                accepted.add((verb, flag))
+        sampled = {"--max-degree", "--seed", "--samples"}
+        assert accepted == (
+            {(verb, "--json") for verb in operands}
+            | {(verb, "--lambda") for verb in ("shuffle", "pair", "rb")}
+            | {(verb, flag) for verb in ("rb", "verify") for flag in sampled}
+        )
+        assert len(accepted) == 18
+
     def test_bad_rational_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["shuffle", "a", "b", "--lambda", "0.5"])
@@ -152,6 +196,16 @@ class TestErrorPaths:
         assert code == 0 and int(out) > 0
         code, _, _ = run(capsys, "pair", linear(MAX_TREE_DEPTH + 1), "a", deepest)
         assert code == 4
+
+    def test_coproduct_at_the_limit(self, capsys):
+        from forestshuffle.coalgebra import _trunk
+
+        _trunk.cache_clear()  # so the recursion runs through every level
+        deepest = "a[" * (MAX_TREE_DEPTH - 1) + "a" + "]" * (MAX_TREE_DEPTH - 1)
+        code, out, err = run(capsys, "coproduct", deepest, "--json")
+        assert (code, err) == (0, "")
+        # a linear tree has a cut between every two levels and at both ends
+        assert len(json.loads(out)["terms"]) == MAX_TREE_DEPTH + 1
 
     def test_branching_trees_at_the_limit(self, capsys):
         def comb(depth):  # a[a[...,b],b]: a branch on every level

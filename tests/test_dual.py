@@ -326,10 +326,10 @@ class TestDualOracle:
 
     def test_basis_enumerations(self):
         a, b = Decoration(["a"]), Decoration(["b"])
-        assert len(_trees_on_multiset([a])) == 1
-        assert len(_trees_on_multiset([a, b])) == 2
-        assert len(_forests_on_multiset([a, b])) == 3
-        assert {f.key for f in _forests_on_multiset([a, a])} == {"a a", "a[a]"}
+        assert len(_trees_on_multiset((a,))) == 1
+        assert len(_trees_on_multiset((a, b))) == 2
+        assert len(_forests_on_multiset((a, b))) == 3
+        assert {f.key for f in _forests_on_multiset((a, a))} == {"a a", "a[a]"}
 
 
 class TestGrafting:

@@ -8,7 +8,6 @@ import pytest
 from forestshuffle import (
     decorate_distinct,
     enumerate_shapes,
-    integer_partitions,
     is_primitive,
     parse_forest,
     primitive_count_brute,
@@ -70,6 +69,14 @@ class TestEnumerateShapes:
         with pytest.raises(GuardExceeded):
             enumerate_shapes(13)
 
+    def test_shape_order_is_pinned(self):
+        # suite_primitives draws shapes with rng.choice and primitives --list
+        # prints them, so their order reaches the output
+        keys = [s.key for n in range(1, 13) for s in enumerate_shapes(n)]
+        assert len(keys) == 7813
+        digest = hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
+        assert digest == "98814d90a05176d6773c8689582c0f2f2850c4bffad150b39df58e1485a2b7bd"
+
     def test_distinct_forest_shapes_are_pinned(self):
         # the suites' forests: keys, decorations x0.. and order, n = 0..9
         from forestshuffle.suites import _distinct_forest_shapes
@@ -83,27 +90,6 @@ class TestEnumerateShapes:
                 digest.update((f.key + "\n").encode("utf-8"))
         assert counts == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
         assert digest.hexdigest() == "23d9b03d397ff789a320716a9687d8856b9f08e3ab22756f34d750f4cdde8c29"
-
-
-class TestIntegerPartitions:
-    def test_examples(self):
-        assert integer_partitions(3, 2) == [(2, 1)]
-        assert integer_partitions(4, 2) == [(3, 1), (2, 2)]
-        assert integer_partitions(5, 3) == [(3, 1, 1), (2, 2, 1)]
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            integer_partitions(3, 0)
-        with pytest.raises(ValueError):
-            integer_partitions(3, 4)
-
-    def test_complete_and_duplicate_free(self):
-        for n in range(1, 9):
-            all_parts = [p for k in range(1, n + 1) for p in integer_partitions(n, k)]
-            assert len(set(all_parts)) == len(all_parts)
-            for p in all_parts:
-                assert sum(p) == n
-                assert list(p) == sorted(p, reverse=True)
 
 
 class TestCounts:

@@ -202,6 +202,22 @@ class TestStarAndDiamond:
         assert shuffle.coefficient(P("a[b,d[c]]")) == Q(1, 2)
 
 
+class TestMemo:
+    def test_products_of_large_operands_are_not_memoized(self):
+        from forestshuffle import shuffle as sh
+
+        memos = (sh._shuffle_cache, sh._star_cache, sh._diamond_cache)
+        for memo in memos:  # pure memos: clearing them changes no result
+            memo.clear()
+        first, second = P("a[b[c],d] e[f,g]"), P("b[a,c] e[f] d[g]")
+        assert first.size == second.size == 7
+        for op in (forest_shuffle, star_product, diamond_product):
+            assert op(first, second, 1)
+        sizes = [P(left).size + P(right).size for memo in memos for left, right, _ in memo]
+        # sub-results up to the cap are kept, nothing larger is
+        assert max(sizes) == sh._MEMO_SIZE_LIMIT
+
+
 class TestShuffleCoefficient:
     @given(f=nonempty_forests, g=nonempty_forests, lam=weights)
     @settings(max_examples=50, deadline=None)
