@@ -50,7 +50,6 @@ from .dual import (
     admissible_families,
     contraction_fertility,
     dual_combinatorial,
-    dual_conjectured_oracle,
     dual_oracle,
     dual_recursive,
     graft_leaves,

@@ -217,6 +217,13 @@ def _cmd_primitives(args) -> int:
 
 
 def _cmd_rb(args) -> int:
+    # no cases, or a flag the chosen check would drop, is an error, not a silent pass
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.check == "morphism" and (args.backend == "words" or args.corrupt):
+        raise ValueError("--check morphism maps forests to words: it takes no --backend words or --corrupt")
+    if args.corrupt and args.backend == "words":
+        raise ValueError("--corrupt corrupts the forest operator: it needs --backend forests")
     samples = args.samples if args.samples is not None else 100
     degree = args.max_degree if args.max_degree is not None else 5
     rng = random.Random(args.seed)

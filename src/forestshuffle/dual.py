@@ -19,14 +19,8 @@ formulas or the transpose.  The tests check the transpose against it term
 for term; the verification suites call the transpose.
 
 The recursive/combinatorial forms carry the alpha/fertility weights as
-stated; strict duality normalizes differently.  The oracle has the same
-support as the combinatorial form with reciprocal coefficients (see
-``dual_conjectured_oracle``) on every forest the suites check, but not
-always the same coefficients: they are equal on forests with distinct
-decorations and can differ on repeated components (on ``a[b] a[b]`` the
-oracle gives 1/2 for (a)⊗(a[b] b), the reciprocal form 1).  The
-verification suite evaluates and reports that relation rather than
-assuming it.
+stated; strict duality normalizes differently.  The verification suites
+check the relation between the two: the σ-refined reciprocal formula.
 """
 
 from __future__ import annotations
@@ -66,7 +60,6 @@ __all__ = [
     "dual_recursive",
     "reduced_dual",
     "dual_combinatorial",
-    "dual_conjectured_oracle",
     "dual_oracle",
     "dual_oracle_brute",
     "ORACLE_GUARD",
@@ -357,22 +350,18 @@ def reduced_dual(forest: Forest) -> TensorComb[Forest]:
     return dual_recursive(forest) - trivial
 
 
-def _dual_combinatorial_terms(
-    forest: Forest, invert: bool
-) -> TensorComb[Forest]:
-    """Shared body of the combinatorial form; ``invert`` replaces every
-    family fertility c by 1/c and every alpha by 1/alpha."""
+def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
+    """The dual coproduct as a sum over admissible families.
 
-    def weight(c: int) -> Fraction:
-        return Fraction(1, c) if invert else Fraction(c)
-
+    Must agree with ``dual_recursive`` exactly, on trees and forests alike.
+    """
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))
     if forest.is_tree:
         return TensorComb.sum_of(
             2,
             (
-                ((fam.t_complement, fam.t_gamma), weight(fam.c_gamma))
+                ((fam.t_complement, fam.t_gamma), Fraction(fam.c_gamma))
                 for fam in admissible_families(forest.single_tree())
             ),
         )
@@ -381,38 +370,19 @@ def _dual_combinatorial_terms(
     pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
     for i, tree in enumerate(forest.trees):
         families = [
-            (fam.t_complement, fam.t_gamma, weight(fam.c_gamma))
+            (fam.t_complement, fam.t_gamma, fam.c_gamma)
             for fam in admissible_families(tree)
             if 0 < len(fam.gamma) < tree.size
         ]
         if not families:
             continue
         for r, f_in, f_out in _component_splits(forest.trees, i):
-            a = weight(_alpha(r, n))
+            a = _alpha(r, n)
             pairs.extend(
-                ((concat(comp, f_in), concat(gamma, f_out)), w * a) for comp, gamma, w in families
+                ((concat(comp, f_in), concat(gamma, f_out)), Fraction(c * a))
+                for comp, gamma, c in families
             )
     return TensorComb.sum_of(2, pairs)
-
-
-def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
-    """The dual coproduct as a sum over admissible families.
-
-    Must agree with ``dual_recursive`` exactly, on trees and forests alike.
-    """
-    return _dual_combinatorial_terms(forest, invert=False)
-
-
-def dual_conjectured_oracle(forest: Forest) -> TensorComb[Forest]:
-    """The combinatorial form with reciprocal coefficients (c -> 1/c,
-    alpha -> 1/alpha).
-
-    Its support equals that of ``dual_oracle`` on every forest the suites
-    check.  Its coefficients are only conjectured to be the oracle's: they
-    are equal on distinct decorations and can differ on repeated
-    components, e.g. 1 here against the oracle's 1/2 for (a)⊗(a[b] b) in
-    the coproduct of ``a[b] a[b]``."""
-    return _dual_combinatorial_terms(forest, invert=True)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,23 @@ class TestErrorPaths:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--samples", "0"), "--samples must be at least 1"),
+            (("--samples", "-3"), "--samples must be at least 1"),
+            (("--backend", "words", "--corrupt"), "--corrupt corrupts the forest operator"),
+            (("--check", "morphism", "--backend", "words"), "--check morphism maps forests to words"),
+            (("--check", "morphism", "--corrupt"), "--check morphism maps forests to words"),
+        ],
+    )
+    def test_bad_rb_flags_are_status_2(self, capsys, flags, message):
+        # each of these dropped cases or a flag and still passed
+        code, out, err = run(capsys, "rb", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestVerify:
     def test_deterministic_json(self, capsys):
@@ -314,12 +331,31 @@ class TestVerify:
             )
             assert code == 0, (name, out)
 
-    def test_smallest_accepted_flags_run(self, capsys):
+    def test_smallest_accepted_flags_run(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys, "verify", "--suite", "all", "--max-degree", "2", "--samples", "1", "--seed", "1",
         )
         assert code == 0, out
         assert out.count("[ok]") == 6
+
+        # --samples 1 still runs a case of every check family
+        from forestshuffle.suites import SuiteReport
+
+        labels: set[str] = set()
+        check = SuiteReport.check
+
+        def recording(self, case, *args):
+            labels.add(case)
+            check(self, case, *args)
+
+        monkeypatch.setattr(SuiteReport, "check", recording)
+        families = {}
+        for samples in ((), ("--samples", "1")):
+            labels.clear()
+            code, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "5", *samples)
+            assert code == 0, out
+            families[samples] = set(labels)
+        assert families[()] - families["--samples", "1"] == set()
 
     def test_verify_all_at_degree_five(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "5", "--seed", "42")
@@ -354,12 +390,12 @@ class TestGoldenOutput:
 
     # sha256 of verify --suite all --json --max-degree 5, per seed
     VERIFY_DIGESTS = {
-        0: "5d0f7c7df63f78f4bc2009b36054267268d1a7371929626991134e4a49e6cd49",
-        42: "8a8dee2e049452b257f0b3bdc1506754b5aa06393eaf23c3ce549934ac0b73d7",
+        0: "b55d7fb9e554aa78e595f28eb2f5beb503e231f5b29c9951ad31a19b82972255",
+        42: "ccf548cf3b3127ebcc2a8ab6c06bbb4a2a2a55d1ef9b1811b51b19ac236250ae",
     }
 
     # sha256 of verify --suite all --json --seed 0 at the suites' full degrees
-    FULL_VERIFY_DIGEST = "7db11ded9c1663d863573fe01723179aa18c9d5c56720eb3620ca6de0a559d40"
+    FULL_VERIFY_DIGEST = "610ef0cee3e27e83be87a0f5c16981d05a83a53be9be68eafa879f4acc26cc14"
 
     # sha256 of rb --check morphism --json, per weight
     MORPHISM_DIGESTS = {

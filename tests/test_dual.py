@@ -14,7 +14,6 @@ from forestshuffle import (
     admissible_families,
     contraction_fertility,
     dual_combinatorial,
-    dual_conjectured_oracle,
     dual_oracle,
     dual_recursive,
     graft_at,
@@ -296,9 +295,35 @@ class TestDualOracle:
             assert dual_oracle(f).support() == dual_recursive(f).support(), f.key
 
     def test_inverse_coefficient_relation(self):
-        # the oracle is the combinatorial form with c -> 1/c, alpha -> 1/alpha
+        # oracle(F1⊗F2) = σ(F1)σ(F2)/σ(F) times the reciprocal-coefficient
+        # form (c -> 1/c, alpha -> 1/alpha), repeated components included
+        from forestshuffle.suites import _sigma_refined_oracle, _symmetry
+
         for f in distinct_forest_shapes(6):
-            assert dual_oracle(f) == dual_conjectured_oracle(f), f.key
+            assert dual_oracle(f) == _sigma_refined_oracle(f), f.key
+
+        def reciprocal_form(f):
+            # the σ-refined formula with the σ factors taken out again
+            sigma_f = _symmetry(f.trees)
+            return TensorComb(
+                2,
+                {
+                    (a, b): c * sigma_f / (_symmetry(a.trees) * _symmetry(b.trees))
+                    for (a, b), c in _sigma_refined_oracle(f).items()
+                },
+            )
+
+        two_atoms = list(forests_up_to(5, default_alphabet(("a", "b"))))
+        assert len(two_atoms) == 601
+        for f in two_atoms:
+            assert dual_oracle(f) == _sigma_refined_oracle(f), f.key
+        # negative control: without σ the relation fails on repeated components
+        assert sum(dual_oracle(f) != reciprocal_form(f) for f in two_atoms) == 272
+
+        f, term = P("a[b] a[b]"), (P("a"), P("a[b] b"))
+        assert dual_oracle(f).coefficient(term) == Q(1, 2)
+        assert reciprocal_form(f).coefficient(term) == 1
+        assert _sigma_refined_oracle(f).coefficient(term) == Q(1, 2)
 
     def test_guard(self):
         big = decorate_distinct(enumerate_shapes(9)[0])
