@@ -69,7 +69,6 @@ from .rota_baxter import (
     forest_algebra,
     forest_rb_operator,
     phi_bar,
-    rb_verify,
     word_P,
     word_algebra,
     word_diamond,

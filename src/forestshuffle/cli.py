@@ -30,14 +30,21 @@ from .rota_baxter import (
     diamond_morphism_sides,
     forest_algebra,
     intertwining_sides,
-    rb_verify,
+    rb_residual,
     word_algebra,
 )
 from .sampling import default_alphabet, random_forest, random_word
 from .shuffle import diamond_product, forest_shuffle, shuffle_coefficient, star_product
-from .suites import SuiteConfig, run_suite
+from .suites import SuiteConfig, SuiteReport, run_suite
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?$")
+
+# rb draws operands of up to --max-degree vertices (words of half that
+# length), and the products behind its checks grow exponentially with them.
+# Single runs at --samples 3: morphism took at most 1.6 s at degree 16 on 30
+# seeds but 44 s at degree 18 on one; words took at most 0.9 s at degree 20
+# on 4 seeds but 70 s at degree 22 on one
+RB_DEGREE_GUARD = 16
 
 
 def _rational(text: str) -> Fraction:
@@ -216,100 +223,83 @@ def _cmd_primitives(args) -> int:
     return 0
 
 
-def _cmd_rb(args) -> int:
-    # no cases, or a flag the chosen check would drop, is an error, not a silent pass
+def _check_sampled(args) -> None:
+    # smaller values leave the sampled checks an empty degree range or no cases
+    if args.max_degree is not None and args.max_degree < 2:
+        raise ValueError(f"--max-degree must be at least 2, got {args.max_degree}")
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+
+
+def _print_failures(report: SuiteReport) -> None:
+    for f in report.failures[:20]:
+        print(f"  FAIL {f.case} on {f.inputs}")
+        print(f"       expected: {f.expected}")
+        print(f"       actual:   {f.actual}")
+
+
+def _cmd_rb(args) -> int:
+    # a flag the chosen check would drop is an error, not a silent pass
+    _check_sampled(args)
     if args.check == "morphism" and (args.backend == "words" or args.corrupt):
         raise ValueError("--check morphism maps forests to words: it takes no --backend words or --corrupt")
     if args.corrupt and args.backend == "words":
         raise ValueError("--corrupt corrupts the forest operator: it needs --backend forests")
     samples = args.samples if args.samples is not None else 100
     degree = args.max_degree if args.max_degree is not None else 5
+    if degree > RB_DEGREE_GUARD:
+        raise GuardExceeded(f"rb samples are guarded to degree {RB_DEGREE_GUARD}, got {degree}")
     rng = random.Random(args.seed)
     alphabet = default_alphabet(("a", "b"))
+    rep = SuiteReport(suite="rb", seed=args.seed)
+    lam = args.weight
 
     if args.check == "identity":
         if args.backend == "words":
-            algebra = word_algebra(args.weight)
-            pairs = [
-                (
-                    LinComb.of(random_word(rng, rng.randint(1, max(1, degree // 2)), alphabet)),
-                    LinComb.of(random_word(rng, rng.randint(1, max(1, degree // 2)), alphabet)),
-                )
-                for _ in range(samples)
-            ]
+            algebra, draw, size = word_algebra(lam), random_word, degree // 2
+            case = f"word Rota-Baxter identity random (weight {lam})"
         else:
-            algebra = (
-                corrupted_forest_algebra(args.weight, "a") if args.corrupt else forest_algebra(args.weight)
-            )
-            pairs = [
-                (
-                    LinComb.of(random_forest(rng, rng.randint(1, max(1, degree - 1)), alphabet)),
-                    LinComb.of(random_forest(rng, rng.randint(1, max(1, degree - 1)), alphabet)),
-                )
-                for _ in range(samples)
-            ]
-        report = rb_verify(algebra, pairs)
-        payload = {
-            "kind": "quasi-universal checks",
-            "algebra": report.algebra,
-            "weight": report.weight,
-            "check": "identity",
-            "cases": len(report.cases),
-            "failed": len(report.failures),
-            "failures": [
-                {"left": c.left, "right": c.right, "residual": c.residual}
-                for c in report.failures
-            ],
-            "seed": args.seed,
-        }
-    else:
-        walg = word_algebra(args.weight)
-        failures = []
-        cases = 0
+            algebra = corrupted_forest_algebra(lam, "a") if args.corrupt else forest_algebra(lam)
+            draw, size = random_forest, degree - 1
+            case = f"forest Rota-Baxter identity random (weight {lam})"
         for _ in range(samples):
-            f = random_forest(rng, rng.randint(1, max(1, degree - 1)), alphabet)
-            rhs, lhs = intertwining_sides(f, walg)
-            cases += 1
-            if lhs != rhs:
-                failures.append({"forest": f.key, "lhs": render_lincomb(lhs), "rhs": render_lincomb(rhs)})
+            x = LinComb.of(draw(rng, rng.randint(1, size), alphabet))
+            y = LinComb.of(draw(rng, rng.randint(1, size), alphabet))
+            rep.check(case, f"{render_lincomb(x)} | {render_lincomb(y)}", LinComb.zero(), rb_residual(algebra, x, y))
+        name = algebra.name
+    else:
+        walg = word_algebra(lam)
+        for _ in range(samples):
+            f = random_forest(rng, rng.randint(1, degree - 1), alphabet)
+            rep.check(f"induced map intertwines the operators (weight {lam})", f.key, *intertwining_sides(f, walg))
             g = random_forest(rng, rng.randint(1, 3), alphabet)
-            direct, image = diamond_morphism_sides(f, g, walg)
-            cases += 1
-            if image != direct:
-                failures.append(
-                    {"forest": f"{f.key} | {g.key}", "lhs": render_lincomb(image), "rhs": render_lincomb(direct)}
-                )
-        payload = {
-            "kind": "quasi-universal checks",
-            "algebra": "forests -> words",
-            "weight": str(args.weight),
-            "check": "morphism",
-            "cases": cases,
-            "failed": len(failures),
-            "failures": failures,
-            "seed": args.seed,
-        }
+            rep.check(
+                f"induced map is a diamond morphism (weight {lam})",
+                f"{f.key} | {g.key}",
+                *diamond_morphism_sides(f, g, walg),
+            )
+        name = "forests -> words"
 
     if args.json:
+        payload = {
+            "kind": "quasi-universal checks",
+            "algebra": name,
+            "weight": str(lam),
+            "check": args.check,
+            "cases": rep.cases,
+            "failed": rep.failed,
+            "failures": rep.to_json()["failures"],
+            "seed": args.seed,
+        }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(
-            f"quasi-universal checks [{payload['algebra']}, weight {payload['weight']}, "
-            f"{payload['check']}]: {payload['cases'] - payload['failed']}/{payload['cases']} passed"
-        )
-        for failure in payload["failures"]:
-            print(f"  FAIL {failure}")
-    return 1 if payload["failed"] else 0
+        print(f"quasi-universal checks [{name}, weight {lam}, {args.check}]: {rep.passed}/{rep.cases} passed")
+        _print_failures(rep)
+    return 1 if rep.failed else 0
 
 
 def _cmd_verify(args) -> int:
-    # smaller values leave the sampled checks an empty degree range or no cases
-    if args.max_degree is not None and args.max_degree < 2:
-        raise ValueError(f"--max-degree must be at least 2, got {args.max_degree}")
-    if args.samples is not None and args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    _check_sampled(args)
     cfg = SuiteConfig(max_degree=args.max_degree, samples=args.samples, seed=args.seed)
     try:
         reports = run_suite(args.suite, cfg)
@@ -327,10 +317,7 @@ def _cmd_verify(args) -> int:
             )
             for note in r.notes:
                 print(f"  note: {note}")
-            for f in r.failures[:20]:
-                print(f"  FAIL {f.case} on {f.inputs}")
-                print(f"       expected: {f.expected}")
-                print(f"       actual:   {f.actual}")
+            _print_failures(r)
     return 1 if any(r.failed for r in reports) else 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Decoration",
@@ -282,6 +282,12 @@ def concat(first: Forest, second: Forest) -> Forest:
     # merging two sorted runs; sorted() finds the runs and merges them
     trees = tuple(sorted(first.trees + second.trees, key=_by_key))
     return Forest._build(trees, first.size + second.size)
+
+
+def _redecorate(tree: RootedTree, fn: Callable[[Decoration], Decoration]) -> RootedTree:
+    """The tree with every decoration d replaced by fn(d); fn is called on
+    the vertices in preorder over the canonical layout."""
+    return RootedTree(fn(tree.decoration), [_redecorate(c, fn) for c in tree.children])
 
 
 def canonical_key(forest: Forest) -> bytes:

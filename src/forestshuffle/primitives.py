@@ -9,7 +9,9 @@ root, counting the multisets by the Euler transform.
 
 from __future__ import annotations
 
-from .forest import Decoration, GuardExceeded, RootedTree, UNIT
+import itertools
+
+from .forest import Decoration, GuardExceeded, RootedTree, UNIT, _redecorate
 from .sampling import trees_of_size
 
 __all__ = [
@@ -104,16 +106,10 @@ def primitive_count_brute(n: int) -> int:
 
 def shape_of(tree: RootedTree) -> RootedTree:
     """Forget decorations."""
-    return RootedTree(UNIT, [shape_of(c) for c in tree.children])
+    return _redecorate(tree, lambda _: UNIT)
 
 
 def decorate_distinct(shape: RootedTree) -> RootedTree:
     """Decorate a shape with pairwise-distinct atoms (canonical preorder)."""
-    counter = [0]
-
-    def walk(node: RootedTree) -> RootedTree:
-        dec = Decoration((f"v{counter[0]}",))
-        counter[0] += 1
-        return RootedTree(dec, [walk(c) for c in node.children])
-
-    return walk(shape)
+    names = itertools.count()
+    return _redecorate(shape, lambda _: Decoration((f"v{next(names)}",)))

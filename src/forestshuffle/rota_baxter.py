@@ -10,18 +10,17 @@ product (first letters multiply, tails quasi-shuffle) and P prepending the
 unit letter.  Nonempty forests carry it with the forest diamond product and
 P grafting a unit-decorated root.  ``phi_bar`` is the induced map from
 forests into any commutative associative Rota-Baxter algebra, extending a
-letter map multiplicatively; ``rb_verify`` checks the defining identity on
-explicit samples and reports residuals.
+letter map multiplicatively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .forest import Decoration, Forest, RootedTree, UNIT, b_plus
-from .linalg import LinComb, bilinear, render_lincomb
+from .linalg import LinComb, bilinear
 from .shuffle import diamond_product
 from .words import Word, word_shuffle
 
@@ -34,9 +33,6 @@ __all__ = [
     "forest_algebra",
     "corrupted_forest_algebra",
     "rb_residual",
-    "RBCaseResult",
-    "RBReport",
-    "rb_verify",
     "word_embedding",
     "phi_bar",
     "intertwining_sides",
@@ -118,45 +114,6 @@ def rb_residual(algebra: RotaBaxterAlgebra, x: LinComb, y: LinComb) -> LinComb:
     lhs = mul(P(x), P(y))
     rhs = P(mul(x, P(y))) + P(mul(P(x), y)) + P(mul(x, y)).scale(lam)
     return lhs - rhs
-
-
-@dataclass(frozen=True)
-class RBCaseResult:
-    left: str
-    right: str
-    ok: bool
-    residual: str
-
-
-@dataclass(frozen=True)
-class RBReport:
-    algebra: str
-    weight: str
-    cases: tuple[RBCaseResult, ...] = field(default=())
-
-    @property
-    def failures(self) -> tuple[RBCaseResult, ...]:
-        return tuple(c for c in self.cases if not c.ok)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def rb_verify(algebra: RotaBaxterAlgebra, samples: list[tuple[LinComb, LinComb]]) -> RBReport:
-    """Exact per-pair check of the Rota-Baxter identity."""
-    cases = []
-    for x, y in samples:
-        residual = rb_residual(algebra, x, y)
-        cases.append(
-            RBCaseResult(
-                left=render_lincomb(x),
-                right=render_lincomb(y),
-                ok=residual.is_zero,
-                residual=render_lincomb(residual),
-            )
-        )
-    return RBReport(algebra=algebra.name, weight=str(algebra.weight), cases=tuple(cases))
 
 
 def word_embedding(dec: Decoration) -> LinComb[Word]:

@@ -5,7 +5,8 @@ pulling off their roots (the weight term fuses the two roots, multiplying
 their decorations), and forests shuffle component against component with an
 exact 1/(kn) prefactor.  ``star_product`` and ``diamond_product`` are the
 variants adapted to the commutative concatenation of forests; on a pair of
-trees the star product coincides with the shuffle.
+linear trees the star product coincides with the shuffle, but not on
+branching trees in general.
 
 All results are exact rational linear combinations; the weight is a rational
 parameter per call, not a formal variable.  Memo caches are pure memos keyed
@@ -132,7 +133,9 @@ def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinC
                + 1/n sum_j B+^(a'_j)(F * f'_j) (F' without tj)
                + lam F ◇ F'.
 
-    On a pair of trees this agrees with the forest shuffle.
+    On a pair of linear trees this agrees with the forest shuffle; on
+    branching trees it generally does not (at weight 0, a * a[a,a] is
+    a[a,a[a]] + 2 a[a[a,a]], while a ⧢ a[a,a] is 2 a[a,a[a]] + a[a[a,a]]).
     """
     lam = Fraction(lam)
     key = (first.key, second.key, lam)

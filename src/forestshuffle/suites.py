@@ -36,6 +36,7 @@ from .forest import (
     Decoration,
     Forest,
     RootedTree,
+    _redecorate,
     concat,
     graft_at,
     induced_subtree,
@@ -162,12 +163,12 @@ def _relabel(trees) -> tuple[Forest, dict[Decoration, Decoration]]:
     back to the old one."""
     back: dict[Decoration, Decoration] = {}
 
-    def walk(node: RootedTree) -> RootedTree:
-        dec = Decoration((f"x{len(back)}",))
-        back[dec] = node.decoration
-        return RootedTree(dec, [walk(c) for c in node.children])
+    def fresh(old: Decoration) -> Decoration:
+        new = Decoration((f"x{len(back)}",))
+        back[new] = old
+        return new
 
-    return Forest([walk(t) for t in trees]), back
+    return Forest([_redecorate(t, fresh) for t in trees]), back
 
 
 def _symmetry(trees) -> int:
@@ -196,10 +197,6 @@ def _sigma_refined_oracle(f: Forest) -> TensorComb[Forest]:
     σ(πA)σ(πB)/(σ(f)·c), and the sum adds up the families that collide
     under π."""
     g, back = _relabel(f.trees)
-
-    def unlabel(node: RootedTree) -> RootedTree:
-        return RootedTree(back[node.decoration], [unlabel(c) for c in node.children])
-
     sigma_f = _symmetry(f.trees)
     # a leg recurs across many terms: project it and take its σ once
     legs: dict[Forest, tuple[Forest, int]] = {}
@@ -207,7 +204,7 @@ def _sigma_refined_oracle(f: Forest) -> TensorComb[Forest]:
     for (a, b), c in dual_recursive(g).items():
         for x in (a, b):
             if x not in legs:
-                px = Forest([unlabel(t) for t in x.trees])
+                px = Forest([_redecorate(t, back.__getitem__) for t in x.trees])
                 legs[x] = (px, _symmetry(px.trees))
         (pa, sa), (pb, sb) = legs[a], legs[b]
         pairs.append(((pa, pb), Fraction(sa * sb) / (sigma_f * c)))
@@ -642,7 +639,7 @@ def suite_primitives(cfg: SuiteConfig) -> SuiteReport:
     alphabet = default_alphabet(("a", "b", "c"))
     for _ in range(cfg.count(100)):
         shape = rng.choice(enumerate_shapes(rng.randint(1, 7)))
-        redecorated = _random_redecoration(rng, shape, alphabet)
+        redecorated = _redecorate(shape, lambda _: rng.choice(alphabet))
         rep.check(
             "decoration independence",
             redecorated.key,
@@ -650,13 +647,6 @@ def suite_primitives(cfg: SuiteConfig) -> SuiteReport:
             is_primitive(redecorated),
         )
     return rep
-
-
-def _random_redecoration(rng: random.Random, shape: RootedTree, alphabet) -> RootedTree:
-    return RootedTree(
-        rng.choice(alphabet),
-        [_random_redecoration(rng, c, alphabet) for c in shape.children],
-    )
 
 
 def suite_rota_baxter(cfg: SuiteConfig) -> SuiteReport:

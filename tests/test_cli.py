@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from forestshuffle.cli import _build_parser, main
+from forestshuffle.cli import RB_DEGREE_GUARD, _build_parser, main
 from forestshuffle.forest import MAX_TREE_DEPTH, parse_forest
 
 
@@ -300,6 +300,8 @@ class TestErrorPaths:
             (("--backend", "words", "--corrupt"), "--corrupt corrupts the forest operator"),
             (("--check", "morphism", "--backend", "words"), "--check morphism maps forests to words"),
             (("--check", "morphism", "--corrupt"), "--check morphism maps forests to words"),
+            (("--max-degree", "-5", "--samples", "3"), "--max-degree must be at least 2"),
+            (("--max-degree", "1"), "--max-degree must be at least 2"),
         ],
     )
     def test_bad_rb_flags_are_status_2(self, capsys, flags, message):
@@ -308,6 +310,13 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_rb_degree_past_the_guard_is_status_4(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rb", "--check", "morphism", "--max-degree", str(RB_DEGREE_GUARD + 1))
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert f"guarded to degree {RB_DEGREE_GUARD}" in err
 
 
 class TestVerify:
@@ -403,6 +412,14 @@ class TestGoldenOutput:
         "1": "ea3e07c017f74a3cf61a7819cd0a9b7a0bcd00429ce499c9e09d86135dc064ca",
     }
 
+    # sha256 of rb --check identity --json, per backend and weight
+    IDENTITY_DIGESTS = {
+        ("forests", "0"): "75c698dac37eb2f861e7ea8038f9609c1b247c3e0b0cd9756a7bd2f0794d8ee3",
+        ("forests", "2/3"): "872065d38c71d0c2238d2de389d197450a646fdd474609ba48c3dfc854a6de4c",
+        ("words", "0"): "a2959a4819d277e0cddafd40cff459f77d81ead89da5d96921516fcdb8a7ecab",
+        ("words", "2/3"): "36f749e03b068a98083baaa2c5638545efa9550b6c405085c4eec745bd125f8b",
+    }
+
     FAMILY_TREES = ["a", "a[b[c],d]", "a[b,b]", "a[b[c],b[c],d]", "a*b[1[c],c[a,a]]", "r[s[u[x],v[y]]]"]
     DUAL_FORESTS = ["a[b] a[b]", "a[b,c[a]] d", "a[b[c],d]", "b[a] b[a] c", "a[b,b[c]] a", "a*b[1] c[a,a]"]
 
@@ -446,6 +463,12 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, "rb", "--check", "morphism", "--json", "--lambda", lam)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.MORPHISM_DIGESTS[lam]
+
+    @pytest.mark.parametrize("backend, lam", sorted(IDENTITY_DIGESTS))
+    def test_rb_identity_json_digest(self, capsys, backend, lam):
+        code, out, _ = run(capsys, "rb", "--backend", backend, "--json", "--lambda", lam)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.IDENTITY_DIGESTS[backend, lam]
 
     @pytest.mark.parametrize("product, lam", sorted(DIGESTS))
     def test_product_json_digest(self, capsys, product, lam):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -20,13 +21,13 @@ from forestshuffle import (
     forest_rb_operator,
     parse_forest,
     phi_bar,
-    rb_verify,
     word_P,
     word_algebra,
     word_diamond,
     word_embedding,
 )
-from forestshuffle.rota_baxter import corrupted_forest_algebra, rb_residual
+from forestshuffle.cli import main
+from forestshuffle.rota_baxter import rb_residual
 from forestshuffle.sampling import default_alphabet, forests_of_size, random_forest, random_word
 
 from conftest import nonempty_forests, weights
@@ -34,6 +35,11 @@ from conftest import nonempty_forests, weights
 P = parse_forest
 Q = Fraction
 A, B, X, Y = (Decoration([s]) for s in "abxy")
+
+
+def rb_json(capsys, *flags):
+    code = main(["rb", "--json", *flags])
+    return code, json.loads(capsys.readouterr().out)
 
 
 class TestWordOperator:
@@ -103,26 +109,20 @@ class TestRotaBaxterIdentity:
         algebra = forest_algebra(lam)
         assert rb_residual(algebra, LinComb.of(f), LinComb.of(g)).is_zero
 
-    def test_corrupted_operator_fails_with_residual(self):
-        rng = random.Random(0)
-        alphabet = default_alphabet(("a", "b"))
-        bad = corrupted_forest_algebra(Q(0), "a")
-        pairs = [
-            (
-                LinComb.of(random_forest(rng, rng.randint(1, 3), alphabet)),
-                LinComb.of(random_forest(rng, rng.randint(1, 3), alphabet)),
-            )
-            for _ in range(20)
-        ]
-        report = rb_verify(bad, pairs)
-        assert not report.ok
-        assert all(f.residual != "0" for f in report.failures)
+    def test_corrupted_operator_fails_with_residual(self, capsys):
+        # operands of 1 to 3 vertices
+        code, report = rb_json(capsys, "--corrupt", "--samples", "20", "--max-degree", "4")
+        assert code == 1
+        assert report["failed"] == report["cases"] == 20
+        assert all(f["expected"] == "0" and f["actual"] != "0" for f in report["failures"])
 
-    def test_rb_verify_reports_per_pair(self):
-        algebra = forest_algebra(Q(1))
-        pairs = [(LinComb.of(P("a")), LinComb.of(P("b")))]
-        report = rb_verify(algebra, pairs)
-        assert report.ok and len(report.cases) == 1
+    def test_rb_counts_a_case_per_check(self, capsys):
+        # identity checks one pair per sample; morphism checks the
+        # intertwining and the diamond morphism on each sampled forest
+        for check, cases in (("identity", 7), ("morphism", 14)):
+            code, report = rb_json(capsys, "--check", check, "--lambda", "1", "--samples", "7")
+            assert code == 0
+            assert (report["cases"], report["failed"]) == (cases, 0)
 
 
 class TestPhiBar:

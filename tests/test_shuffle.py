@@ -193,6 +193,12 @@ class TestStarAndDiamond:
     def test_star_equals_shuffle_on_all_trees(self):
         assert star_product(P("a[b,c]"), P("d")) == forest_shuffle(P("a[b,c]"), P("d"))
 
+    def test_star_vs_shuffle_on_a_branching_tree_with_one_atom(self):
+        # a linear tree against a cherry: the two products weigh the same
+        # two terms the other way round
+        assert forest_shuffle(P("a"), P("a[a,a]")) == LinComb({P("a[a,a[a]]"): Q(2), P("a[a[a,a]]"): Q(1)})
+        assert star_product(P("a"), P("a[a,a]")) == LinComb({P("a[a,a[a]]"): Q(1), P("a[a[a,a]]"): Q(2)})
+
     def test_star_vs_shuffle_minimal_divergence(self):
         # the concrete witness behind the xfail above
         star = star_product(P("a[b,c]"), P("d"))
