@@ -46,6 +46,15 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?$")
 # on 4 seeds but 70 s at degree 22 on one
 RB_DEGREE_GUARD = 16
 
+# Most leaves the recursion of the chosen product may have on the shuffle
+# verb's operands (see _recursion_leaves).  The time per leaf grows with the
+# operands' branching and the weight.  Single runs on a 2-core host, CPython
+# 3.11: two-letter chains a[b[a[...]]] took 5-7 us a leaf at weight 0 (1.4 s
+# on 184,756 leaves at depth 10) and 15-16 us at weight 1 (24 s on 1,462,563
+# at depth 9); random branching pairs of 10-32 vertices at weight 1 took up
+# to 161 us a leaf (7.3 s on 51,293 leaves, 18.9 s on 117,289)
+SHUFFLE_GUARD = 2**16
+
 
 def _rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
@@ -134,6 +143,49 @@ def _depth(forest: Forest) -> int:
     return 0 if forest.is_empty else deepest + 1
 
 
+def _recursion_leaves(product: str, first: Forest, second: Forest, lam: Fraction) -> int:
+    """The leaves of the recursion tree ``product`` runs on two operands,
+    counted without expanding, by the same recursion on integers (memoized
+    per call).  Each leaf is a unit case, so the count bounds the terms of
+    the expansion before they merge."""
+    memo: dict[tuple[str, str, str], int] = {}
+
+    # one frame per level, like the products (see forest.MAX_TREE_DEPTH)
+    def count(op: str, f: Forest, g: Forest) -> int:
+        key = (op, f.key, g.key)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        n = 0
+        if op != "diamond" and (f.is_empty or g.is_empty):
+            n = 1  # the empty forest is the unit
+        elif op != "star" and not (f.is_tree and g.is_tree):
+            # the 1/(kn) component split
+            for t in f.trees:
+                for u in g.trees:
+                    n += count(op, t.as_forest(), u.as_forest())
+        elif op == "shuffle":
+            below_f, below_g = Forest(f.trees[0].children), Forest(g.trees[0].children)
+            n = count(op, below_f, g) + count(op, f, below_g)
+            if lam:
+                n += count(op, below_f, below_g)
+        elif op == "diamond":
+            # two trees fuse their roots
+            n = count("star", Forest(f.trees[0].children), Forest(g.trees[0].children))
+        else:
+            # star: a root of either operand comes off, plus the weight term
+            for t in f.trees:
+                n += count(op, Forest(t.children), g)
+            for u in g.trees:
+                n += count(op, f, Forest(u.children))
+            if lam:
+                n += count("diamond", f, g)
+        memo[key] = n
+        return n
+
+    return count(product, first, second)
+
+
 def _cmd_shuffle(args) -> int:
     first, second = parse_forest(args.first), parse_forest(args.second)
     # the products peel one root of either operand per level
@@ -141,6 +193,11 @@ def _cmd_shuffle(args) -> int:
         raise GuardExceeded(
             f"the operands' depths are guarded to {MAX_TREE_DEPTH} in sum, "
             f"got {_depth(first)} + {_depth(second)}"
+        )
+    leaves = _recursion_leaves(args.product, first, second, args.weight)
+    if leaves > SHUFFLE_GUARD:
+        raise GuardExceeded(
+            f"the {args.product} product is guarded to {SHUFFLE_GUARD} recursion leaves, got {leaves}"
         )
     op = {"shuffle": forest_shuffle, "star": star_product, "diamond": diamond_product}[args.product]
     _emit(op(first, second, args.weight), args.json)
@@ -259,7 +316,7 @@ def _cmd_rb(args) -> int:
             algebra, draw, size = word_algebra(lam), random_word, degree // 2
             case = f"word Rota-Baxter identity random (weight {lam})"
         else:
-            algebra = corrupted_forest_algebra(lam, "a") if args.corrupt else forest_algebra(lam)
+            algebra = corrupted_forest_algebra(lam) if args.corrupt else forest_algebra(lam)
             draw, size = random_forest, degree - 1
             case = f"forest Rota-Baxter identity random (weight {lam})"
         for _ in range(samples):

@@ -17,7 +17,7 @@ from functools import cache
 
 from .forest import EMPTY, Forest, RootedTree, b_plus
 from .linalg import LinComb, TensorComb, lincomb_sum, tensor_map_basis
-from .words import is_linear
+from .words import Word, is_linear, tree_to_word, word_to_tree
 
 __all__ = [
     "trunk_coproduct",
@@ -71,19 +71,6 @@ def counit(x: LinComb[Forest] | Forest) -> Fraction:
     return x.coefficient(EMPTY)
 
 
-def _reverse_linear(tree: RootedTree) -> RootedTree:
-    decorations = []
-    node: RootedTree | None = tree
-    while node is not None:
-        decorations.append(node.decoration)
-        node = node.children[0] if node.children else None
-    out: RootedTree | None = None
-    for dec in decorations:  # original root ends up at the leaf
-        out = RootedTree(dec, () if out is None else (out,))
-    assert out is not None
-    return out
-
-
 def right_antipode(tree: RootedTree) -> LinComb[Forest]:
     """0 for trees with more than one leaf, else (-1)^(n+1) times the
     linear tree with the decoration order reversed (n = vertex count)."""
@@ -91,7 +78,7 @@ def right_antipode(tree: RootedTree) -> LinComb[Forest]:
     if not is_linear(forest):
         return LinComb.zero()
     sign = Fraction(1 if (tree.size + 1) % 2 == 0 else -1)
-    return LinComb.of(_reverse_linear(tree).as_forest(), sign)
+    return LinComb.of(word_to_tree(Word(tree_to_word(forest).letters[::-1])), sign)
 
 
 def antipode_leg(forest: Forest) -> LinComb[Forest]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterable
 
 from .forest import (
@@ -50,6 +49,7 @@ from .forest import (
     vertex_refs,
 )
 from .linalg import LinComb, TensorComb, bilinear
+from .sampling import _forests_on_multiset, _multiset_splits
 from .shuffle import shuffle_coefficient
 
 __all__ = [
@@ -396,59 +396,6 @@ def _decoration_multiset(forest: Forest) -> tuple[Decoration, ...]:
     return tuple(sorted(decs))
 
 
-@cache
-def _trees_on_multiset(ms: tuple[Decoration, ...]) -> tuple[Forest, ...]:
-    """Every tree whose vertex decorations are exactly the given sorted
-    multiset."""
-    if not ms:
-        return ()
-    out: set[Forest] = set()
-    seen: set[Decoration] = set()
-    for i, dec in enumerate(ms):
-        if dec in seen:
-            continue
-        seen.add(dec)
-        for body in _forests_on_multiset(ms[:i] + ms[i + 1 :]):
-            out.add(b_plus(dec, body).as_forest())
-    return tuple(sorted(out, key=lambda f: f.key))
-
-
-@cache
-def _forests_on_multiset(ms: tuple[Decoration, ...]) -> tuple[Forest, ...]:
-    """Every forest whose vertex decorations are exactly the given sorted
-    multiset."""
-    if not ms:
-        return (EMPTY,)
-    out: set[Forest] = set()
-    anchor = ms[0]
-    rest = ms[1:]
-    # the anchor decoration sits inside one component; choose that
-    # component's remaining decorations, then the rest of the forest
-    for r in range(len(rest) + 1):
-        for picked in set(itertools.combinations(rest, r)):
-            remaining = list(rest)
-            for d in picked:
-                remaining.remove(d)
-            for t in _trees_on_multiset((anchor,) + picked):
-                for f in _forests_on_multiset(tuple(remaining)):
-                    out.add(concat(t, f))
-    return tuple(sorted(out, key=lambda f: f.key))
-
-
-def _multiset_splits(
-    ms: tuple[Decoration, ...]
-) -> Iterable[tuple[tuple[Decoration, ...], tuple[Decoration, ...]]]:
-    distinct = sorted(set(ms))
-    counts = [ms.count(d) for d in distinct]
-    for take in itertools.product(*(range(c + 1) for c in counts)):
-        left: list[Decoration] = []
-        right: list[Decoration] = []
-        for d, c, k in zip(distinct, counts, take):
-            left.extend([d] * k)
-            right.extend([d] * (c - k))
-        yield tuple(left), tuple(right)
-
-
 def dual_oracle_brute(forest: Forest) -> TensorComb[Forest]:
     """The dual coproduct from first principles, by brute-force pairing.
 
@@ -485,8 +432,9 @@ def _tree_splits(trees: tuple[RootedTree, ...]):
     """Every split of a sorted tuple of trees into two sub-multisets, each
     split once: (first, second) as sorted tuples, lazily.
 
-    Does the job of ``_multiset_splits`` on trees, but is kept apart from it
-    so that the brute-force reference shares no code with the transpose."""
+    Does the job of ``sampling._multiset_splits`` on trees, but is kept apart
+    from it so that the brute-force reference shares no code with the
+    transpose."""
     runs = [tuple(run) for _, run in itertools.groupby(trees, key=lambda t: t.key)]
     for take in itertools.product(*(range(len(run) + 1) for run in runs)):
         yield (

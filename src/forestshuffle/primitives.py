@@ -99,8 +99,6 @@ def primitive_count_brute(n: int) -> int:
     shapes ("structural == reduced-dual primitivity")."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > SHAPE_GUARD:
-        raise GuardExceeded(f"brute primitive count is guarded to {SHAPE_GUARD} vertices, got {n}")
     return sum(1 for shape in enumerate_shapes(n) if is_primitive(shape))
 
 

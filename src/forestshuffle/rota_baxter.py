@@ -21,7 +21,7 @@ from typing import Callable
 
 from .forest import Decoration, Forest, RootedTree, UNIT, b_plus
 from .linalg import LinComb, bilinear
-from .shuffle import diamond_product
+from .shuffle import _graft_all, diamond_product
 from .words import Word, word_shuffle
 
 __all__ = [
@@ -73,7 +73,8 @@ def word_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
         name="words",
         weight=lam,
         product=lambda x, y: bilinear(word_diamond, x, y, lam),
-        operator=lambda x: LinComb({word_P(w): c for w, c in x.items()}),
+        # word_P is injective, so a clean combination maps to a clean one
+        operator=lambda x: LinComb._trusted({word_P(w): c for w, c in x._terms.items()}),
     )
 
 
@@ -82,29 +83,27 @@ def forest_rb_operator(forest: Forest) -> RootedTree:
     return b_plus(UNIT, forest)
 
 
+def _grafting_algebra(name: str, lam: Fraction | int, root: Decoration) -> RotaBaxterAlgebra:
+    """Forests under the diamond product, with the operator grafting a root
+    decorated ``root`` below each forest (the linear extension the products
+    use)."""
+    lam = Fraction(lam)
+    return RotaBaxterAlgebra(
+        name=name,
+        weight=lam,
+        product=lambda x, y: bilinear(diamond_product, x, y, lam),
+        operator=lambda x: _graft_all(root, x),
+    )
+
+
 def forest_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
-    lam = Fraction(lam)
-    return RotaBaxterAlgebra(
-        name="forests",
-        weight=lam,
-        product=lambda x, y: bilinear(diamond_product, x, y, lam),
-        operator=lambda x: LinComb(
-            {forest_rb_operator(f).as_forest(): c for f, c in x.items()}
-        ),
-    )
+    return _grafting_algebra("forests", lam, UNIT)
 
 
-def corrupted_forest_algebra(lam: Fraction | int, atom: str = "a") -> RotaBaxterAlgebra:
-    """Negative control: the operator grafts a non-unit root, which breaks
-    the Rota-Baxter identity."""
-    lam = Fraction(lam)
-    dec = Decoration((atom,))
-    return RotaBaxterAlgebra(
-        name=f"forests-corrupted-{atom}",
-        weight=lam,
-        product=lambda x, y: bilinear(diamond_product, x, y, lam),
-        operator=lambda x: LinComb({b_plus(dec, f).as_forest(): c for f, c in x.items()}),
-    )
+def corrupted_forest_algebra(lam: Fraction | int) -> RotaBaxterAlgebra:
+    """Negative control: the operator grafts a root decorated a, which
+    breaks the Rota-Baxter identity."""
+    return _grafting_algebra("forests-corrupted-a", lam, Decoration(("a",)))
 
 
 def rb_residual(algebra: RotaBaxterAlgebra, x: LinComb, y: LinComb) -> LinComb:

@@ -1,17 +1,20 @@
 """Exhaustive enumeration and seeded random generation of decorated forests.
 
 Exhaustive enumerators produce each isomorphism class exactly once, in
-canonical-key order, and are memoized per (size, alphabet).  Random
+canonical-key order.  The one enumeration lists the forests on an exact
+decoration multiset (memoized per multiset); the forests of a size are its
+union over that size's multisets (memoized per (size, alphabet)).  Random
 generators are deterministic functions of the supplied ``random.Random``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .forest import Decoration, EMPTY, Forest, RootedTree
+from .forest import Decoration, EMPTY, Forest, RootedTree, b_plus, concat
 from .words import Word
 
 __all__ = [
@@ -30,43 +33,77 @@ def default_alphabet(names: Sequence[str] = ("a", "b")) -> tuple[Decoration, ...
     return tuple(Decoration((n,)) for n in names)
 
 
+def _multiset_splits(
+    ms: tuple[Decoration, ...]
+) -> Iterable[tuple[tuple[Decoration, ...], tuple[Decoration, ...]]]:
+    """Every split of a sorted multiset into two sorted sub-multisets, each
+    split once."""
+    distinct = sorted(set(ms))
+    counts = [ms.count(d) for d in distinct]
+    for take in itertools.product(*(range(c + 1) for c in counts)):
+        left: list[Decoration] = []
+        right: list[Decoration] = []
+        for d, c, k in zip(distinct, counts, take):
+            left.extend([d] * k)
+            right.extend([d] * (c - k))
+        yield tuple(left), tuple(right)
+
+
+@cache
+def _trees_on_multiset(ms: tuple[Decoration, ...]) -> tuple[Forest, ...]:
+    """Every tree whose vertex decorations are exactly the given sorted
+    multiset."""
+    if not ms:
+        return ()
+    out: set[Forest] = set()
+    seen: set[Decoration] = set()
+    for i, dec in enumerate(ms):
+        if dec in seen:
+            continue
+        seen.add(dec)
+        for body in _forests_on_multiset(ms[:i] + ms[i + 1 :]):
+            out.add(b_plus(dec, body).as_forest())
+    return tuple(sorted(out, key=lambda f: f.key))
+
+
+@cache
+def _forests_on_multiset(ms: tuple[Decoration, ...]) -> tuple[Forest, ...]:
+    """Every forest whose vertex decorations are exactly the given sorted
+    multiset."""
+    if not ms:
+        return (EMPTY,)
+    out: set[Forest] = set()
+    # the first decoration sits inside one component; choose that
+    # component's other decorations, then the rest of the forest
+    for picked, remaining in _multiset_splits(ms[1:]):
+        for t in _trees_on_multiset(ms[:1] + picked):
+            for f in _forests_on_multiset(remaining):
+                out.add(concat(t, f))
+    return tuple(sorted(out, key=lambda f: f.key))
+
+
+def _of_size(
+    on_multiset: Callable[[tuple[Decoration, ...]], tuple[Forest, ...]], n: int, alphabet: tuple[Decoration, ...]
+) -> tuple[Forest, ...]:
+    """The union of ``on_multiset`` over the size-n multisets of the
+    alphabet, in key order; it is disjoint, since each forest has one
+    decoration multiset."""
+    if n < 0:
+        return ()
+    multisets = itertools.combinations_with_replacement(sorted(set(alphabet)), n)
+    return tuple(sorted((f for ms in multisets for f in on_multiset(ms)), key=lambda f: f.key))
+
+
 @cache
 def trees_of_size(n: int, alphabet: tuple[Decoration, ...]) -> tuple[Forest, ...]:
     """All decorated trees with exactly n vertices, as single-tree forests."""
-    if n <= 0:
-        return ()
-    out = {
-        RootedTree(dec, forest.trees).as_forest()
-        for dec in alphabet
-        for forest in forests_of_size(n - 1, alphabet)
-    }
-    return tuple(sorted(out, key=lambda f: f.key))
+    return _of_size(_trees_on_multiset, n, alphabet)
 
 
 @cache
 def forests_of_size(n: int, alphabet: tuple[Decoration, ...]) -> tuple[Forest, ...]:
     """All decorated forests with exactly n vertices (n=0 gives just ∅)."""
-    if n < 0:
-        return ()
-    if n == 0:
-        return (EMPTY,)
-    # choose a multiset of trees: force the lexicographically largest
-    # tree first to enumerate each multiset once
-    out: set[Forest] = set()
-
-    def extend(remaining: int, max_key: str | None, acc: tuple[RootedTree, ...]) -> None:
-        if remaining == 0:
-            out.add(Forest(acc))
-            return
-        for s in range(1, remaining + 1):
-            for tf in trees_of_size(s, alphabet):
-                t = tf.single_tree()
-                if max_key is not None and t.key > max_key:
-                    continue
-                extend(remaining - s, t.key, acc + (t,))
-
-    extend(n, None, ())
-    return tuple(sorted(out, key=lambda f: f.key))
+    return _of_size(_forests_on_multiset, n, alphabet)
 
 
 def trees_up_to(n: int, alphabet: tuple[Decoration, ...]) -> list[Forest]:

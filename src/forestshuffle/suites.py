@@ -697,7 +697,7 @@ def suite_rota_baxter(cfg: SuiteConfig) -> SuiteReport:
                 rb_residual(walg, xw, yw),
             )
 
-    bad = corrupted_forest_algebra(Fraction(0), "a")
+    bad = corrupted_forest_algebra(Fraction(0))
     violations = 0
     for _ in range(20):
         x = LinComb.of(random_forest(rng, rng.randint(1, 3), alphabet))

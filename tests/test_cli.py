@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
+from fractions import Fraction
 
 import pytest
 
-from forestshuffle.cli import RB_DEGREE_GUARD, _build_parser, main
+from forestshuffle.cli import RB_DEGREE_GUARD, SHUFFLE_GUARD, _build_parser, _recursion_leaves, main
 from forestshuffle.forest import MAX_TREE_DEPTH, parse_forest
 
 
@@ -318,6 +320,32 @@ class TestErrorPaths:
         assert code == 4 and out == ""
         assert f"guarded to degree {RB_DEGREE_GUARD}" in err
 
+    def test_shuffle_past_the_guard_is_status_4(self, capsys):
+        def chain(depth):  # a[b[a[...]]]
+            tree = "ab"[(depth - 1) % 2]
+            for level in range(depth - 2, -1, -1):
+                tree = f"{'ab'[level % 2]}[{tree}]"
+            return tree
+
+        # the leaves of the shuffle recursion on two chains of n vertices:
+        # the paths of an n x n grid, and with the weight term the Delannoy
+        # number (diagonal steps too)
+        ten = parse_forest(chain(10))
+        assert _recursion_leaves("shuffle", ten, ten, Fraction(0)) == 184756
+        assert _recursion_leaves("shuffle", ten, ten, Fraction(1)) == 8097453
+        for argv in (
+            [chain(10), chain(10)],
+            [chain(10), chain(10), "--lambda", "1"],
+            [chain(10), chain(10), "--lambda", "1", "--product", "star"],
+            [chain(10), chain(10), "--lambda", "1", "--product", "diamond"],
+            [chain(12), chain(12)],
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "shuffle", *argv)
+            assert time.perf_counter() - start < 1
+            assert code == 4 and out == ""
+            assert f"guarded to {SHUFFLE_GUARD} recursion leaves" in err
+
 
 class TestVerify:
     def test_deterministic_json(self, capsys):
@@ -347,7 +375,8 @@ class TestVerify:
         assert code == 0, out
         assert out.count("[ok]") == 6
 
-        # --samples 1 still runs a case of every check family
+        # --samples 1 and --max-degree 2 still run a case of every check
+        # family; only the brute counts are per degree, by design
         from forestshuffle.suites import SuiteReport
 
         labels: set[str] = set()
@@ -359,12 +388,13 @@ class TestVerify:
 
         monkeypatch.setattr(SuiteReport, "check", recording)
         families = {}
-        for samples in ((), ("--samples", "1")):
+        for flags in (("--max-degree", "5"), ("--max-degree", "5", "--samples", "1"), ("--max-degree", "2")):
             labels.clear()
-            code, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "5", *samples)
+            code, out, _ = run(capsys, "verify", "--suite", "all", *flags)
             assert code == 0, out
-            families[samples] = set(labels)
-        assert families[()] - families["--samples", "1"] == set()
+            families[flags] = {re.sub(r"\(n=\d+\)", "(n=k)", label) for label in labels}
+        for flags, ran in families.items():
+            assert families["--max-degree", "5"] - ran == set(), flags
 
     def test_verify_all_at_degree_five(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "5", "--seed", "42")

@@ -30,8 +30,6 @@ from forestshuffle import (
 )
 from forestshuffle.dual import (
     FAMILY_GUARD,
-    _forests_on_multiset,
-    _trees_on_multiset,
     dual_oracle_brute,
     family_count,
     graft_leaves_lin,
@@ -40,6 +38,8 @@ from forestshuffle.dual import (
 from forestshuffle.forest import Decoration, Forest, GuardExceeded, leaf_refs
 from forestshuffle.primitives import decorate_distinct, enumerate_shapes
 from forestshuffle.sampling import (
+    _forests_on_multiset,
+    _trees_on_multiset,
     default_alphabet,
     forests_up_to,
     random_tree,
