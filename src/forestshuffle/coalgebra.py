@@ -16,15 +16,13 @@ from fractions import Fraction
 from functools import cache
 
 from .forest import EMPTY, Forest, RootedTree, b_plus
-from .linalg import LinComb, TensorComb, lincomb_sum, tensor_map_basis
+from .linalg import LinComb, TensorComb, bilinear, lincomb_sum
 from .words import Word, is_linear, tree_to_word, word_to_tree
 
 __all__ = [
     "trunk_coproduct",
-    "trunk_coproduct_lin",
     "counit",
     "right_antipode",
-    "antipode_leg",
     "antipode_square_residual",
 ]
 
@@ -59,11 +57,6 @@ def _trunk(forest: Forest) -> TensorComb[Forest]:
     return result
 
 
-def trunk_coproduct_lin(x: LinComb[Forest]) -> TensorComb[Forest]:
-    """Linear extension of the trunk coproduct."""
-    return tensor_map_basis(x, 2, trunk_coproduct)
-
-
 def counit(x: LinComb[Forest] | Forest) -> Fraction:
     """The coefficient of the empty forest."""
     if isinstance(x, Forest):
@@ -81,7 +74,7 @@ def right_antipode(tree: RootedTree) -> LinComb[Forest]:
     return LinComb.of(word_to_tree(Word(tree_to_word(forest).letters[::-1])), sign)
 
 
-def antipode_leg(forest: Forest) -> LinComb[Forest]:
+def _antipode_leg(forest: Forest) -> LinComb[Forest]:
     """The antipode as applied to a tensor leg inside the counit square.
 
     On nonempty trees this is ``right_antipode``.  The empty leg is sent to
@@ -97,9 +90,9 @@ def antipode_leg(forest: Forest) -> LinComb[Forest]:
 def antipode_square_residual(tree: RootedTree) -> LinComb[Forest]:
     """shuffle∘(Id⊗S)∘Δ applied to a nonempty tree; zero iff the right
     antipode square commutes on that tree."""
-    from .shuffle import shuffle_lin
+    from .shuffle import forest_shuffle
 
     return lincomb_sum(
-        shuffle_lin(LinComb.of(left, c), antipode_leg(right))
+        bilinear(forest_shuffle, LinComb.of(left, c), _antipode_leg(right))
         for (left, right), c in trunk_coproduct(tree.as_forest())._terms.items()
     )

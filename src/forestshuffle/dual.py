@@ -48,7 +48,7 @@ from .forest import (
     subtree_at,
     vertex_refs,
 )
-from .linalg import LinComb, TensorComb, bilinear
+from .linalg import LinComb, TensorComb
 from .sampling import _forests_on_multiset, _multiset_splits
 from .shuffle import shuffle_coefficient
 
@@ -67,8 +67,6 @@ __all__ = [
     "family_count",
     "graft_leaves",
     "graft_linear",
-    "graft_leaves_lin",
-    "graft_linear_lin",
 ]
 
 ORACLE_GUARD = 8
@@ -544,11 +542,3 @@ def graft_linear(base: Forest | RootedTree, scion: Forest | RootedTree) -> LinCo
     if not base.is_empty and len(leaf_refs(base.single_tree())) > 1:
         return LinComb.zero()
     return graft_leaves(base, scion)
-
-
-def graft_leaves_lin(x: LinComb[Forest], y: LinComb[Forest]) -> LinComb[Forest]:
-    return bilinear(graft_leaves, x, y)
-
-
-def graft_linear_lin(x: LinComb[Forest], y: LinComb[Forest]) -> LinComb[Forest]:
-    return bilinear(graft_linear, x, y)

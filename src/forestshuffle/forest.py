@@ -36,7 +36,6 @@ __all__ = [
     "concat",
     "parse_forest",
     "render_forest",
-    "canonical_key",
     "vertex_refs",
     "subtree_at",
     "leaf_refs",
@@ -111,11 +110,6 @@ class Decoration:
 
 
 UNIT = Decoration()
-
-
-def atom(name: str) -> Decoration:
-    """Decoration consisting of the single atom ``name``."""
-    return Decoration((name,))
 
 
 class RootedTree:
@@ -288,11 +282,6 @@ def _redecorate(tree: RootedTree, fn: Callable[[Decoration], Decoration]) -> Roo
     """The tree with every decoration d replaced by fn(d); fn is called on
     the vertices in preorder over the canonical layout."""
     return RootedTree(fn(tree.decoration), [_redecorate(c, fn) for c in tree.children])
-
-
-def canonical_key(forest: Forest) -> bytes:
-    """Canonical key: equal keys iff isomorphic decorated forests."""
-    return forest.key.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

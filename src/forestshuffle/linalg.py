@@ -27,7 +27,6 @@ __all__ = [
     "lincomb_json",
     "lincomb_sum",
     "render_lincomb",
-    "render_tensor",
     "tensor",
     "tensor_json",
     "tensor_map_basis",
@@ -312,8 +311,6 @@ def render_lincomb(x: LinComb) -> str:
             parts.append(f"{'-' if c < 0 else '+'} {body}")
     return " ".join(parts)
 
-
-render_tensor = render_lincomb
 
 
 def lincomb_json(x: LinComb) -> dict:

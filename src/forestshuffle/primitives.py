@@ -21,7 +21,6 @@ __all__ = [
     "count_shapes",
     "primitive_count_recursive",
     "primitive_count_brute",
-    "shape_of",
     "decorate_distinct",
 ]
 
@@ -100,11 +99,6 @@ def primitive_count_brute(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     return sum(1 for shape in enumerate_shapes(n) if is_primitive(shape))
-
-
-def shape_of(tree: RootedTree) -> RootedTree:
-    """Forget decorations."""
-    return _redecorate(tree, lambda _: UNIT)
 
 
 def decorate_distinct(shape: RootedTree) -> RootedTree:

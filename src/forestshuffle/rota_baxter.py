@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .forest import Decoration, Forest, RootedTree, UNIT, b_plus
+from .forest import Decoration, Forest, UNIT, b_plus
 from .linalg import LinComb, bilinear
 from .shuffle import _graft_all, diamond_product
 from .words import Word, word_shuffle
@@ -29,7 +29,6 @@ __all__ = [
     "word_P",
     "word_diamond",
     "word_algebra",
-    "forest_rb_operator",
     "forest_algebra",
     "corrupted_forest_algebra",
     "rb_residual",
@@ -76,11 +75,6 @@ def word_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
         # word_P is injective, so a clean combination maps to a clean one
         operator=lambda x: LinComb._trusted({word_P(w): c for w, c in x._terms.items()}),
     )
-
-
-def forest_rb_operator(forest: Forest) -> RootedTree:
-    """Graft a unit-decorated root below the forest."""
-    return b_plus(UNIT, forest)
 
 
 def _grafting_algebra(name: str, lam: Fraction | int, root: Decoration) -> RotaBaxterAlgebra:
@@ -154,7 +148,7 @@ def intertwining_sides(f: Forest, words: RotaBaxterAlgebra) -> tuple[LinComb, Li
     algebra ``words`` through ``word_embedding``."""
     return (
         words.operator(phi_bar(f, words, word_embedding)),
-        phi_bar(forest_rb_operator(f).as_forest(), words, word_embedding),
+        phi_bar(b_plus(UNIT, f).as_forest(), words, word_embedding),
     )
 
 

@@ -22,7 +22,6 @@ from .linalg import LinComb, bilinear, lincomb_sum
 
 __all__ = [
     "forest_shuffle",
-    "shuffle_lin",
     "star_product",
     "diamond_product",
     "shuffle_coefficient",
@@ -116,11 +115,6 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
     if first.size + second.size <= _MEMO_SIZE_LIMIT:
         _shuffle_cache[key] = result
     return result
-
-
-def shuffle_lin(x: LinComb[Forest], y: LinComb[Forest], lam: Fraction | int = 0) -> LinComb[Forest]:
-    """Bilinear extension of the forest shuffle."""
-    return bilinear(forest_shuffle, x, y, lam)
 
 
 def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinComb[Forest]:
@@ -297,8 +291,8 @@ def find_nonassociativity_witness(max_degree: int) -> tuple[Forest, Forest, Fore
             for z in pool:
                 if x.size + y.size + z.size > max_degree:
                     continue
-                left = shuffle_lin(forest_shuffle(x, y), LinComb.of(z))
-                right = shuffle_lin(LinComb.of(x), forest_shuffle(y, z))
+                left = bilinear(forest_shuffle, forest_shuffle(x, y), LinComb.of(z))
+                right = bilinear(forest_shuffle, LinComb.of(x), forest_shuffle(y, z))
                 if left != right:
                     return (x, y, z)
     return None

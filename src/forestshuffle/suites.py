@@ -12,22 +12,17 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .coalgebra import (
-    antipode_square_residual,
-    counit,
-    trunk_coproduct,
-    trunk_coproduct_lin,
-)
+from .coalgebra import antipode_square_residual, counit, trunk_coproduct
 from .dual import (
     admissible_families,
     contraction_fertility,
     dual_combinatorial,
     dual_oracle,
     dual_recursive,
-    graft_leaves_lin,
+    graft_leaves,
     graft_linear,
-    graft_linear_lin,
     is_admissible_direct,
     reduced_dual,
 )
@@ -45,7 +40,7 @@ from .forest import (
     render_forest,
     vertex_refs,
 )
-from .linalg import LinComb, TensorComb, render_lincomb, tensor
+from .linalg import LinComb, TensorComb, bilinear, render_lincomb, tensor, tensor_map_basis
 from .primitives import (
     decorate_distinct,
     enumerate_shapes,
@@ -426,7 +421,7 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
     )
 
     def bialgebra_case(t1: Forest, t2: Forest, lam: Fraction) -> bool:
-        lhs = trunk_coproduct_lin(forest_shuffle(t1, t2, lam))
+        lhs = tensor_map_basis(forest_shuffle(t1, t2, lam), 2, trunk_coproduct)
         big = (
             tensor(LinComb.of(t1), LinComb.of(t2))
             .expand_leg(0, trunk_coproduct)
@@ -553,7 +548,7 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
         x = LinComb.of(random_tree(rng, rng.randint(1, cap), alphabet))
         y = LinComb.of(random_tree(rng, rng.randint(1, cap), alphabet))
         z = LinComb.of(random_tree(rng, rng.randint(1, cap), alphabet))
-        op = graft_linear_lin
+        op = partial(bilinear, graft_linear)
         assoc = op(op(x, y), z) - op(x, op(y, z))
         rep.check(
             "tip-grafting associator symmetric in first two",
@@ -567,7 +562,7 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
             op(op(x, z), y) - op(x, op(z, y)),
             assoc,
         )
-        lop = graft_leaves_lin
+        lop = partial(bilinear, graft_leaves)
         rep.check(
             "leaf-grafting associator symmetric in last two",
             f"{render_lincomb(x)} | {render_lincomb(y)} | {render_lincomb(z)}",

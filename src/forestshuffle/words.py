@@ -17,8 +17,6 @@ from .linalg import LinComb, TensorComb
 
 __all__ = [
     "Word",
-    "EMPTY_WORD",
-    "word_concat",
     "word_shuffle",
     "word_shuffle_brute",
     "word_to_tree",
@@ -63,13 +61,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.key!r})"
-
-
-EMPTY_WORD = Word(())
-
-
-def word_concat(first: Word, second: Word) -> Word:
-    return Word(first.letters + second.letters)
 
 
 def word_shuffle(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from forestshuffle import Decoration, Forest, RootedTree
+from forestshuffle.forest import Decoration, Forest, RootedTree
 
 ATOMS = ("a", "b", "c")
 

@@ -7,44 +7,40 @@ lines as they complete.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
-import pytest
-
-from forestshuffle import (
-    EMPTY,
-    LinComb,
-    TensorComb,
-    counit,
-    diamond_product,
+from forestshuffle.cli import main
+from forestshuffle.coalgebra import counit, trunk_coproduct
+from forestshuffle.dual import (
     dual_combinatorial,
     dual_oracle,
     dual_recursive,
-    find_nonassociativity_witness,
-    forest_shuffle,
-    parse_forest,
+    graft_leaves,
+    graft_linear,
+    reduced_dual,
+)
+from forestshuffle.forest import EMPTY, parse_forest
+from forestshuffle.linalg import LinComb, TensorComb, bilinear
+from forestshuffle.primitives import (
+    decorate_distinct,
+    enumerate_shapes,
+    is_primitive,
     primitive_count_brute,
     primitive_count_recursive,
-    reduced_dual,
-    shuffle_lin,
-    trunk_coproduct,
 )
-from forestshuffle.cli import main
-from forestshuffle.dual import graft_leaves_lin, graft_linear_lin
-from forestshuffle.primitives import decorate_distinct, enumerate_shapes, is_primitive
 from forestshuffle.sampling import default_alphabet, random_tree, trees_up_to
+from forestshuffle.shuffle import diamond_product, find_nonassociativity_witness, forest_shuffle
 from forestshuffle.suites import (
     SuiteConfig,
+    _distinct_forest_shapes,
     normalization_report,
     suite_coalgebra,
-    suite_dual,
     suite_rota_baxter,
-    _distinct_forest_shapes,
 )
 from forestshuffle.words import is_linear
 
@@ -245,18 +241,18 @@ def test_criterion_09_pre_lie_and_witness(capsys):
         x = LinComb.of(random_tree(rng, rng.randint(1, 3), alphabet))
         y = LinComb.of(random_tree(rng, rng.randint(1, 3), alphabet))
         z = LinComb.of(random_tree(rng, rng.randint(1, 3), alphabet))
-        op = graft_linear_lin
+        op = partial(bilinear, graft_linear)
         assoc = op(op(x, y), z) - op(x, op(y, z))
         ok &= assoc == op(op(y, x), z) - op(y, op(x, z))
         ok &= assoc == op(op(x, z), y) - op(x, op(z, y))
-        lop = graft_leaves_lin
+        lop = partial(bilinear, graft_leaves)
         ok &= lop(lop(x, y), z) - lop(x, lop(y, z)) == lop(lop(x, z), y) - lop(x, lop(z, y))
     witness = find_nonassociativity_witness(4)
     ok &= witness is not None
     if witness:
         x, y, z = witness
-        left = shuffle_lin(forest_shuffle(x, y), LinComb.of(z))
-        right = shuffle_lin(LinComb.of(x), forest_shuffle(y, z))
+        left = bilinear(forest_shuffle, forest_shuffle(x, y), LinComb.of(z))
+        right = bilinear(forest_shuffle, LinComb.of(x), forest_shuffle(y, z))
         ok &= left != right
     with capsys.disabled():
         _report("9 pre-Lie identities (300 triples) + shuffle non-associativity witness", ok)

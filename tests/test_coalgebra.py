@@ -6,19 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from forestshuffle import (
-    EMPTY,
-    LinComb,
-    TensorComb,
+from forestshuffle.coalgebra import (
+    antipode_square_residual,
     counit,
-    forest_shuffle,
-    parse_forest,
     right_antipode,
-    tensor,
     trunk_coproduct,
 )
-from forestshuffle.coalgebra import antipode_square_residual, trunk_coproduct_lin
+from forestshuffle.forest import EMPTY, parse_forest
+from forestshuffle.linalg import LinComb, TensorComb, tensor, tensor_map_basis
 from forestshuffle.sampling import default_alphabet, trees_of_size, trees_up_to
+from forestshuffle.shuffle import forest_shuffle
 from forestshuffle.words import Word, deconcatenation, is_linear, word_to_tree
 
 from conftest import trees
@@ -132,7 +129,7 @@ class TestRightAntipode:
 class TestBialgebra:
     @staticmethod
     def _compatible(t1, t2, lam) -> bool:
-        lhs = trunk_coproduct_lin(forest_shuffle(t1, t2, lam))
+        lhs = tensor_map_basis(forest_shuffle(t1, t2, lam), 2, trunk_coproduct)
         big = (
             tensor(LinComb.of(t1), LinComb.of(t2))
             .expand_leg(0, trunk_coproduct)

@@ -3,39 +3,39 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 
-from forestshuffle import (
-    EMPTY,
-    LinComb,
-    TensorComb,
+from forestshuffle.coalgebra import trunk_coproduct
+from forestshuffle.dual import (
+    FAMILY_GUARD,
     admissible_families,
     contraction_fertility,
     dual_combinatorial,
     dual_oracle,
+    dual_oracle_brute,
     dual_recursive,
-    graft_at,
+    family_count,
     graft_leaves,
     graft_linear,
-    induced_subtree,
     is_admissible_direct,
-    parse_forest,
     reduced_dual,
-    shuffle_coefficient,
+)
+from forestshuffle.forest import (
+    EMPTY,
+    Decoration,
+    Forest,
+    GuardExceeded,
+    graft_at,
+    induced_subtree,
+    leaf_refs,
+    parse_forest,
     subtree_at,
-    trunk_coproduct,
     vertex_refs,
 )
-from forestshuffle.dual import (
-    FAMILY_GUARD,
-    dual_oracle_brute,
-    family_count,
-    graft_leaves_lin,
-    graft_linear_lin,
-)
-from forestshuffle.forest import Decoration, Forest, GuardExceeded, leaf_refs
+from forestshuffle.linalg import LinComb, TensorComb, bilinear
 from forestshuffle.primitives import decorate_distinct, enumerate_shapes
 from forestshuffle.sampling import (
     _forests_on_multiset,
@@ -46,9 +46,10 @@ from forestshuffle.sampling import (
     trees_of_size,
     trees_up_to,
 )
+from forestshuffle.shuffle import shuffle_coefficient
 from forestshuffle.words import Word, deshuffle, word_to_tree
 
-from conftest import any_forests, any_trees, trees
+from conftest import any_forests, any_trees
 
 P = parse_forest
 Q = Fraction
@@ -420,11 +421,11 @@ class TestGrafting:
             x = LinComb.of(random_tree(rng, rng.randint(1, 3), alphabet))
             y = LinComb.of(random_tree(rng, rng.randint(1, 3), alphabet))
             z = LinComb.of(random_tree(rng, rng.randint(1, 3), alphabet))
-            op = graft_linear_lin
+            op = partial(bilinear, graft_linear)
             assoc = op(op(x, y), z) - op(x, op(y, z))
             assert assoc == op(op(y, x), z) - op(y, op(x, z))
             assert assoc == op(op(x, z), y) - op(x, op(z, y))
-            lop = graft_leaves_lin
+            lop = partial(bilinear, graft_leaves)
             left = lop(lop(x, y), z) - lop(x, lop(y, z))
             assert left == lop(lop(x, z), y) - lop(x, lop(z, y))
 

@@ -16,22 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forestshuffle
-from forestshuffle import (
-    LinComb,
-    TensorComb,
-    Word,
-    deshuffle,
-    diamond_product,
-    dual_combinatorial,
-    dual_recursive,
-    forest_shuffle,
-    graft_leaves,
-    parse_forest as P,
-    star_product,
-    trunk_coproduct,
-    word_shuffle,
-)
-from forestshuffle.linalg import bilinear, render_lincomb, tensor_map_basis
+from forestshuffle.coalgebra import trunk_coproduct
+from forestshuffle.dual import dual_combinatorial, dual_recursive, graft_leaves
+from forestshuffle.forest import parse_forest as P
+from forestshuffle.linalg import LinComb, TensorComb, bilinear, render_lincomb, tensor_map_basis
+from forestshuffle.shuffle import diamond_product, forest_shuffle, star_product
+from forestshuffle.words import Word, deshuffle, word_shuffle
 
 from conftest import decorations, forests, nonempty_forests, trees
 
@@ -151,17 +141,23 @@ def test_every_exported_name_resolves(module):
 
 
 def test_package_namespace_resolves():
-    modules = _modules()
-    for name in dir(forestshuffle):
-        value = getattr(forestshuffle, name)
-        if name.startswith("_") or isinstance(value, types.ModuleType):
-            continue
-        assert any(getattr(m, name, None) is value for m in modules), name
+    """The package root re-exports nothing: every name has one import path,
+    the module that defines it."""
+    _modules()
+    public = [
+        name
+        for name, value in vars(forestshuffle).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert public == []
+    assert isinstance(forestshuffle.__version__, str)
 
 
-def _module_files():
+def _source_files():
+    """The package's modules and the test files."""
     root = Path(forestshuffle.__file__).parent
-    return sorted(p for p in root.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(p for p in root.glob("*.py") if p.name != "__init__.py")
+    return modules + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -184,7 +180,7 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", _module_files(), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", _source_files(), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -5,17 +5,16 @@ import random
 
 import pytest
 
-from forestshuffle import (
+from forestshuffle.dual import reduced_dual
+from forestshuffle.forest import UNIT, GuardExceeded, RootedTree, _redecorate, parse_forest
+from forestshuffle.primitives import (
+    count_shapes,
     decorate_distinct,
     enumerate_shapes,
     is_primitive,
-    parse_forest,
     primitive_count_brute,
     primitive_count_recursive,
-    reduced_dual,
 )
-from forestshuffle.forest import GuardExceeded, RootedTree
-from forestshuffle.primitives import count_shapes, shape_of
 from forestshuffle.sampling import default_alphabet
 
 P = parse_forest
@@ -47,7 +46,7 @@ class TestIsPrimitive:
         for n in range(1, 8):
             for shape in enumerate_shapes(n):
                 assert is_primitive(redecorate(shape)) == is_primitive(shape)
-                assert shape_of(decorate_distinct(shape)) == shape
+                assert _redecorate(decorate_distinct(shape), lambda _: UNIT) == shape
 
 
 class TestEnumerateShapes:

@@ -7,28 +7,22 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-import hypothesis.strategies as st
 
-from forestshuffle import (
-    Decoration,
-    EMPTY,
-    LinComb,
-    UNIT,
-    Word,
-    concat,
-    diamond_product,
+from forestshuffle.cli import main
+from forestshuffle.forest import EMPTY, UNIT, Decoration, b_plus, concat, parse_forest
+from forestshuffle.linalg import LinComb
+from forestshuffle.rota_baxter import (
     forest_algebra,
-    forest_rb_operator,
-    parse_forest,
     phi_bar,
+    rb_residual,
     word_P,
     word_algebra,
     word_diamond,
     word_embedding,
 )
-from forestshuffle.cli import main
-from forestshuffle.rota_baxter import rb_residual
-from forestshuffle.sampling import default_alphabet, forests_of_size, random_forest, random_word
+from forestshuffle.sampling import default_alphabet, forests_of_size, random_forest
+from forestshuffle.shuffle import diamond_product
+from forestshuffle.words import Word
 
 from conftest import nonempty_forests, weights
 
@@ -74,9 +68,9 @@ class TestWordDiamond:
 
 class TestForestOperator:
     def test_unit_root(self):
-        assert forest_rb_operator(EMPTY).as_forest() == P("1")
-        assert forest_rb_operator(P("a b")).as_forest() == P("1[a,b]")
-        assert forest_rb_operator(P("a")).as_forest() == P("1[a]")
+        assert b_plus(UNIT, EMPTY).as_forest() == P("1")
+        assert b_plus(UNIT, P("a b")).as_forest() == P("1[a,b]")
+        assert b_plus(UNIT, P("a")).as_forest() == P("1[a]")
 
 
 class TestRotaBaxterIdentity:
@@ -151,7 +145,7 @@ class TestPhiBar:
             alphabet = default_alphabet(("a", "b"))
             for _ in range(60):
                 f = random_forest(rng, rng.randint(1, 5), alphabet)
-                assert phi_bar(forest_rb_operator(f).as_forest(), alg, word_embedding) == alg.operator(
+                assert phi_bar(b_plus(UNIT, f).as_forest(), alg, word_embedding) == alg.operator(
                     phi_bar(f, alg, word_embedding)
                 )
 

@@ -5,26 +5,20 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-import hypothesis.strategies as st
 
-from forestshuffle import (
-    Decoration,
-    EMPTY,
-    LinComb,
-    Word,
+from forestshuffle.forest import EMPTY, Decoration, parse_forest
+from forestshuffle.linalg import LinComb, bilinear
+from forestshuffle.sampling import default_alphabet, trees_of_size
+from forestshuffle.shuffle import (
     diamond_product,
     find_nonassociativity_witness,
     forest_shuffle,
-    parse_forest,
     shuffle_coefficient,
-    shuffle_lin,
     star_product,
-    word_shuffle,
 )
-from forestshuffle.sampling import default_alphabet, trees_of_size
-from forestshuffle.words import word_to_tree
+from forestshuffle.words import Word, word_shuffle, word_to_tree
 
-from conftest import forests, nonempty_forests, weights
+from conftest import nonempty_forests, weights
 
 P = parse_forest
 Q = Fraction
@@ -125,8 +119,8 @@ class TestForestShuffle:
         assert witness is not None
         x, y, z = witness
         assert x.size + y.size + z.size <= 4
-        left = shuffle_lin(forest_shuffle(x, y), LinComb.of(z))
-        right = shuffle_lin(LinComb.of(x), forest_shuffle(y, z))
+        left = bilinear(forest_shuffle, forest_shuffle(x, y), LinComb.of(z))
+        right = bilinear(forest_shuffle, LinComb.of(x), forest_shuffle(y, z))
         assert left != right
 
 
@@ -210,7 +204,7 @@ class TestStarAndDiamond:
 
 class TestMemo:
     def test_products_of_large_operands_are_not_memoized(self):
-        from forestshuffle import shuffle as sh
+        import forestshuffle.shuffle as sh
 
         memos = (sh._shuffle_cache, sh._star_cache, sh._diamond_cache)
         for memo in memos:  # pure memos: clearing them changes no result

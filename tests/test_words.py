@@ -1,18 +1,19 @@
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from hypothesis import given
 import hypothesis.strategies as st
 
-from forestshuffle import Decoration, EMPTY_WORD, LinComb, Word, word_shuffle
+from forestshuffle.forest import Decoration
+from forestshuffle.linalg import LinComb
 from forestshuffle.words import (
+    Word,
     deconcatenation,
     deshuffle,
     is_linear,
     tree_to_word,
-    word_concat,
+    word_shuffle,
     word_shuffle_brute,
     word_to_tree,
 )
@@ -25,8 +26,8 @@ words = st.builds(Word, st.lists(letters, max_size=4))
 
 def test_unit():
     w = Word((A, B))
-    assert word_shuffle(EMPTY_WORD, w) == LinComb.of(w)
-    assert word_shuffle(w, EMPTY_WORD) == LinComb.of(w)
+    assert word_shuffle(Word(()), w) == LinComb.of(w)
+    assert word_shuffle(w, Word(())) == LinComb.of(w)
 
 
 def test_two_against_one_is_plain_interleaving():
@@ -69,7 +70,7 @@ def test_atom_count_additive_at_any_weight(w, v):
 
 
 def test_linear_tree_injection():
-    assert word_to_tree(EMPTY_WORD).is_empty
+    assert word_to_tree(Word(())).is_empty
     t = word_to_tree(Word((A, B, C)))
     assert t.key == "a[b[c]]"
     assert is_linear(t)
@@ -89,7 +90,3 @@ def test_deshuffle_is_dual_to_brute_shuffle():
     d = deshuffle(w)
     for (u, v), c in d.items():
         assert word_shuffle_brute(u, v).coefficient(w) == c
-
-
-def test_concat():
-    assert word_concat(Word((A,)), Word((B,))) == Word((A, B))
