@@ -24,7 +24,7 @@ from .dual import (
 )
 from .forest import MAX_TREE_DEPTH, Forest, GuardExceeded, TreeSyntaxError, parse_forest, parse_tree
 from .linalg import LinComb, TensorComb, lincomb_json, render_lincomb, tensor_json
-from .primitives import enumerate_shapes, is_primitive, primitive_count_recursive
+from .primitives import COUNT_GUARD, _rooted_counts, enumerate_shapes, is_primitive
 from .rota_baxter import (
     corrupted_forest_algebra,
     diamond_morphism_sides,
@@ -267,7 +267,10 @@ def _cmd_primitives(args) -> int:
 
     if args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
-    values = [primitive_count_recursive(n) for n in range(args.count + 1)]
+    if args.count > COUNT_GUARD:
+        raise GuardExceeded(f"--count is guarded to {COUNT_GUARD}, got {args.count}")
+    # one pass gives every p_n up to N
+    values = _rooted_counts(args.count, single_child=False)
     if args.json:
         print(json.dumps(values))
     else:

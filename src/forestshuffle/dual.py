@@ -15,8 +15,8 @@ Three independent routes to the dual coproduct coexist here:
 ``dual_oracle_brute`` is the reference for the oracle: it pairs every basis
 split of the decoration multiset through ``shuffle_coefficient``, which is
 ground truth by definition, and deliberately shares no code with the two
-formulas or the transpose.  The tests check the transpose against it term
-for term; the verification suites call the transpose.
+formulas or the transpose.  The tests and the dual verification suite check
+the transpose against it term for term.
 
 The recursive/combinatorial forms carry the alpha/fertility weights as
 stated; strict duality normalizes differently.  The verification suites
@@ -500,9 +500,9 @@ def dual_oracle(forest: Forest) -> TensorComb[Forest]:
       with coefficient c·m(t, t R1)·m(u, u R2)/((|R1|+1)(|R2|+1)), where
       m(t, G) is the multiplicity of the tree t in G.
 
-    Equal to ``dual_oracle_brute`` term for term, which the tests check;
-    the verification suites call this function, not the brute.  Guarded to
-    the same ``ORACLE_GUARD`` vertices.
+    Equal to ``dual_oracle_brute`` term for term, which the tests and the
+    dual verification suite check (the suite up to 4 vertices, where the
+    brute is cheap).  Guarded to the same ``ORACLE_GUARD`` vertices.
     """
     if forest.size > ORACLE_GUARD:
         raise GuardExceeded(

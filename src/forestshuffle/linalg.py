@@ -312,7 +312,6 @@ def render_lincomb(x: LinComb) -> str:
     return " ".join(parts)
 
 
-
 def lincomb_json(x: LinComb) -> dict:
     return {"terms": [{"coeff": str(c), "forest": b.key} for b, c in x.items()]}
 

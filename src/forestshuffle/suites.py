@@ -20,6 +20,7 @@ from .dual import (
     contraction_fertility,
     dual_combinatorial,
     dual_oracle,
+    dual_oracle_brute,
     dual_recursive,
     graft_leaves,
     graft_linear,
@@ -42,6 +43,7 @@ from .forest import (
 )
 from .linalg import LinComb, TensorComb, bilinear, render_lincomb, tensor, tensor_map_basis
 from .primitives import (
+    count_shapes,
     decorate_distinct,
     enumerate_shapes,
     is_primitive,
@@ -75,7 +77,7 @@ from .shuffle import (
     shuffle_coefficient,
     star_product,
 )
-from .words import Word, deconcatenation, deshuffle, is_linear, word_shuffle, word_to_tree
+from .words import Word, deconcatenation, deshuffle, is_linear, word_shuffle, word_shuffle_brute, word_to_tree
 
 __all__ = ["SuiteConfig", "SuiteReport", "CaseFailure", "SUITES", "run_suite", "normalization_report"]
 
@@ -319,17 +321,24 @@ def suite_shuffle(cfg: SuiteConfig) -> SuiteReport:
             + ", ".join(render_forest(w) for w in witness)
         )
 
-    # word compatibility along the linear-tree injection
+    # word compatibility along the linear-tree injection; at weight 0 the
+    # word shuffle is checked against its interleaving reference as well
     for lam in (Fraction(0), Fraction(1)):
         for n1 in range(0, cfg.degree(5) + 1):
             for n2 in range(0, cfg.degree(5) - n1 + 1):
                 for letters1 in itertools.product(alphabet, repeat=n1):
                     for letters2 in itertools.product(alphabet, repeat=n2):
                         w1, w2 = Word(letters1), Word(letters2)
+                        in_words = word_shuffle(w1, w2, lam)
+                        if not lam:
+                            rep.check(
+                                "word shuffle == interleavings",
+                                f"{w1.key} | {w2.key}",
+                                word_shuffle_brute(w1, w2),
+                                in_words,
+                            )
                         lhs = forest_shuffle(word_to_tree(w1), word_to_tree(w2), lam)
-                        rhs = LinComb(
-                            {word_to_tree(w): c for w, c in word_shuffle(w1, w2, lam).items()}
-                        )
+                        rhs = LinComb({word_to_tree(w): c for w, c in in_words.items()})
                         rep.check(
                             f"word compatibility (weight {lam})",
                             f"{w1.key} | {w2.key}",
@@ -519,6 +528,14 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
     for f in forests_up_to(cfg.degree(6), alphabet):
         rep.check("oracle == σ-refined reciprocal formula (2 atoms)", f.key, dual_oracle(f), _sigma_refined_oracle(f))
 
+    # the transpose against its brute-force reference, which pairs every
+    # basis split through shuffle_coefficient; degree 4 keeps the brute cheap
+    for n in range(0, cfg.degree(4) + 1):
+        for f in _distinct_forest_shapes(n):
+            rep.check("transpose == brute oracle (distinct atoms)", f.key, dual_oracle_brute(f), dual_oracle(f))
+    for f in forests_up_to(cfg.degree(4), alphabet):
+        rep.check("transpose == brute oracle (2 atoms)", f.key, dual_oracle_brute(f), dual_oracle(f))
+
     for n in range(0, cfg.degree(5) + 1):
         for letters in itertools.product(alphabet, repeat=n):
             w = Word(letters)
@@ -612,6 +629,7 @@ def suite_primitives(cfg: SuiteConfig) -> SuiteReport:
             primitive_count_recursive(n),
             primitive_count_brute(n),
         )
+        rep.check("shape count == enumeration", str(n), count_shapes(n), len(enumerate_shapes(n)))
     table = [0, 1, 0, 1, 1, 2, 3, 6, 10, 19, 35, 67, 127, 248, 482, 952, 1885, 3765, 7546, 15221, 30802, 62620, 127702, 261335]
     rep.check(
         "recursive count table 0..23",

@@ -10,6 +10,7 @@ import pytest
 
 from forestshuffle.cli import RB_DEGREE_GUARD, SHUFFLE_GUARD, _build_parser, _recursion_leaves, main
 from forestshuffle.forest import MAX_TREE_DEPTH, parse_forest
+from forestshuffle.primitives import COUNT_GUARD
 
 
 def run(capsys, *argv):
@@ -94,6 +95,20 @@ class TestOtherVerbs:
         assert [int(x) for x in out.split()] == [0, 1, 0, 1, 1, 2, 3, 6, 10, 19, 35, 67, 127]
         rows = csv.read_text().strip().splitlines()
         assert rows[0] == "0,0" and rows[12] == "12,127"
+
+    # sha256 of primitives --count 300, as printed when each p_n was
+    # recomputed from scratch
+    COUNT_300_DIGEST = "537409da0dfde7d93547effb156cd28f5e988130ff6f9cdd51f48883d5eec3b9"
+
+    def test_primitives_count_takes_one_pass(self, capsys):
+        # recomputing every p_n from scratch took 68 s at N = 1,000
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "primitives", "--count", "1000")
+        assert time.perf_counter() - start < 2
+        assert code == 0 and len(out.split()) == 1001
+        code, out, _ = run(capsys, "primitives", "--count", "300")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.COUNT_300_DIGEST
 
     def test_primitives_list(self, capsys):
         code, out, _ = run(capsys, "primitives", "--list", "5")
@@ -320,6 +335,13 @@ class TestErrorPaths:
         assert code == 4 and out == ""
         assert f"guarded to degree {RB_DEGREE_GUARD}" in err
 
+    def test_primitive_count_past_the_guard_is_status_4(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "primitives", "--count", str(COUNT_GUARD + 1))
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert f"--count is guarded to {COUNT_GUARD}" in err
+
     def test_shuffle_past_the_guard_is_status_4(self, capsys):
         def chain(depth):  # a[b[a[...]]]
             tree = "ab"[(depth - 1) % 2]
@@ -429,12 +451,12 @@ class TestGoldenOutput:
 
     # sha256 of verify --suite all --json --max-degree 5, per seed
     VERIFY_DIGESTS = {
-        0: "b55d7fb9e554aa78e595f28eb2f5beb503e231f5b29c9951ad31a19b82972255",
-        42: "ccf548cf3b3127ebcc2a8ab6c06bbb4a2a2a55d1ef9b1811b51b19ac236250ae",
+        0: "a561e61b15c0aab7fa5a72b77857a51fb34412e3c589ae150c6c7ca49fe39e76",
+        42: "7023255fb80ba82d8e22a889753769e3f18f1ec8ec28312d6ca55a4ffc5785fb",
     }
 
     # sha256 of verify --suite all --json --seed 0 at the suites' full degrees
-    FULL_VERIFY_DIGEST = "610ef0cee3e27e83be87a0f5c16981d05a83a53be9be68eafa879f4acc26cc14"
+    FULL_VERIFY_DIGEST = "c8049b39669cf18239b7755bb7cb0f05db2b0caee93b3c94e70839d53f81d849"
 
     # sha256 of rb --check morphism --json, per weight
     MORPHISM_DIGESTS = {
