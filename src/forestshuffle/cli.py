@@ -148,42 +148,45 @@ def _recursion_leaves(product: str, first: Forest, second: Forest, lam: Fraction
     counted without expanding, by the same recursion on integers (memoized
     per call).  Each leaf is a unit case, so the count bounds the terms of
     the expansion before they merge."""
-    memo: dict[tuple[str, str, str], int] = {}
+    return _count_leaves(product, first, second, lam, {})
 
-    # one frame per level, like the products (see forest.MAX_TREE_DEPTH)
-    def count(op: str, f: Forest, g: Forest) -> int:
-        key = (op, f.key, g.key)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        n = 0
-        if op != "diamond" and (f.is_empty or g.is_empty):
-            n = 1  # the empty forest is the unit
-        elif op != "star" and not (f.is_tree and g.is_tree):
-            # the 1/(kn) component split
-            for t in f.trees:
-                for u in g.trees:
-                    n += count(op, t.as_forest(), u.as_forest())
-        elif op == "shuffle":
-            below_f, below_g = Forest(f.trees[0].children), Forest(g.trees[0].children)
-            n = count(op, below_f, g) + count(op, f, below_g)
-            if lam:
-                n += count(op, below_f, below_g)
-        elif op == "diamond":
-            # two trees fuse their roots
-            n = count("star", Forest(f.trees[0].children), Forest(g.trees[0].children))
-        else:
-            # star: a root of either operand comes off, plus the weight term
-            for t in f.trees:
-                n += count(op, Forest(t.children), g)
+
+# one frame per level, like the products (see forest.MAX_TREE_DEPTH)
+def _count_leaves(
+    op: str, f: Forest, g: Forest, lam: Fraction, memo: dict[tuple[str, str, str], int]
+) -> int:
+    key = (op, f.key, g.key)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    n = 0
+    if op != "diamond" and (f.is_empty or g.is_empty):
+        n = 1  # the empty forest is the unit
+    elif op != "star" and not (f.is_tree and g.is_tree):
+        # the 1/(kn) component split
+        for t in f.trees:
             for u in g.trees:
-                n += count(op, f, Forest(u.children))
-            if lam:
-                n += count("diamond", f, g)
-        memo[key] = n
-        return n
-
-    return count(product, first, second)
+                n += _count_leaves(op, t.as_forest(), u.as_forest(), lam, memo)
+    elif op == "shuffle":
+        below_f, below_g = Forest(f.trees[0].children), Forest(g.trees[0].children)
+        n = _count_leaves(op, below_f, g, lam, memo) + _count_leaves(op, f, below_g, lam, memo)
+        if lam:
+            n += _count_leaves(op, below_f, below_g, lam, memo)
+    elif op == "diamond":
+        # two trees fuse their roots
+        n = _count_leaves(
+            "star", Forest(f.trees[0].children), Forest(g.trees[0].children), lam, memo
+        )
+    else:
+        # star: a root of either operand comes off, plus the weight term
+        for t in f.trees:
+            n += _count_leaves(op, Forest(t.children), g, lam, memo)
+        for u in g.trees:
+            n += _count_leaves(op, f, Forest(u.children), lam, memo)
+        if lam:
+            n += _count_leaves("diamond", f, g, lam, memo)
+    memo[key] = n
+    return n
 
 
 def _cmd_shuffle(args) -> int:

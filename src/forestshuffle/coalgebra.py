@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .forest import EMPTY, Forest, RootedTree, b_plus
+from .forest import EMPTY, Forest, RootedTree, _gc_paused, b_plus
 from .linalg import LinComb, TensorComb, bilinear, lincomb_sum
 from .words import Word, is_linear, tree_to_word, word_to_tree
 
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 
+@_gc_paused
 def trunk_coproduct(arg: Forest | RootedTree) -> TensorComb[Forest]:
     """The coproduct: Δ(∅) = ∅⊗∅ and, for T = B+^a(F),
 

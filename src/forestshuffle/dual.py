@@ -38,6 +38,7 @@ from .forest import (
     RootedTree,
     UNIT,
     VertexRef,
+    _gc_paused,
     _scion_forest,
     b_plus,
     concat,
@@ -242,22 +243,7 @@ def contraction_fertility(
     all_refs = frozenset(vertex_refs(tree))
     if not gamma <= all_refs:
         raise ValueError("gamma contains refs that do not resolve")
-
-    def uniform(node: RootedTree, path: VertexRef) -> bool:
-        side = path in gamma
-        return all(
-            ((path + rel) in gamma) == side for rel in vertex_refs(node)
-        )
-
-    def build(node: RootedTree, path: VertexRef) -> RootedTree:
-        if uniform(node, path):
-            return RootedTree(UNIT)
-        return RootedTree(
-            UNIT,
-            [build(c, path + (i,)) for i, c in enumerate(node.children)],
-        )
-
-    cont = build(tree, ())
+    cont = _contract(tree, (), gamma)
     if cont.size <= 1:
         return cont, 1
     c = 1
@@ -270,11 +256,23 @@ def contraction_fertility(
     return cont, c
 
 
+def _contract(node: RootedTree, path: VertexRef, gamma: frozenset[VertexRef]) -> RootedTree:
+    """The undecorated contraction of the full subtree ``node`` at ``path``:
+    a single vertex when every vertex of it lies on one side of gamma."""
+    side = path in gamma
+    if all(((path + rel) in gamma) == side for rel in vertex_refs(node)):
+        return RootedTree(UNIT)
+    return RootedTree(
+        UNIT,
+        [_contract(c, path + (i,), gamma) for i, c in enumerate(node.children)],
+    )
+
+
 # ---------------------------------------------------------------------------
 # the dual coproduct, three ways
 
-# a plain dict, not functools.cache: a wrapper would cost dual_recursive one
-# more stack frame per level (see forest.MAX_TREE_DEPTH)
+# a plain dict, not functools.cache: a wrapper would cost _dual one more
+# stack frame per level (see forest.MAX_TREE_DEPTH)
 _dual_cache: dict[str, TensorComb[Forest]] = {}
 
 
@@ -299,8 +297,13 @@ def _component_splits(trees: tuple[RootedTree, ...], i: int):
             )
 
 
+@_gc_paused
 def dual_recursive(forest: Forest) -> TensorComb[Forest]:
     """The dual coproduct by its inductive formula."""
+    return _dual(forest)
+
+
+def _dual(forest: Forest) -> TensorComb[Forest]:
     hit = _dual_cache.get(forest.key)
     if hit is not None:
         return hit
@@ -310,7 +313,7 @@ def dual_recursive(forest: Forest) -> TensorComb[Forest]:
     elif forest.is_tree:
         tree = forest.single_tree()
         pairs = []
-        for (left, right), c in dual_recursive(Forest(tree.children))._terms.items():
+        for (left, right), c in _dual(Forest(tree.children))._terms.items():
             if right.is_connected:
                 pairs.append(((b_plus(tree.decoration, left).as_forest(), right), c))
             if left.is_connected:
@@ -324,7 +327,7 @@ def dual_recursive(forest: Forest) -> TensorComb[Forest]:
             # with an empty leg are T⊗∅ and ∅⊗T, each with coefficient 1
             red = [
                 ((x, y), c)
-                for (x, y), c in dual_recursive(tree.as_forest())._terms.items()
+                for (x, y), c in _dual(tree.as_forest())._terms.items()
                 if not (x.is_empty or y.is_empty)
             ]
             if not red:
@@ -348,6 +351,7 @@ def reduced_dual(forest: Forest) -> TensorComb[Forest]:
     return dual_recursive(forest) - trivial
 
 
+@_gc_paused
 def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
     """The dual coproduct as a sum over admissible families.
 
@@ -486,6 +490,7 @@ def _transpose(forest: Forest) -> TensorComb[Forest]:
     return TensorComb.sum_of(2, pairs)
 
 
+@_gc_paused
 def dual_oracle(forest: Forest) -> TensorComb[Forest]:
     """The strict-duality coproduct sum <F, f1 ⧢ f2> f1⊗f2, as the transpose
     of the weight-0 shuffle recursion.

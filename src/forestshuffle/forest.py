@@ -20,7 +20,9 @@ All values are immutable and hashable; every operation is a pure function.
 
 from __future__ import annotations
 
+import gc
 import re
+from functools import wraps
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -63,6 +65,31 @@ class TreeSyntaxError(ValueError):
 
 class GuardExceeded(RuntimeError):
     """Raised when an enumeration guard would be exceeded."""
+
+
+def _gc_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector disabled.
+
+    The library makes no reference cycles, so reference counting frees all
+    it drops, and a collection inside a product or a dual would only rescan
+    the memos.  The pause is process-wide.  The collector's prior state is
+    restored in ``finally``; when it is already off the call goes straight
+    through, so a nested entry never switches it back on early.  Wrap only
+    public entry points, never a recursion: the wrapper costs one stack
+    frame per call (see ``MAX_TREE_DEPTH``).
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class Decoration:
@@ -299,26 +326,33 @@ def subtree_at(tree: RootedTree, ref: VertexRef) -> RootedTree:
     return node
 
 
+def _preorder(tree: RootedTree) -> list[tuple[VertexRef, RootedTree]]:
+    """(ref, subtree) for every vertex, in preorder over the canonical
+    layout.  Iterative, so any depth of tree is walked."""
+    out: list[tuple[VertexRef, RootedTree]] = []
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        out.append((path, node))
+        kids = node.children
+        # pushed last-first, so the first child is popped next
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i]))
+    return out
+
+
 def vertex_refs(tree: RootedTree) -> tuple[VertexRef, ...]:
     """All vertex refs of the tree, in preorder over the canonical layout."""
-    out: list[VertexRef] = []
-
-    def walk(node: RootedTree, path: VertexRef) -> None:
-        out.append(path)
-        for i, child in enumerate(node.children):
-            walk(child, path + (i,))
-
-    walk(tree, ())
-    return tuple(out)
+    return tuple([ref for ref, _ in _preorder(tree)])
 
 
 def leaf_refs(tree: RootedTree) -> tuple[VertexRef, ...]:
-    return tuple(r for r in vertex_refs(tree) if not subtree_at(tree, r).children)
+    return tuple([ref for ref, node in _preorder(tree) if not node.children])
 
 
 def fertility_profile(tree: RootedTree) -> dict[VertexRef, int]:
     """Number of direct descendants per vertex; leaves map to 0."""
-    return {r: subtree_at(tree, r).fertility for r in vertex_refs(tree)}
+    return {ref: len(node.children) for ref, node in _preorder(tree)}
 
 
 def _scion_forest(scion: RootedTree | Forest) -> Forest:
@@ -347,18 +381,20 @@ def graft_at(tree: RootedTree, ref: VertexRef, scion: RootedTree | Forest) -> Ro
         subtree_at(tree, ref)  # still validate the ref
         return tree
     scion = scion_f.trees[0]
-
-    def rebuild(node: RootedTree, path: VertexRef) -> RootedTree:
-        if not path:
-            return RootedTree(node.decoration, node.children + (scion,))
-        i = path[0]
-        if i >= len(node.children):
-            raise ValueError(f"vertex ref {ref} does not resolve in {tree.key!r}")
+    # the vertices from the root down to ref, then rebuilt from ref upwards
+    spine = [tree]
+    for i in ref:
+        try:
+            spine.append(spine[-1].children[i])
+        except IndexError:
+            raise ValueError(f"vertex ref {ref} does not resolve in {tree.key!r}") from None
+    node = spine.pop()
+    rebuilt = RootedTree(node.decoration, node.children + (scion,))
+    for node, i in zip(reversed(spine), reversed(ref)):
         children = list(node.children)
-        children[i] = rebuild(children[i], path[1:])
-        return RootedTree(node.decoration, children)
-
-    return rebuild(tree, ref)
+        children[i] = rebuilt
+        rebuilt = RootedTree(node.decoration, children)
+    return rebuilt
 
 
 def induced_subtree(tree: RootedTree, refs: Iterable[VertexRef]) -> Forest:
@@ -369,9 +405,9 @@ def induced_subtree(tree: RootedTree, refs: Iterable[VertexRef]) -> Forest:
     strictly between them.  The result need not be connected.
     """
     selected = set(refs)
-    all_refs = set(vertex_refs(tree))
+    nodes = dict(_preorder(tree))
     for r in selected:
-        if r not in all_refs:
+        if r not in nodes:
             raise ValueError(f"vertex ref {r} does not resolve in {tree.key!r}")
 
     def nearest_selected_ancestor(ref: VertexRef) -> VertexRef | None:
@@ -384,11 +420,11 @@ def induced_subtree(tree: RootedTree, refs: Iterable[VertexRef]) -> Forest:
     for r in selected:
         children_of.setdefault(nearest_selected_ancestor(r), []).append(r)
 
-    def build(ref: VertexRef) -> RootedTree:
-        kids = [build(c) for c in children_of.get(ref, ())]
-        return RootedTree(subtree_at(tree, ref).decoration, kids)
-
-    return Forest([build(r) for r in children_of.get(None, ())])
+    # deepest first, so every vertex's induced children are built before it
+    built: dict[VertexRef, RootedTree] = {}
+    for r in sorted(selected, key=len, reverse=True):
+        built[r] = RootedTree(nodes[r].decoration, [built[c] for c in children_of.get(r, ())])
+    return Forest([built[r] for r in children_of.get(None, ())])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forest import Forest, b_plus, concat
+from .forest import Forest, _gc_paused, b_plus, concat
 from .linalg import LinComb, bilinear, lincomb_sum
 
 __all__ = [
@@ -28,12 +28,15 @@ __all__ = [
     "find_nonassociativity_witness",
 ]
 
-# The memos of the four recursions below are plain dicts: a functools.cache
-# wrapper costs one stack frame per memoized call, halving the depth that
-# forest.MAX_TREE_DEPTH is sized for.
-_shuffle_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # forest_shuffle
-_star_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # star_product
-_diamond_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # diamond_product
+# The public products and shuffle_coefficient are thin entries that pause
+# the cyclic collector (forest._gc_paused) over private recursions: _shuffle,
+# _star, _diamond and _coeff.  The recursions call each other, never the
+# entries, so the pause costs one frame per call, not per level.  Their memos
+# are plain dicts: a functools.cache wrapper costs one stack frame per
+# memoized call, halving the depth that forest.MAX_TREE_DEPTH is sized for.
+_shuffle_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # _shuffle
+_star_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # _star
+_diamond_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # _diamond
 _coeff_cache: dict[tuple[str, str, str, Fraction], Fraction] = {}  # _coeff
 
 # products of large operands are not memoized (their sub-results are), so
@@ -73,6 +76,7 @@ def _component_pairs(first: Forest, second: Forest):
             yield ti, tj, concat(rest_i, _without(second, j))
 
 
+@_gc_paused
 def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinComb[Forest]:
     """The weight-``lam`` shuffle of two rooted forests.
 
@@ -87,7 +91,10 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
     The empty forest is the unit.  Every term's coefficient is an exact
     rational; at lam=0 every term has |F|+|F'| vertices.
     """
-    lam = Fraction(lam)
+    return _shuffle(first, second, Fraction(lam))
+
+
+def _shuffle(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
     key = (first.key, second.key, lam)
     hit = _shuffle_cache.get(key)
     if hit is not None:
@@ -101,15 +108,15 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
         t, u = first.single_tree(), second.single_tree()
         f = Forest(t.children)
         g = Forest(u.children)
-        result = _graft_all(t.decoration, forest_shuffle(f, second, lam))
-        result = result + _graft_all(u.decoration, forest_shuffle(first, g, lam))
+        result = _graft_all(t.decoration, _shuffle(f, second, lam))
+        result = result + _graft_all(u.decoration, _shuffle(first, g, lam))
         if lam:
-            fused = _graft_all(t.decoration * u.decoration, forest_shuffle(f, g, lam))
+            fused = _graft_all(t.decoration * u.decoration, _shuffle(f, g, lam))
             result = result + fused.scale(lam)
     else:
         parts = []
         for ti, tj, rest in _component_pairs(first, second):
-            parts.append(_concat_all(forest_shuffle(ti.as_forest(), tj.as_forest(), lam), rest))
+            parts.append(_concat_all(_shuffle(ti.as_forest(), tj.as_forest(), lam), rest))
         result = lincomb_sum(parts).scale(Fraction(1, len(first.trees) * len(second.trees)))
 
     if first.size + second.size <= _MEMO_SIZE_LIMIT:
@@ -117,6 +124,7 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
     return result
 
 
+@_gc_paused
 def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinComb[Forest]:
     """The auxiliary product mutually recursive with the diamond product.
 
@@ -131,7 +139,10 @@ def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinC
     branching trees it generally does not (at weight 0, a * a[a,a] is
     a[a,a[a]] + 2 a[a[a,a]], while a ⧢ a[a,a] is 2 a[a,a[a]] + a[a[a,a]]).
     """
-    lam = Fraction(lam)
+    return _star(first, second, Fraction(lam))
+
+
+def _star(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
     key = (first.key, second.key, lam)
     hit = _star_cache.get(key)
     if hit is not None:
@@ -144,21 +155,22 @@ def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinC
     else:
         left, right = [], []
         for i, ti in enumerate(first.trees):
-            inner = star_product(Forest(ti.children), second, lam)
+            inner = _star(Forest(ti.children), second, lam)
             left.append(_concat_all(_graft_all(ti.decoration, inner), _without(first, i)))
         for j, tj in enumerate(second.trees):
-            inner = star_product(first, Forest(tj.children), lam)
+            inner = _star(first, Forest(tj.children), lam)
             right.append(_concat_all(_graft_all(tj.decoration, inner), _without(second, j)))
         result = lincomb_sum(left).scale(Fraction(1, len(first.trees)))
         result = result + lincomb_sum(right).scale(Fraction(1, len(second.trees)))
         if lam:
-            result = result + diamond_product(first, second, lam).scale(lam)
+            result = result + _diamond(first, second, lam).scale(lam)
 
     if first.size + second.size <= _MEMO_SIZE_LIMIT:
         _star_cache[key] = result
     return result
 
 
+@_gc_paused
 def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinComb[Forest]:
     """The diamond product on nonempty forests.
 
@@ -168,7 +180,11 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
     """
     if first.is_empty or second.is_empty:
         raise ValueError("diamond product is undefined on the empty forest")
-    lam = Fraction(lam)
+    return _diamond(first, second, Fraction(lam))
+
+
+def _diamond(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
+    """The diamond product of two nonempty forests."""
     key = (first.key, second.key, lam)
     hit = _diamond_cache.get(key)
     if hit is not None:
@@ -176,12 +192,12 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
 
     if first.is_tree and second.is_tree:
         t, u = first.single_tree(), second.single_tree()
-        inner = star_product(Forest(t.children), Forest(u.children), lam)
+        inner = _star(Forest(t.children), Forest(u.children), lam)
         result = _graft_all(t.decoration * u.decoration, inner)
     else:
         parts = []
         for ti, tj, rest in _component_pairs(first, second):
-            parts.append(_concat_all(diamond_product(ti.as_forest(), tj.as_forest(), lam), rest))
+            parts.append(_concat_all(_diamond(ti.as_forest(), tj.as_forest(), lam), rest))
         result = lincomb_sum(parts).scale(Fraction(1, len(first.trees) * len(second.trees)))
 
     if first.size + second.size <= _MEMO_SIZE_LIMIT:
@@ -215,6 +231,7 @@ def _multiset_difference(forest: Forest, part: Forest) -> Forest | None:
     return Forest._build(tuple(remaining), forest.size - part.size)
 
 
+@_gc_paused
 def shuffle_coefficient(
     target: Forest, first: Forest, second: Forest, lam: Fraction | int = 0
 ) -> Fraction:

@@ -32,6 +32,7 @@ from .forest import (
     Decoration,
     Forest,
     RootedTree,
+    _gc_paused,
     _redecorate,
     concat,
     graft_at,
@@ -225,6 +226,14 @@ def _distinct_forest_shapes(n: int) -> list[Forest]:
 # ---------------------------------------------------------------------------
 
 
+def _shuffled(node: RootedTree, rng: random.Random) -> RootedTree:
+    """The tree rebuilt with the children of every vertex passed in a
+    random order, deepest vertices first."""
+    kids = [_shuffled(c, rng) for c in node.children]
+    rng.shuffle(kids)
+    return RootedTree(node.decoration, kids)
+
+
 def suite_forest_core(cfg: SuiteConfig) -> SuiteReport:
     rep = SuiteReport(suite="forest-core", seed=cfg.seed)
     rng = random.Random(cfg.seed)
@@ -237,13 +246,7 @@ def suite_forest_core(cfg: SuiteConfig) -> SuiteReport:
 
     for _ in range(cfg.count(100)):
         f = random_forest(rng, rng.randint(1, cfg.degree(8)), alphabet)
-
-        def shuffled(node: RootedTree) -> RootedTree:
-            kids = [shuffled(c) for c in node.children]
-            rng.shuffle(kids)
-            return RootedTree(node.decoration, kids)
-
-        g = Forest([shuffled(t) for t in rng.sample(f.trees, len(f.trees))])
+        g = Forest([_shuffled(t, rng) for t in rng.sample(f.trees, len(f.trees))])
         rep.check("canonical key permutation invariance", f.key, f.key, g.key)
 
     top = cfg.degree(5)
@@ -748,6 +751,7 @@ SUITES = {
 }
 
 
+@_gc_paused
 def run_suite(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
     if name == "all":
         names = list(SUITES)

@@ -71,21 +71,22 @@ def word_shuffle(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     with the empty word as unit.  Degree additive; commutative because the
     letter product is.
     """
-    lam = Fraction(lam)
+    return _word_shuffle(w.letters, v.letters, Fraction(lam))
 
-    def go(a: tuple[Decoration, ...], b: tuple[Decoration, ...]) -> LinComb[Word]:
-        if not a:
-            return LinComb.of(Word(b))
-        if not b:
-            return LinComb.of(Word(a))
-        parts = [(a[0], go(a[1:], b)), (b[0], go(a, b[1:]))]
-        if lam:
-            parts.append((a[0] * b[0], go(a[1:], b[1:]).scale(lam)))
-        return LinComb.sum_of(
-            (Word((head,) + word.letters), c) for head, rest in parts for word, c in rest._terms.items()
-        )
 
-    return go(w.letters, v.letters)
+def _word_shuffle(
+    a: tuple[Decoration, ...], b: tuple[Decoration, ...], lam: Fraction
+) -> LinComb[Word]:
+    if not a:
+        return LinComb.of(Word(b))
+    if not b:
+        return LinComb.of(Word(a))
+    parts = [(a[0], _word_shuffle(a[1:], b, lam)), (b[0], _word_shuffle(a, b[1:], lam))]
+    if lam:
+        parts.append((a[0] * b[0], _word_shuffle(a[1:], b[1:], lam).scale(lam)))
+    return LinComb.sum_of(
+        (Word((head,) + word.letters), c) for head, rest in parts for word, c in rest._terms.items()
+    )
 
 
 def word_shuffle_brute(w: Word, v: Word) -> LinComb[Word]:

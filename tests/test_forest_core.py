@@ -21,6 +21,7 @@ from forestshuffle.forest import (
     leaf_refs,
     parse_forest,
     render_forest,
+    subtree_at,
     vertex_refs,
 )
 from forestshuffle.linalg import LinComb, TensorComb, tensor
@@ -181,6 +182,24 @@ class TestStructuralOps:
     def test_leaf_refs(self):
         t = P("a[b[c],d]").single_tree()
         assert set(leaf_refs(t)) == {(0, 0), (1,)}
+
+    def test_deep_chain_walks(self):
+        # three times the parser's MAX_TREE_DEPTH and past CPython's default
+        # recursion limit: the structural walks are iterative
+        depth = 1200
+        a, b = Decoration(["a"]), Decoration(["b"])
+        chain = RootedTree(a)
+        for i in range(depth - 1):
+            chain = RootedTree(b if i % 2 else a, [chain])
+        refs = vertex_refs(chain)
+        deepest = (0,) * (depth - 1)
+        assert len(refs) == depth
+        assert refs[0] == () and refs[-1] == deepest
+        assert leaf_refs(chain) == (deepest,)
+        grafted = graft_at(chain, deepest, P("c"))
+        assert grafted.size == depth + 1
+        assert subtree_at(grafted, deepest).key == "a[c]"
+        assert induced_subtree(chain, refs) == chain.as_forest()
 
 
 def assert_same_forest(built: Forest, reference: Forest) -> None:
