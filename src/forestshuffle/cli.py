@@ -15,6 +15,8 @@ from fractions import Fraction
 
 from .coalgebra import trunk_coproduct
 from .dual import (
+    FAMILY_GUARD,
+    _dual_term_count,
     admissible_families,
     dual_combinatorial,
     dual_oracle,
@@ -22,7 +24,7 @@ from .dual import (
     graft_leaves,
     graft_linear,
 )
-from .forest import MAX_TREE_DEPTH, Forest, GuardExceeded, TreeSyntaxError, parse_forest, parse_tree
+from .forest import MAX_TREE_DEPTH, Forest, GuardExceeded, TreeSyntaxError, _preorder, parse_forest, parse_tree
 from .linalg import LinComb, TensorComb, lincomb_json, render_lincomb, tensor_json
 from .primitives import COUNT_GUARD, _rooted_counts, enumerate_shapes, is_primitive
 from .rota_baxter import (
@@ -132,15 +134,8 @@ def _emit(x: LinComb, as_json: bool) -> None:
 
 
 def _depth(forest: Forest) -> int:
-    """Vertices on the longest root-to-leaf path, read off the canonical key."""
-    level = deepest = 0
-    for ch in forest.key:
-        if ch == "[":
-            level += 1
-            deepest = max(deepest, level)
-        elif ch == "]":
-            level -= 1
-    return 0 if forest.is_empty else deepest + 1
+    """Vertices on the longest root-to-leaf path."""
+    return max([len(ref) + 1 for t in forest.trees for ref, _ in _preorder(t)], default=0)
 
 
 def _recursion_leaves(product: str, first: Forest, second: Forest, lam: Fraction) -> int:
@@ -214,6 +209,13 @@ def _cmd_coproduct(args) -> int:
 
 def _cmd_dual(args) -> int:
     forest = parse_forest(args.forest)
+    # the oracle has its own guard; the two formulas sum the same terms
+    terms = _dual_term_count(forest) if args.mode != "oracle" else 0
+    if terms > FAMILY_GUARD:
+        raise GuardExceeded(
+            f"admissible families are guarded to {FAMILY_GUARD} dual terms, "
+            f"a forest of {forest.size} vertices has {terms}"
+        )
     mode = {"recursive": dual_recursive, "combinatorial": dual_combinatorial, "oracle": dual_oracle}
     _emit(mode[args.mode](forest), args.json)
     return 0

@@ -26,6 +26,7 @@ check the relation between the two: the σ-refined reciprocal formula.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -38,15 +39,15 @@ from .forest import (
     RootedTree,
     UNIT,
     VertexRef,
+    _fold,
     _gc_paused,
+    _induced_children,
+    _preorder,
     _scion_forest,
     b_plus,
     concat,
-    fertility_profile,
     graft_at,
-    induced_subtree,
     leaf_refs,
-    subtree_at,
     vertex_refs,
 )
 from .linalg import LinComb, TensorComb
@@ -108,12 +109,26 @@ def family_count(tree: RootedTree) -> int:
     children the two boundary families plus two for every proper nonempty
     family of each child.
     """
-    kids = tree.children
-    if not kids:
+    return _fold(_preorder(tree), _count_families)
+
+
+def _count_families(_ref: VertexRef, _node: RootedTree, counts: list[int]) -> int:
+    if not counts:
         return 2
-    if len(kids) == 1:
-        return 2 * family_count(kids[0])
-    return 2 + sum([2 * (family_count(kid) - 2) for kid in kids])
+    if len(counts) == 1:
+        return 2 * counts[0]
+    return 2 + sum([2 * (c - 2) for c in counts])
+
+
+def _dual_term_count(forest: Forest) -> int:
+    """The terms ``_dual`` sums for a forest before they merge, without
+    expanding: ``family_count`` for a tree and, for k >= 2 trees, the two
+    trivial terms plus each tree's nontrivial families over the 2^(k-1)
+    splits of the other trees.  ``dual_combinatorial`` sums as many."""
+    counts = [family_count(t) for t in forest.trees]
+    if len(counts) <= 1:
+        return counts[0] if counts else 1
+    return 2 + 2 ** (len(counts) - 1) * sum([c - 2 for c in counts])
 
 
 def _family_sets(tree: RootedTree) -> list[_Family]:
@@ -186,16 +201,6 @@ def admissible_families(tree: RootedTree) -> tuple[AdmissibleFamily, ...]:
     )
 
 
-def _induced_fertilities(tree: RootedTree, selected: frozenset[VertexRef]) -> dict[VertexRef, int]:
-    counts: dict[VertexRef, int] = {r: 0 for r in selected}
-    for r in selected:
-        for k in range(len(r) - 1, -1, -1):
-            if r[:k] in selected:
-                counts[r[:k]] += 1
-                break
-    return counts
-
-
 def is_admissible_direct(tree: RootedTree, gamma: Iterable[VertexRef]) -> bool:
     """Check the defining conditions of admissibility on a vertex set.
 
@@ -209,20 +214,18 @@ def is_admissible_direct(tree: RootedTree, gamma: Iterable[VertexRef]) -> bool:
     rightly excludes the set).  Fertility may only vary between 0 and 1.
     """
     gamma = frozenset(gamma)
-    all_refs = frozenset(vertex_refs(tree))
+    walk = _preorder(tree)
+    all_refs = frozenset([ref for ref, _ in walk])
     if not gamma <= all_refs:
         raise ValueError("gamma contains refs that do not resolve")
-    complement = all_refs - gamma
-    if not induced_subtree(tree, gamma).is_connected:
+    inside = _induced_children(walk, gamma)
+    outside = _induced_children(walk, all_refs - gamma)
+    if len(inside[None]) > 1 or len(outside[None]) > 1:
         return False
-    if not induced_subtree(tree, complement).is_connected:
-        return False
-    fertility = fertility_profile(tree)
-    gamma_fert = _induced_fertilities(tree, gamma)
-    comp_fert = _induced_fertilities(tree, complement)
-    for v, fert in fertility.items():
-        side = gamma_fert if v in gamma else comp_fert
-        if max(fert, side[v]) >= 2 and side[v] != fert:
+    for ref, node in walk:
+        fert = len(node.children)
+        side = len((inside if ref in gamma else outside)[ref])
+        if max(fert, side) >= 2 and side != fert:
             return False
     return True
 
@@ -240,32 +243,23 @@ def contraction_fertility(
     carried by ``admissible_families``.
     """
     gamma = frozenset(gamma)
-    all_refs = frozenset(vertex_refs(tree))
-    if not gamma <= all_refs:
+    walk = _preorder(tree)
+    if not gamma <= {ref for ref, _ in walk}:
         raise ValueError("gamma contains refs that do not resolve")
-    cont = _contract(tree, (), gamma)
-    if cont.size <= 1:
-        return cont, 1
-    c = 1
-    stack = [cont]
-    while stack:
-        node = stack.pop()
-        if node.children:
-            c *= len(node.children)
-            stack.extend(node.children)
-    return cont, c
+    _, cont = _fold(walk, lambda ref, _, kids: _contract(ref in gamma, kids))
+    return cont, math.prod([len(node.children) for _, node in _preorder(cont) if node.children])
 
 
-def _contract(node: RootedTree, path: VertexRef, gamma: frozenset[VertexRef]) -> RootedTree:
-    """The undecorated contraction of the full subtree ``node`` at ``path``:
-    a single vertex when every vertex of it lies on one side of gamma."""
-    side = path in gamma
-    if all(((path + rel) in gamma) == side for rel in vertex_refs(node)):
-        return RootedTree(UNIT)
-    return RootedTree(
-        UNIT,
-        [_contract(c, path + (i,), gamma) for i, c in enumerate(node.children)],
-    )
+def _contract(
+    side: bool, kids: list[tuple[bool | None, RootedTree]]
+) -> tuple[bool | None, RootedTree]:
+    """One vertex of the undecorated contraction, from its side of gamma and
+    its children's (side, contraction) pairs: a single vertex, with its
+    side, when its whole subtree lies on that side, else a vertex over the
+    children's contractions with side None."""
+    if all(kid_side is side for kid_side, _ in kids):
+        return side, RootedTree(UNIT)
+    return None, RootedTree(UNIT, [c for _, c in kids])
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +385,7 @@ def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
 # strict duality oracle
 
 def _decoration_multiset(forest: Forest) -> tuple[Decoration, ...]:
-    decs: list[Decoration] = []
-    for t in forest.trees:
-        for r in vertex_refs(t):
-            decs.append(subtree_at(t, r).decoration)
-    return tuple(sorted(decs))
+    return tuple(sorted([node.decoration for t in forest.trees for _, node in _preorder(t)]))
 
 
 def dual_oracle_brute(forest: Forest) -> TensorComb[Forest]:

@@ -116,10 +116,6 @@ class Decoration:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Decoration is immutable")
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.atoms
-
     def __mul__(self, other: "Decoration") -> "Decoration":
         return Decoration(self.atoms + other.atoms)
 
@@ -183,10 +179,6 @@ class RootedTree:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RootedTree is immutable")
-
-    @property
-    def fertility(self) -> int:
-        return len(self.children)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootedTree) and self.key == other.key
@@ -305,12 +297,6 @@ def concat(first: Forest, second: Forest) -> Forest:
     return Forest._build(trees, first.size + second.size)
 
 
-def _redecorate(tree: RootedTree, fn: Callable[[Decoration], Decoration]) -> RootedTree:
-    """The tree with every decoration d replaced by fn(d); fn is called on
-    the vertices in preorder over the canonical layout."""
-    return RootedTree(fn(tree.decoration), [_redecorate(c, fn) for c in tree.children])
-
-
 # ---------------------------------------------------------------------------
 # vertex references and structural operations on a single tree
 
@@ -339,6 +325,47 @@ def _preorder(tree: RootedTree) -> list[tuple[VertexRef, RootedTree]]:
         for i in range(len(kids) - 1, -1, -1):
             stack.append((path + (i,), kids[i]))
     return out
+
+
+def _fold(walk: list[tuple[VertexRef, RootedTree]], combine: Callable) -> object:
+    """Fold a tree bottom-up over its ``_preorder`` walk: the value at each
+    vertex is ``combine(ref, node, values)``, where ``values`` are the
+    values at its children in order.  Iterative, like the walk."""
+    values: list = []
+    # in reversed preorder a vertex comes right after its subtrees, last
+    # child first, so it finds its children's values on top, first on top
+    for ref, node in reversed(walk):
+        kids = [values.pop() for _ in node.children]
+        values.append(combine(ref, node, kids))
+    return values[0]
+
+
+def _induced_children(
+    walk: list[tuple[VertexRef, RootedTree]], selected: Iterable[VertexRef]
+) -> dict[VertexRef | None, list[VertexRef]]:
+    """The edges induced by a vertex subset of the walked tree: each
+    selected vertex maps to the selected vertices whose nearest selected
+    strict ancestor it is, and None maps to those with none (the roots)."""
+    children: dict[VertexRef | None, list[VertexRef]] = {r: [] for r in selected}
+    children[None] = []
+    # the nearest selected vertex at or above each vertex
+    above: dict[VertexRef, VertexRef | None] = {}
+    for ref, _ in walk:
+        parent = above[ref[:-1]] if ref else None
+        if ref in children:
+            children[parent].append(ref)
+            above[ref] = ref
+        else:
+            above[ref] = parent
+    return children
+
+
+def _redecorate(tree: RootedTree, fn: Callable[[Decoration], Decoration]) -> RootedTree:
+    """The tree with every decoration d replaced by fn(d); fn is called on
+    the vertices in preorder over the canonical layout."""
+    walk = _preorder(tree)
+    new = {ref: fn(node.decoration) for ref, node in walk}
+    return _fold(walk, lambda ref, _, kids: RootedTree(new[ref], kids))
 
 
 def vertex_refs(tree: RootedTree) -> tuple[VertexRef, ...]:
@@ -405,26 +432,17 @@ def induced_subtree(tree: RootedTree, refs: Iterable[VertexRef]) -> Forest:
     strictly between them.  The result need not be connected.
     """
     selected = set(refs)
-    nodes = dict(_preorder(tree))
-    for r in selected:
-        if r not in nodes:
-            raise ValueError(f"vertex ref {r} does not resolve in {tree.key!r}")
-
-    def nearest_selected_ancestor(ref: VertexRef) -> VertexRef | None:
-        for k in range(len(ref) - 1, -1, -1):
-            if ref[:k] in selected:
-                return ref[:k]
-        return None
-
-    children_of: dict[VertexRef | None, list[VertexRef]] = {}
-    for r in selected:
-        children_of.setdefault(nearest_selected_ancestor(r), []).append(r)
-
-    # deepest first, so every vertex's induced children are built before it
+    walk = _preorder(tree)
+    children_of = _induced_children(walk, selected)
+    # reversed preorder builds every vertex's induced children before it
     built: dict[VertexRef, RootedTree] = {}
-    for r in sorted(selected, key=len, reverse=True):
-        built[r] = RootedTree(nodes[r].decoration, [built[c] for c in children_of.get(r, ())])
-    return Forest([built[r] for r in children_of.get(None, ())])
+    for ref, node in reversed(walk):
+        if ref in selected:
+            built[ref] = RootedTree(node.decoration, [built[c] for c in children_of[ref]])
+    unresolved = selected - built.keys()
+    if unresolved:
+        raise ValueError(f"vertex ref {unresolved.pop()} does not resolve in {tree.key!r}")
+    return Forest([built[r] for r in children_of[None]])
 
 
 # ---------------------------------------------------------------------------

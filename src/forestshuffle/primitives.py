@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .forest import Decoration, GuardExceeded, RootedTree, UNIT, _redecorate
+from .forest import Decoration, GuardExceeded, RootedTree, UNIT, _preorder, _redecorate
 from .sampling import trees_of_size
 
 __all__ = [
@@ -37,13 +37,7 @@ COUNT_GUARD = 3000
 
 def is_primitive(tree: RootedTree) -> bool:
     """True iff every non-leaf vertex has fertility >= 2."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if len(node.children) == 1:
-            return False
-        stack.extend(node.children)
-    return True
+    return all(len(node.children) != 1 for _, node in _preorder(tree))
 
 
 def enumerate_shapes(n: int) -> tuple[RootedTree, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forest import Forest, _gc_paused, b_plus, concat
+from .forest import Forest, _gc_paused, _preorder, b_plus, concat
 from .linalg import LinComb, bilinear, lincomb_sum
 
 __all__ = [
@@ -210,13 +210,9 @@ def _diamond(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
 
 
 def _atom_multiset(forest: Forest) -> tuple[str, ...]:
-    atoms: list[str] = []
-    stack = list(forest.trees)
-    while stack:
-        node = stack.pop()
-        atoms.extend(node.decoration.atoms)
-        stack.extend(node.children)
-    return tuple(sorted(atoms))
+    return tuple(
+        sorted([a for t in forest.trees for _, node in _preorder(t) for a in node.decoration.atoms])
+    )
 
 
 def _multiset_difference(forest: Forest, part: Forest) -> Forest | None:

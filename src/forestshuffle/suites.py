@@ -33,6 +33,7 @@ from .forest import (
     Forest,
     RootedTree,
     _gc_paused,
+    _preorder,
     _redecorate,
     concat,
     graft_at,
@@ -174,14 +175,11 @@ def _symmetry(trees) -> int:
     factorials of its child multiplicities.  Equal siblings sit next to
     each other (children are sorted): the k-th in a run multiplies by k."""
     sigma = 1
-    stack = [tuple(trees)]
-    while stack:
-        kids = stack.pop()
+    for kids in [trees] + [node.children for t in trees for _, node in _preorder(t)]:
         run = 1
         for i in range(1, len(kids)):
             run = run + 1 if kids[i] == kids[i - 1] else 1
             sigma *= run
-        stack.extend(t.children for t in kids)
     return sigma
 
 

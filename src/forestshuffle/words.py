@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .forest import Decoration, EMPTY, Forest, RootedTree
+from .forest import Decoration, EMPTY, Forest, RootedTree, _preorder
 from .linalg import LinComb, TensorComb
 
 __all__ = [
@@ -124,24 +124,14 @@ def is_linear(forest: Forest) -> bool:
         return True
     if not forest.is_tree:
         return False
-    node = forest.single_tree()
-    while node.children:
-        if len(node.children) > 1:
-            return False
-        node = node.children[0]
-    return True
+    return all(len(node.children) <= 1 for _, node in _preorder(forest.single_tree()))
 
 
 def tree_to_word(forest: Forest) -> Word:
     if not is_linear(forest):
         raise ValueError(f"{forest.key!r} is not a linear tree")
-    letters: list[Decoration] = []
-    if not forest.is_empty:
-        node: RootedTree | None = forest.single_tree()
-        while node is not None:
-            letters.append(node.decoration)
-            node = node.children[0] if node.children else None
-    return Word(letters)
+    # a linear tree's preorder runs from the root down
+    return Word([node.decoration for t in forest.trees for _, node in _preorder(t)])
 
 
 def deconcatenation(w: Word) -> TensorComb[Word]:

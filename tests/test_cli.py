@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from forestshuffle.cli import RB_DEGREE_GUARD, SHUFFLE_GUARD, _build_parser, _recursion_leaves, main
+from forestshuffle.dual import FAMILY_GUARD, _dual_term_count
 from forestshuffle.forest import MAX_TREE_DEPTH, parse_forest
 from forestshuffle.primitives import COUNT_GUARD
 
@@ -258,6 +259,28 @@ class TestErrorPaths:
             assert time.perf_counter() - start < 5
             assert code == 4 and out == ""
             assert "admissible families are guarded" in err
+
+    def test_dual_terms_guard_is_status_4(self, capsys):
+        # the terms summed before they merge: 2^n on a chain of n vertices,
+        # and 2 + 2^(k-1)·Σ(2^2 - 2) on the forest a0[b0] … a{k-1}[b{k-1}]
+        def chain(n):
+            return "x0" + "".join(f"[x{i}" for i in range(1, n)) + "]" * (n - 1)
+
+        def pairs(k):
+            return " ".join(f"a{i}[b{i}]" for i in range(k))
+
+        for refused in (chain(17), pairs(13), "a" + "[a" * 16 + "]" * 16):
+            for mode in ("recursive", "combinatorial"):
+                start = time.perf_counter()
+                code, out, err = run(capsys, "dual", refused, "--mode", mode)
+                assert time.perf_counter() - start < 1
+                assert code == 4 and out == ""
+                assert "admissible families are guarded to 65536 dual terms" in err
+        assert "has 131072" in run(capsys, "dual", chain(17))[2]
+        assert "has 106498" in run(capsys, "dual", pairs(13))[2]
+        # one step smaller, both are admitted: at the guard and under it
+        assert _dual_term_count(parse_forest(chain(16))) == FAMILY_GUARD
+        assert _dual_term_count(parse_forest(pairs(12))) == 49154
 
     def test_graft_scion_of_two_trees_is_status_2(self, capsys):
         code, out, err = run(capsys, "graft", "a", "a a")

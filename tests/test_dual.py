@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from forestshuffle.coalgebra import trunk_coproduct
 from forestshuffle.dual import (
     FAMILY_GUARD,
+    _dual_term_count,
     admissible_families,
     contraction_fertility,
     dual_combinatorial,
@@ -168,6 +169,17 @@ class TestAdmissibleFamilies:
             admissible_families(linear(17))
         with pytest.raises(GuardExceeded):
             dual_combinatorial(Forest([linear(30), P("b").single_tree()]))
+
+    def test_dual_term_count(self):
+        # the terms both formulas sum before they merge: on distinct
+        # decorations none merge, and the count depends only on the shape
+        from forestshuffle.suites import _relabel
+
+        for f in forests_up_to(6, default_alphabet(("a",))):
+            distinct, _ = _relabel(f.trees)
+            count = _dual_term_count(f)
+            assert count == _dual_term_count(distinct) >= len(dual_recursive(f))
+            assert count == len(dual_recursive(distinct)) == len(dual_combinatorial(distinct))
 
 
 class TestContraction:

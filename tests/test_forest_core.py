@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+from forestshuffle.dual import admissible_families, contraction_fertility, family_count
 from forestshuffle.forest import (
     EMPTY,
     UNIT,
     Decoration,
     Forest,
+    GuardExceeded,
     RootedTree,
     TreeSyntaxError,
+    _redecorate,
     b_plus,
     concat,
     fertility_profile,
@@ -25,8 +28,10 @@ from forestshuffle.forest import (
     vertex_refs,
 )
 from forestshuffle.linalg import LinComb, TensorComb, tensor
+from forestshuffle.primitives import decorate_distinct, is_primitive
 from forestshuffle.sampling import default_alphabet, forests_up_to
 from forestshuffle.shuffle import _multiset_difference, _without
+from forestshuffle.words import is_linear, tree_to_word
 
 from conftest import any_decorations, any_forests, any_trees, forests
 
@@ -35,9 +40,23 @@ def P(text: str) -> Forest:
     return parse_forest(text)
 
 
+# three times the parser's MAX_TREE_DEPTH and past CPython's default
+# recursion limit: the walks are iterative
+DEEP_CHAIN_DEPTH = 1200
+
+
+def deep_chain() -> RootedTree:
+    """A chain of DEEP_CHAIN_DEPTH vertices decorated a and b, its leaf an a."""
+    a, b = Decoration(["a"]), Decoration(["b"])
+    chain = RootedTree(a)
+    for i in range(DEEP_CHAIN_DEPTH - 1):
+        chain = RootedTree(b if i % 2 else a, [chain])
+    return chain
+
+
 class TestDecoration:
     def test_unit(self):
-        assert UNIT.is_unit
+        assert UNIT == Decoration()
         assert UNIT.text == "1"
         a = Decoration(["a"])
         assert a * UNIT == a == UNIT * a
@@ -86,7 +105,7 @@ class TestParseRender:
         assert render_forest(P("b a")) == "a b"
 
     def test_unit_atom(self):
-        assert P("1[a]").single_tree().decoration.is_unit
+        assert P("1[a]").single_tree().decoration == UNIT
 
     def test_syntax_errors(self):
         with pytest.raises(TreeSyntaxError):
@@ -184,13 +203,8 @@ class TestStructuralOps:
         assert set(leaf_refs(t)) == {(0, 0), (1,)}
 
     def test_deep_chain_walks(self):
-        # three times the parser's MAX_TREE_DEPTH and past CPython's default
-        # recursion limit: the structural walks are iterative
-        depth = 1200
-        a, b = Decoration(["a"]), Decoration(["b"])
-        chain = RootedTree(a)
-        for i in range(depth - 1):
-            chain = RootedTree(b if i % 2 else a, [chain])
+        chain = deep_chain()
+        depth = DEEP_CHAIN_DEPTH
         refs = vertex_refs(chain)
         deepest = (0,) * (depth - 1)
         assert len(refs) == depth
@@ -200,6 +214,24 @@ class TestStructuralOps:
         assert grafted.size == depth + 1
         assert subtree_at(grafted, deepest).key == "a[c]"
         assert induced_subtree(chain, refs) == chain.as_forest()
+
+    def test_deep_chain_visits_and_folds(self):
+        # every whole-tree visit and fold outside forest.py reads its walk
+        chain = deep_chain()
+        depth = DEEP_CHAIN_DEPTH
+        deepest = (0,) * (depth - 1)
+        numbered = tree_to_word(decorate_distinct(chain).as_forest())
+        assert [d.text for d in numbered.letters] == [f"v{i}" for i in range(depth)]
+        assert not is_primitive(chain)
+        assert is_linear(chain.as_forest())
+        word = tree_to_word(chain.as_forest())
+        assert len(word) == depth and word.letters[-1] == Decoration(["a"])
+        assert family_count(chain) == 2**depth
+        with pytest.raises(GuardExceeded):
+            admissible_families(chain)
+        # no full subtree but the leaf lies on one side, so nothing contracts
+        cont, c = contraction_fertility(chain, [deepest])
+        assert cont == _redecorate(chain, lambda _: UNIT) and c == 1
 
 
 def assert_same_forest(built: Forest, reference: Forest) -> None:

@@ -188,3 +188,111 @@ def test_no_unused_imports(path):
 def test_unused_import_scan_sees_one():
     source = "from __future__ import annotations\nimport os\nfrom a.b import c, d as e\nprint(c)\n"
     assert _unused_imports(source) == ["os (line 2)", "e (line 3)"]
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of a function's body, not descending into nested
+    definitions (which are yielded themselves)."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (*_DEFS, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _self_reaching(source: str) -> set[str]:
+    """The functions of a module that can reach themselves through calls by
+    name within it.  Methods are qualified by class (``self.f()`` and
+    ``Class.f()`` resolve to ``Class.f``) and nested functions by the
+    function they sit in; a bare name resolves to the innermost enclosing
+    definition, then to the module level."""
+    module = ast.parse(source)
+    classes = {node.name: node for node in module.body if isinstance(node, ast.ClassDef)}
+    methods = {f"{c}.{m.name}" for c, node in classes.items() for m in node.body if isinstance(m, _DEFS)}
+    calls: dict[str, set[str]] = {}
+    todo = [(node.name, node, None) for node in module.body if isinstance(node, _DEFS)]
+    todo += [(f"{c}.{m.name}", m, c) for c, node in classes.items() for m in node.body if isinstance(m, _DEFS)]
+    visible = {name: name for name, _, _ in todo if "." not in name}
+    scopes = {name: visible for name, _, _ in todo}
+    while todo:
+        name, fn, cls = todo.pop()
+        nested = [node for node in _own_nodes(fn) if isinstance(node, _DEFS)]
+        scope = scopes[name] | {node.name: f"{name}.{node.name}" for node in nested}
+        for node in nested:
+            scopes[f"{name}.{node.name}"] = scope
+            todo.append((f"{name}.{node.name}", node, None))
+        calls[name] = set()
+        for node in _own_nodes(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in scope:
+                calls[name].add(scope[f.id])
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                owner = cls if f.value.id in ("self", "cls") else f.value.id
+                if f"{owner}.{f.attr}" in methods:
+                    calls[name].add(f"{owner}.{f.attr}")
+    found = set()
+    for start in calls:
+        seen, frontier = set(), list(calls[start])
+        while frontier:
+            callee = frontier.pop()
+            if callee == start:
+                found.add(start)
+                break
+            if callee not in seen:
+                seen.add(callee)
+                frontier.extend(calls.get(callee, ()))
+    return found
+
+
+# The recursions left in the package, each with the bound that keeps its
+# depth within the interpreter's stack.  Every whole-tree visit and fold
+# runs on the iterative ``forest._preorder`` walk instead.
+PINNED_RECURSIONS = {
+    "cli._count_leaves": "MAX_TREE_DEPTH (the operands' depths in sum)",
+    "coalgebra._trunk": "MAX_TREE_DEPTH",
+    "dual._dual": "MAX_TREE_DEPTH",
+    "dual._family_sets": "MAX_TREE_DEPTH",
+    "dual._transpose": "MAX_TREE_DEPTH",
+    "forest._Parser.parse_tree": "MAX_TREE_DEPTH",
+    "rota_baxter.phi_bar": "the size its caller asks for",
+    "sampling._forests_on_multiset": "SHAPE_GUARD / ORACLE_GUARD",
+    "sampling._trees_on_multiset": "SHAPE_GUARD / ORACLE_GUARD",
+    "sampling.random_tree": "the size its caller asks for",
+    "shuffle._coeff": "MAX_TREE_DEPTH",
+    "shuffle._diamond": "MAX_TREE_DEPTH (the operands' depths in sum)",
+    "shuffle._shuffle": "MAX_TREE_DEPTH (the operands' depths in sum)",
+    "shuffle._star": "MAX_TREE_DEPTH (the operands' depths in sum)",
+    "suites._shuffled": "suite trees of at most 8 vertices",
+    "words._word_shuffle": "the size its caller asks for",
+}
+
+
+def test_recursions_are_pinned():
+    root = Path(forestshuffle.__file__).parent
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(root.glob("*.py"))
+        for name in _self_reaching(path.read_text(encoding="utf-8"))
+    }
+    assert found == set(PINNED_RECURSIONS)
+
+
+def test_recursion_scan_sees_each_kind():
+    source = (
+        "def f(n):\n    return g(n)\n"
+        "def g(n):\n    return f(n - 1) if n else h(n)\n"
+        "def h(n):\n    return n\n"
+        "def outer(n):\n"
+        "    def inner(m):\n        return inner(m - 1) if m else 0\n"
+        "    return inner(n)\n"
+        "class C:\n"
+        "    def walk(self, n):\n        return self.walk(n - 1) if n else C.stop()\n"
+        "    @staticmethod\n    def stop():\n        return C.stop\n"
+    )
+    assert _self_reaching(source) == {"f", "g", "outer.inner", "C.walk"}

@@ -62,7 +62,7 @@ class TestEnumerateShapes:
     def test_unique_and_undecorated(self):
         shapes = enumerate_shapes(6)
         assert len({s.key for s in shapes}) == len(shapes)
-        assert all(s.decoration.is_unit for s in shapes)
+        assert all(s.decoration == UNIT for s in shapes)
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

@@ -108,7 +108,7 @@ class TestForestShuffle:
                             found = False
                             while stack:
                                 node = stack.pop()
-                                if node.fertility == 1:
+                                if len(node.children) == 1:
                                     found = True
                                     break
                                 stack.extend(node.children)
