@@ -312,7 +312,7 @@ def _dual(forest: Forest) -> TensorComb[Forest]:
                 pairs.append(((b_plus(tree.decoration, left).as_forest(), right), c))
             if left.is_connected:
                 pairs.append(((left, b_plus(tree.decoration, right).as_forest()), c))
-        result = TensorComb.sum_of(2, pairs)
+        result = TensorComb.sum_of(pairs)
     else:
         n = len(forest.trees)
         pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
@@ -331,7 +331,7 @@ def _dual(forest: Forest) -> TensorComb[Forest]:
                 for r, f_in, f_out in _component_splits(forest.trees, i)
                 for (x, y), c in red
             )
-        result = TensorComb.sum_of(2, pairs)
+        result = TensorComb.sum_of(pairs)
 
     _dual_cache[forest.key] = result
     return result
@@ -339,9 +339,7 @@ def _dual(forest: Forest) -> TensorComb[Forest]:
 
 def reduced_dual(forest: Forest) -> TensorComb[Forest]:
     """dual_recursive without the two trivial legs F⊗∅ and ∅⊗F."""
-    trivial = TensorComb(
-        2, {(forest, EMPTY): Fraction(1), (EMPTY, forest): Fraction(1)}
-    )
+    trivial = TensorComb({(forest, EMPTY): Fraction(1), (EMPTY, forest): Fraction(1)})
     return dual_recursive(forest) - trivial
 
 
@@ -355,11 +353,8 @@ def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
         return TensorComb.of((EMPTY, EMPTY))
     if forest.is_tree:
         return TensorComb.sum_of(
-            2,
-            (
-                ((fam.t_complement, fam.t_gamma), Fraction(fam.c_gamma))
-                for fam in admissible_families(forest.single_tree())
-            ),
+            ((fam.t_complement, fam.t_gamma), Fraction(fam.c_gamma))
+            for fam in admissible_families(forest.single_tree())
         )
 
     n = len(forest.trees)
@@ -378,7 +373,7 @@ def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
                 ((concat(comp, f_in), concat(gamma, f_out)), Fraction(c * a))
                 for comp, gamma, c in families
             )
-    return TensorComb.sum_of(2, pairs)
+    return TensorComb.sum_of(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +412,7 @@ def dual_oracle_brute(forest: Forest) -> TensorComb[Forest]:
                 c = shuffle_coefficient(forest, f1, f2, 0)
                 if c:
                     acc[(f1, f2)] = c
-    return TensorComb(2, acc)
+    return TensorComb(acc)
 
 
 def _tree_splits(trees: tuple[RootedTree, ...]):
@@ -445,7 +440,7 @@ def _transpose(forest: Forest) -> TensorComb[Forest]:
         tree = trees[0]
         if not tree.children:
             # a single vertex has only the trivial terms
-            return TensorComb.sum_of(2, pairs)
+            return TensorComb.sum_of(pairs)
         dec = tree.decoration
         body = Forest._build(tree.children, tree.size - 1)
         for (x, y), c in _transpose(body)._terms.items():
@@ -453,7 +448,7 @@ def _transpose(forest: Forest) -> TensorComb[Forest]:
                 pairs.append(((b_plus(dec, x).as_forest(), y), c))
             if x.is_tree:
                 pairs.append(((x, b_plus(dec, y).as_forest()), c))
-        return TensorComb.sum_of(2, pairs)
+        return TensorComb.sum_of(pairs)
 
     for i, core in enumerate(trees):
         # trees are sorted, so equal components sit next to each other
@@ -477,7 +472,7 @@ def _transpose(forest: Forest) -> TensorComb[Forest]:
                 )
                 for x, y, t, u, c in red
             )
-    return TensorComb.sum_of(2, pairs)
+    return TensorComb.sum_of(pairs)
 
 
 @_gc_paused

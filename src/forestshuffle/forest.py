@@ -41,7 +41,6 @@ __all__ = [
     "vertex_refs",
     "subtree_at",
     "leaf_refs",
-    "fertility_profile",
     "graft_at",
     "induced_subtree",
 ]
@@ -375,11 +374,6 @@ def vertex_refs(tree: RootedTree) -> tuple[VertexRef, ...]:
 
 def leaf_refs(tree: RootedTree) -> tuple[VertexRef, ...]:
     return tuple([ref for ref, node in _preorder(tree) if not node.children])
-
-
-def fertility_profile(tree: RootedTree) -> dict[VertexRef, int]:
-    """Number of direct descendants per vertex; leaves map to 0."""
-    return {ref: len(node.children) for ref, node in _preorder(tree)}
 
 
 def _scion_forest(scion: RootedTree | Forest) -> Forest:

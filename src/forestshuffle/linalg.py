@@ -2,9 +2,10 @@
 
 LinComb is a finite formal sum of basis elements with nonzero Fraction
 coefficients; TensorComb is a LinComb whose basis elements are ordered
-tuples of basis elements (tensors of a fixed arity).  Basis elements only
-need to be hashable and to expose a ``key`` string used for deterministic
-ordering.
+tuples of basis elements, its legs.  A tensor's leg count is the length of
+its terms, which all have the same length; the zero tensor has none.  Basis
+elements only need to be hashable and to expose a ``key`` string used for
+deterministic ordering.
 
 Terms that may repeat are summed in one place, ``_accumulate``; its front
 ends are ``LinComb.sum_of``, ``TensorComb.sum_of``, ``lincomb_sum``, the
@@ -55,9 +56,6 @@ class LinComb(Generic[B]):
 
     __slots__ = ("_terms",)
 
-    # the number of tensor legs; a plain combination has none
-    arity: int | None = None
-
     def __init__(self, terms: Mapping[B, Fraction] | None = None):
         object.__setattr__(self, "_terms", _accumulate({}, (terms or {}).items()))
 
@@ -69,8 +67,8 @@ class LinComb(Generic[B]):
         return self
 
     def _like(self, terms: dict[B, Fraction]) -> "LinComb[B]":
-        """A trusted combination over the same basis as ``self``."""
-        return LinComb._trusted(terms)
+        """A trusted combination of the same class as ``self``."""
+        return type(self)._trusted(terms)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -115,7 +113,7 @@ class LinComb(Generic[B]):
         return len(self._terms)
 
     def __add__(self, other: "LinComb[B]") -> "LinComb[B]":
-        if self.arity != other.arity:
+        if type(other) is not type(self):
             raise ValueError("arity mismatch")
         return self._like(_accumulate(dict(self._terms), other._terms.items()))
 
@@ -138,14 +136,10 @@ class LinComb(Generic[B]):
         return LinComb.sum_of(_images(self, lambda b: fn(b)._terms.items()))
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LinComb)
-            and self.arity == other.arity
-            and self._terms == other._terms
-        )
+        return type(other) is type(self) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self._terms.items())))
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({render_lincomb(self)!r})"
@@ -173,41 +167,15 @@ def bilinear(op: Callable[..., LinComb], x: LinComb, y: LinComb, *args) -> LinCo
 
 
 class TensorComb(LinComb[tuple[B, ...]]):
-    """A rational linear combination of tensors (tuples) of fixed arity."""
+    """A rational linear combination of tensors: tuples of legs, all of one
+    length."""
 
-    __slots__ = ("arity",)
+    __slots__ = ()
 
-    def __init__(self, arity: int, terms: Mapping[tuple[B, ...], Fraction] | None = None):
+    def __init__(self, terms: Mapping[tuple[B, ...], Fraction] | None = None):
         super().__init__(terms)
-        for legs in self._terms:
-            if len(legs) != arity:
-                raise ValueError(f"tensor term {legs} does not have arity {arity}")
-        object.__setattr__(self, "arity", arity)
-
-    @classmethod
-    def _trusted(cls, arity: int, terms: dict[tuple[B, ...], Fraction]) -> "TensorComb[B]":
-        self = object.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "arity", arity)
-        return self
-
-    def _like(self, terms: dict[tuple[B, ...], Fraction]) -> "TensorComb[B]":
-        return TensorComb._trusted(self.arity, terms)
-
-    @classmethod
-    def zero(cls, arity: int) -> "TensorComb[B]":
-        return cls(arity, {})
-
-    @classmethod
-    def of(cls, legs: tuple[B, ...], coeff: Fraction | int = 1) -> "TensorComb[B]":
-        return cls(len(legs), {legs: Fraction(coeff)})
-
-    @classmethod
-    def sum_of(
-        cls, arity: int, pairs: Iterable[tuple[tuple[B, ...], Fraction]]
-    ) -> "TensorComb[B]":
-        """The sum of (legs, Fraction coefficient) pairs of the given arity."""
-        return cls._trusted(arity, _accumulate({}, pairs))
+        if len({len(legs) for legs in self._terms}) > 1:
+            raise ValueError("tensor terms differ in their number of legs")
 
     @staticmethod
     def _item_key(item: tuple[tuple[B, ...], Fraction]) -> tuple[str, ...]:
@@ -217,35 +185,39 @@ class TensorComb(LinComb[tuple[B, ...]]):
     def _basis_text(legs: tuple[B, ...]) -> str:
         return " (x) ".join(f"({leg.key})" for leg in legs)
 
+    def __add__(self, other: "TensorComb[B]") -> "TensorComb[B]":
+        # zero has no legs; two nonzero tensors must agree on their count
+        if isinstance(other, TensorComb) and self._terms and other._terms:
+            if len(next(iter(self._terms))) != len(next(iter(other._terms))):
+                raise ValueError("arity mismatch")
+        return super().__add__(other)
+
     def permute(self, perm: tuple[int, ...]) -> "TensorComb[B]":
-        """Reorder legs: result leg i is input leg perm[i]."""
+        """Reorder legs: result leg i is input leg perm[i]; every term must
+        have ``len(perm)`` legs."""
+        if any(len(legs) != len(perm) for legs in self._terms):
+            raise ValueError(f"permutation {perm} does not fit the legs of every term")
         return TensorComb.sum_of(
-            self.arity,
-            ((tuple(legs[p] for p in perm), c) for legs, c in self._terms.items()),
+            (tuple(legs[p] for p in perm), c) for legs, c in self._terms.items()
         )
 
     def flip(self) -> "TensorComb[B]":
-        if self.arity != 2:
-            raise ValueError("flip is for arity-2 tensors")
         return self.permute((1, 0))
 
     def tau23(self) -> "TensorComb[B]":
         """The usual flip of the middle legs: a⊗b⊗c⊗d -> a⊗c⊗b⊗d."""
-        if self.arity != 4:
-            raise ValueError("tau23 is for arity-4 tensors")
         return self.permute((0, 2, 1, 3))
 
     def _releg(
-        self, arity: int, fn: Callable[[tuple[B, ...]], Iterable[tuple[tuple[B, ...], Fraction]]]
+        self, fn: Callable[[tuple[B, ...]], Iterable[tuple[tuple[B, ...], Fraction]]]
     ) -> "TensorComb[B]":
         """Linear extension of a map from one term's legs to (legs, coefficient)
-        pairs of the given arity."""
-        return TensorComb.sum_of(arity, _images(self, fn))
+        pairs."""
+        return TensorComb.sum_of(_images(self, fn))
 
     def map_leg(self, i: int, fn: Callable[[B], LinComb]) -> "TensorComb[B]":
-        """Apply a linear basis map to leg ``i``; arity is preserved."""
+        """Apply a linear basis map to leg ``i``; the other legs are kept."""
         return self._releg(
-            self.arity,
             lambda legs: (
                 (legs[:i] + (b,) + legs[i + 1 :], c) for b, c in fn(legs[i])._terms.items()
             ),
@@ -254,11 +226,7 @@ class TensorComb(LinComb[tuple[B, ...]]):
     def expand_leg(self, i: int, fn: Callable[[B], "TensorComb[B]"]) -> "TensorComb[B]":
         """Replace leg ``i`` by the legs of a tensor-valued map of it."""
         images = {legs[i]: fn(legs[i]) for legs in self._terms}
-        if not images:
-            raise ValueError("cannot expand a leg of the zero tensor")
-        extra = next(iter(images.values())).arity
         return self._releg(
-            self.arity + extra - 1,
             lambda legs: (
                 (legs[:i] + sub + legs[i + 1 :], c) for sub, c in images[legs[i]]._terms.items()
             ),
@@ -269,7 +237,6 @@ class TensorComb(LinComb[tuple[B, ...]]):
         if not i < j:
             raise ValueError("need i < j")
         return self._releg(
-            self.arity - 1,
             lambda legs: (
                 (legs[:i] + (b,) + legs[i + 1 : j] + legs[j + 1 :], c)
                 for b, c in op(legs[i], legs[j])._terms.items()
@@ -277,10 +244,10 @@ class TensorComb(LinComb[tuple[B, ...]]):
         )
 
 
-def tensor_map_basis(x: LinComb, arity: int, fn: Callable[[B], TensorComb]) -> TensorComb:
-    """Linear extension of a basis map whose values are tensors of the given
-    arity; ``map_basis`` for tensor values."""
-    return TensorComb.sum_of(arity, _images(x, lambda b: fn(b)._terms.items()))
+def tensor_map_basis(x: LinComb, fn: Callable[[B], TensorComb]) -> TensorComb:
+    """Linear extension of a basis map whose values are tensors;
+    ``map_basis`` for tensor values."""
+    return TensorComb.sum_of(_images(x, lambda b: fn(b)._terms.items()))
 
 
 def tensor(*factors: LinComb) -> TensorComb:
@@ -291,7 +258,7 @@ def tensor(*factors: LinComb) -> TensorComb:
         terms = {
             legs + (b,): c * c2 for legs, c in terms.items() for b, c2 in factor._terms.items()
         }
-    return TensorComb._trusted(len(factors), terms)
+    return TensorComb._trusted(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +284,8 @@ def lincomb_json(x: LinComb) -> dict:
 
 
 def tensor_json(t: TensorComb) -> dict:
-    if t.arity != 2:
-        raise ValueError("JSON tensor form is for arity-2 tensors")
+    if any(len(legs) != 2 for legs in t._terms):
+        raise ValueError("JSON tensor form is for 2-leg tensors")
     return {
         "terms": [
             {"coeff": str(c), "left": legs[0].key, "right": legs[1].key}

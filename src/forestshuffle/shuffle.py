@@ -239,6 +239,10 @@ def shuffle_coefficient(
     pairing <target, first ⧢ second> in the dual basis.
     """
     lam = Fraction(lam)
+    # a repeated query returns from the memo before any tree walk
+    hit = _coeff_cache.get((target.key, first.key, second.key, lam))
+    if hit is not None:
+        return hit
     atoms = _atom_multiset(target)
     if tuple(sorted(_atom_multiset(first) + _atom_multiset(second))) != atoms:
         return Fraction(0)

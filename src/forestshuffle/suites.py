@@ -81,7 +81,7 @@ from .shuffle import (
 )
 from .words import Word, deconcatenation, deshuffle, is_linear, word_shuffle, word_shuffle_brute, word_to_tree
 
-__all__ = ["SuiteConfig", "SuiteReport", "CaseFailure", "SUITES", "run_suite", "normalization_report"]
+__all__ = ["SuiteConfig", "SuiteReport", "CaseFailure", "SUITES", "run_suite"]
 
 WEIGHTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
 
@@ -204,7 +204,7 @@ def _sigma_refined_oracle(f: Forest) -> TensorComb[Forest]:
                 legs[x] = (px, _symmetry(px.trees))
         (pa, sa), (pb, sb) = legs[a], legs[b]
         pairs.append(((pa, pb), Fraction(sa * sb) / (sigma_f * c)))
-    return TensorComb.sum_of(2, pairs)
+    return TensorComb.sum_of(pairs)
 
 
 def _distinct_forest_shapes(n: int) -> list[Forest]:
@@ -431,7 +431,7 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
     )
 
     def bialgebra_case(t1: Forest, t2: Forest, lam: Fraction) -> bool:
-        lhs = tensor_map_basis(forest_shuffle(t1, t2, lam), 2, trunk_coproduct)
+        lhs = tensor_map_basis(forest_shuffle(t1, t2, lam), trunk_coproduct)
         big = (
             tensor(LinComb.of(t1), LinComb.of(t2))
             .expand_leg(0, trunk_coproduct)
@@ -478,7 +478,6 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
             w = Word(letters)
             lhs = trunk_coproduct(word_to_tree(w))
             rhs = TensorComb(
-                2,
                 {
                     (word_to_tree(x), word_to_tree(y)): c
                     for (x, y), c in deconcatenation(w).items()
@@ -541,8 +540,7 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
         for letters in itertools.product(alphabet, repeat=n):
             w = Word(letters)
             rhs = TensorComb(
-                2,
-                {(word_to_tree(x), word_to_tree(y)): c for (x, y), c in deshuffle(w).items()},
+                {(word_to_tree(x), word_to_tree(y)): c for (x, y), c in deshuffle(w).items()}
             )
             rep.check("linear trees deshuffle", w.key, rhs, dual_recursive(word_to_tree(w)))
 
@@ -558,7 +556,7 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
                     for f, c in graft_linear(t1, t2).items():
                         cograft.setdefault(f, []).append(((t1, t2), c))
         for tf in pool[n]:
-            got = TensorComb.sum_of(2, cograft.get(tf, ()))
+            got = TensorComb.sum_of(cograft.get(tf, ()))
             rep.check("grafting pairs the trunk coproduct", tf.key, trunk_coproduct(tf), got)
 
     cap = max(1, cfg.degree(5) - 2)
@@ -765,40 +763,3 @@ def run_suite(name: str, cfg: SuiteConfig) -> list[SuiteReport]:
         reports.append(report)
     return reports
 
-
-def normalization_report(max_degree: int = 6) -> dict:
-    """Compare the source-normalized dual coproduct against strict duality.
-
-    Per distinctly decorated forest shape: support equality, and whether
-    the σ-refined reciprocal formula reproduces the oracle exactly.  This
-    is the oracle-vs-formula comparison artifact.
-    """
-    rows = []
-    refined = True
-    supports = True
-    for n in range(0, max_degree + 1):
-        for f in _distinct_forest_shapes(n):
-            oracle = dual_oracle(f)
-            formula = dual_recursive(f)
-            same_support = oracle.support() == formula.support()
-            matches = oracle == _sigma_refined_oracle(f)
-            supports = supports and same_support
-            refined = refined and matches
-            rows.append(
-                {
-                    "forest": f.key,
-                    "support_equal": same_support,
-                    "sigma_refined_formula_matches_oracle": matches,
-                    "terms": len(formula),
-                }
-            )
-    return {
-        "description": (
-            "dual coproduct normalization: the recursive/combinatorial forms "
-            "versus the strict duality oracle <F, f1 shuffle f2>"
-        ),
-        "max_degree": max_degree,
-        "support_equality": supports,
-        "sigma_refined_relation": refined,
-        "forests": rows,
-    }

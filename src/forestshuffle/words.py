@@ -140,7 +140,7 @@ def deconcatenation(w: Word) -> TensorComb[Word]:
         (Word(w.letters[:i]), Word(w.letters[i:])): Fraction(1)
         for i in range(len(w) + 1)
     }
-    return TensorComb(2, terms)
+    return TensorComb(terms)
 
 
 def deshuffle(w: Word) -> TensorComb[Word]:
@@ -153,4 +153,4 @@ def deshuffle(w: Word) -> TensorComb[Word]:
             left = Word(tuple(w.letters[i] for i in indices if i in chosen))
             right = Word(tuple(w.letters[i] for i in indices if i not in chosen))
             pairs.append(((left, right), _ONE))
-    return TensorComb.sum_of(2, pairs)
+    return TensorComb.sum_of(pairs)

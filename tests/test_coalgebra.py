@@ -25,7 +25,7 @@ Q = Fraction
 
 
 def T2(pairs):
-    return TensorComb(2, {(P(l), P(r)): Q(c) for l, r, c in pairs})
+    return TensorComb({(P(l), P(r)): Q(c) for l, r, c in pairs})
 
 
 class TestTrunkCoproduct:
@@ -68,7 +68,6 @@ class TestTrunkCoproduct:
                 w = Word(letters)
                 got = trunk_coproduct(word_to_tree(w))
                 expected = TensorComb(
-                    2,
                     {
                         (word_to_tree(x), word_to_tree(y)): c
                         for (x, y), c in deconcatenation(w).items()
@@ -129,7 +128,7 @@ class TestRightAntipode:
 class TestBialgebra:
     @staticmethod
     def _compatible(t1, t2, lam) -> bool:
-        lhs = tensor_map_basis(forest_shuffle(t1, t2, lam), 2, trunk_coproduct)
+        lhs = tensor_map_basis(forest_shuffle(t1, t2, lam), trunk_coproduct)
         big = (
             tensor(LinComb.of(t1), LinComb.of(t2))
             .expand_leg(0, trunk_coproduct)

@@ -57,7 +57,7 @@ Q = Fraction
 
 
 def T2(pairs):
-    return TensorComb(2, {(P(l), P(r)): Q(c) for l, r, c in pairs})
+    return TensorComb({(P(l), P(r)): Q(c) for l, r, c in pairs})
 
 
 def distinct_forest_shapes(max_size):
@@ -285,7 +285,6 @@ class TestDualRecursive:
             for letters in itertools.product(alphabet, repeat=n):
                 w = Word(letters)
                 expected = TensorComb(
-                    2,
                     {
                         (word_to_tree(x), word_to_tree(y)): c
                         for (x, y), c in deshuffle(w).items()
@@ -319,7 +318,6 @@ class TestDualOracle:
             # the σ-refined formula with the σ factors taken out again
             sigma_f = _symmetry(f.trees)
             return TensorComb(
-                2,
                 {
                     (a, b): c * sigma_f / (_symmetry(a.trees) * _symmetry(b.trees))
                     for (a, b), c in _sigma_refined_oracle(f).items()

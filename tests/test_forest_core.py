@@ -18,7 +18,6 @@ from forestshuffle.forest import (
     _redecorate,
     b_plus,
     concat,
-    fertility_profile,
     graft_at,
     induced_subtree,
     leaf_refs,
@@ -180,16 +179,6 @@ class TestStructuralOps:
         with pytest.raises(ValueError):
             graft_at(P("a").single_tree(), (3,), P("b"))
 
-    def test_fertility_profile(self):
-        assert fertility_profile(P("a").single_tree()) == {(): 0}
-        assert fertility_profile(P("a[b,c]").single_tree()) == {(): 2, (0,): 0, (1,): 0}
-        assert fertility_profile(P("a[b[c],d]").single_tree()) == {
-            (): 2,
-            (0,): 1,
-            (0, 0): 0,
-            (1,): 0,
-        }
-
     def test_induced_subtree(self):
         t = P("a[b[c],d]").single_tree()
         assert induced_subtree(t, vertex_refs(t)) == t.as_forest()
@@ -303,7 +292,7 @@ class TestFreeModule:
     def test_tensor_json_and_text(self):
         from forestshuffle.linalg import render_lincomb, tensor_json
 
-        t = TensorComb(2, {(P("a"), P("b")): Fraction(1, 2)})
+        t = TensorComb({(P("a"), P("b")): Fraction(1, 2)})
         assert render_lincomb(t) == "1/2 (a) (x) (b)"
         assert tensor_json(t) == {
             "terms": [{"coeff": "1/2", "left": "a", "right": "b"}]

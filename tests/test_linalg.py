@@ -19,7 +19,14 @@ import forestshuffle
 from forestshuffle.coalgebra import trunk_coproduct
 from forestshuffle.dual import dual_combinatorial, dual_recursive, graft_leaves
 from forestshuffle.forest import parse_forest as P
-from forestshuffle.linalg import LinComb, TensorComb, bilinear, render_lincomb, tensor_map_basis
+from forestshuffle.linalg import (
+    LinComb,
+    TensorComb,
+    bilinear,
+    render_lincomb,
+    tensor_json,
+    tensor_map_basis,
+)
 from forestshuffle.shuffle import diamond_product, forest_shuffle, star_product
 from forestshuffle.words import Word, deshuffle, word_shuffle
 
@@ -85,8 +92,9 @@ class TestAccumulator:
     def test_tensor_map_basis_keeps_the_arity(self):
         x = LinComb({P("a[b]"): Fraction(2), P("c"): Fraction(-1)})
         expected = trunk_coproduct(P("a[b]")).scale(2) - trunk_coproduct(P("c"))
-        assert tensor_map_basis(x, 2, trunk_coproduct) == expected
-        assert tensor_map_basis(LinComb.zero(), 2, trunk_coproduct) == TensorComb.zero(2)
+        got = tensor_map_basis(x, trunk_coproduct)
+        assert got == expected and {len(legs) for legs in got.support()} == {2}
+        assert tensor_map_basis(LinComb.zero(), trunk_coproduct) == TensorComb.zero()
 
 
 class TestTensorComb:
@@ -94,36 +102,65 @@ class TestTensorComb:
         t = TensorComb.of((P("a"), P("b")), Fraction(1, 2))
         assert isinstance(t, LinComb)
         assert (t + t).coefficient((P("a"), P("b"))) == 1
-        assert (t - t).is_zero and (t - t).arity == 2
+        assert (t - t).is_zero and isinstance(t - t, TensorComb)
+        assert {len(legs) for legs in (t + t).support()} == {2}
         assert repr(t) == "TensorComb('1/2 (a) (x) (b)')"
 
     def test_zeros_of_different_spaces_differ(self):
-        assert LinComb.zero() != TensorComb.zero(2)
-        assert TensorComb.zero(2) != TensorComb.zero(3)
-        assert TensorComb.zero(2) == TensorComb.sum_of(2, [])
+        # a tensor's leg count is the length of its terms: zero has none
+        assert LinComb.zero() != TensorComb.zero()
+        assert TensorComb.of((P("a"),)) != LinComb.of(P("a"))
+        assert TensorComb.zero() == TensorComb.sum_of([])
+        assert TensorComb.zero() == TensorComb.of((P("a"), P("b"))).scale(0)
 
     def test_terms_sort_by_the_tuple_of_leg_keys(self):
         # a space-joined string would put "a b c" before "a z"
-        t = TensorComb(2, {(P("a b"), P("c")): Fraction(1), (P("a"), P("z")): Fraction(1)})
+        t = TensorComb({(P("a b"), P("c")): Fraction(1), (P("a"), P("z")): Fraction(1)})
         assert [legs for legs, _ in t.items()] == [(P("a"), P("z")), (P("a b"), P("c"))]
         assert render_lincomb(t) == "1 (a) (x) (z) + 1 (a b) (x) (c)"
 
     def test_arity_errors(self):
+        two = TensorComb.of((P("a"), P("b")))
+        three = TensorComb.of((P("a"), P("b"), P("c")))
         with pytest.raises(ValueError, match="arity mismatch"):
-            TensorComb.zero(2) + TensorComb.zero(3)
+            two + three
+        with pytest.raises(ValueError, match="arity mismatch"):
+            three - two
         with pytest.raises(ValueError, match="arity mismatch"):
             LinComb.of(P("a")) + TensorComb.of((P("a"),))
-        with pytest.raises(ValueError, match="does not have arity"):
-            TensorComb(2, {(P("a"),): Fraction(1)})
-        with pytest.raises(ValueError, match="zero tensor"):
-            TensorComb.zero(2).expand_leg(0, trunk_coproduct)
+        with pytest.raises(ValueError, match="arity mismatch"):
+            TensorComb.of((P("a"),)) + LinComb.of(P("a"))
+        with pytest.raises(ValueError, match="number of legs"):
+            TensorComb({(P("a"),): Fraction(1), (P("a"), P("b")): Fraction(1)})
+        # a wrong leg count never drops or repeats a leg silently
+        with pytest.raises(ValueError, match="does not fit"):
+            three.flip()
+        with pytest.raises(ValueError, match="does not fit"):
+            two.tau23()
+        with pytest.raises(ValueError, match="2-leg"):
+            tensor_json(three)
+
+    def test_zero_sums_with_any_leg_count(self):
+        two = TensorComb.of((P("a"), P("b")))
+        three = TensorComb.of((P("a"), P("b"), P("c")))
+        assert two + TensorComb.zero() == two
+        assert TensorComb.zero() + three == three
+        assert TensorComb.zero().flip() == TensorComb.zero()
+        assert tensor_json(TensorComb.zero()) == {"terms": []}
+
+    def test_linear_maps_of_zero_are_zero(self):
+        zero = TensorComb.zero()
+        assert zero.expand_leg(0, trunk_coproduct) == zero
+        assert zero.map_leg(1, lambda f: LinComb.of(f, 3)) == zero
+        assert zero.contract(0, 1, forest_shuffle) == zero
+        assert tensor_map_basis(LinComb.zero(), trunk_coproduct) == zero
 
     def test_relegging(self):
         t = TensorComb.of((P("a[b]"), P("c")))
-        assert t.expand_leg(0, trunk_coproduct).arity == 3
+        assert {len(legs) for legs in t.expand_leg(0, trunk_coproduct).support()} == {3}
         assert t.map_leg(1, lambda f: LinComb.of(f, 3)) == t.scale(3)
         merged = t.contract(0, 1, forest_shuffle)
-        assert merged.arity == 1
+        assert {len(legs) for legs in merged.support()} == {1}
         assert {legs[0] for legs in merged.support()} == forest_shuffle(P("a[b]"), P("c")).support()
 
 
@@ -172,12 +209,20 @@ def _unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    used.update(_exports(tree))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    """The names in a module's ``__all__``."""
+    return [
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+        if isinstance(elt, ast.Constant)
+    ]
 
 
 @pytest.mark.parametrize("path", _source_files(), ids=lambda p: p.name)
@@ -188,6 +233,52 @@ def test_no_unused_imports(path):
 def test_unused_import_scan_sees_one():
     source = "from __future__ import annotations\nimport os\nfrom a.b import c, d as e\nprint(c)\n"
     assert _unused_imports(source) == ["os (line 2)", "e (line 3)"]
+
+
+def _unread_exports(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each name in a module's ``__all__`` that no source
+    reads: as a name, an attribute or an import, outside the top-level
+    definition of that name itself (so a recursion is not a read)."""
+    exported, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exported += [f"{module}.{name}" for name in _exports(tree)]
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if isinstance(stmt, (*_DEFS, ast.ClassDef)):
+                names.discard(stmt.name)
+            read |= names
+    return [name for name in exported if name.rpartition(".")[2] not in read]
+
+
+def test_every_export_is_read():
+    """Each exported name has a reader in the package or the benchmark; a
+    name only tests call belongs in the tests."""
+    root = Path(forestshuffle.__file__).parent
+    paths = sorted(root.glob("*.py")) + sorted((root.parents[1] / "perfbench").glob("*.py"))
+    assert _unread_exports({p.stem: p.read_text(encoding="utf-8") for p in paths}) == []
+
+
+def test_unread_export_scan_sees_each_kind():
+    sources = {
+        "m": (
+            '__all__ = ["used", "dead", "loop", "Kept", "CONST"]\n'
+            "def used():\n    return CONST\n"
+            "def dead():\n    return 1\n"
+            "def loop(n):\n    return loop(n - 1)\n"
+            "class Kept:\n    pass\n"
+            "CONST = 1\n"
+        ),
+        "n": "from m import used\nimport m\nused()\nm.Kept()\n",
+    }
+    assert _unread_exports(sources) == ["m.dead", "m.loop"]
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)

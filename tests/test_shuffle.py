@@ -229,3 +229,25 @@ class TestShuffleCoefficient:
     def test_zero_off_support(self):
         assert shuffle_coefficient(P("a[b,c]"), P("a"), P("b")) == 0
         assert shuffle_coefficient(P("b[c] d"), P("b"), P("c d")) == Q(1, 2)
+
+    def test_repeated_query_walks_no_tree(self, monkeypatch):
+        import forestshuffle.shuffle as sh
+
+        walks = []
+
+        def counted(forest):
+            walks.append(forest)
+            return atom_multiset(forest)
+
+        atom_multiset = sh._atom_multiset
+        monkeypatch.setattr(sh, "_atom_multiset", counted)
+        sh._coeff_cache.clear()  # a pure memo: clearing it changes no result
+        query = (P("b[c] d[e]"), P("b d"), P("c e"), 1)
+        first = shuffle_coefficient(*query)
+        assert len(walks) == 3
+        walks.clear()
+        assert shuffle_coefficient(*query) == first
+        assert walks == []
+        # the atom prefilter still answers a query that misses the memo
+        assert shuffle_coefficient(P("a[b]"), P("a"), P("c")) == 0
+        assert len(walks) == 3
