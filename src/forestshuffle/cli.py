@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 verification failure; 2 usage error; 3 parse error
-in a tree expression; 4 an enumeration guard was exceeded.
+Exit codes: 0 success; 1 verification failure; 2 usage error, or a file
+the command cannot write; 3 parse error in a tree expression; 4 an
+enumeration guard was exceeded; 141 (128 + SIGPIPE) the reader closed
+standard output early, which ends the command quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -276,15 +279,19 @@ def _cmd_primitives(args) -> int:
         raise GuardExceeded(f"--count is guarded to {COUNT_GUARD}, got {args.count}")
     # one pass gives every p_n up to N
     values = _rooted_counts(args.count, single_child=False)
+    # the file first: a path it cannot write leaves stdout empty
+    if args.csv:
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{n},{v}\n" for n, v in enumerate(values))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.json:
         print(json.dumps(values))
     else:
         for v in values:
             print(v)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            for n, v in enumerate(values):
-                fh.write(f"{n},{v}\n")
     return 0
 
 
@@ -403,7 +410,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        code = _COMMANDS[args.verb](args)
+        # a closed reader must show here, not in the exit flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point fd 1 at devnull, so the interpreter's exit flush cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except TreeSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

@@ -1,35 +1,40 @@
 """The coproduct dual to the forest shuffle, admissible families, and the
 grafting products.
 
-Three independent routes to the dual coproduct coexist here:
+Three routes to the dual coproduct coexist here; each shares one rule with
+one other:
 
-* ``dual_recursive``  — the inductive formula: forests split component-wise
-  with coefficients alpha(I, n) = (|I|+1)(n-|I|), trees reduce through the
-  root with a projection keeping only tree (or empty) legs;
-* ``dual_combinatorial`` — a sum over admissible vertex families weighted by
-  contracted fertilities (must agree with the recursive form exactly);
+* ``dual_recursive``  — the inductive formula: a tree B+^a(G) takes the
+  root rule ``_root_terms`` on G's coproduct (a projection keeping only
+  connected legs), a forest of n trees the alpha forest rule
+  ``_alpha_terms`` (component-wise splits with coefficients
+  alpha(r, n) = (r+1)(n-r)) on its components' reduced coproducts;
+* ``dual_combinatorial`` — the alpha forest rule on each component's
+  admissible vertex families, weighted by contracted fertilities (must
+  agree with the recursive form exactly);
 * ``dual_oracle``      — strict duality against the shuffle, the sum of
   <F, f1 ⧢ f2> f1⊗f2, computed as the transpose of the weight-0 shuffle
-  recursion: it un-shuffles the target instead of pairing candidates.
+  recursion: the root rule on trees and a split of its own on forests; it
+  un-shuffles the target instead of pairing candidates.
 
 ``dual_oracle_brute`` is the reference for the oracle: it pairs every basis
 split of the decoration multiset through ``shuffle_coefficient``, which is
 ground truth by definition, and deliberately shares no code with the two
-formulas or the transpose.  The tests and the dual verification suite check
-the transpose against it term for term.
+formulas or the transpose.
 
-The recursive/combinatorial forms carry the alpha/fertility weights as
-stated; strict duality normalizes differently.  The verification suites
-check the relation between the two: the σ-refined reciprocal formula.
+A route that does not take a shared rule checks it: the root rule by
+"recursive == combinatorial" and "transpose == brute oracle", the alpha
+forest rule by "oracle == σ-refined reciprocal formula" (on distinct atoms
+and on 2 atoms), which relates the formulas' alpha/fertility weights to
+the normalization of strict duality.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .forest import (
     EMPTY,
@@ -84,8 +89,7 @@ _ONE = Fraction(1)
 # admissible families
 
 
-@dataclass(frozen=True)
-class AdmissibleFamily:
+class AdmissibleFamily(NamedTuple):
     """A vertex subset whose induced tree and complement-induced tree are
     both trees (or empty) and which freezes every branching: a vertex keeps
     its ambient fertility on its own side whenever either of the two is at
@@ -95,10 +99,6 @@ class AdmissibleFamily:
     t_gamma: Forest
     t_complement: Forest
     c_gamma: int
-
-
-# (gamma, t_gamma, t_complement, c_gamma): a family and its two induced sides
-_Family = tuple[frozenset[VertexRef], Forest, Forest, int]
 
 
 def family_count(tree: RootedTree) -> int:
@@ -131,53 +131,52 @@ def _dual_term_count(forest: Forest) -> int:
     return 2 + 2 ** (len(counts) - 1) * sum([c - 2 for c in counts])
 
 
-def _family_sets(tree: RootedTree) -> list[_Family]:
+def _family_sets(tree: RootedTree) -> list[AdmissibleFamily]:
     """Inductive enumeration of admissible vertex sets with both induced
     sides and fertilities.
 
     Single-child root: families of the child, each taken with and without
-    the root, fertility unchanged; the root joins the side it goes to.  Root
-    with n >= 2 children: besides the two boundary families (whole vertex
-    set and empty set, fertility 1), every family is built from a proper
-    nonempty family of one child, taken either as is or joined with the
-    root and all other children; fertility is n times the child's.  Both
-    sides are assembled from canonical parts with ``b_plus`` and ``concat``
-    instead of being induced again from the vertex sets.
+    the root, fertility unchanged; the root joins the side it goes to.  Any
+    other root has the two boundary families (whole vertex set and empty
+    set, fertility 1), which are all a leaf has.  Under n >= 2 children
+    every other family is built from a proper nonempty family of one child,
+    taken either as is or joined with the root and all other children;
+    fertility is n times the child's.  Both sides are assembled from
+    canonical parts with ``b_plus`` and ``concat`` instead of being induced
+    again from the vertex sets.
     """
     kids = tree.children
     n = len(kids)
     dec = tree.decoration
-    if n == 0:
-        leaf = tree.as_forest()
-        return [(frozenset(), EMPTY, leaf, 1), (frozenset({()}), leaf, EMPTY, 1)]
     if n == 1:
-        out: list[_Family] = []
+        out: list[AdmissibleFamily] = []
         for sub, g, h, c in _family_sets(kids[0]):
             lifted = frozenset((0,) + p for p in sub)
-            out.append((lifted, g, b_plus(dec, h).as_forest(), c))
-            out.append((lifted | {()}, b_plus(dec, g).as_forest(), h, c))
+            out.append(AdmissibleFamily(lifted, g, b_plus(dec, h).as_forest(), c))
+            out.append(AdmissibleFamily(lifted | {()}, b_plus(dec, g).as_forest(), h, c))
         return out
 
     child_vertices = [frozenset((i,) + p for p in vertex_refs(kids[i])) for i in range(n)]
     all_vertices: frozenset[VertexRef] = frozenset({()}).union(*child_vertices)
     whole = tree.as_forest()
-    out = [(frozenset(), EMPTY, whole, 1), (all_vertices, whole, EMPTY, 1)]
+    out = [
+        AdmissibleFamily(frozenset(), EMPTY, whole, 1),
+        AdmissibleFamily(all_vertices, whole, EMPTY, 1),
+    ]
     for i in range(n):
         kid = kids[i]
-        rest = all_vertices - child_vertices[i] - {()}
+        rest = all_vertices - child_vertices[i]  # the root and the other children
         # a subsequence of the sorted children is sorted
         others = Forest._build(kids[:i] + kids[i + 1 :], tree.size - 1 - kid.size)
         for sub, g, h, c in _family_sets(kid):
             if not sub or len(sub) == kid.size:
                 continue
             lifted = frozenset((i,) + p for p in sub)
-            out.append((lifted, g, b_plus(dec, concat(others, h)).as_forest(), n * c))
-            out.append((lifted | {()} | rest, b_plus(dec, concat(others, g)).as_forest(), h, n * c))
+            out.append(AdmissibleFamily(lifted, g, b_plus(dec, concat(others, h)).as_forest(), n * c))
+            out.append(
+                AdmissibleFamily(lifted | rest, b_plus(dec, concat(others, g)).as_forest(), h, n * c)
+            )
     return out
-
-
-def _set_key(refs: frozenset[VertexRef]) -> tuple:
-    return (len(refs), tuple(sorted(refs)))
 
 
 def admissible_families(tree: RootedTree) -> tuple[AdmissibleFamily, ...]:
@@ -193,12 +192,7 @@ def admissible_families(tree: RootedTree) -> tuple[AdmissibleFamily, ...]:
             f"admissible families are guarded to {FAMILY_GUARD} per tree, "
             f"a tree of {tree.size} vertices has {count}"
         )
-    return tuple(
-        AdmissibleFamily(gamma, t_gamma, t_complement, c)
-        for gamma, t_gamma, t_complement, c in sorted(
-            _family_sets(tree), key=lambda fam: _set_key(fam[0])
-        )
-    )
+    return tuple(sorted(_family_sets(tree), key=lambda fam: (len(fam.gamma), sorted(fam.gamma))))
 
 
 def is_admissible_direct(tree: RootedTree, gamma: Iterable[VertexRef]) -> bool:
@@ -270,19 +264,14 @@ def _contract(
 _dual_cache: dict[str, TensorComb[Forest]] = {}
 
 
-def _alpha(size_i: int, n: int) -> int:
-    return (size_i + 1) * (n - size_i)
-
-
 def _component_splits(trees: tuple[RootedTree, ...], i: int):
     """Every split of the components other than ``trees[i]`` into a chosen
     forest and the rest: (number chosen, chosen, rest), lazily."""
     others = trees[:i] + trees[i + 1 :]
     for r in range(len(others) + 1):
         for picked in itertools.combinations(range(len(others)), r):
-            chosen = set(picked)
             f_in = tuple(others[j] for j in picked)
-            f_out = tuple(t for j, t in enumerate(others) if j not in chosen)
+            f_out = tuple(t for j, t in enumerate(others) if j not in picked)
             # subsequences of a sorted tuple are sorted
             yield (
                 r,
@@ -306,35 +295,51 @@ def _dual(forest: Forest) -> TensorComb[Forest]:
         result = TensorComb.of((EMPTY, EMPTY))
     elif forest.is_tree:
         tree = forest.single_tree()
-        pairs = []
-        for (left, right), c in _dual(Forest(tree.children))._terms.items():
-            if right.is_connected:
-                pairs.append(((b_plus(tree.decoration, left).as_forest(), right), c))
-            if left.is_connected:
-                pairs.append(((left, b_plus(tree.decoration, right).as_forest()), c))
-        result = TensorComb.sum_of(pairs)
+        result = _root_terms(tree.decoration, _dual(Forest._build(tree.children, tree.size - 1)))
     else:
-        n = len(forest.trees)
-        pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
-        for i, tree in enumerate(forest.trees):
+        reduced = []
+        for tree in forest.trees:
             # reduced_dual(tree), recursing from this frame: the two terms
             # with an empty leg are T⊗∅ and ∅⊗T, each with coefficient 1
-            red = [
-                ((x, y), c)
+            reduced.append([
+                (x, y, c)
                 for (x, y), c in _dual(tree.as_forest())._terms.items()
                 if not (x.is_empty or y.is_empty)
-            ]
-            if not red:
-                continue
-            pairs.extend(
-                ((concat(x, f_in), concat(y, f_out)), _alpha(r, n) * c)
-                for r, f_in, f_out in _component_splits(forest.trees, i)
-                for (x, y), c in red
-            )
-        result = TensorComb.sum_of(pairs)
+            ])
+        result = _alpha_terms(forest, reduced)
 
     _dual_cache[forest.key] = result
     return result
+
+
+def _root_terms(dec: Decoration, body: TensorComb[Forest]) -> TensorComb[Forest]:
+    """The coproduct of B+^dec(G) from the coproduct of its body G: each term
+    x⊗y with coefficient c gives B+^dec(x)⊗y when y is connected and
+    x⊗B+^dec(y) when x is.  G's trivial terms give the tree's."""
+    pairs = []
+    for (x, y), c in body._terms.items():
+        if y.is_connected:
+            pairs.append(((b_plus(dec, x).as_forest(), y), c))
+        if x.is_connected:
+            pairs.append(((x, b_plus(dec, y).as_forest()), c))
+    return TensorComb.sum_of(pairs)
+
+
+def _alpha_terms(forest: Forest, reduced: list[list[tuple]]) -> TensorComb[Forest]:
+    """The coproduct of a nonempty forest from its components' reduced
+    terms, one list of (x, y, c) per component, both legs nonempty:
+    F⊗∅ + ∅⊗F plus (x f_in)⊗(y f_out) with coefficient alpha(r, n)·c =
+    (r+1)(n-r)·c over every split of the other components into r chosen
+    ones f_in and the rest f_out."""
+    n = len(forest.trees)
+    pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
+    for i, red in enumerate(reduced):
+        if not red:
+            continue
+        for r, f_in, f_out in _component_splits(forest.trees, i):
+            a = (r + 1) * (n - r)
+            pairs.extend(((concat(x, f_in), concat(y, f_out)), a * c) for x, y, c in red)
+    return TensorComb.sum_of(pairs)
 
 
 def reduced_dual(forest: Forest) -> TensorComb[Forest]:
@@ -348,32 +353,19 @@ def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
     """The dual coproduct as a sum over admissible families.
 
     Must agree with ``dual_recursive`` exactly, on trees and forests alike.
+    A tree has one split, with alpha(0, 1) = 1, and its boundary families
+    are the trivial terms T⊗∅ and ∅⊗T.
     """
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))
-    if forest.is_tree:
-        return TensorComb.sum_of(
-            ((fam.t_complement, fam.t_gamma), Fraction(fam.c_gamma))
-            for fam in admissible_families(forest.single_tree())
-        )
-
-    n = len(forest.trees)
-    pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
-    for i, tree in enumerate(forest.trees):
-        families = [
-            (fam.t_complement, fam.t_gamma, fam.c_gamma)
+    return _alpha_terms(forest, [
+        [
+            (fam.t_complement, fam.t_gamma, Fraction(fam.c_gamma))
             for fam in admissible_families(tree)
             if 0 < len(fam.gamma) < tree.size
         ]
-        if not families:
-            continue
-        for r, f_in, f_out in _component_splits(forest.trees, i):
-            a = _alpha(r, n)
-            pairs.extend(
-                ((concat(comp, f_in), concat(gamma, f_out)), Fraction(c * a))
-                for comp, gamma, c in families
-            )
-    return TensorComb.sum_of(pairs)
+        for tree in forest.trees
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +426,12 @@ def _transpose(forest: Forest) -> TensorComb[Forest]:
     """The transpose of the weight-0 shuffle, by recursion over the target."""
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))
-    pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
     trees = forest.trees
     if len(trees) == 1:
         tree = trees[0]
-        if not tree.children:
-            # a single vertex has only the trivial terms
-            return TensorComb.sum_of(pairs)
-        dec = tree.decoration
-        body = Forest._build(tree.children, tree.size - 1)
-        for (x, y), c in _transpose(body)._terms.items():
-            if y.is_tree:
-                pairs.append(((b_plus(dec, x).as_forest(), y), c))
-            if x.is_tree:
-                pairs.append(((x, b_plus(dec, y).as_forest()), c))
-        return TensorComb.sum_of(pairs)
+        return _root_terms(tree.decoration, _transpose(Forest._build(tree.children, tree.size - 1)))
 
+    pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
     for i, core in enumerate(trees):
         # trees are sorted, so equal components sit next to each other
         if i and trees[i - 1] == core:
@@ -480,15 +462,13 @@ def dual_oracle(forest: Forest) -> TensorComb[Forest]:
     """The strict-duality coproduct sum <F, f1 ⧢ f2> f1⊗f2, as the transpose
     of the weight-0 shuffle recursion.
 
-    The empty forest gives ∅⊗∅; every other F gives F⊗∅ + ∅⊗F plus:
-
-    * for a tree B+^a(G), each term x⊗y of G's coproduct with coefficient c
-      gives B+^a(x)⊗y when y is a tree and x⊗B+^a(y) when x is a tree;
-    * for a forest of n >= 2 trees, each distinct component C (the rest R),
-      each split of R into sub-multisets R1 and R2, and each term t⊗u of C's
-      coproduct with two tree legs and coefficient c give (t R1)⊗(u R2)
-      with coefficient c·m(t, t R1)·m(u, u R2)/((|R1|+1)(|R2|+1)), where
-      m(t, G) is the multiplicity of the tree t in G.
+    The empty forest gives ∅⊗∅, and a tree B+^a(G) the root rule
+    ``_root_terms`` on G's.  A forest of n >= 2 trees gives F⊗∅ + ∅⊗F plus,
+    for each distinct component C (the rest R), each split of R into
+    sub-multisets R1 and R2 and each term t⊗u of C's coproduct with two
+    tree legs and coefficient c, (t R1)⊗(u R2) with coefficient
+    c·m(t, t R1)·m(u, u R2)/((|R1|+1)(|R2|+1)), where m(t, G) is the
+    multiplicity of the tree t in G.
 
     Equal to ``dual_oracle_brute`` term for term, which the tests and the
     dual verification suite check (the suite up to 4 vertices, where the

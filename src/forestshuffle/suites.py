@@ -111,19 +111,22 @@ class CaseFailure:
 class SuiteReport:
     suite: str
     cases: int = 0
-    passed: int = 0
-    failed: int = 0
     failures: list[CaseFailure] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     seed: int = 0
     duration: float = 0.0
 
+    @property
+    def passed(self) -> int:
+        return self.cases - len(self.failures)
+
+    @property
+    def failed(self) -> int:
+        return len(self.failures)
+
     def check(self, case: str, inputs: str, expected, actual) -> None:
         self.cases += 1
-        if expected == actual:
-            self.passed += 1
-        else:
-            self.failed += 1
+        if expected != actual:
             self.failures.append(
                 CaseFailure(case=case, inputs=inputs, expected=_show(expected), actual=_show(actual))
             )

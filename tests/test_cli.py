@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import forestshuffle
 from forestshuffle.cli import RB_DEGREE_GUARD, SHUFFLE_GUARD, _build_parser, _recursion_leaves, main
 from forestshuffle.dual import FAMILY_GUARD, _dual_term_count
 from forestshuffle.forest import MAX_TREE_DEPTH, parse_forest
@@ -136,6 +141,37 @@ class TestOtherVerbs:
 
 
 class TestErrorPaths:
+    # each prints several hundred kB, far past a pipe's buffer, so the
+    # command is still writing when the reader goes
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("primitives", "--count", "2000"),
+            ("dual", " ".join(f"a{i}[b{i}]" for i in range(9)), "--json"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout_is_status_141_and_quiet(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(forestshuffle.__file__).parent.parent))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "forestshuffle.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""
+
+    def test_unwritable_csv_is_status_2_and_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "pt.csv"
+        code, out, err = run(capsys, "primitives", "--count", "3", "--csv", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_parse_error_is_status_3(self, capsys):
         code, _, err = run(capsys, "shuffle", "a[", "b")
         assert code == 3

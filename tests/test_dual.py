@@ -68,6 +68,13 @@ def distinct_forest_shapes(max_size):
 
 
 class TestAdmissibleFamilies:
+    def test_family_unpacks_in_field_order(self):
+        for fam in admissible_families(P("a[b[c],d]").single_tree()):
+            gamma, t_gamma, t_complement, c_gamma = fam
+            assert (gamma, t_gamma, t_complement, c_gamma) == (
+                fam.gamma, fam.t_gamma, fam.t_complement, fam.c_gamma
+            )
+
     def test_single_vertex(self):
         fams = admissible_families(P("a").single_tree())
         assert sorted((sorted(f.gamma), f.c_gamma) for f in fams) == [([], 1), ([()], 1)]
