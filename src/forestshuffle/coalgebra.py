@@ -13,9 +13,8 @@ argument is rejected rather than silently extended.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
-from .forest import EMPTY, Forest, RootedTree, _gc_paused, b_plus
+from .forest import EMPTY, Forest, RootedTree, _gc_paused, _Memo, b_plus
 from .linalg import LinComb, TensorComb, bilinear, lincomb_sum
 from .words import Word, is_linear, tree_to_word, word_to_tree
 
@@ -25,6 +24,8 @@ __all__ = [
     "right_antipode",
     "antipode_square_residual",
 ]
+
+_trunk_cache = _Memo()  # forest key -> TensorComb
 
 
 @_gc_paused
@@ -39,13 +40,13 @@ def trunk_coproduct(arg: Forest | RootedTree) -> TensorComb[Forest]:
     forest = arg.as_forest() if isinstance(arg, RootedTree) else arg
     if not forest.is_connected:
         raise ValueError(f"the trunk coproduct is defined on trees only, got {forest.key!r}")
+    _trunk_cache.trim()
     return _trunk(forest)
 
 
-# the cache wrapper makes this two stack frames per level of a linear tree,
-# within the budget of forest.MAX_TREE_DEPTH
-@cache
 def _trunk(forest: Forest) -> TensorComb[Forest]:
+    if (hit := _trunk_cache.get(forest.key)) is not None:
+        return hit
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))
     tree = forest.single_tree()
@@ -55,7 +56,7 @@ def _trunk(forest: Forest) -> TensorComb[Forest]:
         result = result + _trunk(body).map_leg(
             0, lambda f: LinComb.of(b_plus(tree.decoration, f).as_forest())
         )
-    return result
+    return _trunk_cache.put(forest.key, forest.size, result)
 
 
 def counit(x: LinComb[Forest] | Forest) -> Fraction:

@@ -46,6 +46,7 @@ from .forest import (
     VertexRef,
     _fold,
     _gc_paused,
+    _Memo,
     _induced_children,
     _preorder,
     _scion_forest,
@@ -259,9 +260,7 @@ def _contract(
 # ---------------------------------------------------------------------------
 # the dual coproduct, three ways
 
-# a plain dict, not functools.cache: a wrapper would cost _dual one more
-# stack frame per level (see forest.MAX_TREE_DEPTH)
-_dual_cache: dict[str, TensorComb[Forest]] = {}
+_dual_cache = _Memo()  # forest key -> TensorComb
 
 
 def _component_splits(trees: tuple[RootedTree, ...], i: int):
@@ -283,12 +282,12 @@ def _component_splits(trees: tuple[RootedTree, ...], i: int):
 @_gc_paused
 def dual_recursive(forest: Forest) -> TensorComb[Forest]:
     """The dual coproduct by its inductive formula."""
+    _dual_cache.trim()
     return _dual(forest)
 
 
 def _dual(forest: Forest) -> TensorComb[Forest]:
-    hit = _dual_cache.get(forest.key)
-    if hit is not None:
+    if (hit := _dual_cache.get(forest.key)) is not None:
         return hit
 
     if forest.is_empty:
@@ -308,8 +307,7 @@ def _dual(forest: Forest) -> TensorComb[Forest]:
             ])
         result = _alpha_terms(forest, reduced)
 
-    _dual_cache[forest.key] = result
-    return result
+    return _dual_cache.put(forest.key, forest.size, result)
 
 
 def _root_terms(dec: Decoration, body: TensorComb[Forest]) -> TensorComb[Forest]:

@@ -91,6 +91,32 @@ def _gc_paused(fn):
     return paused
 
 
+_MEMO_SIZE_LIMIT = 8
+# 2**13 is the smallest power of two above every memo one seed-7 `products` or
+# `verify` benchmark pass fills (5,864 entries), so neither trims; at 2**15,
+# 12,000 random 8-12-vertex duals held 176 MiB against 80 MiB.
+_MEMO_ENTRIES = 2**13
+
+
+class _Memo(dict):
+    """A recursion's memo on canonical keys.  Look up with the C method
+    ``get``, which adds no frame per level; ``put`` keeps a result only when
+    its operands total at most ``_MEMO_SIZE_LIMIT`` vertices.  ``shuffle._coeff``
+    stores every result, as one query revisits its sub-problems: 36,100 on two
+    190-vertex chains, about C(380, 190) paths under the size rule.  Only the
+    public entries call ``trim``, before their recursion, so a query keeps its
+    whole working set."""
+
+    def put(self, key, size, value):
+        if size <= _MEMO_SIZE_LIMIT:
+            self[key] = value
+        return value
+
+    def trim(self):
+        if len(self) > _MEMO_ENTRIES:
+            self.clear()
+
+
 class Decoration:
     """A multiset of atom symbols; the unit is the empty multiset.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forest import Forest, _gc_paused, _preorder, b_plus, concat
+from .forest import Forest, _gc_paused, _Memo, _preorder, b_plus, concat
 from .linalg import LinComb, bilinear, lincomb_sum
 
 __all__ = [
@@ -28,24 +28,14 @@ __all__ = [
     "find_nonassociativity_witness",
 ]
 
-# The public products and shuffle_coefficient are thin entries that pause
-# the cyclic collector (forest._gc_paused) over private recursions: _shuffle,
-# _star, _diamond and _coeff.  The recursions call each other, never the
-# entries, so the pause costs one frame per call, not per level.  Their memos
-# are plain dicts: a functools.cache wrapper costs one stack frame per
-# memoized call, halving the depth that forest.MAX_TREE_DEPTH is sized for.
-_shuffle_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # _shuffle
-_star_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # _star
-_diamond_cache: dict[tuple[str, str, Fraction], LinComb[Forest]] = {}  # _diamond
-_coeff_cache: dict[tuple[str, str, str, Fraction], Fraction] = {}  # _coeff
-
-# products of large operands are not memoized (their sub-results are), so
-# long-running suites do not pin every big expansion in memory
-_MEMO_SIZE_LIMIT = 8
-
-# The recursive products below collect their sub-results in plain loops and
-# sum them afterwards, so each level of an operand costs one or two stack
-# frames and no accumulator frames (see forest.MAX_TREE_DEPTH).
+# The public products and shuffle_coefficient pause the collector and trim
+# their memos over private recursions (_shuffle, _star, _diamond, _coeff) that
+# never call an entry.  The products sum their sub-results after plain loops,
+# so a level costs one or two stack frames (see forest.MAX_TREE_DEPTH).
+_shuffle_cache = _Memo()  # (first, second, lam) -> LinComb, by key
+_star_cache = _Memo()
+_diamond_cache = _Memo()
+_coeff_cache = _Memo()  # (target, first, second, lam) -> Fraction, by key
 
 
 # _graft_all and _concat_all map distinct forests to distinct forests and keep
@@ -91,13 +81,13 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
     The empty forest is the unit.  Every term's coefficient is an exact
     rational; at lam=0 every term has |F|+|F'| vertices.
     """
+    _shuffle_cache.trim()
     return _shuffle(first, second, Fraction(lam))
 
 
 def _shuffle(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
     key = (first.key, second.key, lam)
-    hit = _shuffle_cache.get(key)
-    if hit is not None:
+    if (hit := _shuffle_cache.get(key)) is not None:
         return hit
 
     if first.is_empty:
@@ -119,9 +109,7 @@ def _shuffle(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
             parts.append(_concat_all(_shuffle(ti.as_forest(), tj.as_forest(), lam), rest))
         result = lincomb_sum(parts).scale(Fraction(1, len(first.trees) * len(second.trees)))
 
-    if first.size + second.size <= _MEMO_SIZE_LIMIT:
-        _shuffle_cache[key] = result
-    return result
+    return _shuffle_cache.put(key, first.size + second.size, result)
 
 
 @_gc_paused
@@ -139,13 +127,14 @@ def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinC
     branching trees it generally does not (at weight 0, a * a[a,a] is
     a[a,a[a]] + 2 a[a[a,a]], while a ⧢ a[a,a] is 2 a[a,a[a]] + a[a[a,a]]).
     """
+    _star_cache.trim()
+    _diamond_cache.trim()
     return _star(first, second, Fraction(lam))
 
 
 def _star(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
     key = (first.key, second.key, lam)
-    hit = _star_cache.get(key)
-    if hit is not None:
+    if (hit := _star_cache.get(key)) is not None:
         return hit
 
     if first.is_empty:
@@ -165,9 +154,7 @@ def _star(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
         if lam:
             result = result + _diamond(first, second, lam).scale(lam)
 
-    if first.size + second.size <= _MEMO_SIZE_LIMIT:
-        _star_cache[key] = result
-    return result
+    return _star_cache.put(key, first.size + second.size, result)
 
 
 @_gc_paused
@@ -180,14 +167,15 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
     """
     if first.is_empty or second.is_empty:
         raise ValueError("diamond product is undefined on the empty forest")
+    _star_cache.trim()
+    _diamond_cache.trim()
     return _diamond(first, second, Fraction(lam))
 
 
 def _diamond(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
     """The diamond product of two nonempty forests."""
     key = (first.key, second.key, lam)
-    hit = _diamond_cache.get(key)
-    if hit is not None:
+    if (hit := _diamond_cache.get(key)) is not None:
         return hit
 
     if first.is_tree and second.is_tree:
@@ -200,9 +188,7 @@ def _diamond(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
             parts.append(_concat_all(_diamond(ti.as_forest(), tj.as_forest(), lam), rest))
         result = lincomb_sum(parts).scale(Fraction(1, len(first.trees) * len(second.trees)))
 
-    if first.size + second.size <= _MEMO_SIZE_LIMIT:
-        _diamond_cache[key] = result
-    return result
+    return _diamond_cache.put(key, first.size + second.size, result)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +225,9 @@ def shuffle_coefficient(
     pairing <target, first ⧢ second> in the dual basis.
     """
     lam = Fraction(lam)
+    _coeff_cache.trim()
     # a repeated query returns from the memo before any tree walk
-    hit = _coeff_cache.get((target.key, first.key, second.key, lam))
-    if hit is not None:
+    if (hit := _coeff_cache.get((target.key, first.key, second.key, lam))) is not None:
         return hit
     atoms = _atom_multiset(target)
     if tuple(sorted(_atom_multiset(first) + _atom_multiset(second))) != atoms:
@@ -257,8 +243,7 @@ def _coeff(target: Forest, first: Forest, second: Forest, lam: Fraction) -> Frac
     if second.is_empty:
         return Fraction(1 if target == first else 0)
     key = (target.key, first.key, second.key, lam)
-    hit = _coeff_cache.get(key)
-    if hit is not None:
+    if (hit := _coeff_cache.get(key)) is not None:
         return hit
 
     if first.is_tree and second.is_tree:

@@ -252,9 +252,9 @@ class TestErrorPaths:
         assert code == 4
 
     def test_coproduct_at_the_limit(self, capsys):
-        from forestshuffle.coalgebra import _trunk
+        from forestshuffle.coalgebra import _trunk_cache
 
-        _trunk.cache_clear()  # so the recursion runs through every level
+        _trunk_cache.clear()  # so the recursion runs through every level
         deepest = "a[" * (MAX_TREE_DEPTH - 1) + "a" + "]" * (MAX_TREE_DEPTH - 1)
         code, out, err = run(capsys, "coproduct", deepest, "--json")
         assert (code, err) == (0, "")

@@ -374,6 +374,94 @@ def test_recursions_are_pinned():
     assert found == set(PINNED_RECURSIONS)
 
 
+# The functions that keep ``functools.cache``.  Their keys are bounded by
+# SHAPE_GUARD / ORACLE_GUARD, and enumerate_shapes(12) needs 12-unit keys,
+# which the 8-vertex rule of forest._Memo would drop.
+CACHED_ENUMERATORS = {
+    "sampling._forests_on_multiset",
+    "sampling._trees_on_multiset",
+    "sampling.forests_of_size",
+    "sampling.trees_of_size",
+}
+_CACHES = {"cache", "lru_cache"}
+
+
+def _stray_memos(module: str, source: str) -> list[str]:
+    """The memos of a module that are not a forest._Memo: a functools cache
+    on a function outside CACHED_ENUMERATORS, a cache wrapper used any other
+    way, and a module-level ``*_cache`` or empty dict that is not ``_Memo()``."""
+    tree = ast.parse(source)
+    stray, decorators = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, _DEFS):
+            for dec in node.decorator_list:
+                decorators.add(id(dec.func if isinstance(dec, ast.Call) else dec))
+                if f"{module}.{node.name}" not in CACHED_ENUMERATORS and _CACHES & {
+                    getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(dec)
+                }:
+                    stray.append(f"{module}.{node.name}")
+        elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in decorators:
+            if getattr(node, "id", getattr(node, "attr", None)) in _CACHES:
+                stray.append(f"{module}:{node.lineno}")
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        value = getattr(node, "value", None)
+        is_memo = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_Memo"
+        is_empty_dict = (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"
+        )
+        for target in targets:
+            if isinstance(target, ast.Name) and not is_memo:
+                if target.id.endswith("_cache") or is_empty_dict:
+                    stray.append(f"{module}.{target.id}")
+    return stray
+
+
+def test_every_memo_is_a_memo():
+    from forestshuffle.forest import _Memo
+
+    root = Path(forestshuffle.__file__).parent
+    stray = [
+        name
+        for path in sorted(root.glob("*.py"))
+        for name in _stray_memos(path.stem, path.read_text(encoding="utf-8"))
+    ]
+    assert stray == []
+    memos = {
+        f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
+        for module in _modules()
+        for attr, value in vars(module).items()
+        if isinstance(value, _Memo)
+    }
+    assert memos == {
+        "coalgebra._trunk_cache",
+        "dual._dual_cache",
+        "shuffle._coeff_cache",
+        "shuffle._diamond_cache",
+        "shuffle._shuffle_cache",
+        "shuffle._star_cache",
+    }
+
+
+def test_memo_scan_sees_each_kind():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@cache\ndef a(n):\n    return n\n"
+        "@functools.lru_cache(maxsize=None)\ndef b(n):\n    return n\n"
+        "@cache\ndef _trees_on_multiset(ms):\n    return ms\n"
+        "c = functools.cache(len)\n"
+        "_d_cache = {}\n_e: dict = {}\nf = dict()\n_g_cache = _Memo()\nTABLE = {1: 2}\n"
+    )
+    assert sorted(_stray_memos("sampling", source)) == [
+        "sampling._d_cache",
+        "sampling._e",
+        "sampling.a",
+        "sampling.b",
+        "sampling.f",
+        "sampling:12",
+    ]
+
+
 def test_recursion_scan_sees_each_kind():
     source = (
         "def f(n):\n    return g(n)\n"

@@ -202,8 +202,28 @@ class TestStarAndDiamond:
         assert shuffle.coefficient(P("a[b,d[c]]")) == Q(1, 2)
 
 
+def _memos():
+    """Every recursion memo of the package, by name."""
+    import forestshuffle.coalgebra as co
+    import forestshuffle.dual as du
+    import forestshuffle.shuffle as sh
+    from forestshuffle.forest import _Memo
+
+    return {
+        name: memo
+        for module in (co, du, sh)
+        for name, memo in vars(module).items()
+        if isinstance(memo, _Memo)
+    }
+
+
+def _chain(n):
+    return P("a[" * (n - 1) + "a" + "]" * (n - 1))
+
+
 class TestMemo:
     def test_products_of_large_operands_are_not_memoized(self):
+        import forestshuffle.forest as fo
         import forestshuffle.shuffle as sh
 
         memos = (sh._shuffle_cache, sh._star_cache, sh._diamond_cache)
@@ -215,7 +235,97 @@ class TestMemo:
             assert op(first, second, 1)
         sizes = [P(left).size + P(right).size for memo in memos for left, right, _ in memo]
         # sub-results up to the cap are kept, nothing larger is
-        assert max(sizes) == sh._MEMO_SIZE_LIMIT
+        assert max(sizes) == fo._MEMO_SIZE_LIMIT
+
+    def test_dual_and_trunk_keep_the_size_rule(self):
+        import forestshuffle.forest as fo
+        from forestshuffle.coalgebra import _trunk_cache, trunk_coproduct
+        from forestshuffle.dual import _dual_cache, dual_recursive
+
+        _dual_cache.clear()
+        _trunk_cache.clear()
+        tree = P("a[b[c[d[a[b[c[d[a[b[c,d]]]]]]]]]]")  # a trunk of 10 levels
+        assert tree.size == 12
+        assert dual_recursive(tree) and trunk_coproduct(tree)
+        assert max(P(key).size for key in _dual_cache) == fo._MEMO_SIZE_LIMIT
+        assert max(P(key).size for key in _trunk_cache) == fo._MEMO_SIZE_LIMIT
+
+    def test_memos_stay_bounded_across_calls(self, monkeypatch):
+        import random
+
+        import forestshuffle.forest as fo
+        from forestshuffle.coalgebra import trunk_coproduct
+        from forestshuffle.dual import dual_recursive
+        from forestshuffle.sampling import random_forest
+
+        monkeypatch.setattr(fo, "_MEMO_ENTRIES", 64)
+        memos = _memos()
+        for memo in memos.values():
+            memo.clear()
+        added = dict.fromkeys(memos, 0)
+
+        def bounded(call, *args):
+            before = {name: set(memo) for name, memo in memos.items()}
+            call(*args)
+            for name, memo in memos.items():
+                new = len(memo.keys() - before[name])
+                added[name] += new
+                # a call trims the memos it writes at its entry, never
+                # during the call, and leaves the other memos alone
+                assert len(memo) <= 64 + new if new else memo.keys() <= before[name], name
+
+        rng = random.Random(0)
+        alphabet = default_alphabet(("a", "b", "c", "d"))
+        for _ in range(50):
+            forest = random_forest(rng, rng.randint(8, 12), alphabet)
+            bounded(dual_recursive, forest)
+            for tree in forest.trees:
+                bounded(trunk_coproduct, tree)
+            first, second = (random_forest(rng, rng.randint(1, 3), alphabet) for _ in "12")
+            for op in (forest_shuffle, star_product, diamond_product):
+                bounded(op, first, second, 1)
+            (target, _), *_ = forest_shuffle(first, second, 1).items()
+            bounded(shuffle_coefficient, target, first, second, 1)
+        # every memo took in more than the cap, so an untrimmed one would fail
+        assert min(added.values()) > 64
+
+    def test_trimming_changes_no_result(self, monkeypatch):
+        import forestshuffle.forest as fo
+        from forestshuffle.coalgebra import trunk_coproduct
+        from forestshuffle.dual import dual_recursive
+
+        pairs = [(P("a[b[c],d]"), P("b[a,c]")), (P("a b[c]"), P("c[a[b]] d")), (P("a[b] c"), P("a[b] c"))]
+        forests = [P("a[b[c],d] e[f,g]"), P("a[a[a]] a[a] a"), P("a[b,c[d[e,f]]]"), _chain(10)]
+
+        def battery():
+            out = []
+            for first, second in pairs:
+                for lam in (0, 1):
+                    out += [op(first, second, lam) for op in (forest_shuffle, star_product, diamond_product)]
+                    out += [
+                        shuffle_coefficient(term, first, second, lam)
+                        for term, _ in forest_shuffle(first, second, lam).items()
+                    ]
+            out += [dual_recursive(f) for f in forests]
+            out += [trunk_coproduct(f) for f in forests if f.is_tree]
+            return out
+
+        for memo in _memos().values():
+            memo.clear()
+        kept = battery()
+        monkeypatch.setattr(fo, "_MEMO_ENTRIES", 0)  # every entry clears its memos
+        assert battery() == kept
+
+    def test_coeff_keeps_a_deep_query_whole(self):
+        import math
+
+        import forestshuffle.shuffle as sh
+
+        sh._coeff_cache.clear()
+        assert shuffle_coefficient(_chain(200), _chain(100), _chain(100)) == math.comb(200, 100)
+        # one entry per pair of nonempty sub-chains: more than the entry cap,
+        # so nothing was trimmed during the query
+        assert len(sh._coeff_cache) == 100 * 100
 
 
 class TestShuffleCoefficient:
