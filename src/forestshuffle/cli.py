@@ -27,7 +27,16 @@ from .dual import (
     graft_leaves,
     graft_linear,
 )
-from .forest import MAX_TREE_DEPTH, Forest, GuardExceeded, TreeSyntaxError, _preorder, parse_forest, parse_tree
+from .forest import (
+    MAX_TREE_DEPTH,
+    Forest,
+    GuardExceeded,
+    TreeSyntaxError,
+    _below,
+    _preorder,
+    parse_forest,
+    parse_tree,
+)
 from .linalg import LinComb, TensorComb, lincomb_json, render_lincomb, tensor_json
 from .primitives import COUNT_GUARD, _rooted_counts, enumerate_shapes, is_primitive
 from .rota_baxter import (
@@ -54,10 +63,10 @@ RB_DEGREE_GUARD = 16
 # Most leaves the recursion of the chosen product may have on the shuffle
 # verb's operands (see _recursion_leaves).  The time per leaf grows with the
 # operands' branching and the weight.  Single runs on a 2-core host, CPython
-# 3.11: two-letter chains a[b[a[...]]] took 5-7 us a leaf at weight 0 (1.4 s
-# on 184,756 leaves at depth 10) and 15-16 us at weight 1 (24 s on 1,462,563
-# at depth 9); random branching pairs of 10-32 vertices at weight 1 took up
-# to 161 us a leaf (7.3 s on 51,293 leaves, 18.9 s on 117,289)
+# 3.11: two-letter chains a[b[a[...]]] took 3.2 us a leaf at weight 0 (0.58 s
+# on 184,756 leaves at depth 10) and 9.0 us at weight 1 (13.2 s on 1,462,563
+# at depth 9); six random branching tree pairs of 10-29 vertices and 21,053
+# to 62,496 leaves at weight 1 took 23-59 us a leaf (2.3 s on the largest)
 SHUFFLE_GUARD = 2**16
 
 
@@ -166,21 +175,19 @@ def _count_leaves(
             for u in g.trees:
                 n += _count_leaves(op, t.as_forest(), u.as_forest(), lam, memo)
     elif op == "shuffle":
-        below_f, below_g = Forest(f.trees[0].children), Forest(g.trees[0].children)
+        below_f, below_g = _below(f.trees[0]), _below(g.trees[0])
         n = _count_leaves(op, below_f, g, lam, memo) + _count_leaves(op, f, below_g, lam, memo)
         if lam:
             n += _count_leaves(op, below_f, below_g, lam, memo)
     elif op == "diamond":
         # two trees fuse their roots
-        n = _count_leaves(
-            "star", Forest(f.trees[0].children), Forest(g.trees[0].children), lam, memo
-        )
+        n = _count_leaves("star", _below(f.trees[0]), _below(g.trees[0]), lam, memo)
     else:
         # star: a root of either operand comes off, plus the weight term
         for t in f.trees:
-            n += _count_leaves(op, Forest(t.children), g, lam, memo)
+            n += _count_leaves(op, _below(t), g, lam, memo)
         for u in g.trees:
-            n += _count_leaves(op, f, Forest(u.children), lam, memo)
+            n += _count_leaves(op, f, _below(u), lam, memo)
         if lam:
             n += _count_leaves("diamond", f, g, lam, memo)
     memo[key] = n

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forest import EMPTY, Forest, RootedTree, _gc_paused, _Memo, b_plus
+from .forest import EMPTY, Forest, RootedTree, _below, _gc_paused, _Memo, b_plus
 from .linalg import LinComb, TensorComb, bilinear, lincomb_sum
 from .words import Word, is_linear, tree_to_word, word_to_tree
 
@@ -50,7 +50,7 @@ def _trunk(forest: Forest) -> TensorComb[Forest]:
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))
     tree = forest.single_tree()
-    body = Forest(tree.children)
+    body = _below(tree)
     result = TensorComb.of((EMPTY, forest))
     if body.is_connected:
         result = result + _trunk(body).map_leg(

@@ -44,6 +44,7 @@ from .forest import (
     RootedTree,
     UNIT,
     VertexRef,
+    _below,
     _fold,
     _gc_paused,
     _Memo,
@@ -294,7 +295,7 @@ def _dual(forest: Forest) -> TensorComb[Forest]:
         result = TensorComb.of((EMPTY, EMPTY))
     elif forest.is_tree:
         tree = forest.single_tree()
-        result = _root_terms(tree.decoration, _dual(Forest._build(tree.children, tree.size - 1)))
+        result = _root_terms(tree.decoration, _dual(_below(tree)))
     else:
         reduced = []
         for tree in forest.trees:
@@ -427,7 +428,7 @@ def _transpose(forest: Forest) -> TensorComb[Forest]:
     trees = forest.trees
     if len(trees) == 1:
         tree = trees[0]
-        return _root_terms(tree.decoration, _transpose(Forest._build(tree.children, tree.size - 1)))
+        return _root_terms(tree.decoration, _transpose(_below(tree)))
 
     pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
     for i, core in enumerate(trees):

@@ -221,6 +221,12 @@ class RootedTree:
         return Forest._build((self,), self.size)
 
 
+def _below(tree: RootedTree) -> "Forest":
+    """The forest below the root: F for the tree B+^a(F).  The children are
+    already canonical, so it skips the sort."""
+    return Forest._build(tree.children, tree.size - 1)
+
+
 class Forest:
     """A multiset of rooted trees; may be empty.
 

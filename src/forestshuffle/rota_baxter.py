@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .forest import Decoration, Forest, UNIT, b_plus
+from .forest import Decoration, Forest, UNIT, _below, b_plus
 from .linalg import LinComb, bilinear
 from .shuffle import _graft_all, diamond_product
 from .words import Word, word_shuffle
@@ -132,7 +132,7 @@ def phi_bar(
         tree = forest.single_tree()
         if not tree.children:
             return phi(tree.decoration)
-        inner = phi_bar(Forest(tree.children), target, phi)
+        inner = phi_bar(_below(tree), target, phi)
         return target.product(phi(tree.decoration), target.operator(inner))
     acc: LinComb | None = None
     for tree in forest.trees:

@@ -9,16 +9,22 @@ linear trees the star product coincides with the shuffle, but not on
 branching trees in general.
 
 All results are exact rational linear combinations; the weight is a rational
-parameter per call, not a formal variable.  Memo caches are pure memos keyed
-on canonical keys and are semantically invisible.
+parameter per call, not a formal variable.  Inside the three product
+recursions a result is carried as integer numerators over one common
+denominator, in lowest terms: a prefactor 1/(kn) or 1/k, or the weight's
+denominator, multiplies that one denominator instead of every coefficient.
+The public entries convert to ``Fraction`` coefficients once, at the end.
+Memo caches are pure memos keyed on canonical keys and are semantically
+invisible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .forest import Forest, _gc_paused, _Memo, _preorder, b_plus, concat
-from .linalg import LinComb, bilinear, lincomb_sum
+from .forest import Forest, _below, _gc_paused, _Memo, _preorder, b_plus, concat
+from .linalg import LinComb, bilinear
 
 __all__ = [
     "forest_shuffle",
@@ -32,23 +38,60 @@ __all__ = [
 # their memos over private recursions (_shuffle, _star, _diamond, _coeff) that
 # never call an entry.  The products sum their sub-results after plain loops,
 # so a level costs one or two stack frames (see forest.MAX_TREE_DEPTH).
-_shuffle_cache = _Memo()  # (first, second, lam) -> LinComb, by key
+_shuffle_cache = _Memo()  # (first, second, (p, q)) -> (numerators, denominator), by key
 _star_cache = _Memo()
 _diamond_cache = _Memo()
 _coeff_cache = _Memo()  # (target, first, second, lam) -> Fraction, by key
 
+# A product's value: {forest: integer numerator} over one positive integer
+# denominator, in lowest terms, with no zero numerator.  Memo values are
+# shared, so no dict in one is ever changed.
+_Exact = tuple[dict[Forest, int], int]
 
-# _graft_all and _concat_all map distinct forests to distinct forests and keep
-# every coefficient, so a clean input gives a clean output without _clean.
+
+# _graft and _concat map distinct forests to distinct forests and keep every
+# numerator, so a clean input gives a clean output.
+def _graft(dec, terms: dict) -> dict:
+    """F -> B+^dec(F) on every forest of ``terms``, keeping its coefficient."""
+    return {b_plus(dec, f).as_forest(): c for f, c in terms.items()}
+
+
 def _graft_all(dec, x: LinComb[Forest]) -> LinComb[Forest]:
     """Linear extension of F -> B+^dec(F) (single-tree forests)."""
-    return LinComb._trusted({b_plus(dec, f).as_forest(): c for f, c in x._terms.items()})
+    return LinComb._trusted(_graft(dec, x._terms))
 
 
-def _concat_all(x: LinComb[Forest], rest: Forest) -> LinComb[Forest]:
+def _concat(nums: dict[Forest, int], rest: Forest) -> dict[Forest, int]:
     if rest.is_empty:
-        return x
-    return LinComb._trusted({concat(f, rest): c for f, c in x._terms.items()})
+        return nums
+    return {concat(f, rest): c for f, c in nums.items()}
+
+
+def _combine(parts: list[tuple[dict[Forest, int], int, int]], split: int = 1) -> _Exact:
+    """The sum of parts (numerators, denominator, factor), each worth
+    factor * numerators / denominator, divided by ``split``: summed over the
+    lcm of the denominators and reduced to lowest terms."""
+    den = lcm(*[d for _, d, _ in parts])
+    acc: dict[Forest, int] = {}
+    get = acc.get
+    for nums, d, factor in parts:
+        factor *= den // d
+        for f, c in nums.items():
+            acc[f] = get(f, 0) + c * factor
+    if 0 in acc.values():  # only a negative weight cancels terms
+        acc = {f: c for f, c in acc.items() if c}
+    den *= split
+    if den > 1:
+        g = gcd(den, *acc.values())
+        if g > 1:
+            acc = {f: c // g for f, c in acc.items()}
+            den //= g
+    return acc, den
+
+
+def _lincomb(value: _Exact) -> LinComb[Forest]:
+    nums, den = value
+    return LinComb._trusted({f: Fraction(c, den) for f, c in nums.items()})
 
 
 def _without(forest: Forest, index: int) -> Forest:
@@ -81,33 +124,37 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
     The empty forest is the unit.  Every term's coefficient is an exact
     rational; at lam=0 every term has |F|+|F'| vertices.
     """
+    lam = Fraction(lam)
     _shuffle_cache.trim()
-    return _shuffle(first, second, Fraction(lam))
+    return _lincomb(_shuffle(first, second, lam.numerator, lam.denominator))
 
 
-def _shuffle(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
-    key = (first.key, second.key, lam)
+def _shuffle(first: Forest, second: Forest, p: int, q: int) -> _Exact:
+    key = (first.key, second.key, (p, q))
     if (hit := _shuffle_cache.get(key)) is not None:
         return hit
 
     if first.is_empty:
-        result = LinComb.of(second)
+        result = ({second: 1}, 1)
     elif second.is_empty:
-        result = LinComb.of(first)
+        result = ({first: 1}, 1)
     elif first.is_tree and second.is_tree:
-        t, u = first.single_tree(), second.single_tree()
-        f = Forest(t.children)
-        g = Forest(u.children)
-        result = _graft_all(t.decoration, _shuffle(f, second, lam))
-        result = result + _graft_all(u.decoration, _shuffle(first, g, lam))
-        if lam:
-            fused = _graft_all(t.decoration * u.decoration, _shuffle(f, g, lam))
-            result = result + fused.scale(lam)
+        t, u = first.trees[0], second.trees[0]
+        f, g = _below(t), _below(u)
+        nums, den = _shuffle(f, second, p, q)
+        parts = [(_graft(t.decoration, nums), den, 1)]
+        nums, den = _shuffle(first, g, p, q)
+        parts.append((_graft(u.decoration, nums), den, 1))
+        if p:
+            nums, den = _shuffle(f, g, p, q)
+            parts.append((_graft(t.decoration * u.decoration, nums), den * q, p))
+        result = _combine(parts)
     else:
         parts = []
         for ti, tj, rest in _component_pairs(first, second):
-            parts.append(_concat_all(_shuffle(ti.as_forest(), tj.as_forest(), lam), rest))
-        result = lincomb_sum(parts).scale(Fraction(1, len(first.trees) * len(second.trees)))
+            nums, den = _shuffle(ti.as_forest(), tj.as_forest(), p, q)
+            parts.append((_concat(nums, rest), den, 1))
+        result = _combine(parts, len(first.trees) * len(second.trees))
 
     return _shuffle_cache.put(key, first.size + second.size, result)
 
@@ -127,32 +174,34 @@ def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinC
     branching trees it generally does not (at weight 0, a * a[a,a] is
     a[a,a[a]] + 2 a[a[a,a]], while a ⧢ a[a,a] is 2 a[a,a[a]] + a[a[a,a]]).
     """
+    lam = Fraction(lam)
     _star_cache.trim()
     _diamond_cache.trim()
-    return _star(first, second, Fraction(lam))
+    return _lincomb(_star(first, second, lam.numerator, lam.denominator))
 
 
-def _star(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
-    key = (first.key, second.key, lam)
+def _star(first: Forest, second: Forest, p: int, q: int) -> _Exact:
+    key = (first.key, second.key, (p, q))
     if (hit := _star_cache.get(key)) is not None:
         return hit
 
     if first.is_empty:
-        result = LinComb.of(second)
+        result = ({second: 1}, 1)
     elif second.is_empty:
-        result = LinComb.of(first)
+        result = ({first: 1}, 1)
     else:
-        left, right = [], []
+        parts = []
+        k, n = len(first.trees), len(second.trees)
         for i, ti in enumerate(first.trees):
-            inner = _star(Forest(ti.children), second, lam)
-            left.append(_concat_all(_graft_all(ti.decoration, inner), _without(first, i)))
+            nums, den = _star(_below(ti), second, p, q)
+            parts.append((_concat(_graft(ti.decoration, nums), _without(first, i)), den * k, 1))
         for j, tj in enumerate(second.trees):
-            inner = _star(first, Forest(tj.children), lam)
-            right.append(_concat_all(_graft_all(tj.decoration, inner), _without(second, j)))
-        result = lincomb_sum(left).scale(Fraction(1, len(first.trees)))
-        result = result + lincomb_sum(right).scale(Fraction(1, len(second.trees)))
-        if lam:
-            result = result + _diamond(first, second, lam).scale(lam)
+            nums, den = _star(first, _below(tj), p, q)
+            parts.append((_concat(_graft(tj.decoration, nums), _without(second, j)), den * n, 1))
+        if p:
+            nums, den = _diamond(first, second, p, q)
+            parts.append((nums, den * q, p))
+        result = _combine(parts)
 
     return _star_cache.put(key, first.size + second.size, result)
 
@@ -167,26 +216,28 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
     """
     if first.is_empty or second.is_empty:
         raise ValueError("diamond product is undefined on the empty forest")
+    lam = Fraction(lam)
     _star_cache.trim()
     _diamond_cache.trim()
-    return _diamond(first, second, Fraction(lam))
+    return _lincomb(_diamond(first, second, lam.numerator, lam.denominator))
 
 
-def _diamond(first: Forest, second: Forest, lam: Fraction) -> LinComb[Forest]:
+def _diamond(first: Forest, second: Forest, p: int, q: int) -> _Exact:
     """The diamond product of two nonempty forests."""
-    key = (first.key, second.key, lam)
+    key = (first.key, second.key, (p, q))
     if (hit := _diamond_cache.get(key)) is not None:
         return hit
 
     if first.is_tree and second.is_tree:
-        t, u = first.single_tree(), second.single_tree()
-        inner = _star(Forest(t.children), Forest(u.children), lam)
-        result = _graft_all(t.decoration * u.decoration, inner)
+        t, u = first.trees[0], second.trees[0]
+        nums, den = _star(_below(t), _below(u), p, q)
+        result = (_graft(t.decoration * u.decoration, nums), den)
     else:
         parts = []
         for ti, tj, rest in _component_pairs(first, second):
-            parts.append(_concat_all(_diamond(ti.as_forest(), tj.as_forest(), lam), rest))
-        result = lincomb_sum(parts).scale(Fraction(1, len(first.trees) * len(second.trees)))
+            nums, den = _diamond(ti.as_forest(), tj.as_forest(), p, q)
+            parts.append((_concat(nums, rest), den, 1))
+        result = _combine(parts, len(first.trees) * len(second.trees))
 
     return _diamond_cache.put(key, first.size + second.size, result)
 
@@ -252,15 +303,15 @@ def _coeff(target: Forest, first: Forest, second: Forest, lam: Fraction) -> Frac
             result = Fraction(0)
         else:
             root = target.single_tree()
-            body = Forest(root.children)
+            body = _below(root)
             t, u = first.single_tree(), second.single_tree()
             result = Fraction(0)
             if root.decoration == t.decoration:
-                result += _coeff(body, Forest(t.children), second, lam)
+                result += _coeff(body, _below(t), second, lam)
             if root.decoration == u.decoration:
-                result += _coeff(body, first, Forest(u.children), lam)
+                result += _coeff(body, first, _below(u), lam)
             if lam and root.decoration == t.decoration * u.decoration:
-                result += lam * _coeff(body, Forest(t.children), Forest(u.children), lam)
+                result += lam * _coeff(body, _below(t), _below(u), lam)
     else:
         result = Fraction(0)
         for ti, tj, rest in _component_pairs(first, second):

@@ -1,0 +1,77 @@
+"""The pairing and summary of tools/bench_pairs.py, on synthetic run output."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def _stdout(wall: float, ops: float, digest: str) -> str:
+    report = {"workload": "products", "out_sha256": digest}
+    result = {
+        "correct": True,
+        "attempted": 10,
+        "failed": 0,
+        "metrics": {"wall_s": {"value": wall, "unit": "s"}, "ops_per_s": {"value": ops, "unit": "1/s"}},
+    }
+    return "perfbench: a line\nperfbench report " + json.dumps(report) + "\n" + json.dumps(result) + "\n"
+
+
+def _run(seed: int, side: str, wall: float, ops: float, digest: str = "d", workload: str = "products") -> dict:
+    report, result = bench_pairs.parse_output(_stdout(wall, ops, digest))
+    return {"report": report, "result": result, "seed": seed, "side": side, "workload": workload}
+
+
+def test_seeds_and_alternation():
+    assert bench_pairs.parse_seeds("3..6") == [3, 4, 5, 6]
+    assert bench_pairs.parse_seeds("7") == [7]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds("6..3")
+    assert bench_pairs.side_order(3) == ("parent", "change")
+    assert bench_pairs.side_order(4) == ("change", "parent")
+    assert bench_pairs.command("duality", 5) == [
+        "python3", "perfbench/run.py", "--workload", "duality", "--seed", "5",
+        "--seconds", "20", "--trace", "0",
+    ]
+
+
+def test_output_needs_a_report_line():
+    report, result = bench_pairs.parse_output(_stdout(1.5, 2.0, "x"))
+    assert report["out_sha256"] == "x" and result["metrics"]["wall_s"]["value"] == 1.5
+    with pytest.raises(ValueError):
+        bench_pairs.parse_output('{"metrics": {}}\n')
+
+
+def test_summary_of_synthetic_pairs():
+    parent = [4.0, 4.2, 4.1, 4.4, 4.3]
+    change = [3.5, 3.6, 4.1, 3.4, 4.5]  # wins 3, ties 1, loses 1
+    runs = [_run(s, "parent", w, 10 / w) for s, w in enumerate(parent)]
+    runs += [_run(s, "change", w, 10 / w) for s, w in enumerate(change)]
+    runs.append(_run(9, "parent", 1.0, 10.0))  # a seed without its pair is left out
+    runs.append(_run(0, "parent", 4.0, 2.5, workload="verify"))
+    runs.append(_run(0, "change", 4.0, 2.5, digest="other", workload="verify"))
+    summary = bench_pairs.summarize(runs, METRICS)
+
+    wall = summary["products"]["wall_s"]
+    assert wall["parent"] == {"median": 4.2, "q1": 4.1, "q3": 4.3, "iqr": pytest.approx(0.2), "n": 5}
+    assert wall["change"]["median"] == 3.6 and wall["change"]["n"] == 5
+    assert wall["change"]["q1"] == 3.5 and wall["change"]["q3"] == 4.1
+    assert wall["change_wins"] == "3 of 5"
+    # higher is better for a rate: the same pairs win
+    assert summary["products"]["ops_per_s"]["change_wins"] == "3 of 5"
+    assert summary["products"]["out_sha256_equal_on_every_seed"] is True
+    assert summary["verify"]["out_sha256_equal_on_every_seed"] is False
+    assert summary["verify"]["wall_s"]["parent"]["iqr"] == 0 and summary["verify"]["wall_s"]["change_wins"] == "0 of 1"

@@ -202,6 +202,61 @@ class TestStarAndDiamond:
         assert shuffle.coefficient(P("a[b,d[c]]")) == Q(1, 2)
 
 
+PRODUCT_OPS = (forest_shuffle, star_product, diamond_product)
+
+
+class TestExactArithmetic:
+    def test_pinned_weight_battery(self):
+        # weights with a denominator and negative ones, which the benchmark
+        # (lambda in {0, 1}) never reaches; the digest is that of the
+        # Fraction-per-term recursions the integer ones replaced
+        import hashlib
+        import random
+
+        from forestshuffle.linalg import render_lincomb
+        from forestshuffle.sampling import random_forest, random_tree
+
+        rng = random.Random(5)
+        alphabet = default_alphabet(("a", "b", "c"))
+        pairs = []
+        for i in range(120):
+            draw = random_tree if i % 2 else random_forest
+            pairs.append((draw(rng, rng.randint(1, 4), alphabet), draw(rng, rng.randint(1, 4), alphabet)))
+        digest = hashlib.sha256()
+        for first, second in pairs:
+            for lam in (0, 1, -1, 2, Q(2, 3), Q(-2, 3)):
+                for op in PRODUCT_OPS:
+                    digest.update((render_lincomb(op(first, second, lam)) + "\n").encode())
+        assert digest.hexdigest() == "97a78169da886d727f33c8b92cf11a3c918fc6fb02a99b930172d3ab793bb9f5"
+
+    def test_fraction_coefficients_and_integer_memos(self):
+        import math
+
+        import forestshuffle.shuffle as sh
+
+        memos = (sh._shuffle_cache, sh._star_cache, sh._diamond_cache)
+        for memo in memos:  # pure memos: clearing them changes no result
+            memo.clear()
+        first, second = P("a[b] c"), P("b[c,a] a")
+        calls = []
+        for lam in (1, Q(2, 3)):
+            for op in PRODUCT_OPS:
+                calls += [op(first, second, lam), op(first, second, lam)]  # fresh, then memo
+        for op in (forest_shuffle, star_product):
+            calls += [op(EMPTY, first, Q(2, 3)), op(second, EMPTY)]
+        for result in calls:
+            assert not result.is_zero
+            assert all(type(c) is Fraction for _, c in result.items())
+        for memo in memos:
+            assert memo
+            for (_, _, weight), value in memo.items():
+                assert all(type(x) is int for x in weight)
+                nums, den = value
+                assert type(nums) is dict and type(den) is int and den > 0
+                assert all(type(c) is int and c for c in nums.values())
+                assert math.gcd(den, *nums.values()) == 1
+
+
 def _memos():
     """Every recursion memo of the package, by name."""
     import forestshuffle.coalgebra as co

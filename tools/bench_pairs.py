@@ -1,0 +1,157 @@
+"""Alternating parent/change runs of one perfbench workload, into a BENCH file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \\
+        --seeds A..B --out BENCH_<pr>.json
+
+DIR is a checkout of each commit (``git archive`` or ``git clone``).  For each
+seed S in A..B, both sides run
+
+    python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
+
+from their own directory, one process at a time: the parent first on odd
+seeds, the change first on even ones.  Each run keeps its report line and
+its result line.  When ``--out`` exists, its runs of other workloads are
+kept and those of W are replaced, so one file can hold every workload.
+
+The summary has, per workload, per end-to-end metric of BENCHMARK.json and
+per side, the median, the quartiles (inclusive method), their distance and
+the number of runs, and ``change_wins``: the seeds on which the change reads
+better, ties counting for neither.  ``out_sha256_equal_on_every_seed`` says
+whether both sides emitted the same bytes on every seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SECONDS = 20
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``A..B`` (inclusive) or a single seed."""
+    lo, sep, hi = text.partition("..")
+    seeds = list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
+    if not seeds:
+        raise ValueError(f"empty seed range {text!r}")
+    return seeds
+
+
+def side_order(seed: int) -> tuple[str, str]:
+    return SIDES if seed % 2 else SIDES[::-1]
+
+
+def command(workload: str, seed: int) -> list[str]:
+    return [
+        "python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(SECONDS), "--trace", "0",
+    ]
+
+
+def parse_output(stdout: str) -> tuple[dict, dict]:
+    """The report and the result object of one run's stdout."""
+    lines = stdout.strip().splitlines()
+    prefix = "perfbench report "
+    reports = [line[len(prefix):] for line in lines if line.startswith(prefix)]
+    if not reports:
+        raise ValueError("no perfbench report line in the output")
+    return json.loads(reports[-1]), json.loads(lines[-1])
+
+
+def run_once(directory: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    proc = subprocess.run(
+        command(workload, seed), cwd=directory, capture_output=True, text=True, check=False
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"{directory}: seed {seed} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}"
+        )
+    return parse_output(proc.stdout)
+
+
+def _stats(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload: per metric, each side's spread and the change's wins
+    over the seeds both sides ran; and whether the output digests agree."""
+    summary: dict = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        by_seed: dict[int, dict[str, dict]] = {}
+        for r in runs:
+            if r["workload"] == workload:
+                by_seed.setdefault(r["seed"], {})[r["side"]] = r
+        paired = [sides for sides in by_seed.values() if len(sides) == 2]
+        rows: dict = {}
+        for metric in metrics:
+            name = metric["name"]
+            row = {
+                side: _stats([s[side]["result"]["metrics"][name]["value"] for s in paired])
+                for side in SIDES
+            }
+            sign = 1 if metric["better"] == "higher" else -1
+            wins = sum(
+                1
+                for s in paired
+                if sign * (s["change"]["result"]["metrics"][name]["value"]
+                           - s["parent"]["result"]["metrics"][name]["value"]) > 0
+            )
+            row["change_wins"] = f"{wins} of {len(paired)}"
+            rows[name] = row
+        rows["out_sha256_equal_on_every_seed"] = all(
+            s["parent"]["report"]["out_sha256"] == s["change"]["report"]["out_sha256"] for s in paired
+        )
+        summary[workload] = rows
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, type=parse_seeds, help="A..B, inclusive")
+    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--description", default="", help="what the change is, for the file's readers")
+    args = ap.parse_args(argv)
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    metrics = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    runs = []
+    for seed in args.seeds:
+        for side in side_order(seed):
+            report, result = run_once(dirs[side], args.workload, seed)
+            wall = result["metrics"]["wall_s"]["value"]
+            print(f"{args.workload} seed {seed} {side}: wall_s {wall:.3f}", file=sys.stderr)
+            runs.append({"report": report, "result": result, "seed": seed, "side": side,
+                         "workload": args.workload})
+
+    old = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+    runs = [r for r in old["runs"] if r["workload"] != args.workload] + runs
+    workloads = {}
+    for r in runs:
+        workloads.setdefault(r["workload"], set()).add(r["seed"])
+    seeds = ", ".join(f"{min(s)}..{max(s)} on {w}" for w, s in workloads.items())
+    out = {
+        "command": f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
+        f"--seed {{{seeds}}} --seconds {SECONDS} --trace 0",
+        "description": args.description or old.get("description", ""),
+        "summary": summarize(runs, metrics),
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
