@@ -63,10 +63,10 @@ RB_DEGREE_GUARD = 16
 # Most leaves the recursion of the chosen product may have on the shuffle
 # verb's operands (see _recursion_leaves).  The time per leaf grows with the
 # operands' branching and the weight.  Single runs on a 2-core host, CPython
-# 3.11: two-letter chains a[b[a[...]]] took 3.2 us a leaf at weight 0 (0.58 s
-# on 184,756 leaves at depth 10) and 9.0 us at weight 1 (13.2 s on 1,462,563
-# at depth 9); six random branching tree pairs of 10-29 vertices and 21,053
-# to 62,496 leaves at weight 1 took 23-59 us a leaf (2.3 s on the largest)
+# 3.11: two-letter chains a[b[a[...]]] took 1.6 us a leaf at weight 0 (0.29 s
+# on 184,756 leaves at depth 10) and 4.3 us at weight 1 (6.3 s on 1,462,563
+# at depth 9); six random branching {a,b} tree pairs of 11-27 vertices and
+# 38,881 to 55,539 leaves at weight 1 took 9-18 us a leaf (1.0 s at most)
 SHUFFLE_GUARD = 2**16
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forest import EMPTY, Forest, RootedTree, _below, _gc_paused, _Memo, b_plus
+from .forest import EMPTY, Forest, RootedTree, _below, _gc_paused, _grafted, _Memo
 from .linalg import LinComb, TensorComb, bilinear, lincomb_sum
 from .words import Word, is_linear, tree_to_word, word_to_tree
 
@@ -53,9 +53,7 @@ def _trunk(forest: Forest) -> TensorComb[Forest]:
     body = _below(tree)
     result = TensorComb.of((EMPTY, forest))
     if body.is_connected:
-        result = result + _trunk(body).map_leg(
-            0, lambda f: LinComb.of(b_plus(tree.decoration, f).as_forest())
-        )
+        result = result + _trunk(body).map_leg(0, lambda f: LinComb.of(_grafted(tree.decoration, f)))
     return _trunk_cache.put(forest.key, forest.size, result)
 
 

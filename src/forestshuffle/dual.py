@@ -47,11 +47,11 @@ from .forest import (
     _below,
     _fold,
     _gc_paused,
+    _grafted,
     _Memo,
     _induced_children,
     _preorder,
     _scion_forest,
-    b_plus,
     concat,
     graft_at,
     leaf_refs,
@@ -144,7 +144,7 @@ def _family_sets(tree: RootedTree) -> list[AdmissibleFamily]:
     every other family is built from a proper nonempty family of one child,
     taken either as is or joined with the root and all other children;
     fertility is n times the child's.  Both sides are assembled from
-    canonical parts with ``b_plus`` and ``concat`` instead of being induced
+    canonical parts with ``_grafted`` and ``concat`` instead of being induced
     again from the vertex sets.
     """
     kids = tree.children
@@ -154,8 +154,8 @@ def _family_sets(tree: RootedTree) -> list[AdmissibleFamily]:
         out: list[AdmissibleFamily] = []
         for sub, g, h, c in _family_sets(kids[0]):
             lifted = frozenset((0,) + p for p in sub)
-            out.append(AdmissibleFamily(lifted, g, b_plus(dec, h).as_forest(), c))
-            out.append(AdmissibleFamily(lifted | {()}, b_plus(dec, g).as_forest(), h, c))
+            out.append(AdmissibleFamily(lifted, g, _grafted(dec, h), c))
+            out.append(AdmissibleFamily(lifted | {()}, _grafted(dec, g), h, c))
         return out
 
     child_vertices = [frozenset((i,) + p for p in vertex_refs(kids[i])) for i in range(n)]
@@ -174,10 +174,8 @@ def _family_sets(tree: RootedTree) -> list[AdmissibleFamily]:
             if not sub or len(sub) == kid.size:
                 continue
             lifted = frozenset((i,) + p for p in sub)
-            out.append(AdmissibleFamily(lifted, g, b_plus(dec, concat(others, h)).as_forest(), n * c))
-            out.append(
-                AdmissibleFamily(lifted | rest, b_plus(dec, concat(others, g)).as_forest(), h, n * c)
-            )
+            out.append(AdmissibleFamily(lifted, g, _grafted(dec, concat(others, h)), n * c))
+            out.append(AdmissibleFamily(lifted | rest, _grafted(dec, concat(others, g)), h, n * c))
     return out
 
 
@@ -318,9 +316,9 @@ def _root_terms(dec: Decoration, body: TensorComb[Forest]) -> TensorComb[Forest]
     pairs = []
     for (x, y), c in body._terms.items():
         if y.is_connected:
-            pairs.append(((b_plus(dec, x).as_forest(), y), c))
+            pairs.append(((_grafted(dec, x), y), c))
         if x.is_connected:
-            pairs.append(((x, b_plus(dec, y).as_forest()), c))
+            pairs.append(((x, _grafted(dec, y)), c))
     return TensorComb.sum_of(pairs)
 
 

@@ -9,11 +9,12 @@ keys, built bottom-up) at every construction site.
 
 Canonical-order invariant: a tree's ``children`` and a forest's ``trees`` are
 sorted by canonical key, and tree keys contain no whitespace (a forest key
-joins its tree keys with single spaces).  The public constructors sort
-whatever they are given.  Only the private builders ``RootedTree._build`` and
-``Forest._build`` may skip the sort, and only on parts that are already
-canonical: the trees of an existing forest, a subsequence of a sorted tuple,
-or a merge of two sorted tuples.
+joins its tree keys with single spaces, so a one-tree forest's key is its
+tree's).  The public constructors sort whatever they are given.  Only the
+private builders ``RootedTree._build``, ``Forest._build`` and ``_grafted``
+may skip the sort, and only on parts that are already canonical: the trees
+of an existing forest, a subsequence of a sorted tuple, or a merge of two
+sorted tuples.
 
 All values are immutable and hashable; every operation is a pure function.
 """
@@ -218,7 +219,14 @@ class RootedTree:
         return f"RootedTree({self.key!r})"
 
     def as_forest(self) -> "Forest":
-        return Forest._build((self,), self.size)
+        """The one-tree forest; it takes the tree's key, size and hash."""
+        forest = object.__new__(Forest)
+        set_trees, set_key, set_size, set_hash = _FOREST_SETTERS
+        set_trees(forest, (self,))
+        set_key(forest, self.key)
+        set_size(forest, self.size)
+        set_hash(forest, self._hash)
+        return forest
 
 
 def _below(tree: RootedTree) -> "Forest":
@@ -309,12 +317,16 @@ EMPTY = Forest(())
 
 def b_plus(decoration: Decoration, forest: Forest) -> RootedTree:
     """Graft a new root decorated by ``decoration`` below ``forest``."""
-    if forest.is_empty:
-        return RootedTree._build(decoration, (), decoration.text, 1)
+    trees = forest.trees
     # tree keys hold no whitespace, so this turns the forest key into the
     # comma-joined child keys
-    key = decoration.text + "[" + forest.key.replace(" ", ",") + "]"
-    return RootedTree._build(decoration, forest.trees, key, forest.size + 1)
+    key = decoration.text + "[" + forest.key.replace(" ", ",") + "]" if trees else decoration.text
+    return RootedTree._build(decoration, trees, key, forest.size + 1)
+
+
+def _grafted(decoration: Decoration, forest: Forest) -> Forest:
+    """B+^decoration(forest) as a one-tree forest: one key, one hash, no sort."""
+    return b_plus(decoration, forest).as_forest()
 
 
 def concat(first: Forest, second: Forest) -> Forest:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .forest import Decoration, Forest, UNIT, _below, b_plus
+from .forest import Decoration, Forest, UNIT, _below, _grafted
 from .linalg import LinComb, bilinear
-from .shuffle import _graft_all, diamond_product
+from .shuffle import diamond_product
 from .words import Word, word_shuffle
 
 __all__ = [
@@ -86,7 +86,8 @@ def _grafting_algebra(name: str, lam: Fraction | int, root: Decoration) -> RotaB
         name=name,
         weight=lam,
         product=lambda x, y: bilinear(diamond_product, x, y, lam),
-        operator=lambda x: _graft_all(root, x),
+        # B+ is injective, so a clean combination maps to a clean one
+        operator=lambda x: LinComb._trusted({_grafted(root, f): c for f, c in x._terms.items()}),
     )
 
 
@@ -148,7 +149,7 @@ def intertwining_sides(f: Forest, words: RotaBaxterAlgebra) -> tuple[LinComb, Li
     algebra ``words`` through ``word_embedding``."""
     return (
         words.operator(phi_bar(f, words, word_embedding)),
-        phi_bar(b_plus(UNIT, f).as_forest(), words, word_embedding),
+        phi_bar(_grafted(UNIT, f), words, word_embedding),
     )
 
 

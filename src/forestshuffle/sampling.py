@@ -14,7 +14,7 @@ import random
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
-from .forest import Decoration, EMPTY, Forest, RootedTree, b_plus, concat
+from .forest import Decoration, EMPTY, Forest, RootedTree, _grafted, concat
 from .words import Word
 
 __all__ = [
@@ -62,7 +62,7 @@ def _trees_on_multiset(ms: tuple[Decoration, ...]) -> tuple[Forest, ...]:
             continue
         seen.add(dec)
         for body in _forests_on_multiset(ms[:i] + ms[i + 1 :]):
-            out.add(b_plus(dec, body).as_forest())
+            out.add(_grafted(dec, body))
     return tuple(sorted(out, key=lambda f: f.key))
 
 

@@ -20,10 +20,11 @@ invisible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
-from .forest import Forest, _below, _gc_paused, _Memo, _preorder, b_plus, concat
+from .forest import EMPTY, Forest, _below, _by_key, _gc_paused, _grafted, _Memo, _preorder, b_plus, concat
 from .linalg import LinComb, bilinear
 
 __all__ = [
@@ -51,14 +52,18 @@ _Exact = tuple[dict[Forest, int], int]
 
 # _graft and _concat map distinct forests to distinct forests and keep every
 # numerator, so a clean input gives a clean output.
-def _graft(dec, terms: dict) -> dict:
-    """F -> B+^dec(F) on every forest of ``terms``, keeping its coefficient."""
-    return {b_plus(dec, f).as_forest(): c for f, c in terms.items()}
-
-
-def _graft_all(dec, x: LinComb[Forest]) -> LinComb[Forest]:
-    """Linear extension of F -> B+^dec(F) (single-tree forests)."""
-    return LinComb._trusted(_graft(dec, x._terms))
+def _graft(dec, terms: dict, rest: Forest = EMPTY) -> dict:
+    """F -> B+^dec(F) rest on every forest of ``terms``, keeping its
+    coefficient.  One forest is built per term: the grafted tree goes into
+    its place among the sorted trees of ``rest``."""
+    trees, out = rest.trees, {}
+    if not trees:
+        return {_grafted(dec, f): c for f, c in terms.items()}
+    for f, c in terms.items():
+        tree = b_plus(dec, f)
+        i = bisect_left(trees, tree.key, key=_by_key)
+        out[Forest._build(trees[:i] + (tree,) + trees[i:], rest.size + tree.size)] = c
+    return out
 
 
 def _concat(nums: dict[Forest, int], rest: Forest) -> dict[Forest, int]:
@@ -194,10 +199,10 @@ def _star(first: Forest, second: Forest, p: int, q: int) -> _Exact:
         k, n = len(first.trees), len(second.trees)
         for i, ti in enumerate(first.trees):
             nums, den = _star(_below(ti), second, p, q)
-            parts.append((_concat(_graft(ti.decoration, nums), _without(first, i)), den * k, 1))
+            parts.append((_graft(ti.decoration, nums, _without(first, i)), den * k, 1))
         for j, tj in enumerate(second.trees):
             nums, den = _star(first, _below(tj), p, q)
-            parts.append((_concat(_graft(tj.decoration, nums), _without(second, j)), den * n, 1))
+            parts.append((_graft(tj.decoration, nums, _without(second, j)), den * n, 1))
         if p:
             nums, den = _diamond(first, second, p, q)
             parts.append((nums, den * q, p))

@@ -75,3 +75,34 @@ def test_summary_of_synthetic_pairs():
     assert summary["products"]["out_sha256_equal_on_every_seed"] is True
     assert summary["verify"]["out_sha256_equal_on_every_seed"] is False
     assert summary["verify"]["wall_s"]["parent"]["iqr"] == 0 and summary["verify"]["wall_s"]["change_wins"] == "0 of 1"
+
+
+def test_a_failing_run_keeps_the_finished_pairs(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    out = tmp_path / "BENCH.json"
+    kept = [_run(0, side, 4.0, 2.5, workload="verify") for side in ("parent", "change")]
+    out.write_text(json.dumps({"description": "kept", "runs": kept}))
+
+    def run_once(directory, workload, seed):
+        if seed == 3 and directory.name == "change":
+            raise bench_pairs.RunFailed(2, "Traceback (most recent call last):\nValueError: boom\n")
+        return bench_pairs.parse_output(_stdout(3.0 if directory.name == "change" else 4.0, 1.0, "d"))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(change), "--workload", "products",
+            "--seeds", "1..4", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == err[-1:]
+    assert err[-1] == "error: the change run of products seed 3 exited 2: ValueError: boom"
+    written = json.loads(out.read_text())
+    # seed 3 runs the parent first: its unpaired run is left out with the later seeds
+    assert [(r["workload"], r["seed"], r["side"]) for r in written["runs"]] == [
+        ("verify", 0, "parent"), ("verify", 0, "change"),
+        ("products", 1, "parent"), ("products", 1, "change"),
+        ("products", 2, "change"), ("products", 2, "parent"),
+    ]
+    assert written["description"] == "kept"
+    assert written["summary"]["products"]["wall_s"]["change_wins"] == "2 of 2"

@@ -15,6 +15,7 @@ from forestshuffle.forest import (
     GuardExceeded,
     RootedTree,
     TreeSyntaxError,
+    _grafted,
     _redecorate,
     b_plus,
     concat,
@@ -28,7 +29,7 @@ from forestshuffle.forest import (
 )
 from forestshuffle.linalg import LinComb, TensorComb, tensor
 from forestshuffle.primitives import decorate_distinct, is_primitive
-from forestshuffle.sampling import default_alphabet, forests_up_to
+from forestshuffle.sampling import default_alphabet, forests_up_to, random_forest
 from forestshuffle.shuffle import _multiset_difference, _without
 from forestshuffle.words import is_linear, tree_to_word
 
@@ -258,6 +259,24 @@ class TestDirectBuilders:
     @given(f=any_forests, g=any_forests)
     def test_multiset_difference(self, f, g):
         assert_same_forest(_multiset_difference(concat(f, g), g), Forest(list(f.trees)))
+
+    def test_grafted_and_as_forest_share_the_tree_fields(self):
+        rng = random.Random(3)
+        alphabet = default_alphabet(("a", "b", "c"))
+        cases = [(rng.choice(alphabet), random_forest(rng, rng.randint(1, 8), alphabet)) for _ in range(60)]
+        cases += [(UNIT, EMPTY), (Decoration(["a"]), EMPTY), (Decoration(["a", "b"]), P("a*b[1,c] 1[a*b] c"))]
+        chain = deep_chain()
+        cases.append((Decoration(["b"]), chain.as_forest()))
+        for d, f in cases:
+            # the sorting constructors, one field at a time
+            reference = Forest([RootedTree(d, list(f.trees))])
+            for built in (_grafted(d, f), b_plus(d, f).as_forest()):
+                assert_same_forest(built, reference)
+                (tree,) = built.trees
+                assert tree.decoration == d and tree.children == f.trees
+                assert (tree.key, tree.size, hash(tree)) == (built.key, built.size, hash(built))
+        grafted = _grafted(Decoration(["b"]), chain.as_forest())
+        assert grafted.size == DEEP_CHAIN_DEPTH + 1 and grafted.trees[0].children == (chain,)
 
     def test_composite_and_unit_decorations(self):
         f = P("a*b[1,c] 1[a*b]")

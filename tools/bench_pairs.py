@@ -12,6 +12,9 @@ from their own directory, one process at a time: the parent first on odd
 seeds, the change first on even ones.  Each run keeps its report line and
 its result line.  When ``--out`` exists, its runs of other workloads are
 kept and those of W are replaced, so one file can hold every workload.
+The file is written after each completed pair, so a run that fails (exit 1,
+with one ``error:`` line naming the side, seed and exit code) keeps every
+pair before it.
 
 The summary has, per workload, per end-to-end metric of BENCHMARK.json and
 per side, the median, the quartiles (inclusive method), their distance and
@@ -63,14 +66,21 @@ def parse_output(stdout: str) -> tuple[dict, dict]:
     return json.loads(reports[-1]), json.loads(lines[-1])
 
 
+class RunFailed(Exception):
+    """A run exited non-zero; carries its exit code and last stderr line."""
+
+    def __init__(self, returncode: int, stderr: str):
+        super().__init__(returncode, stderr)
+        self.returncode = returncode
+        self.last_line = (stderr.strip().splitlines() or [""])[-1]
+
+
 def run_once(directory: Path, workload: str, seed: int) -> tuple[dict, dict]:
     proc = subprocess.run(
         command(workload, seed), cwd=directory, capture_output=True, text=True, check=False
     )
     if proc.returncode != 0:
-        raise RuntimeError(
-            f"{directory}: seed {seed} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}"
-        )
+        raise RunFailed(proc.returncode, proc.stderr)
     return parse_output(proc.stdout)
 
 
@@ -115,6 +125,22 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def write(path: Path, runs: list[dict], description: str, metrics: list[dict]) -> None:
+    """The runs, with the command line and the summary, as one JSON file."""
+    workloads: dict[str, set[int]] = {}
+    for r in runs:
+        workloads.setdefault(r["workload"], set()).add(r["seed"])
+    seeds = ", ".join(f"{min(s)}..{max(s)} on {w}" for w, s in workloads.items())
+    out = {
+        "command": f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
+        f"--seed {{{seeds}}} --seconds {SECONDS} --trace 0",
+        "description": description,
+        "summary": summarize(runs, metrics),
+        "runs": runs,
+    }
+    path.write_text(json.dumps(out, indent=1) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -127,29 +153,25 @@ def main(argv: list[str] | None = None) -> int:
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
-    runs = []
+    old = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+    kept = [r for r in old["runs"] if r["workload"] != args.workload]
+    runs: list[dict] = []
     for seed in args.seeds:
+        pair = []
         for side in side_order(seed):
-            report, result = run_once(dirs[side], args.workload, seed)
+            try:
+                report, result = run_once(dirs[side], args.workload, seed)
+            except RunFailed as failed:
+                detail = f": {failed.last_line}" if failed.last_line else ""
+                print(f"error: the {side} run of {args.workload} seed {seed} exited "
+                      f"{failed.returncode}{detail}", file=sys.stderr)
+                return 1
             wall = result["metrics"]["wall_s"]["value"]
             print(f"{args.workload} seed {seed} {side}: wall_s {wall:.3f}", file=sys.stderr)
-            runs.append({"report": report, "result": result, "seed": seed, "side": side,
+            pair.append({"report": report, "result": result, "seed": seed, "side": side,
                          "workload": args.workload})
-
-    old = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-    runs = [r for r in old["runs"] if r["workload"] != args.workload] + runs
-    workloads = {}
-    for r in runs:
-        workloads.setdefault(r["workload"], set()).add(r["seed"])
-    seeds = ", ".join(f"{min(s)}..{max(s)} on {w}" for w, s in workloads.items())
-    out = {
-        "command": f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
-        f"--seed {{{seeds}}} --seconds {SECONDS} --trace 0",
-        "description": args.description or old.get("description", ""),
-        "summary": summarize(runs, metrics),
-        "runs": runs,
-    }
-    args.out.write_text(json.dumps(out, indent=1) + "\n")
+        runs += pair
+        write(args.out, kept + runs, args.description or old.get("description", ""), metrics)
     return 0
 
 
