@@ -62,11 +62,12 @@ RB_DEGREE_GUARD = 16
 
 # Most leaves the recursion of the chosen product may have on the shuffle
 # verb's operands (see _recursion_leaves).  The time per leaf grows with the
-# operands' branching and the weight.  Single runs on a 2-core host, CPython
-# 3.11: two-letter chains a[b[a[...]]] took 1.6 us a leaf at weight 0 (0.29 s
-# on 184,756 leaves at depth 10) and 4.3 us at weight 1 (6.3 s on 1,462,563
-# at depth 9); six random branching {a,b} tree pairs of 11-27 vertices and
-# 38,881 to 55,539 leaves at weight 1 took 9-18 us a leaf (1.0 s at most)
+# operands' branching and the weight.  Two single runs each on a 2-core host,
+# CPython 3.11: the product of two two-letter chains a[b[a[...]]] took 2.0-2.4
+# us a leaf at weight 0 (0.38-0.45 s on 184,756 leaves at depth 10) and 6.6-7.2
+# us at weight 1 (9.6-10.6 s on 1,462,563 at depth 9); the whole verb on 22
+# random {a,b} tree/forest pairs of 9-30 vertices an operand and 30,038 to
+# 62,366 leaves at weight 1 took 17-52 us a leaf (2.5 s at most)
 SHUFFLE_GUARD = 2**16
 
 
@@ -197,16 +198,9 @@ def _count_leaves(
 def _cmd_shuffle(args) -> int:
     first, second = parse_forest(args.first), parse_forest(args.second)
     # the products peel one root of either operand per level
-    if _depth(first) + _depth(second) > MAX_TREE_DEPTH:
-        raise GuardExceeded(
-            f"the operands' depths are guarded to {MAX_TREE_DEPTH} in sum, "
-            f"got {_depth(first)} + {_depth(second)}"
-        )
+    GuardExceeded.check(_depth(first) + _depth(second), MAX_TREE_DEPTH, "operand depth in sum")
     leaves = _recursion_leaves(args.product, first, second, args.weight)
-    if leaves > SHUFFLE_GUARD:
-        raise GuardExceeded(
-            f"the {args.product} product is guarded to {SHUFFLE_GUARD} recursion leaves, got {leaves}"
-        )
+    GuardExceeded.check(leaves, SHUFFLE_GUARD, "recursion leaf count")
     op = {"shuffle": forest_shuffle, "star": star_product, "diamond": diamond_product}[args.product]
     _emit(op(first, second, args.weight), args.json)
     return 0
@@ -221,11 +215,7 @@ def _cmd_dual(args) -> int:
     forest = parse_forest(args.forest)
     # the oracle has its own guard; the two formulas sum the same terms
     terms = _dual_term_count(forest) if args.mode != "oracle" else 0
-    if terms > FAMILY_GUARD:
-        raise GuardExceeded(
-            f"admissible families are guarded to {FAMILY_GUARD} dual terms, "
-            f"a forest of {forest.size} vertices has {terms}"
-        )
+    GuardExceeded.check(terms, FAMILY_GUARD, "dual term count")
     mode = {"recursive": dual_recursive, "combinatorial": dual_combinatorial, "oracle": dual_oracle}
     _emit(mode[args.mode](forest), args.json)
     return 0
@@ -282,8 +272,7 @@ def _cmd_primitives(args) -> int:
 
     if args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
-    if args.count > COUNT_GUARD:
-        raise GuardExceeded(f"--count is guarded to {COUNT_GUARD}, got {args.count}")
+    GuardExceeded.check(args.count, COUNT_GUARD, "--count")
     # one pass gives every p_n up to N
     values = _rooted_counts(args.count, single_child=False)
     # the file first: a path it cannot write leaves stdout empty
@@ -326,8 +315,7 @@ def _cmd_rb(args) -> int:
         raise ValueError("--corrupt corrupts the forest operator: it needs --backend forests")
     samples = args.samples if args.samples is not None else 100
     degree = args.max_degree if args.max_degree is not None else 5
-    if degree > RB_DEGREE_GUARD:
-        raise GuardExceeded(f"rb samples are guarded to degree {RB_DEGREE_GUARD}, got {degree}")
+    GuardExceeded.check(degree, RB_DEGREE_GUARD, "rb sample degree")
     rng = random.Random(args.seed)
     alphabet = default_alphabet(("a", "b"))
     rep = SuiteReport(suite="rb", seed=args.seed)

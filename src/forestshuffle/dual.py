@@ -186,12 +186,7 @@ def admissible_families(tree: RootedTree) -> tuple[AdmissibleFamily, ...]:
     present with contracted fertility 1.  Guarded to ``FAMILY_GUARD``
     families: a linear tree with n vertices has 2^n of them.
     """
-    count = family_count(tree)
-    if count > FAMILY_GUARD:
-        raise GuardExceeded(
-            f"admissible families are guarded to {FAMILY_GUARD} per tree, "
-            f"a tree of {tree.size} vertices has {count}"
-        )
+    GuardExceeded.check(family_count(tree), FAMILY_GUARD, "admissible family count")
     return tuple(sorted(_family_sets(tree), key=lambda fam: (len(fam.gamma), sorted(fam.gamma))))
 
 
@@ -380,10 +375,7 @@ def dual_oracle_brute(forest: Forest) -> TensorComb[Forest]:
     nonzero at weight 0).  Guarded to |F| <= 8 vertices.  The reference for
     ``dual_oracle``: it shares no code with the formulas or the transpose.
     """
-    if forest.size > ORACLE_GUARD:
-        raise GuardExceeded(
-            f"dual_oracle_brute is guarded to {ORACLE_GUARD} vertices, got {forest.size}"
-        )
+    GuardExceeded.check(forest.size, ORACLE_GUARD, "dual_oracle_brute forest size")
     ms = _decoration_multiset(forest)
     components = len(forest.trees)
     acc: dict[tuple[Forest, Forest], Fraction] = {}
@@ -471,10 +463,7 @@ def dual_oracle(forest: Forest) -> TensorComb[Forest]:
     dual verification suite check (the suite up to 4 vertices, where the
     brute is cheap).  Guarded to the same ``ORACLE_GUARD`` vertices.
     """
-    if forest.size > ORACLE_GUARD:
-        raise GuardExceeded(
-            f"dual_oracle is guarded to {ORACLE_GUARD} vertices, got {forest.size}"
-        )
+    GuardExceeded.check(forest.size, ORACLE_GUARD, "dual_oracle forest size")
     return _transpose(forest)
 
 

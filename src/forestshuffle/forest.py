@@ -38,7 +38,6 @@ __all__ = [
     "b_plus",
     "concat",
     "parse_forest",
-    "render_forest",
     "vertex_refs",
     "subtree_at",
     "leaf_refs",
@@ -64,7 +63,14 @@ class TreeSyntaxError(ValueError):
 
 
 class GuardExceeded(RuntimeError):
-    """Raised when an enumeration guard would be exceeded."""
+    """Raised when a count is over its guard; only ``check`` raises it."""
+
+    @staticmethod
+    def check(count: int, bound: int, what: str) -> None:
+        """Refuse ``count`` of ``what`` when it is over ``bound``.  The one
+        place a guard is worded; the pass path builds no message."""
+        if count > bound:
+            raise GuardExceeded(f"{what} is guarded to {bound}, got {count}")
 
 
 def _gc_paused(fn):
@@ -492,11 +498,6 @@ def induced_subtree(tree: RootedTree, refs: Iterable[VertexRef]) -> Forest:
 #   atom   := [A-Za-z0-9_]+        ("1" alone denotes the monoid unit)
 
 
-def render_forest(forest: Forest) -> str:
-    """Canonical text of a forest; the empty forest renders as "()"."""
-    return forest.key
-
-
 # Deepest root-to-leaf path, in vertices, that the parser accepts.  The
 # structural recursions take up to two stack frames per level (a tree, then
 # the forest of its children): on trees with a branch at every level the
@@ -543,10 +544,7 @@ class _Parser:
 
     def parse_tree(self) -> RootedTree:
         self.depth += 1
-        if self.depth > MAX_TREE_DEPTH:
-            raise GuardExceeded(
-                f"trees are guarded to depth {MAX_TREE_DEPTH} (at position {self.pos})"
-            )
+        GuardExceeded.check(self.depth, MAX_TREE_DEPTH, "tree depth")
         dec = self.parse_decoration()
         children: list[RootedTree] = []
         if self.peek() == "[":
@@ -589,7 +587,7 @@ class _Parser:
 def parse_forest(text: str) -> Forest:
     """Parse tree-expression text into a canonical forest.
 
-    render_forest(parse_forest(s)) == s whenever s is already canonical.
+    parse_forest(s).key == s whenever s is already canonical.
     """
     return _Parser(text).parse_forest()
 

@@ -46,8 +46,7 @@ def enumerate_shapes(n: int) -> tuple[RootedTree, ...]:
     the unit decoration."""
     if n < 1:
         raise ValueError("shapes have at least one vertex")
-    if n > SHAPE_GUARD:
-        raise GuardExceeded(f"shape enumeration is guarded to {SHAPE_GUARD} vertices, got {n}")
+    GuardExceeded.check(n, SHAPE_GUARD, "shape size")
     return tuple(f.trees[0] for f in trees_of_size(n, (UNIT,)))
 
 

@@ -289,12 +289,15 @@ class TestErrorPaths:
 
     def test_families_guard_is_status_4(self, capsys):
         linear = "a[" * 29 + "a" + "]" * 29  # 2^30 admissible families
-        for argv in (["families", linear], ["dual", linear, "--mode", "combinatorial"]):
+        for argv, counted in (
+            (["families", linear], "admissible family count"),
+            (["dual", linear, "--mode", "combinatorial"], "dual term count"),
+        ):
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
             assert time.perf_counter() - start < 5
             assert code == 4 and out == ""
-            assert "admissible families are guarded" in err
+            assert f"{counted} is guarded to {FAMILY_GUARD}, got {2**30}" in err
 
     def test_dual_terms_guard_is_status_4(self, capsys):
         # the terms summed before they merge: 2^n on a chain of n vertices,
@@ -311,9 +314,9 @@ class TestErrorPaths:
                 code, out, err = run(capsys, "dual", refused, "--mode", mode)
                 assert time.perf_counter() - start < 1
                 assert code == 4 and out == ""
-                assert "admissible families are guarded to 65536 dual terms" in err
-        assert "has 131072" in run(capsys, "dual", chain(17))[2]
-        assert "has 106498" in run(capsys, "dual", pairs(13))[2]
+                assert "dual term count is guarded to 65536" in err
+        assert "got 131072" in run(capsys, "dual", chain(17))[2]
+        assert "got 106498" in run(capsys, "dual", pairs(13))[2]
         # one step smaller, both are admitted: at the guard and under it
         assert _dual_term_count(parse_forest(chain(16))) == FAMILY_GUARD
         assert _dual_term_count(parse_forest(pairs(12))) == 49154
@@ -392,7 +395,7 @@ class TestErrorPaths:
         code, out, err = run(capsys, "rb", "--check", "morphism", "--max-degree", str(RB_DEGREE_GUARD + 1))
         assert time.perf_counter() - start < 1
         assert code == 4 and out == ""
-        assert f"guarded to degree {RB_DEGREE_GUARD}" in err
+        assert f"rb sample degree is guarded to {RB_DEGREE_GUARD}, got {RB_DEGREE_GUARD + 1}" in err
 
     def test_primitive_count_past_the_guard_is_status_4(self, capsys):
         start = time.perf_counter()
@@ -425,7 +428,7 @@ class TestErrorPaths:
             code, out, err = run(capsys, "shuffle", *argv)
             assert time.perf_counter() - start < 1
             assert code == 4 and out == ""
-            assert f"guarded to {SHUFFLE_GUARD} recursion leaves" in err
+            assert f"recursion leaf count is guarded to {SHUFFLE_GUARD}" in err
 
 
 class TestVerify:

@@ -172,7 +172,7 @@ class TestAdmissibleFamilies:
             return P("a[" * (n - 1) + "a" + "]" * (n - 1)).single_tree()
 
         assert family_count(linear(16)) == FAMILY_GUARD
-        with pytest.raises(GuardExceeded, match="guarded to 65536 per tree, a tree of 17 vertices has 131072"):
+        with pytest.raises(GuardExceeded, match="admissible family count is guarded to 65536, got 131072"):
             admissible_families(linear(17))
         with pytest.raises(GuardExceeded):
             dual_combinatorial(Forest([linear(30), P("b").single_tree()]))

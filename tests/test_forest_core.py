@@ -9,6 +9,7 @@ from hypothesis import given
 from forestshuffle.dual import admissible_families, contraction_fertility, family_count
 from forestshuffle.forest import (
     EMPTY,
+    MAX_TREE_DEPTH,
     UNIT,
     Decoration,
     Forest,
@@ -23,7 +24,6 @@ from forestshuffle.forest import (
     induced_subtree,
     leaf_refs,
     parse_forest,
-    render_forest,
     subtree_at,
     vertex_refs,
 )
@@ -92,17 +92,17 @@ class TestParseRender:
         assert P("c[b] a[d]") == P("a[d] c[b]")
 
     def test_children_sorted(self):
-        assert render_forest(P("a[c[x],b]")) == "a[b,c[x]]"
+        assert P("a[c[x],b]").key == "a[b,c[x]]"
 
     def test_empty_forest(self):
-        assert render_forest(EMPTY) == "()"
+        assert EMPTY.key == "()"
         assert P("()") == EMPTY
 
     def test_decoration_rendering(self):
-        assert render_forest(b_plus(Decoration(["a", "c"]), EMPTY).as_forest()) == "a*c"
+        assert b_plus(Decoration(["a", "c"]), EMPTY).as_forest().key == "a*c"
 
     def test_tree_order(self):
-        assert render_forest(P("b a")) == "a b"
+        assert P("b a").key == "a b"
 
     def test_unit_atom(self):
         assert P("1[a]").single_tree().decoration == UNIT
@@ -122,7 +122,42 @@ class TestParseRender:
 
     @given(f=any_forests)
     def test_roundtrip(self, f):
-        assert parse_forest(render_forest(f)) == f
+        assert parse_forest(f.key) == f
+
+    @staticmethod
+    def assert_roundtrip(f: Forest) -> None:
+        back = parse_forest(f.key)
+        assert back == f and back.key == f.key and back.size == f.size
+
+    def test_roundtrip_at_the_depth_limit(self):
+        a, b = Decoration(["a"]), Decoration(["b"])
+        chain = comb = RootedTree(a)
+        for i in range(MAX_TREE_DEPTH - 1):
+            chain = RootedTree(b if i % 2 else a, [chain])
+            comb = RootedTree(a, [comb, RootedTree(b)])  # a branch on every level
+        for tree in (chain, comb):
+            self.assert_roundtrip(tree.as_forest())
+        assert chain.size == MAX_TREE_DEPTH and comb.size == 2 * MAX_TREE_DEPTH - 1
+
+    def test_roundtrip_on_wide_input(self):
+        rng = random.Random(5)
+        decs = [Decoration(rng.choices(["a", "b", "c"], k=rng.randint(1, 3))) for _ in range(50)]
+        # 500 children over 50 decorations: repeats, and leaves beside subtrees
+        kids = [RootedTree(d, [RootedTree(decs[i % 7])] * (i % 3)) for i, d in enumerate(decs * 10)]
+        wide = RootedTree(decs[0], kids)
+        assert len(wide.children) == 500
+        self.assert_roundtrip(wide.as_forest())
+        # 600 trees with composite decorations, written out of order
+        many = Forest([RootedTree(decs[i % 50], [RootedTree(decs[(7 * i) % 50])]) for i in range(600)])
+        self.assert_roundtrip(many)
+        assert parse_forest(" ".join(reversed(many.key.split(" ")))) == many
+
+    def test_depth_past_the_limit_is_refused(self):
+        deepest = "a[" * (MAX_TREE_DEPTH - 1) + "a" + "]" * (MAX_TREE_DEPTH - 1)
+        assert parse_forest(deepest).size == MAX_TREE_DEPTH
+        message = f"^tree depth is guarded to {MAX_TREE_DEPTH}, got {MAX_TREE_DEPTH + 1}$"
+        with pytest.raises(GuardExceeded, match=message):
+            parse_forest("a[" + deepest + "]")
 
 
 class TestCanonicalKey:

@@ -443,6 +443,87 @@ def test_every_memo_is_a_memo():
     }
 
 
+def _guard_faults(module: str, source: str) -> tuple[list[str], list[str]]:
+    """The bound names a module's ``GuardExceeded.check`` calls pass, and its
+    faults: a ``GuardExceeded(...)`` built outside ``GuardExceeded.check``,
+    and a check whose bound is not a module-level name (a literal, a local)."""
+    tree = ast.parse(source)
+    module_names = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } | {
+        target.id
+        for node in tree.body
+        for target in (node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)])
+        if isinstance(target, ast.Name)
+    }
+    bounds, faults = [], []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.ClassDef, *_DEFS)):
+            scope += (node.name,)
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "GuardExceeded" and scope[-2:] != ("GuardExceeded", "check"):
+                faults.append(f"{module}:{node.lineno} builds GuardExceeded")
+            owner = getattr(node.func, "value", None)
+            if name == "check" and getattr(owner, "id", None) == "GuardExceeded":
+                bound = node.args[1] if len(node.args) > 1 else None
+                if isinstance(bound, ast.Name) and bound.id in module_names:
+                    bounds.append(bound.id)
+                else:
+                    faults.append(f"{module}:{node.lineno} checks a bound that is no module-level name")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return bounds, faults
+
+
+def test_every_guard_goes_through_check():
+    root = Path(forestshuffle.__file__).parent
+    bounds, faults = [], []
+    for path in sorted(root.glob("*.py")):
+        found, wrong = _guard_faults(path.stem, path.read_text(encoding="utf-8"))
+        bounds += found
+        faults += wrong
+    assert faults == []
+    assert set(bounds) == {
+        "COUNT_GUARD",
+        "FAMILY_GUARD",
+        "MAX_TREE_DEPTH",
+        "ORACLE_GUARD",
+        "RB_DEGREE_GUARD",
+        "SHAPE_GUARD",
+        "SHUFFLE_GUARD",
+    }
+
+
+def test_guard_scan_sees_each_kind():
+    source = (
+        "from .forest import GuardExceeded, MAX_TREE_DEPTH\nLIMIT = 3\n"
+        "class GuardExceeded(RuntimeError):\n"
+        "    @staticmethod\n    def check(count, bound, what):\n"
+        "        raise GuardExceeded(what)\n"
+        "def f(n, limit):\n"
+        "    GuardExceeded.check(n, LIMIT, 'n')\n"
+        "    GuardExceeded.check(n, MAX_TREE_DEPTH, 'n')\n"
+        "    GuardExceeded.check(n, 3, 'n')\n"
+        "    GuardExceeded.check(n, limit, 'n')\n"
+        "    raise GuardExceeded('n')\n"
+    )
+    assert _guard_faults("cli", source) == (
+        ["LIMIT", "MAX_TREE_DEPTH"],
+        [
+            "cli:10 checks a bound that is no module-level name",
+            "cli:11 checks a bound that is no module-level name",
+            "cli:12 builds GuardExceeded",
+        ],
+    )
+
+
 def test_memo_scan_sees_each_kind():
     source = (
         "import functools\nfrom functools import cache, lru_cache\n"
