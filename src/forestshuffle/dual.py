@@ -27,6 +27,14 @@ A route that does not take a shared rule checks it: the root rule by
 forest rule by "oracle == σ-refined reciprocal formula" (on distinct atoms
 and on 2 atoms), which relates the formulas' alpha/fertility weights to
 the normalization of strict duality.
+
+Every coefficient of the two formulas is a positive integer: the root rule
+copies coefficients, alpha is an integer and so is c_gamma.  Their
+recursions sum and memoize plain {(x, y): int} dicts, and the public
+entries turn them into ``TensorComb`` with ``Fraction`` coefficients once.
+The family enumeration names each family's vertex set by an O(1) record;
+only ``admissible_families`` flattens it.  The oracle and its brute-force
+reference keep ``Fraction`` terms.
 """
 
 from __future__ import annotations
@@ -133,9 +141,9 @@ def _dual_term_count(forest: Forest) -> int:
     return 2 + 2 ** (len(counts) - 1) * sum([c - 2 for c in counts])
 
 
-def _family_sets(tree: RootedTree) -> list[AdmissibleFamily]:
-    """Inductive enumeration of admissible vertex sets with both induced
-    sides and fertilities.
+def _family_sets(tree: RootedTree) -> list[tuple]:
+    """Inductive enumeration of admissible families, each as (record, t_gamma,
+    t_complement, c_gamma).
 
     Single-child root: families of the child, each taken with and without
     the root, fertility unchanged; the root joins the side it goes to.  Any
@@ -146,39 +154,61 @@ def _family_sets(tree: RootedTree) -> list[AdmissibleFamily]:
     fertility is n times the child's.  Both sides are assembled from
     canonical parts with ``_grafted`` and ``concat`` instead of being induced
     again from the vertex sets.
+
+    A record names gamma in O(1): True for the whole vertex set, False for
+    the empty one, and (i, child record, joins) for a family of child i,
+    joined by the root and the other children when ``joins`` is true.
+    ``_gamma`` flattens a record to vertex refs.
     """
     kids = tree.children
     n = len(kids)
     dec = tree.decoration
     if n == 1:
-        out: list[AdmissibleFamily] = []
+        out: list[tuple] = []
         for sub, g, h, c in _family_sets(kids[0]):
-            lifted = frozenset((0,) + p for p in sub)
-            out.append(AdmissibleFamily(lifted, g, _grafted(dec, h), c))
-            out.append(AdmissibleFamily(lifted | {()}, _grafted(dec, g), h, c))
+            out.append(((0, sub, False), g, _grafted(dec, h), c))
+            out.append(((0, sub, True), _grafted(dec, g), h, c))
         return out
 
-    child_vertices = [frozenset((i,) + p for p in vertex_refs(kids[i])) for i in range(n)]
-    all_vertices: frozenset[VertexRef] = frozenset({()}).union(*child_vertices)
     whole = tree.as_forest()
-    out = [
-        AdmissibleFamily(frozenset(), EMPTY, whole, 1),
-        AdmissibleFamily(all_vertices, whole, EMPTY, 1),
-    ]
+    out = [(False, EMPTY, whole, 1), (True, whole, EMPTY, 1)]
     for i in range(n):
         kid = kids[i]
-        rest = all_vertices - child_vertices[i]  # the root and the other children
         # a subsequence of the sorted children is sorted
         others = Forest._build(kids[:i] + kids[i + 1 :], tree.size - 1 - kid.size)
         for sub, g, h, c in _family_sets(kid):
-            if not sub or len(sub) == kid.size:
+            if g.is_empty or h.is_empty:
                 continue
-            lifted = frozenset((i,) + p for p in sub)
-            out.append(AdmissibleFamily(lifted, g, _grafted(dec, concat(others, h)), n * c))
-            out.append(AdmissibleFamily(lifted | rest, _grafted(dec, concat(others, g)), h, n * c))
+            out.append(((i, sub, False), g, _grafted(dec, concat(others, h)), n * c))
+            out.append(((i, sub, True), _grafted(dec, concat(others, g)), h, n * c))
     return out
 
 
+def _gamma(tree: RootedTree, record) -> frozenset[VertexRef]:
+    """The vertex refs a ``_family_sets`` record names, down one path."""
+    refs: list[VertexRef] = []
+    prefix: VertexRef = ()
+    while isinstance(record, tuple):
+        i, record, joins = record
+        if joins:
+            refs.append(prefix)
+            for j, kid in enumerate(tree.children):
+                if j != i:
+                    refs.extend([prefix + (j,) + p for p in vertex_refs(kid)])
+        prefix += (i,)
+        tree = tree.children[i]
+    if record:
+        refs.extend([prefix + p for p in vertex_refs(tree)])
+    return frozenset(refs)
+
+
+def _checked_families(tree: RootedTree) -> list[tuple]:
+    """``_family_sets`` of a tree, refused past ``FAMILY_GUARD`` families."""
+    GuardExceeded.check(family_count(tree), FAMILY_GUARD, "admissible family count")
+    return _family_sets(tree)
+
+
+@_gc_paused
 def admissible_families(tree: RootedTree) -> tuple[AdmissibleFamily, ...]:
     """All admissible families of a nonempty tree, in deterministic order.
 
@@ -186,8 +216,10 @@ def admissible_families(tree: RootedTree) -> tuple[AdmissibleFamily, ...]:
     present with contracted fertility 1.  Guarded to ``FAMILY_GUARD``
     families: a linear tree with n vertices has 2^n of them.
     """
-    GuardExceeded.check(family_count(tree), FAMILY_GUARD, "admissible family count")
-    return tuple(sorted(_family_sets(tree), key=lambda fam: (len(fam.gamma), sorted(fam.gamma))))
+    families = [
+        AdmissibleFamily(_gamma(tree, record), g, h, c) for record, g, h, c in _checked_families(tree)
+    ]
+    return tuple(sorted(families, key=lambda fam: (len(fam.gamma), sorted(fam.gamma))))
 
 
 def is_admissible_direct(tree: RootedTree, gamma: Iterable[VertexRef]) -> bool:
@@ -254,7 +286,13 @@ def _contract(
 # ---------------------------------------------------------------------------
 # the dual coproduct, three ways
 
-_dual_cache = _Memo()  # forest key -> TensorComb
+# Memo values are shared, so no dict in one is ever changed.
+_dual_cache = _Memo()  # forest key -> {(x, y): int}
+
+
+def _tensor(terms: dict) -> TensorComb[Forest]:
+    """An {(x, y): int} dict as a tensor with ``Fraction`` coefficients."""
+    return TensorComb._trusted({legs: Fraction(c) for legs, c in terms.items()})
 
 
 def _component_splits(trees: tuple[RootedTree, ...], i: int):
@@ -277,15 +315,15 @@ def _component_splits(trees: tuple[RootedTree, ...], i: int):
 def dual_recursive(forest: Forest) -> TensorComb[Forest]:
     """The dual coproduct by its inductive formula."""
     _dual_cache.trim()
-    return _dual(forest)
+    return _tensor(_dual(forest))
 
 
-def _dual(forest: Forest) -> TensorComb[Forest]:
+def _dual(forest: Forest) -> dict[tuple[Forest, Forest], int]:
     if (hit := _dual_cache.get(forest.key)) is not None:
         return hit
 
     if forest.is_empty:
-        result = TensorComb.of((EMPTY, EMPTY))
+        result = {(EMPTY, EMPTY): 1}
     elif forest.is_tree:
         tree = forest.single_tree()
         result = _root_terms(tree.decoration, _dual(_below(tree)))
@@ -296,7 +334,7 @@ def _dual(forest: Forest) -> TensorComb[Forest]:
             # with an empty leg are T⊗∅ and ∅⊗T, each with coefficient 1
             reduced.append([
                 (x, y, c)
-                for (x, y), c in _dual(tree.as_forest())._terms.items()
+                for (x, y), c in _dual(tree.as_forest()).items()
                 if not (x.is_empty or y.is_empty)
             ])
         result = _alpha_terms(forest, reduced)
@@ -304,34 +342,42 @@ def _dual(forest: Forest) -> TensorComb[Forest]:
     return _dual_cache.put(forest.key, forest.size, result)
 
 
-def _root_terms(dec: Decoration, body: TensorComb[Forest]) -> TensorComb[Forest]:
-    """The coproduct of B+^dec(G) from the coproduct of its body G: each term
-    x⊗y with coefficient c gives B+^dec(x)⊗y when y is connected and
-    x⊗B+^dec(y) when x is.  G's trivial terms give the tree's."""
-    pairs = []
-    for (x, y), c in body._terms.items():
+def _root_terms(dec: Decoration, body: dict) -> dict:
+    """The coproduct of B+^dec(G) from the coproduct of its body G, as
+    {(x, y): coefficient} dicts: each term x⊗y with coefficient c gives
+    B+^dec(x)⊗y when y is connected and x⊗B+^dec(y) when x is.  G's trivial
+    terms give the tree's.  Every coefficient is copied, so positive ones
+    stay positive."""
+    out: dict = {}
+    get = out.get
+    for (x, y), c in body.items():
         if y.is_connected:
-            pairs.append(((_grafted(dec, x), y), c))
+            legs = (_grafted(dec, x), y)
+            out[legs] = get(legs, 0) + c
         if x.is_connected:
-            pairs.append(((x, _grafted(dec, y)), c))
-    return TensorComb.sum_of(pairs)
+            legs = (x, _grafted(dec, y))
+            out[legs] = get(legs, 0) + c
+    return out
 
 
-def _alpha_terms(forest: Forest, reduced: list[list[tuple]]) -> TensorComb[Forest]:
+def _alpha_terms(forest: Forest, reduced: list[list[tuple]]) -> dict[tuple[Forest, Forest], int]:
     """The coproduct of a nonempty forest from its components' reduced
     terms, one list of (x, y, c) per component, both legs nonempty:
     F⊗∅ + ∅⊗F plus (x f_in)⊗(y f_out) with coefficient alpha(r, n)·c =
     (r+1)(n-r)·c over every split of the other components into r chosen
     ones f_in and the rest f_out."""
     n = len(forest.trees)
-    pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
+    out = {(forest, EMPTY): 1, (EMPTY, forest): 1}
+    get = out.get
     for i, red in enumerate(reduced):
         if not red:
             continue
         for r, f_in, f_out in _component_splits(forest.trees, i):
             a = (r + 1) * (n - r)
-            pairs.extend(((concat(x, f_in), concat(y, f_out)), a * c) for x, y, c in red)
-    return TensorComb.sum_of(pairs)
+            for x, y, c in red:
+                legs = (concat(x, f_in), concat(y, f_out))
+                out[legs] = get(legs, 0) + a * c
+    return out
 
 
 def reduced_dual(forest: Forest) -> TensorComb[Forest]:
@@ -346,18 +392,15 @@ def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
 
     Must agree with ``dual_recursive`` exactly, on trees and forests alike.
     A tree has one split, with alpha(0, 1) = 1, and its boundary families
-    are the trivial terms T⊗∅ and ∅⊗T.
+    are the trivial terms T⊗∅ and ∅⊗T.  Reads the families' records as
+    enumerated, without building their vertex sets.
     """
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))
-    return _alpha_terms(forest, [
-        [
-            (fam.t_complement, fam.t_gamma, Fraction(fam.c_gamma))
-            for fam in admissible_families(tree)
-            if 0 < len(fam.gamma) < tree.size
-        ]
+    return _tensor(_alpha_terms(forest, [
+        [(h, g, c) for _, g, h, c in _checked_families(tree) if not (g.is_empty or h.is_empty)]
         for tree in forest.trees
-    ])
+    ]))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +461,7 @@ def _transpose(forest: Forest) -> TensorComb[Forest]:
     trees = forest.trees
     if len(trees) == 1:
         tree = trees[0]
-        return _root_terms(tree.decoration, _transpose(_below(tree)))
+        return TensorComb._trusted(_root_terms(tree.decoration, _transpose(_below(tree))._terms))
 
     pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
     for i, core in enumerate(trees):

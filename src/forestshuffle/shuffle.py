@@ -13,7 +13,10 @@ parameter per call, not a formal variable.  Inside the three product
 recursions a result is carried as integer numerators over one common
 denominator, in lowest terms: a prefactor 1/(kn) or 1/k, or the weight's
 denominator, multiplies that one denominator instead of every coefficient.
-The public entries convert to ``Fraction`` coefficients once, at the end.
+``shuffle_coefficient``'s recursion carries one coefficient the same way, as
+a (numerator, denominator) pair in lowest terms, and keys its memo on the
+weight's (numerator, denominator).  The public entries convert to
+``Fraction`` once, at the end.
 Memo caches are pure memos keyed on canonical keys and are semantically
 invisible.
 """
@@ -42,7 +45,7 @@ __all__ = [
 _shuffle_cache = _Memo()  # (first, second, (p, q)) -> (numerators, denominator), by key
 _star_cache = _Memo()
 _diamond_cache = _Memo()
-_coeff_cache = _Memo()  # (target, first, second, lam) -> Fraction, by key
+_coeff_cache = _Memo()  # (target, first, second, (p, q)) -> (numerator, denominator), by key
 
 # A product's value: {forest: integer numerator} over one positive integer
 # denominator, in lowest terms, with no zero numerator.  Memo values are
@@ -281,49 +284,60 @@ def shuffle_coefficient(
     pairing <target, first ⧢ second> in the dual basis.
     """
     lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
     _coeff_cache.trim()
     # a repeated query returns from the memo before any tree walk
-    if (hit := _coeff_cache.get((target.key, first.key, second.key, lam))) is not None:
-        return hit
-    atoms = _atom_multiset(target)
-    if tuple(sorted(_atom_multiset(first) + _atom_multiset(second))) != atoms:
-        return Fraction(0)
-    if lam == 0 and first.size + second.size != target.size:
-        return Fraction(0)
-    return _coeff(target, first, second, lam)
+    hit = _coeff_cache.get((target.key, first.key, second.key, (p, q)))
+    if hit is None:
+        atoms = _atom_multiset(target)
+        if tuple(sorted(_atom_multiset(first) + _atom_multiset(second))) != atoms:
+            return Fraction(0)
+        if p == 0 and first.size + second.size != target.size:
+            return Fraction(0)
+        hit = _coeff(target, first, second, p, q)
+    return Fraction(*hit)
 
 
-def _coeff(target: Forest, first: Forest, second: Forest, lam: Fraction) -> Fraction:
+def _ratio(parts: list[tuple[int, int]], split: int = 1) -> tuple[int, int]:
+    """The sum of (numerator, denominator) parts divided by ``split``, as a
+    (numerator, denominator) pair in lowest terms."""
+    den = lcm(*[d for _, d in parts])
+    num = sum([n * (den // d) for n, d in parts])
+    den *= split
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _coeff(target: Forest, first: Forest, second: Forest, p: int, q: int) -> tuple[int, int]:
     if first.is_empty:
-        return Fraction(1 if target == second else 0)
+        return (1 if target == second else 0), 1
     if second.is_empty:
-        return Fraction(1 if target == first else 0)
-    key = (target.key, first.key, second.key, lam)
+        return (1 if target == first else 0), 1
+    key = (target.key, first.key, second.key, (p, q))
     if (hit := _coeff_cache.get(key)) is not None:
         return hit
 
+    parts: list[tuple[int, int]] = []
     if first.is_tree and second.is_tree:
         # tree ⧢ tree only produces trees
-        if not target.is_tree:
-            result = Fraction(0)
-        else:
+        if target.is_tree:
             root = target.single_tree()
             body = _below(root)
             t, u = first.single_tree(), second.single_tree()
-            result = Fraction(0)
             if root.decoration == t.decoration:
-                result += _coeff(body, _below(t), second, lam)
+                parts.append(_coeff(body, _below(t), second, p, q))
             if root.decoration == u.decoration:
-                result += _coeff(body, first, _below(u), lam)
-            if lam and root.decoration == t.decoration * u.decoration:
-                result += lam * _coeff(body, _below(t), _below(u), lam)
+                parts.append(_coeff(body, first, _below(u), p, q))
+            if p and root.decoration == t.decoration * u.decoration:
+                num, den = _coeff(body, _below(t), _below(u), p, q)
+                parts.append((p * num, q * den))
+        result = _ratio(parts)
     else:
-        result = Fraction(0)
         for ti, tj, rest in _component_pairs(first, second):
             core = _multiset_difference(target, rest)
             if core is not None:
-                result += _coeff(core, ti.as_forest(), tj.as_forest(), lam)
-        result /= len(first.trees) * len(second.trees)
+                parts.append(_coeff(core, ti.as_forest(), tj.as_forest(), p, q))
+        result = _ratio(parts, len(first.trees) * len(second.trees))
 
     _coeff_cache[key] = result
     return result

@@ -106,3 +106,35 @@ def test_a_failing_run_keeps_the_finished_pairs(tmp_path, monkeypatch, capsys):
     ]
     assert written["description"] == "kept"
     assert written["summary"]["products"]["wall_s"]["change_wins"] == "2 of 2"
+
+
+def test_summary_ends_the_output(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    walls = {("parent", 1): 4.0, ("change", 1): 3.0, ("parent", 2): 4.2, ("change", 2): 4.5,
+             ("parent", 3): 4.4, ("change", 3): 3.5}
+
+    def run_once(directory, workload, seed):
+        wall = walls[directory.name, seed]
+        return bench_pairs.parse_output(_stdout(wall, 10 / wall, "d"))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(change), "--workload", "duality",
+            "--seeds", "1..3", "--out", str(tmp_path / "BENCH.json")]
+    assert bench_pairs.main(argv) == 0
+    assert capsys.readouterr().err.splitlines()[-3:] == [
+        "wall_s: parent 4.2 [0.2], change 3.5, change wins 2 of 3",
+        "ops_per_s: parent 2.381 [0.11], change 2.857, change wins 2 of 3",
+        "out_sha256: equal on every seed",
+    ]
+
+
+def test_summary_lines_name_a_digest_mismatch():
+    runs = [_run(0, "parent", 4.0, 2.5), _run(0, "change", 3.0, 3.0, digest="other")]
+    lines = bench_pairs.summary_lines(bench_pairs.summarize(runs, METRICS)["products"], METRICS)
+    assert lines == [
+        "wall_s: parent 4 [0], change 3, change wins 1 of 1",
+        "ops_per_s: parent 2.5 [0], change 3, change wins 1 of 1",
+        "out_sha256: differs on some seed",
+    ]

@@ -189,6 +189,45 @@ class TestAdmissibleFamilies:
             assert count == len(dual_recursive(distinct)) == len(dual_combinatorial(distinct))
 
 
+class TestIntegerBoundary:
+    """The dual routes carry integer coefficients and convert to Fraction
+    once, at each public entry."""
+
+    FORESTS = ["()", "a", "a[b,c[a]]", "a[b] a[b]", "a[b,c[a]] b c[a]", "a*b[1] c[a,a]"]
+
+    # sha256 of every family's gamma, sides and c_gamma, in order, over the
+    # {a,b}-trees of at most 6 vertices; recorded from the enumeration that
+    # built a vertex set at every level
+    FAMILY_DIGEST = "86800a5edc28c86ad148fe7c041a4c5a88d1fa838edaa099dd4dbd45a9efcc05"
+
+    def test_fraction_coefficients_and_an_integer_memo(self):
+        import forestshuffle.dual as dual
+
+        dual._dual_cache.clear()  # a pure memo: clearing it changes no result
+        for text in self.FORESTS:
+            f = P(text)
+            for route in (dual_recursive, dual_combinatorial):
+                result = route(f)
+                assert not result.is_zero
+                assert all(type(c) is Fraction and c > 0 for _, c in result.items())
+        assert dual._dual_cache
+        for value in dual._dual_cache.values():
+            assert type(value) is dict
+            assert all(type(c) is int and c > 0 for c in value.values())
+
+    def test_family_digest(self):
+        import hashlib
+
+        digest = hashlib.sha256()
+        count = 0
+        for tf in trees_up_to(6, default_alphabet(("a", "b"))):
+            for fam in admissible_families(tf.single_tree()):
+                row = (sorted(fam.gamma), fam.t_gamma.key, fam.t_complement.key, fam.c_gamma)
+                digest.update(f"{row}\n".encode())
+                count += 1
+        assert (count, digest.hexdigest()) == (18844, self.FAMILY_DIGEST)
+
+
 class TestContraction:
     def test_empty_family_contracts_to_point(self):
         cont, c = contraction_fertility(P("a[b[c],d]").single_tree(), set())

@@ -9,8 +9,8 @@ from collections import Counter
 import pytest
 
 from forestshuffle.coalgebra import trunk_coproduct
-from forestshuffle.dual import dual_combinatorial, dual_oracle, dual_recursive
-from forestshuffle.forest import EMPTY, parse_forest
+from forestshuffle.dual import admissible_families, dual_combinatorial, dual_oracle, dual_recursive
+from forestshuffle.forest import EMPTY, GuardExceeded, parse_forest, parse_tree
 from forestshuffle.shuffle import diamond_product, forest_shuffle, star_product
 from forestshuffle.suites import SuiteConfig, run_suite
 
@@ -42,6 +42,7 @@ def test_library_is_cycle_free():
             product(F, G, 1)
         for dual in (dual_recursive, dual_combinatorial, dual_oracle):
             dual(F)
+        admissible_families(parse_tree("a[b[c],b[a,c[a]]]"))
         trunk_coproduct(parse_forest("a[b[c,a]]"))
         gc.collect()
         garbage = gc.garbage[saved:]
@@ -58,6 +59,42 @@ def test_collector_back_on_after_a_raising_call(collector_on):
     with pytest.raises(ValueError):
         diamond_product(EMPTY, F)
     assert gc.isenabled()
+    with pytest.raises(GuardExceeded):  # a chain of 17 vertices, past FAMILY_GUARD
+        admissible_families(parse_tree("a[" * 16 + "a" + "]" * 16))
+    assert gc.isenabled()
+
+
+def test_admissible_families_pauses_the_collector(collector_on, monkeypatch):
+    # at a threshold of one allocation, a collector left on would start a
+    # collection while the families are enumerated
+    import forestshuffle.dual as dual
+
+    inside: list[bool] = []
+    started: list[int] = []
+    enumerate_families = dual._checked_families
+
+    def marked(tree):
+        inside.append(True)
+        try:
+            return enumerate_families(tree)
+        finally:
+            inside.pop()
+
+    def record(phase: str, info: dict) -> None:
+        if phase == "start" and inside:
+            started.append(info["generation"])
+
+    monkeypatch.setattr(dual, "_checked_families", marked)
+    tree = parse_tree("a[b[c[a]],b[a,c[a,b]]]")
+    thresholds = gc.get_threshold()
+    gc.callbacks.append(record)
+    gc.set_threshold(1)
+    try:
+        admissible_families(tree)
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.callbacks.remove(record)
+    assert started == [] and gc.isenabled()
 
 
 def test_collector_left_off_when_the_caller_turned_it_off(collector_on):

@@ -406,6 +406,41 @@ class TestShuffleCoefficient:
         for term, coeff in full.items():
             assert shuffle_coefficient(term, f, g, lam) == coeff
 
+    @pytest.mark.parametrize("lam", [1, -1, Q(2, 3)])
+    def test_matches_full_expansion_at_a_weight(self, lam):
+        import random
+
+        from forestshuffle.sampling import random_forest
+
+        rng = random.Random(3)
+        alphabet = default_alphabet(("a", "b", "c"))
+        for _ in range(25):
+            f = random_forest(rng, rng.randint(1, 3), alphabet)
+            g = random_forest(rng, rng.randint(1, 3), alphabet)
+            full = forest_shuffle(f, g, lam)
+            for term, coeff in full.items():
+                c = shuffle_coefficient(term, f, g, lam)
+                assert type(c) is Fraction and c == coeff, (term.key, f.key, g.key, lam)
+            assert shuffle_coefficient(f, f, g, lam) == 0
+
+    def test_fraction_result_and_integer_memo(self):
+        import math
+
+        import forestshuffle.shuffle as sh
+
+        sh._coeff_cache.clear()  # a pure memo: clearing it changes no result
+        query = (P("a*b[c] d"), P("a[c] d"), P("b"))  # lam/2: its weight term
+        for lam in (0, 1, -1, Q(2, 3)):
+            for _ in range(2):  # fresh, then memo
+                assert type(shuffle_coefficient(*query, lam)) is Fraction
+        assert type(shuffle_coefficient(P("a"), P("a"), P("b"))) is Fraction
+        assert shuffle_coefficient(*query, Q(2, 3)) == Q(1, 3)
+        assert sh._coeff_cache
+        for (_, _, _, weight), (num, den) in sh._coeff_cache.items():
+            assert all(type(x) is int for x in weight)
+            assert type(num) is int and type(den) is int and den > 0
+            assert math.gcd(num, den) == 1
+
     def test_zero_off_support(self):
         assert shuffle_coefficient(P("a[b,c]"), P("a"), P("b")) == 0
         assert shuffle_coefficient(P("b[c] d"), P("b"), P("c d")) == Q(1, 2)

@@ -20,7 +20,9 @@ The summary has, per workload, per end-to-end metric of BENCHMARK.json and
 per side, the median, the quartiles (inclusive method), their distance and
 the number of runs, and ``change_wins``: the seeds on which the change reads
 better, ties counting for neither.  ``out_sha256_equal_on_every_seed`` says
-whether both sides emitted the same bytes on every seed.
+whether both sides emitted the same bytes on every seed.  After the last pair
+the workload's summary goes to stderr, one line per end-to-end metric, and a
+last line says whether the output digests agreed.
 """
 
 from __future__ import annotations
@@ -125,6 +127,22 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def summary_lines(rows: dict, metrics: list[dict]) -> list[str]:
+    """One workload's ``summarize`` entry as text: per metric the parent's
+    median [IQR], the change's median and the change's wins."""
+    lines = []
+    for metric in metrics:
+        row = rows[metric["name"]]
+        parent, change = row["parent"], row["change"]
+        lines.append(
+            f"{metric['name']}: parent {parent['median']:.4g} [{parent['iqr']:.2g}], "
+            f"change {change['median']:.4g}, change wins {row['change_wins']}"
+        )
+    agreed = rows["out_sha256_equal_on_every_seed"]
+    lines.append(f"out_sha256: {'equal on every seed' if agreed else 'differs on some seed'}")
+    return lines
+
+
 def write(path: Path, runs: list[dict], description: str, metrics: list[dict]) -> None:
     """The runs, with the command line and the summary, as one JSON file."""
     workloads: dict[str, set[int]] = {}
@@ -172,6 +190,8 @@ def main(argv: list[str] | None = None) -> int:
                          "workload": args.workload})
         runs += pair
         write(args.out, kept + runs, args.description or old.get("description", ""), metrics)
+    for line in summary_lines(summarize(runs, metrics)[args.workload], metrics):
+        print(line, file=sys.stderr)
     return 0
 
 
