@@ -15,7 +15,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 
 from .coalgebra import trunk_coproduct
 from .dual import (
@@ -142,24 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(x: LinComb, as_json: bool) -> None:
     if as_json:
         payload = tensor_json(x) if isinstance(x, TensorComb) else lincomb_json(x)
-        print(_terms_json(payload["terms"]))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render_lincomb(x))
-
-
-def _terms_json(rows: list[dict[str, str]]) -> str:
-    """The bytes of ``json.dumps({"terms": rows}, indent=2, sort_keys=True)``
-    for rows of string values, written directly: with an ``indent`` the
-    standard encoder runs its pure-Python path."""
-    if not rows:
-        return '{\n  "terms": []\n}'
-    items = [
-        "    {\n"
-        + ",\n".join([f"      {_quote(k)}: {_quote(row[k])}" for k in sorted(row)])
-        + "\n    }"
-        for row in rows
-    ]
-    return '{\n  "terms": [\n' + ",\n".join(items) + "\n  ]\n}"
 
 
 def _depth(forest: Forest) -> int:

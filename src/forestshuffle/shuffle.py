@@ -300,7 +300,12 @@ def shuffle_coefficient(
 
 def _ratio(parts: list[tuple[int, int]], split: int = 1) -> tuple[int, int]:
     """The sum of (numerator, denominator) parts divided by ``split``, as a
-    (numerator, denominator) pair in lowest terms."""
+    (numerator, denominator) pair in lowest terms.
+
+    This is ``_combine``'s arithmetic for a single coefficient (lcm of the
+    denominators, scaled sum, split, gcd), kept apart because the pairing
+    query carries one integer per call, not a dict, and a zero stays a
+    (0, 1) pair instead of being dropped."""
     den = lcm(*[d for _, d in parts])
     num = sum([n * (den // d) for n, d in parts])
     den *= split

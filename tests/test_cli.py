@@ -13,18 +13,9 @@ from pathlib import Path
 import pytest
 
 import forestshuffle
-from forestshuffle.cli import (
-    RB_DEGREE_GUARD,
-    SHUFFLE_GUARD,
-    _build_parser,
-    _emit,
-    _recursion_leaves,
-    _terms_json,
-    main,
-)
+from forestshuffle.cli import RB_DEGREE_GUARD, SHUFFLE_GUARD, _build_parser, _recursion_leaves, main
 from forestshuffle.dual import FAMILY_GUARD, _dual_term_count
 from forestshuffle.forest import MAX_TREE_DEPTH, parse_forest
-from forestshuffle.linalg import LinComb, TensorComb, lincomb_json, tensor_json
 from forestshuffle.primitives import COUNT_GUARD
 
 
@@ -61,30 +52,6 @@ class TestShuffleVerb:
     def test_star_and_diamond_products(self, capsys):
         code, out, _ = run(capsys, "shuffle", "a", "b", "--product", "diamond")
         assert code == 0 and out.strip() == "1 a*b"
-
-
-class TestJsonWriter:
-    """``_emit`` writes the bytes ``json.dumps(indent=2, sort_keys=True)``
-    would, without the pure-Python encoder."""
-
-    CASES = [
-        LinComb.zero(),
-        LinComb.of(parse_forest("a[b,c]")),
-        LinComb({parse_forest("a b[c]"): Fraction(-3, 7), parse_forest("c*d"): Fraction(5, 2)}),
-        LinComb({parse_forest("a[b] c"): Fraction(-1), parse_forest("b"): Fraction(2, 3)}),
-        TensorComb({(parse_forest("a"), parse_forest("b[c] d")): Fraction(1, 2),
-                    (parse_forest("()"), parse_forest("a*b")): Fraction(-4)}),
-    ]
-
-    @pytest.mark.parametrize("x", CASES, ids=["zero", "one-term", "fractional", "negative", "tensor"])
-    def test_bytes_match_the_standard_encoder(self, capsys, x):
-        payload = tensor_json(x) if isinstance(x, TensorComb) else lincomb_json(x)
-        _emit(x, True)
-        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def test_strings_are_escaped_as_the_encoder_does(self):
-        rows = [{"z": 'q"\\\u00e9\n', "coeff": "-1/2"}]
-        assert _terms_json(rows) == json.dumps({"terms": rows}, indent=2, sort_keys=True)
 
 
 class TestOtherVerbs:

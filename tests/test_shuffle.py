@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -399,29 +400,13 @@ class TestMemo:
 
 
 class TestShuffleCoefficient:
-    @given(f=nonempty_forests, g=nonempty_forests, lam=weights)
+    @given(f=nonempty_forests, g=nonempty_forests, lam=st.sampled_from([0, 1, -1, Q(2, 3)]))
     @settings(max_examples=50, deadline=None)
     def test_matches_full_expansion(self, f, g, lam):
         full = forest_shuffle(f, g, lam)
         for term, coeff in full.items():
-            assert shuffle_coefficient(term, f, g, lam) == coeff
-
-    @pytest.mark.parametrize("lam", [1, -1, Q(2, 3)])
-    def test_matches_full_expansion_at_a_weight(self, lam):
-        import random
-
-        from forestshuffle.sampling import random_forest
-
-        rng = random.Random(3)
-        alphabet = default_alphabet(("a", "b", "c"))
-        for _ in range(25):
-            f = random_forest(rng, rng.randint(1, 3), alphabet)
-            g = random_forest(rng, rng.randint(1, 3), alphabet)
-            full = forest_shuffle(f, g, lam)
-            for term, coeff in full.items():
-                c = shuffle_coefficient(term, f, g, lam)
-                assert type(c) is Fraction and c == coeff, (term.key, f.key, g.key, lam)
-            assert shuffle_coefficient(f, f, g, lam) == 0
+            c = shuffle_coefficient(term, f, g, lam)
+            assert type(c) is Fraction and c == coeff
 
     def test_fraction_result_and_integer_memo(self):
         import math
