@@ -7,10 +7,11 @@ its terms, which all have the same length; the zero tensor has none.  Basis
 elements only need to be hashable and to expose a ``key`` string used for
 deterministic ordering.
 
-Terms that may repeat are summed in one place, ``_accumulate``; its front
-ends are ``LinComb.sum_of``, ``TensorComb.sum_of``, ``lincomb_sum``, the
-linear extensions ``map_basis`` and ``tensor_map_basis`` and the bilinear
-extension ``bilinear``.
+Terms that may repeat are summed in one place, ``_accumulate``.  Every linear
+extension (``map_basis``, ``tensor_map_basis``, the leg maps and ``bilinear``)
+runs on one kernel, ``_images``, where a term of coefficient 1 passes its
+image terms through unmultiplied.  The constructors and ``scale`` store each
+coefficient as a Fraction through ``_exact``, which refuses a float.
 
 Values are immutable: all operations return fresh objects.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from numbers import Rational
 from typing import Callable, Generic, Hashable, Iterable, Mapping, TypeVar
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
 ]
 
 B = TypeVar("B", bound=Hashable)
+_ONE = Fraction(1)
 
 
 def _accumulate(acc: dict, pairs: Iterable[tuple[B, Fraction]]) -> dict:
@@ -51,13 +54,24 @@ def _accumulate(acc: dict, pairs: Iterable[tuple[B, Fraction]]) -> dict:
     return acc
 
 
+def _exact(c: Fraction | int) -> Fraction:
+    """``c`` as a Fraction; an int or other rational converts exactly, and a
+    float (whose value is not the decimal it prints) raises TypeError."""
+    if type(c) is Fraction:
+        return c
+    if isinstance(c, Rational):
+        return Fraction(c)
+    raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
 class LinComb(Generic[B]):
     """A finite rational linear combination over a free basis."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[B, Fraction] | None = None):
-        object.__setattr__(self, "_terms", _accumulate({}, (terms or {}).items()))
+        pairs = ((b, _exact(c)) for b, c in (terms or {}).items())
+        object.__setattr__(self, "_terms", _accumulate({}, pairs))
 
     @classmethod
     def _trusted(cls, terms: dict[B, Fraction]) -> "LinComb[B]":
@@ -78,8 +92,9 @@ class LinComb(Generic[B]):
         return cls({})
 
     @classmethod
-    def of(cls, basis: B, coeff: Fraction | int = 1) -> "LinComb[B]":
-        return cls({basis: Fraction(coeff)})
+    def of(cls, basis: B, coeff: Fraction | int = _ONE) -> "LinComb[B]":
+        coeff = _exact(coeff)
+        return cls._trusted({basis: coeff} if coeff else {})
 
     @classmethod
     def sum_of(cls, pairs: Iterable[tuple[B, Fraction]]) -> "LinComb[B]":
@@ -124,7 +139,7 @@ class LinComb(Generic[B]):
         return self.scale(-1)
 
     def scale(self, c: Fraction | int) -> "LinComb[B]":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return self._like({})
         if c == 1:
@@ -149,8 +164,14 @@ def _images(
     x: LinComb, fn: Callable[[B], Iterable[tuple[Hashable, Fraction]]]
 ) -> Iterable[tuple[Hashable, Fraction]]:
     """The terms of the linear extension to ``x`` of a map from basis elements
-    to (basis, coefficient) pairs, unsummed."""
-    return ((b2, c * c2) for b, c in x._terms.items() for b2, c2 in fn(b))
+    to (basis, coefficient) pairs, unsummed.  The one extension kernel: a
+    term of coefficient 1 passes its image terms through unmultiplied."""
+    for b, c in x._terms.items():
+        if c == 1:
+            yield from fn(b)
+        else:
+            for b2, c2 in fn(b):
+                yield b2, c * c2
 
 
 def lincomb_sum(parts: Iterable[LinComb]) -> LinComb:
@@ -158,11 +179,10 @@ def lincomb_sum(parts: Iterable[LinComb]) -> LinComb:
 
 
 def bilinear(op: Callable[..., LinComb], x: LinComb, y: LinComb, *args) -> LinComb:
-    """Bilinear extension of a basis operation ``op(b1, b2, *args)``."""
-    return lincomb_sum(
-        op(b1, b2, *args).scale(c1 * c2)
-        for b1, c1 in x._terms.items()
-        for b2, c2 in y._terms.items()
+    """Bilinear extension of a basis operation ``op(b1, b2, *args)``: the
+    linear extension in ``x`` of the linear extension in ``y``."""
+    return LinComb.sum_of(
+        _images(x, lambda b1: _images(y, lambda b2: op(b1, b2, *args)._terms.items()))
     )
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 from .forest import Decoration, Forest, UNIT, _below, _grafted
 from .linalg import LinComb, bilinear
 from .shuffle import diamond_product
-from .words import Word, word_shuffle
+from .words import Word, _word_shuffle
 
 __all__ = [
     "RotaBaxterAlgebra",
@@ -59,11 +59,10 @@ def word_diamond(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     """First letters multiply in the monoid, tails quasi-shuffle."""
     if not w.letters or not v.letters:
         raise ValueError("the word diamond product needs nonempty operands")
-    head = w.letters[0] * v.letters[0]
-    tails = word_shuffle(Word(w.letters[1:]), Word(v.letters[1:]), lam)
-    return LinComb(
-        {Word((head,) + word.letters): c for word, c in tails.items()}
-    )
+    head = (w.letters[0] * v.letters[0],)
+    tails = _word_shuffle(w.letters[1:], v.letters[1:], Fraction(lam))
+    # prepending one letter is injective, so the terms stay clean
+    return LinComb._trusted({Word(head + rest): c for rest, c in tails.items()})
 
 
 def word_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:

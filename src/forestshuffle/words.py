@@ -3,7 +3,10 @@
 Words are the baseline the forest operations generalize: the injection
 ``word_to_tree`` sends a word to the linear tree whose root carries the
 first letter.  ``word_shuffle`` is the classical recursive quasi-shuffle
-(weight ``lam``); at lam=0 it is the plain shuffle of words.
+(weight ``lam``); at lam=0 it is the plain shuffle of words.  The recursion
+runs on letter tuples and builds each result ``Word`` once, at the end.  A
+``Word`` hashes its key once, at construction, and compares by key: letter
+texts hold no space, so the key determines the letters.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .forest import Decoration, EMPTY, Forest, RootedTree, _preorder
-from .linalg import LinComb, TensorComb
+from .linalg import _ONE, LinComb, TensorComb, _accumulate
 
 __all__ = [
     "Word",
@@ -26,23 +29,21 @@ __all__ = [
     "deshuffle",
 ]
 
-_ONE = Fraction(1)
-
 
 class Word:
     """An immutable sequence of letters, each a Decoration."""
 
-    __slots__ = ("letters", "key")
+    __slots__ = ("letters", "key", "_hash")
 
     letters: tuple[Decoration, ...]
     key: str
 
     def __init__(self, letters: Iterable[Decoration] = ()):
         letters = tuple(letters)
+        key = "(" + " ".join(l.text for l in letters) + ")"
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(
-            self, "key", "(" + " ".join(l.text for l in letters) + ")"
-        )
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Word is immutable")
@@ -51,10 +52,10 @@ class Word:
         return len(self.letters)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+        return isinstance(other, Word) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return self._hash
 
     def __lt__(self, other: "Word") -> bool:
         return self.key < other.key
@@ -71,22 +72,25 @@ def word_shuffle(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     with the empty word as unit.  Degree additive; commutative because the
     letter product is.
     """
-    return _word_shuffle(w.letters, v.letters, Fraction(lam))
+    # distinct letter tuples give distinct words: the terms stay clean
+    terms = _word_shuffle(w.letters, v.letters, Fraction(lam))
+    return LinComb._trusted({Word(letters): c for letters, c in terms.items()})
 
 
 def _word_shuffle(
     a: tuple[Decoration, ...], b: tuple[Decoration, ...], lam: Fraction
-) -> LinComb[Word]:
+) -> dict[tuple[Decoration, ...], Fraction]:
+    """``word_shuffle`` on letter tuples: letters -> nonzero coefficient."""
     if not a:
-        return LinComb.of(Word(b))
+        return {b: _ONE}
     if not b:
-        return LinComb.of(Word(a))
-    parts = [(a[0], _word_shuffle(a[1:], b, lam)), (b[0], _word_shuffle(a, b[1:], lam))]
+        return {a: _ONE}
+    acc = {a[:1] + rest: c for rest, c in _word_shuffle(a[1:], b, lam).items()}
+    _accumulate(acc, ((b[:1] + rest, c) for rest, c in _word_shuffle(a, b[1:], lam).items()))
     if lam:
-        parts.append((a[0] * b[0], _word_shuffle(a[1:], b[1:], lam).scale(lam)))
-    return LinComb.sum_of(
-        (Word((head,) + word.letters), c) for head, rest in parts for word, c in rest._terms.items()
-    )
+        head = (a[0] * b[0],)
+        _accumulate(acc, ((head + rest, lam * c) for rest, c in _word_shuffle(a[1:], b[1:], lam).items()))
+    return acc
 
 
 def word_shuffle_brute(w: Word, v: Word) -> LinComb[Word]:

@@ -138,3 +138,55 @@ def test_summary_lines_name_a_digest_mismatch():
         "ops_per_s: parent 2.5 [0], change 3, change wins 1 of 1",
         "out_sha256: differs on some seed",
     ]
+
+
+def test_a_workload_list_runs_every_workload_per_seed(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    out = tmp_path / "BENCH.json"
+    old = [_run(0, side, 4.0, 2.5, workload=w) for w in ("duality", "products") for side in bench_pairs.SIDES]
+    out.write_text(json.dumps({"description": "kept", "runs": old}))
+    calls = []
+
+    def run_once(directory, workload, seed):
+        calls.append((seed, workload, directory.name))
+        wall = {"verify": 3.0, "products": 2.0}[workload] + (0.5 if directory.name == "parent" else 0)
+        return bench_pairs.parse_output(_stdout(wall, 10 / wall, workload))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(change), "--workload", "verify,products",
+            "--seeds", "1..2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [
+        (1, "verify", "parent"), (1, "verify", "change"), (1, "products", "parent"), (1, "products", "change"),
+        (2, "verify", "change"), (2, "verify", "parent"), (2, "products", "change"), (2, "products", "parent"),
+    ]
+    written = json.loads(out.read_text())
+    # the listed workloads' old runs are replaced, the others kept
+    assert [(r["workload"], r["seed"]) for r in written["runs"][:2]] == [("duality", 0)] * 2
+    assert sorted({(r["workload"], r["seed"]) for r in written["runs"][2:]}) == [
+        ("products", 1), ("products", 2), ("verify", 1), ("verify", 2),
+    ]
+    assert written["command"].startswith("python3 perfbench/run.py --workload {duality,verify,products} ")
+    assert set(written["summary"]) == {"duality", "verify", "products"}
+    assert written["summary"]["products"]["wall_s"]["change_wins"] == "2 of 2"
+    err = capsys.readouterr().err.splitlines()
+    assert err[-8:] == [
+        "verify:",
+        "wall_s: parent 3.5 [0], change 3, change wins 2 of 2",
+        "ops_per_s: parent 2.857 [0], change 3.333, change wins 2 of 2",
+        "out_sha256: equal on every seed",
+        "products:",
+        "wall_s: parent 2.5 [0], change 2, change wins 2 of 2",
+        "ops_per_s: parent 4 [0], change 5, change wins 2 of 2",
+        "out_sha256: equal on every seed",
+    ]
+
+
+def test_workload_lists():
+    assert bench_pairs.parse_workloads("verify") == ["verify"]
+    assert bench_pairs.parse_workloads("verify,products,duality") == ["verify", "products", "duality"]
+    for bad in ("", "verify,", "verify,verify"):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_workloads(bad)

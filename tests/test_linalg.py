@@ -1,6 +1,7 @@
 """The shared linear-combination core: TensorComb as a LinComb over leg
-tuples, the zero-free accumulator behind every linear map, and the
-package's exported names."""
+tuples, the zero-free accumulator and the one extension kernel behind every
+linear map, exact coefficients at construction, and the package's exported
+names."""
 
 from __future__ import annotations
 
@@ -24,10 +25,12 @@ from forestshuffle.linalg import (
     TensorComb,
     bilinear,
     render_lincomb,
+    tensor,
     tensor_json,
     tensor_map_basis,
 )
 from forestshuffle.shuffle import diamond_product, forest_shuffle, star_product
+from forestshuffle.rota_baxter import word_diamond
 from forestshuffle.words import Word, deshuffle, word_shuffle
 
 from conftest import decorations, forests, nonempty_forests, trees
@@ -39,6 +42,13 @@ def assert_clean(x: LinComb) -> None:
 
 
 words = st.builds(Word, st.lists(decorations, max_size=4))
+nonempty_words = st.builds(Word, st.lists(decorations, min_size=1, max_size=4))
+# a unit, non-unit and negative coefficients: each kernel path
+coefficients = st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(-1), Fraction(-3, 2)])
+
+
+def combinations(basis):
+    return st.dictionaries(basis, coefficients, max_size=3).map(LinComb)
 
 
 class TestCoefficientsStayNonzeroFractions:
@@ -60,11 +70,161 @@ class TestCoefficientsStayNonzeroFractions:
         assert_clean(trunk_coproduct(t))
         assert_clean(graft_leaves(t, scion))
 
-    @given(w=words, v=words, lam=st.sampled_from([0, 1]))
+    @given(w=words, v=words, lam=st.sampled_from([0, 1, Fraction(2, 3)]))
     @settings(max_examples=40, deadline=None)
     def test_words(self, w, v, lam):
         assert_clean(word_shuffle(w, v, lam))
         assert_clean(deshuffle(w))
+
+    @given(w=nonempty_words, v=nonempty_words, lam=st.sampled_from([0, 1, Fraction(2, 3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_word_diamond(self, w, v, lam):
+        assert_clean(word_diamond(w, v, lam))
+
+    @given(x=combinations(nonempty_forests), y=combinations(nonempty_forests), f=nonempty_forests)
+    @settings(max_examples=40, deadline=None)
+    def test_linear_extensions(self, x, y, f):
+        assert_clean(bilinear(forest_shuffle, x, y, 1))
+        assert_clean(x.map_basis(lambda g: star_product(g, f, 1)))
+        t = tensor(x, y)
+        assert_clean(t)
+        assert_clean(t.map_leg(1, lambda g: diamond_product(f, g)))
+        assert_clean(t.contract(0, 1, forest_shuffle))
+
+    @given(x=combinations(trees.map(lambda t: t.as_forest())), y=combinations(forests))
+    @settings(max_examples=40, deadline=None)
+    def test_tensor_extensions(self, x, y):
+        assert_clean(tensor_map_basis(x, trunk_coproduct))
+        assert_clean(tensor(x, y).expand_leg(0, trunk_coproduct))
+
+
+class TestExactCoefficients:
+    """Every constructor and ``scale`` store Fractions: an int becomes one,
+    a float is refused."""
+
+    def test_ints_become_fractions(self):
+        a, ab = P("a"), (P("a"), P("b"))
+        for x, basis in [
+            (LinComb({a: 3}), a),
+            (LinComb.of(a, 3), a),
+            (LinComb.of(a), a),
+            (LinComb.of(a, Fraction(1, 2)).scale(6), a),
+            (TensorComb({ab: 3}), ab),
+            (TensorComb.of(ab, -2), ab),
+        ]:
+            c = x.coefficient(basis)
+            assert type(c) is Fraction and c in (1, 3, -2)
+            assert_clean(x)
+
+    def test_zero_coefficients_are_dropped(self):
+        assert LinComb({P("a"): 0}).is_zero
+        assert LinComb.of(P("a"), 0) == LinComb.zero()
+        assert TensorComb.of((P("a"), P("b")), 0) == TensorComb.zero()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LinComb({P("a"): 0.5}),
+            lambda: LinComb.of(P("a"), 0.1),
+            lambda: LinComb.of(P("a")).scale(0.5),
+            lambda: TensorComb({(P("a"), P("b")): 0.5}),
+            lambda: TensorComb.of((P("a"), P("b")), 1.0),
+        ],
+        ids=["LinComb", "of", "scale", "TensorComb", "TensorComb.of"],
+    )
+    def test_a_float_is_refused(self, build):
+        with pytest.raises(TypeError, match="int or a Fraction, not float"):
+            build()
+
+    def test_text_shows_the_exact_value(self):
+        assert render_lincomb(LinComb({P("a"): Fraction(1, 10)})) == "1/10 a"
+        assert render_lincomb(LinComb({P("a"): 3, P("b"): -1})) == "3 a - 1 b"
+
+
+def _naive(pairs) -> dict:
+    """Sum (basis, coefficient) pairs in a plain dict, then drop zeros."""
+    acc: dict = {}
+    for b, c in pairs:
+        acc[b] = acc.get(b, 0) + c
+    return {b: c for b, c in acc.items() if c}
+
+
+class TestExtensionKernel:
+    """Each front end of ``_images`` against a naive double loop.  The
+    inputs mix coefficient 1, a non-unit and negative coefficients, and
+    each pair of terms that shares the other legs sums to zero, so the Z
+    term every image carries cancels there."""
+
+    Z = P("z")
+    X = LinComb({P("a"): 1, P("b"): Fraction(2, 3), P("a b"): -1, P("c[d]"): Fraction(-2, 3)})
+    Y = LinComb({P("e"): 1, P("a[b]"): -1})
+    T = TensorComb(
+        {(P("a"), P("e")): 1, (P("b"), P("e")): -1, (P("e"), P("a")): Fraction(2, 3), (P("e"), P("b")): Fraction(-2, 3)}
+    )
+
+    def image(self, f):
+        return LinComb.of(self.Z) + forest_shuffle(f, P("e"), 1)
+
+    def op(self, f, g):
+        return LinComb.of(self.Z) + forest_shuffle(f, g, 1)
+
+    def tensor_image(self, f):
+        return tensor(self.image(f), LinComb.of(P("y"), Fraction(-1, 2)))
+
+    def check(self, got, expected, cancelled):
+        assert got._terms == expected
+        assert_clean(got)
+        assert cancelled not in got._terms
+
+    def test_map_basis(self):
+        expected = _naive(
+            (b2, c * c2) for b, c in self.X._terms.items() for b2, c2 in self.image(b)._terms.items()
+        )
+        self.check(self.X.map_basis(self.image), expected, self.Z)
+
+    def test_bilinear(self):
+        expected = _naive(
+            (b, c1 * c2 * c)
+            for b1, c1 in self.X._terms.items()
+            for b2, c2 in self.Y._terms.items()
+            for b, c in self.op(b1, b2)._terms.items()
+        )
+        self.check(bilinear(self.op, self.X, self.Y), expected, self.Z)
+
+    def test_tensor_map_basis(self):
+        expected = _naive(
+            (legs, c * c2)
+            for b, c in self.X._terms.items()
+            for legs, c2 in self.tensor_image(b)._terms.items()
+        )
+        self.check(tensor_map_basis(self.X, self.tensor_image), expected, (self.Z, P("y")))
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_map_leg(self, i):
+        expected = _naive(
+            (legs[:i] + (b,) + legs[i + 1 :], c * c2)
+            for legs, c in self.T._terms.items()
+            for b, c2 in self.image(legs[i])._terms.items()
+        )
+        self.check(self.T.map_leg(i, self.image), expected, (self.Z, P("e"))[:: 1 - 2 * i])
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_expand_leg(self, i):
+        expected = _naive(
+            (legs[:i] + sub + legs[i + 1 :], c * c2)
+            for legs, c in self.T._terms.items()
+            for sub, c2 in self.tensor_image(legs[i])._terms.items()
+        )
+        cancelled = (self.Z, P("y"), P("e")) if i == 0 else (P("e"), self.Z, P("y"))
+        self.check(self.T.expand_leg(i, self.tensor_image), expected, cancelled)
+
+    def test_contract(self):
+        expected = _naive(
+            ((b,), c * c2)
+            for legs, c in self.T._terms.items()
+            for b, c2 in self.op(legs[0], legs[1])._terms.items()
+        )
+        self.check(self.T.contract(0, 1, self.op), expected, (self.Z,))
 
 
 class TestAccumulator:

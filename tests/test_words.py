@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from forestshuffle.forest import Decoration
 from forestshuffle.linalg import LinComb
+from forestshuffle.rota_baxter import word_diamond
 from forestshuffle.words import (
     Word,
     deconcatenation,
@@ -22,6 +23,17 @@ A, B, C, X = (Decoration([s]) for s in "abcx")
 
 letters = st.sampled_from([A, B, C])
 words = st.builds(Word, st.lists(letters, max_size=4))
+nonempty_words = st.builds(Word, st.lists(letters, min_size=1, max_size=4))
+weights = st.sampled_from([0, 1, -1, Fraction(2, 3)])
+
+
+def test_equality_and_hash_follow_the_key():
+    assert Word((A * B,)) != Word((A, B))
+    assert Word((A * B,)).key == "(a*b)" and Word((A, B)).key == "(a b)"
+    same = Word([Decoration(["b", "a"]), Decoration(["c"])])
+    assert same == Word((A * B, C)) and hash(same) == hash(Word((A * B, C)))
+    assert hash(same) == hash(same.key)
+    assert Word(()) != Word((Decoration(),)) and Word(()).key == "()"
 
 
 def test_unit():
@@ -51,7 +63,7 @@ def test_matches_brute_force_at_weight_zero(w, v):
     assert word_shuffle(w, v) == word_shuffle_brute(w, v)
 
 
-@given(w=words, v=words, lam=st.sampled_from([0, 1, -1]))
+@given(w=words, v=words, lam=weights)
 def test_commutative(w, v, lam):
     assert word_shuffle(w, v, lam) == word_shuffle(v, w, lam)
 
@@ -67,6 +79,17 @@ def test_atom_count_additive_at_any_weight(w, v):
     total = sum(len(l.atoms) for l in w.letters) + sum(len(l.atoms) for l in v.letters)
     for word, _ in word_shuffle(w, v, 1).items():
         assert sum(len(l.atoms) for l in word.letters) == total
+
+
+@given(w=nonempty_words, v=nonempty_words, lam=weights)
+def test_diamond_is_its_definition(w, v, lam):
+    # first letters multiply, tails quasi-shuffle
+    head = w.letters[0] * v.letters[0]
+    tails = word_shuffle(Word(w.letters[1:]), Word(v.letters[1:]), lam)
+    expected = LinComb.sum_of((Word((head,) + u.letters), c) for u, c in tails.items())
+    got = word_diamond(w, v, lam)
+    assert got == expected
+    assert all(type(c) is Fraction and c for _, c in got.items())
 
 
 def test_linear_tree_injection():

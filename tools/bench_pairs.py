@@ -1,28 +1,29 @@
-"""Alternating parent/change runs of one perfbench workload, into a BENCH file.
+"""Alternating parent/change runs of perfbench workloads, into a BENCH file.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \\
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W[,W2...] \\
         --seeds A..B --out BENCH_<pr>.json
 
 DIR is a checkout of each commit (``git archive`` or ``git clone``).  For each
-seed S in A..B, both sides run
+seed S in A..B, and for each listed workload W in turn, both sides run
 
     python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
 
 from their own directory, one process at a time: the parent first on odd
 seeds, the change first on even ones.  Each run keeps its report line and
-its result line.  When ``--out`` exists, its runs of other workloads are
-kept and those of W are replaced, so one file can hold every workload.
-The file is written after each completed pair, so a run that fails (exit 1,
-with one ``error:`` line naming the side, seed and exit code) keeps every
-pair before it.
+its result line.  When ``--out`` exists, its runs of unlisted workloads are
+kept and those of the listed ones are replaced, so one file can hold every
+workload.  The file is written after each completed pair, so a run that
+fails (exit 1, with one ``error:`` line naming the side, workload, seed and
+exit code) keeps every pair before it.
 
 The summary has, per workload, per end-to-end metric of BENCHMARK.json and
 per side, the median, the quartiles (inclusive method), their distance and
 the number of runs, and ``change_wins``: the seeds on which the change reads
 better, ties counting for neither.  ``out_sha256_equal_on_every_seed`` says
 whether both sides emitted the same bytes on every seed.  After the last pair
-the workload's summary goes to stderr, one line per end-to-end metric, and a
-last line says whether the output digests agreed.
+each listed workload's summary goes to stderr: a ``W:`` line, one line per
+end-to-end metric, and a last line that says whether the output digests
+agreed.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ def parse_seeds(text: str) -> list[int]:
     if not seeds:
         raise ValueError(f"empty seed range {text!r}")
     return seeds
+
+
+def parse_workloads(text: str) -> list[str]:
+    """A comma list of distinct workload names."""
+    names = text.split(",")
+    if "" in names or len(set(names)) != len(names):
+        raise ValueError(f"need distinct, nonempty workload names, got {text!r}")
+    return names
 
 
 def side_order(seed: int) -> tuple[str, str]:
@@ -163,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, type=parse_workloads, help="W or a comma list W1,W2,...")
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="A..B, inclusive")
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--description", default="", help="what the change is, for the file's readers")
@@ -172,26 +181,30 @@ def main(argv: list[str] | None = None) -> int:
     metrics = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     old = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-    kept = [r for r in old["runs"] if r["workload"] != args.workload]
+    kept = [r for r in old["runs"] if r["workload"] not in args.workload]
     runs: list[dict] = []
     for seed in args.seeds:
-        pair = []
-        for side in side_order(seed):
-            try:
-                report, result = run_once(dirs[side], args.workload, seed)
-            except RunFailed as failed:
-                detail = f": {failed.last_line}" if failed.last_line else ""
-                print(f"error: the {side} run of {args.workload} seed {seed} exited "
-                      f"{failed.returncode}{detail}", file=sys.stderr)
-                return 1
-            wall = result["metrics"]["wall_s"]["value"]
-            print(f"{args.workload} seed {seed} {side}: wall_s {wall:.3f}", file=sys.stderr)
-            pair.append({"report": report, "result": result, "seed": seed, "side": side,
-                         "workload": args.workload})
-        runs += pair
-        write(args.out, kept + runs, args.description or old.get("description", ""), metrics)
-    for line in summary_lines(summarize(runs, metrics)[args.workload], metrics):
-        print(line, file=sys.stderr)
+        for workload in args.workload:
+            pair = []
+            for side in side_order(seed):
+                try:
+                    report, result = run_once(dirs[side], workload, seed)
+                except RunFailed as failed:
+                    detail = f": {failed.last_line}" if failed.last_line else ""
+                    print(f"error: the {side} run of {workload} seed {seed} exited "
+                          f"{failed.returncode}{detail}", file=sys.stderr)
+                    return 1
+                wall = result["metrics"]["wall_s"]["value"]
+                print(f"{workload} seed {seed} {side}: wall_s {wall:.3f}", file=sys.stderr)
+                pair.append({"report": report, "result": result, "seed": seed, "side": side,
+                             "workload": workload})
+            runs += pair
+            write(args.out, kept + runs, args.description or old.get("description", ""), metrics)
+    summary = summarize(runs, metrics)
+    for workload in args.workload:
+        print(f"{workload}:", file=sys.stderr)
+        for line in summary_lines(summary[workload], metrics):
+            print(line, file=sys.stderr)
     return 0
 
 
