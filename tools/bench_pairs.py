@@ -172,7 +172,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True, type=parse_workloads, help="W or a comma list W1,W2,...")
+    ap.add_argument("--workload", dest="workloads", required=True, type=parse_workloads,
+                    help="W or a comma list W1,W2,...")
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="A..B, inclusive")
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--description", default="", help="what the change is, for the file's readers")
@@ -181,10 +182,10 @@ def main(argv: list[str] | None = None) -> int:
     metrics = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     old = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-    kept = [r for r in old["runs"] if r["workload"] not in args.workload]
+    kept = [r for r in old["runs"] if r["workload"] not in args.workloads]
     runs: list[dict] = []
     for seed in args.seeds:
-        for workload in args.workload:
+        for workload in args.workloads:
             pair = []
             for side in side_order(seed):
                 try:
@@ -201,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             runs += pair
             write(args.out, kept + runs, args.description or old.get("description", ""), metrics)
     summary = summarize(runs, metrics)
-    for workload in args.workload:
+    for workload in args.workloads:
         print(f"{workload}:", file=sys.stderr)
         for line in summary_lines(summary[workload], metrics):
             print(line, file=sys.stderr)
