@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forest import EMPTY, Forest, RootedTree, _below, _gc_paused, _grafted, _Memo
-from .linalg import LinComb, TensorComb, bilinear, lincomb_sum
+from .linalg import LinComb, TensorComb, _Exact, _lincomb, bilinear, lincomb_sum
 from .words import Word, is_linear, tree_to_word, word_to_tree
 
 __all__ = [
@@ -25,7 +25,8 @@ __all__ = [
     "antipode_square_residual",
 ]
 
-_trunk_cache = _Memo()  # forest key -> TensorComb
+# Every coefficient of the trunk coproduct is 1: its terms never repeat.
+_trunk_cache = _Memo()  # forest key -> ({(x, y): 1}, 1)
 
 
 @_gc_paused
@@ -41,20 +42,21 @@ def trunk_coproduct(arg: Forest | RootedTree) -> TensorComb[Forest]:
     if not forest.is_connected:
         raise ValueError(f"the trunk coproduct is defined on trees only, got {forest.key!r}")
     _trunk_cache.trim()
-    return _trunk(forest)
+    return _lincomb(_trunk(forest), TensorComb)
 
 
-def _trunk(forest: Forest) -> TensorComb[Forest]:
+def _trunk(forest: Forest) -> _Exact:
     if (hit := _trunk_cache.get(forest.key)) is not None:
         return hit
     if forest.is_empty:
-        return TensorComb.of((EMPTY, EMPTY))
+        return {(EMPTY, EMPTY): 1}, 1
     tree = forest.single_tree()
     body = _below(tree)
-    result = TensorComb.of((EMPTY, forest))
+    nums = {(EMPTY, forest): 1}
     if body.is_connected:
-        result = result + _trunk(body).map_leg(0, lambda f: LinComb.of(_grafted(tree.decoration, f)))
-    return _trunk_cache.put(forest.key, forest.size, result)
+        # B+ is injective and every grafted left leg is nonempty
+        nums.update({(_grafted(tree.decoration, x), y): 1 for x, y in _trunk(body)[0]})
+    return _trunk_cache.put(forest.key, forest.size, (nums, 1))
 
 
 def counit(x: LinComb[Forest] | Forest) -> Fraction:

@@ -28,13 +28,13 @@ forest rule by "oracle == σ-refined reciprocal formula" (on distinct atoms
 and on 2 atoms), which relates the formulas' alpha/fertility weights to
 the normalization of strict duality.
 
-Every coefficient of the two formulas is a positive integer: the root rule
-copies coefficients, alpha is an integer and so is c_gamma.  Their
-recursions sum and memoize plain {(x, y): int} dicts, and the public
-entries turn them into ``TensorComb`` with ``Fraction`` coefficients once.
-The family enumeration names each family's vertex set by an O(1) record;
-only ``admissible_families`` flattens it.  The oracle and its brute-force
-reference keep ``Fraction`` terms.
+The three routes carry their terms as ``linalg._Exact`` values keyed on leg
+pairs (x, y), and each public entry turns one into a ``TensorComb`` once.
+The two formulas' values have denominator 1: the root rule copies
+coefficients, alpha is an integer and so is c_gamma.  The transpose's
+forest rule divides by a normalization.  The family enumeration names each
+family's vertex set by an O(1) record; only ``admissible_families``
+flattens it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .forest import (
     leaf_refs,
     vertex_refs,
 )
-from .linalg import LinComb, TensorComb
+from .linalg import LinComb, TensorComb, _combine, _Exact, _lincomb
 from .sampling import _forests_on_multiset, _multiset_splits
 from .shuffle import shuffle_coefficient
 
@@ -286,13 +286,7 @@ def _contract(
 # ---------------------------------------------------------------------------
 # the dual coproduct, three ways
 
-# Memo values are shared, so no dict in one is ever changed.
-_dual_cache = _Memo()  # forest key -> {(x, y): int}
-
-
-def _tensor(terms: dict) -> TensorComb[Forest]:
-    """An {(x, y): int} dict as a tensor with ``Fraction`` coefficients."""
-    return TensorComb._trusted({legs: Fraction(c) for legs, c in terms.items()})
+_dual_cache = _Memo()  # forest key -> ({(x, y): numerator}, 1)
 
 
 def _component_splits(trees: tuple[RootedTree, ...], i: int):
@@ -315,15 +309,15 @@ def _component_splits(trees: tuple[RootedTree, ...], i: int):
 def dual_recursive(forest: Forest) -> TensorComb[Forest]:
     """The dual coproduct by its inductive formula."""
     _dual_cache.trim()
-    return _tensor(_dual(forest))
+    return _lincomb(_dual(forest), TensorComb)
 
 
-def _dual(forest: Forest) -> dict[tuple[Forest, Forest], int]:
+def _dual(forest: Forest) -> _Exact:
     if (hit := _dual_cache.get(forest.key)) is not None:
         return hit
 
     if forest.is_empty:
-        result = {(EMPTY, EMPTY): 1}
+        result = {(EMPTY, EMPTY): 1}, 1
     elif forest.is_tree:
         tree = forest.single_tree()
         result = _root_terms(tree.decoration, _dual(_below(tree)))
@@ -332,40 +326,32 @@ def _dual(forest: Forest) -> dict[tuple[Forest, Forest], int]:
         for tree in forest.trees:
             # reduced_dual(tree), recursing from this frame: the two terms
             # with an empty leg are T⊗∅ and ∅⊗T, each with coefficient 1
-            reduced.append([
-                (x, y, c)
-                for (x, y), c in _dual(tree.as_forest()).items()
-                if not (x.is_empty or y.is_empty)
-            ])
+            nums, _ = _dual(tree.as_forest())  # over denominator 1
+            reduced.append([(x, y, c) for (x, y), c in nums.items() if not (x.is_empty or y.is_empty)])
         result = _alpha_terms(forest, reduced)
 
     return _dual_cache.put(forest.key, forest.size, result)
 
 
-def _root_terms(dec: Decoration, body: dict) -> dict:
-    """The coproduct of B+^dec(G) from the coproduct of its body G, as
-    {(x, y): coefficient} dicts: each term x⊗y with coefficient c gives
-    B+^dec(x)⊗y when y is connected and x⊗B+^dec(y) when x is.  G's trivial
-    terms give the tree's.  Every coefficient is copied, so positive ones
-    stay positive."""
-    out: dict = {}
-    get = out.get
-    for (x, y), c in body.items():
-        if y.is_connected:
-            legs = (_grafted(dec, x), y)
-            out[legs] = get(legs, 0) + c
-        if x.is_connected:
-            legs = (x, _grafted(dec, y))
-            out[legs] = get(legs, 0) + c
-    return out
+def _root_terms(dec: Decoration, body: _Exact) -> _Exact:
+    """The coproduct of B+^dec(G) from the coproduct of its body G: each term
+    x⊗y with coefficient c gives B+^dec(x)⊗y when y is connected and
+    x⊗B+^dec(y) when x is.  G's trivial terms give the tree's.  Every
+    coefficient is copied, so positive ones stay positive and the
+    denominator stays that of G's."""
+    nums, den = body
+    return _combine([
+        ({(_grafted(dec, x), y): c for (x, y), c in nums.items() if y.is_connected}, den, 1),
+        ({(x, _grafted(dec, y)): c for (x, y), c in nums.items() if x.is_connected}, den, 1),
+    ])
 
 
-def _alpha_terms(forest: Forest, reduced: list[list[tuple]]) -> dict[tuple[Forest, Forest], int]:
+def _alpha_terms(forest: Forest, reduced: list[list[tuple]]) -> _Exact:
     """The coproduct of a nonempty forest from its components' reduced
     terms, one list of (x, y, c) per component, both legs nonempty:
     F⊗∅ + ∅⊗F plus (x f_in)⊗(y f_out) with coefficient alpha(r, n)·c =
     (r+1)(n-r)·c over every split of the other components into r chosen
-    ones f_in and the rest f_out."""
+    ones f_in and the rest f_out, over denominator 1."""
     n = len(forest.trees)
     out = {(forest, EMPTY): 1, (EMPTY, forest): 1}
     get = out.get
@@ -377,7 +363,7 @@ def _alpha_terms(forest: Forest, reduced: list[list[tuple]]) -> dict[tuple[Fores
             for x, y, c in red:
                 legs = (concat(x, f_in), concat(y, f_out))
                 out[legs] = get(legs, 0) + a * c
-    return out
+    return out, 1
 
 
 def reduced_dual(forest: Forest) -> TensorComb[Forest]:
@@ -397,10 +383,10 @@ def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
     """
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))
-    return _tensor(_alpha_terms(forest, [
+    return _lincomb(_alpha_terms(forest, [
         [(h, g, c) for _, g, h, c in _checked_families(tree) if not (g.is_empty or h.is_empty)]
         for tree in forest.trees
-    ]))
+    ]), TensorComb)
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +440,24 @@ def _tree_splits(trees: tuple[RootedTree, ...]):
         )
 
 
-def _transpose(forest: Forest) -> TensorComb[Forest]:
+def _transpose(forest: Forest) -> _Exact:
     """The transpose of the weight-0 shuffle, by recursion over the target."""
     if forest.is_empty:
-        return TensorComb.of((EMPTY, EMPTY))
+        return {(EMPTY, EMPTY): 1}, 1
     trees = forest.trees
     if len(trees) == 1:
         tree = trees[0]
-        return TensorComb._trusted(_root_terms(tree.decoration, _transpose(_below(tree))._terms))
+        return _root_terms(tree.decoration, _transpose(_below(tree)))
 
-    pairs = [((forest, EMPTY), _ONE), ((EMPTY, forest), _ONE)]
+    parts = [({(forest, EMPTY): 1, (EMPTY, forest): 1}, 1, 1)]
     for i, core in enumerate(trees):
         # trees are sorted, so equal components sit next to each other
         if i and trees[i - 1] == core:
             continue
+        nums, den = _transpose(core.as_forest())
         red = [
             (x, y, x.trees[0], y.trees[0], c)
-            for (x, y), c in _transpose(core.as_forest())._terms.items()
+            for (x, y), c in nums.items()
             if not (x.is_empty or y.is_empty)
         ]
         if not red:
@@ -479,14 +466,13 @@ def _transpose(forest: Forest) -> TensorComb[Forest]:
             r1 = Forest._build(first, sum(t.size for t in first))
             r2 = Forest._build(second, sum(t.size for t in second))
             norm = (len(first) + 1) * (len(second) + 1)
-            pairs.extend(
-                (
-                    (concat(x, r1), concat(y, r2)),
-                    c * Fraction((1 + first.count(t)) * (1 + second.count(u)), norm),
-                )
+            # one split maps distinct leg pairs to distinct leg pairs
+            terms = {
+                (concat(x, r1), concat(y, r2)): c * (1 + first.count(t)) * (1 + second.count(u))
                 for x, y, t, u, c in red
-            )
-    return TensorComb.sum_of(pairs)
+            }
+            parts.append((terms, den * norm, 1))
+    return _combine(parts)
 
 
 @_gc_paused
@@ -507,7 +493,7 @@ def dual_oracle(forest: Forest) -> TensorComb[Forest]:
     brute is cheap).  Guarded to the same ``ORACLE_GUARD`` vertices.
     """
     GuardExceeded.check(forest.size, ORACLE_GUARD, "dual_oracle forest size")
-    return _transpose(forest)
+    return _lincomb(_transpose(forest), TensorComb)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,16 @@ Terms that may repeat are summed in one place, ``_accumulate``.  Every linear
 extension (``map_basis``, ``tensor_map_basis``, the leg maps and ``bilinear``)
 runs on one kernel, ``_images``, where a term of coefficient 1 passes its
 image terms through unmultiplied.  The constructors and ``scale`` store each
-coefficient as a Fraction through ``_exact``, which refuses a float.
+coefficient as a Fraction through ``_exact``, which refuses a float; the
+public entries take their weights through it too.
+
+The memoized recursions (the products and the pairing query in ``shuffle``,
+the dual routes in ``dual``, the trunk coproduct in ``coalgebra``) carry
+their coefficients in one exact form, ``_Exact``: integer numerators over
+one common denominator, in lowest terms.  A prefactor such as 1/(kn), or a
+weight's denominator, multiplies that one denominator instead of every
+coefficient.  ``_combine`` sums such values and ``_lincomb`` turns one into
+a LinComb or TensorComb with Fraction coefficients, once, at a public entry.
 
 Values are immutable: all operations return fresh objects.
 """
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from numbers import Rational
 from typing import Callable, Generic, Hashable, Iterable, Mapping, TypeVar
 
@@ -56,12 +66,13 @@ def _accumulate(acc: dict, pairs: Iterable[tuple[B, Fraction]]) -> dict:
 
 def _exact(c: Fraction | int) -> Fraction:
     """``c`` as a Fraction; an int or other rational converts exactly, and a
-    float (whose value is not the decimal it prints) raises TypeError."""
+    float (whose value is not the decimal it prints) raises TypeError.  Used
+    for coefficients and weights alike."""
     if type(c) is Fraction:
         return c
     if isinstance(c, Rational):
         return Fraction(c)
-    raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
+    raise TypeError(f"a coefficient or weight must be an int or a Fraction, not {type(c).__name__}")
 
 
 class LinComb(Generic[B]):
@@ -279,6 +290,46 @@ def tensor(*factors: LinComb) -> TensorComb:
             legs + (b,): c * c2 for legs, c in terms.items() for b, c2 in factor._terms.items()
         }
     return TensorComb._trusted(terms)
+
+
+# ---------------------------------------------------------------------------
+# the exact carrier of the recursions
+
+# {basis: integer numerator} over one positive integer denominator, in lowest
+# terms, with no zero numerator.  Memo values are shared, so no dict in one is
+# ever changed.
+_Exact = tuple[dict[Hashable, int], int]
+
+
+def _combine(parts: list[tuple[dict[Hashable, int], int, int]], split: int = 1) -> _Exact:
+    """The sum of parts (numerators, denominator, factor), each worth
+    factor * numerators / denominator, divided by ``split``: summed over the
+    lcm of the denominators and reduced to lowest terms.  No parts sum to
+    zero, ({}, 1)."""
+    den = lcm(*[d for _, d, _ in parts])
+    acc: dict = {}
+    get = acc.get
+    for nums, d, factor in parts:
+        factor *= den // d
+        for b, c in nums.items():
+            acc[b] = get(b, 0) + c * factor
+    if 0 in acc.values():  # only a negative factor cancels terms
+        acc = {b: c for b, c in acc.items() if c}
+    den *= split
+    if den > 1:
+        g = gcd(den, *acc.values())
+        if g > 1:
+            acc = {b: c // g for b, c in acc.items()}
+            den //= g
+    return acc, den
+
+
+def _lincomb(value: _Exact, cls: type[LinComb]) -> LinComb:
+    """An exact value as a ``cls`` with Fraction coefficients."""
+    nums, den = value
+    if den == 1:  # Fraction(c) takes no gcd, unlike Fraction(c, 1)
+        return cls._trusted({b: Fraction(c) for b, c in nums.items()})
+    return cls._trusted({b: Fraction(c, den) for b, c in nums.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .forest import Decoration, Forest, UNIT, _below, _grafted
-from .linalg import LinComb, bilinear
+from .linalg import LinComb, _exact, bilinear
 from .shuffle import diamond_product
 from .words import Word, _word_shuffle
 
@@ -60,13 +60,13 @@ def word_diamond(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     if not w.letters or not v.letters:
         raise ValueError("the word diamond product needs nonempty operands")
     head = (w.letters[0] * v.letters[0],)
-    tails = _word_shuffle(w.letters[1:], v.letters[1:], Fraction(lam))
+    tails = _word_shuffle(w.letters[1:], v.letters[1:], _exact(lam))
     # prepending one letter is injective, so the terms stay clean
     return LinComb._trusted({Word(head + rest): c for rest, c in tails.items()})
 
 
 def word_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
-    lam = Fraction(lam)
+    lam = _exact(lam)
     return RotaBaxterAlgebra(
         name="words",
         weight=lam,
@@ -80,7 +80,7 @@ def _grafting_algebra(name: str, lam: Fraction | int, root: Decoration) -> RotaB
     """Forests under the diamond product, with the operator grafting a root
     decorated ``root`` below each forest (the linear extension the products
     use)."""
-    lam = Fraction(lam)
+    lam = _exact(lam)
     return RotaBaxterAlgebra(
         name=name,
         weight=lam,

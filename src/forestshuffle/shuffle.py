@@ -9,14 +9,11 @@ linear trees the star product coincides with the shuffle, but not on
 branching trees in general.
 
 All results are exact rational linear combinations; the weight is a rational
-parameter per call, not a formal variable.  Inside the three product
-recursions a result is carried as integer numerators over one common
-denominator, in lowest terms: a prefactor 1/(kn) or 1/k, or the weight's
-denominator, multiplies that one denominator instead of every coefficient.
-``shuffle_coefficient``'s recursion carries one coefficient the same way, as
-a (numerator, denominator) pair in lowest terms, and keys its memo on the
-weight's (numerator, denominator).  The public entries convert to
-``Fraction`` once, at the end.
+parameter per call, not a formal variable, and a float weight is refused.
+The four recursions carry their values as ``linalg._Exact`` (integer
+numerators over one denominator) and key their memos on the weight's
+(numerator, denominator); ``shuffle_coefficient``'s value has one key,
+``_PAIRED``.  The public entries convert to ``Fraction`` once, at the end.
 Memo caches are pure memos keyed on canonical keys and are semantically
 invisible.
 """
@@ -25,10 +22,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
 
 from .forest import EMPTY, Forest, _below, _by_key, _gc_paused, _grafted, _Memo, _preorder, b_plus, concat
-from .linalg import LinComb, bilinear
+from .linalg import LinComb, _combine, _exact, _Exact, _lincomb, bilinear
 
 __all__ = [
     "forest_shuffle",
@@ -45,12 +41,12 @@ __all__ = [
 _shuffle_cache = _Memo()  # (first, second, (p, q)) -> (numerators, denominator), by key
 _star_cache = _Memo()
 _diamond_cache = _Memo()
-_coeff_cache = _Memo()  # (target, first, second, (p, q)) -> (numerator, denominator), by key
+_coeff_cache = _Memo()  # (target, first, second, (p, q)) -> ({_PAIRED: numerator}, denominator), by key
 
-# A product's value: {forest: integer numerator} over one positive integer
-# denominator, in lowest terms, with no zero numerator.  Memo values are
-# shared, so no dict in one is ever changed.
-_Exact = tuple[dict[Forest, int], int]
+# _coeff's values keep the coefficient of their target under one key; _MATCH
+# and _MISS are the values 1 and 0.
+_PAIRED = "paired"
+_MATCH, _MISS = ({_PAIRED: 1}, 1), ({}, 1)
 
 
 # _graft and _concat map distinct forests to distinct forests and keep every
@@ -73,33 +69,6 @@ def _concat(nums: dict[Forest, int], rest: Forest) -> dict[Forest, int]:
     if rest.is_empty:
         return nums
     return {concat(f, rest): c for f, c in nums.items()}
-
-
-def _combine(parts: list[tuple[dict[Forest, int], int, int]], split: int = 1) -> _Exact:
-    """The sum of parts (numerators, denominator, factor), each worth
-    factor * numerators / denominator, divided by ``split``: summed over the
-    lcm of the denominators and reduced to lowest terms."""
-    den = lcm(*[d for _, d, _ in parts])
-    acc: dict[Forest, int] = {}
-    get = acc.get
-    for nums, d, factor in parts:
-        factor *= den // d
-        for f, c in nums.items():
-            acc[f] = get(f, 0) + c * factor
-    if 0 in acc.values():  # only a negative weight cancels terms
-        acc = {f: c for f, c in acc.items() if c}
-    den *= split
-    if den > 1:
-        g = gcd(den, *acc.values())
-        if g > 1:
-            acc = {f: c // g for f, c in acc.items()}
-            den //= g
-    return acc, den
-
-
-def _lincomb(value: _Exact) -> LinComb[Forest]:
-    nums, den = value
-    return LinComb._trusted({f: Fraction(c, den) for f, c in nums.items()})
 
 
 def _without(forest: Forest, index: int) -> Forest:
@@ -132,9 +101,9 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
     The empty forest is the unit.  Every term's coefficient is an exact
     rational; at lam=0 every term has |F|+|F'| vertices.
     """
-    lam = Fraction(lam)
+    lam = _exact(lam)
     _shuffle_cache.trim()
-    return _lincomb(_shuffle(first, second, lam.numerator, lam.denominator))
+    return _lincomb(_shuffle(first, second, lam.numerator, lam.denominator), LinComb)
 
 
 def _shuffle(first: Forest, second: Forest, p: int, q: int) -> _Exact:
@@ -182,10 +151,10 @@ def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinC
     branching trees it generally does not (at weight 0, a * a[a,a] is
     a[a,a[a]] + 2 a[a[a,a]], while a ⧢ a[a,a] is 2 a[a,a[a]] + a[a[a,a]]).
     """
-    lam = Fraction(lam)
+    lam = _exact(lam)
     _star_cache.trim()
     _diamond_cache.trim()
-    return _lincomb(_star(first, second, lam.numerator, lam.denominator))
+    return _lincomb(_star(first, second, lam.numerator, lam.denominator), LinComb)
 
 
 def _star(first: Forest, second: Forest, p: int, q: int) -> _Exact:
@@ -224,10 +193,10 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
     """
     if first.is_empty or second.is_empty:
         raise ValueError("diamond product is undefined on the empty forest")
-    lam = Fraction(lam)
+    lam = _exact(lam)
     _star_cache.trim()
     _diamond_cache.trim()
-    return _lincomb(_diamond(first, second, lam.numerator, lam.denominator))
+    return _lincomb(_diamond(first, second, lam.numerator, lam.denominator), LinComb)
 
 
 def _diamond(first: Forest, second: Forest, p: int, q: int) -> _Exact:
@@ -283,7 +252,7 @@ def shuffle_coefficient(
     paired against without materializing whole products.  This realizes the
     pairing <target, first ⧢ second> in the dual basis.
     """
-    lam = Fraction(lam)
+    lam = _exact(lam)
     p, q = lam.numerator, lam.denominator
     _coeff_cache.trim()
     # a repeated query returns from the memo before any tree walk
@@ -295,34 +264,20 @@ def shuffle_coefficient(
         if p == 0 and first.size + second.size != target.size:
             return Fraction(0)
         hit = _coeff(target, first, second, p, q)
-    return Fraction(*hit)
+    nums, den = hit
+    return Fraction(nums.get(_PAIRED, 0), den)
 
 
-def _ratio(parts: list[tuple[int, int]], split: int = 1) -> tuple[int, int]:
-    """The sum of (numerator, denominator) parts divided by ``split``, as a
-    (numerator, denominator) pair in lowest terms.
-
-    This is ``_combine``'s arithmetic for a single coefficient (lcm of the
-    denominators, scaled sum, split, gcd), kept apart because the pairing
-    query carries one integer per call, not a dict, and a zero stays a
-    (0, 1) pair instead of being dropped."""
-    den = lcm(*[d for _, d in parts])
-    num = sum([n * (den // d) for n, d in parts])
-    den *= split
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def _coeff(target: Forest, first: Forest, second: Forest, p: int, q: int) -> tuple[int, int]:
+def _coeff(target: Forest, first: Forest, second: Forest, p: int, q: int) -> _Exact:
     if first.is_empty:
-        return (1 if target == second else 0), 1
+        return _MATCH if target == second else _MISS
     if second.is_empty:
-        return (1 if target == first else 0), 1
+        return _MATCH if target == first else _MISS
     key = (target.key, first.key, second.key, (p, q))
     if (hit := _coeff_cache.get(key)) is not None:
         return hit
 
-    parts: list[tuple[int, int]] = []
+    parts = []
     if first.is_tree and second.is_tree:
         # tree ⧢ tree only produces trees
         if target.is_tree:
@@ -330,19 +285,22 @@ def _coeff(target: Forest, first: Forest, second: Forest, p: int, q: int) -> tup
             body = _below(root)
             t, u = first.single_tree(), second.single_tree()
             if root.decoration == t.decoration:
-                parts.append(_coeff(body, _below(t), second, p, q))
+                nums, den = _coeff(body, _below(t), second, p, q)
+                parts.append((nums, den, 1))
             if root.decoration == u.decoration:
-                parts.append(_coeff(body, first, _below(u), p, q))
+                nums, den = _coeff(body, first, _below(u), p, q)
+                parts.append((nums, den, 1))
             if p and root.decoration == t.decoration * u.decoration:
-                num, den = _coeff(body, _below(t), _below(u), p, q)
-                parts.append((p * num, q * den))
-        result = _ratio(parts)
+                nums, den = _coeff(body, _below(t), _below(u), p, q)
+                parts.append((nums, den * q, p))
+        result = _combine(parts)
     else:
         for ti, tj, rest in _component_pairs(first, second):
             core = _multiset_difference(target, rest)
             if core is not None:
-                parts.append(_coeff(core, ti.as_forest(), tj.as_forest(), p, q))
-        result = _ratio(parts, len(first.trees) * len(second.trees))
+                nums, den = _coeff(core, ti.as_forest(), tj.as_forest(), p, q)
+                parts.append((nums, den, 1))
+        result = _combine(parts, len(first.trees) * len(second.trees))
 
     _coeff_cache[key] = result
     return result

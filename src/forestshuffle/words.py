@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .forest import Decoration, EMPTY, Forest, RootedTree, _preorder
-from .linalg import _ONE, LinComb, TensorComb, _accumulate
+from .linalg import _ONE, LinComb, TensorComb, _accumulate, _exact
 
 __all__ = [
     "Word",
@@ -73,7 +73,7 @@ def word_shuffle(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     letter product is.
     """
     # distinct letter tuples give distinct words: the terms stay clean
-    terms = _word_shuffle(w.letters, v.letters, Fraction(lam))
+    terms = _word_shuffle(w.letters, v.letters, _exact(lam))
     return LinComb._trusted({Word(letters): c for letters, c in terms.items()})
 
 

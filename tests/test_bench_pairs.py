@@ -124,9 +124,36 @@ def test_summary_ends_the_output(tmp_path, monkeypatch, capsys):
             "--seeds", "1..3", "--out", str(tmp_path / "BENCH.json")]
     assert bench_pairs.main(argv) == 0
     assert capsys.readouterr().err.splitlines()[-3:] == [
-        "wall_s: parent 4.2 [0.2], change 3.5, change wins 2 of 3",
-        "ops_per_s: parent 2.381 [0.11], change 2.857, change wins 2 of 3",
+        "wall_s: parent 4.2 [0.2], change 3.5, change wins 2 of 3, shift -16.7% (bound 25.0%)",
+        "ops_per_s: parent 2.381 [0.11], change 2.857, change wins 2 of 3, shift -20.0% (bound 25.0%)",
         "out_sha256: equal on every seed",
+    ]
+
+
+def test_a_shift_past_its_bound_is_flagged(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+
+    def run_once(directory, workload, seed):
+        # wall_s 20% worse, inside its bound; ops_per_s 30% worse, past it
+        if directory.name == "change":
+            return bench_pairs.parse_output(_stdout(4.8, 7.0, "d"))
+        return bench_pairs.parse_output(_stdout(4.0, 10.0, "d"))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(change), "--workload", "products",
+            "--seeds", "1..2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    summary = json.loads(out.read_text())["summary"]["products"]
+    assert (summary["wall_s"]["shift"], summary["wall_s"]["bound"]) == (pytest.approx(0.2), 0.25)
+    assert summary["wall_s"]["past_bound"] is False
+    assert (summary["ops_per_s"]["shift"], summary["ops_per_s"]["bound"]) == (pytest.approx(0.3), 0.25)
+    assert summary["ops_per_s"]["past_bound"] is True
+    assert capsys.readouterr().err.splitlines()[-3:-1] == [
+        "wall_s: parent 4 [0], change 4.8, change wins 0 of 2, shift +20.0% (bound 25.0%)",
+        "ops_per_s: parent 10 [0], change 7, change wins 0 of 2, shift +30.0% (bound 25.0%) PAST BOUND",
     ]
 
 
@@ -134,8 +161,8 @@ def test_summary_lines_name_a_digest_mismatch():
     runs = [_run(0, "parent", 4.0, 2.5), _run(0, "change", 3.0, 3.0, digest="other")]
     lines = bench_pairs.summary_lines(bench_pairs.summarize(runs, METRICS)["products"], METRICS)
     assert lines == [
-        "wall_s: parent 4 [0], change 3, change wins 1 of 1",
-        "ops_per_s: parent 2.5 [0], change 3, change wins 1 of 1",
+        "wall_s: parent 4 [0], change 3, change wins 1 of 1, shift -25.0% (bound 25.0%)",
+        "ops_per_s: parent 2.5 [0], change 3, change wins 1 of 1, shift -20.0% (bound 25.0%)",
         "out_sha256: differs on some seed",
     ]
 
@@ -174,12 +201,12 @@ def test_a_workload_list_runs_every_workload_per_seed(tmp_path, monkeypatch, cap
     err = capsys.readouterr().err.splitlines()
     assert err[-8:] == [
         "verify:",
-        "wall_s: parent 3.5 [0], change 3, change wins 2 of 2",
-        "ops_per_s: parent 2.857 [0], change 3.333, change wins 2 of 2",
+        "wall_s: parent 3.5 [0], change 3, change wins 2 of 2, shift -14.3% (bound 25.0%)",
+        "ops_per_s: parent 2.857 [0], change 3.333, change wins 2 of 2, shift -16.7% (bound 25.0%)",
         "out_sha256: equal on every seed",
         "products:",
-        "wall_s: parent 2.5 [0], change 2, change wins 2 of 2",
-        "ops_per_s: parent 4 [0], change 5, change wins 2 of 2",
+        "wall_s: parent 2.5 [0], change 2, change wins 2 of 2, shift -20.0% (bound 25.0%)",
+        "ops_per_s: parent 4 [0], change 5, change wins 2 of 2, shift -25.0% (bound 25.0%)",
         "out_sha256: equal on every seed",
     ]
 

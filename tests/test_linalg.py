@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import math
 import pkgutil
 import types
 from fractions import Fraction
@@ -19,18 +20,20 @@ from hypothesis import strategies as st
 import forestshuffle
 from forestshuffle.coalgebra import trunk_coproduct
 from forestshuffle.dual import dual_combinatorial, dual_recursive, graft_leaves
-from forestshuffle.forest import parse_forest as P
+from forestshuffle.forest import EMPTY, Decoration, parse_forest as P
 from forestshuffle.linalg import (
     LinComb,
     TensorComb,
+    _combine,
+    _lincomb,
     bilinear,
     render_lincomb,
     tensor,
     tensor_json,
     tensor_map_basis,
 )
-from forestshuffle.shuffle import diamond_product, forest_shuffle, star_product
-from forestshuffle.rota_baxter import word_diamond
+from forestshuffle.shuffle import diamond_product, forest_shuffle, shuffle_coefficient, star_product
+from forestshuffle.rota_baxter import corrupted_forest_algebra, forest_algebra, word_algebra, word_diamond
 from forestshuffle.words import Word, deshuffle, word_shuffle
 
 from conftest import decorations, forests, nonempty_forests, trees
@@ -100,7 +103,7 @@ class TestCoefficientsStayNonzeroFractions:
 
 class TestExactCoefficients:
     """Every constructor and ``scale`` store Fractions: an int becomes one,
-    a float is refused."""
+    a float is refused, and so is a float weight at every public entry."""
 
     def test_ints_become_fractions(self):
         a, ab = P("a"), (P("a"), P("b"))
@@ -129,8 +132,21 @@ class TestExactCoefficients:
             lambda: LinComb.of(P("a")).scale(0.5),
             lambda: TensorComb({(P("a"), P("b")): 0.5}),
             lambda: TensorComb.of((P("a"), P("b")), 1.0),
+            lambda: forest_shuffle(P("a"), P("b"), 0.1),
+            lambda: star_product(P("a"), P("b"), 0.1),
+            lambda: diamond_product(P("a"), P("b"), 0.1),
+            lambda: shuffle_coefficient(P("a*b"), P("a"), P("b"), 0.5),
+            lambda: word_shuffle(Word([Decoration(["a"])]), Word([Decoration(["b"])]), 0.1),
+            lambda: word_diamond(Word([Decoration(["a"])]), Word([Decoration(["b"])]), 0.1),
+            lambda: word_algebra(0.1),
+            lambda: forest_algebra(0.1),
+            lambda: corrupted_forest_algebra(0.1),
         ],
-        ids=["LinComb", "of", "scale", "TensorComb", "TensorComb.of"],
+        ids=[
+            "LinComb", "of", "scale", "TensorComb", "TensorComb.of", "forest_shuffle", "star_product",
+            "diamond_product", "shuffle_coefficient", "word_shuffle", "word_diamond", "word_algebra",
+            "forest_algebra", "corrupted_forest_algebra",
+        ],
     )
     def test_a_float_is_refused(self, build):
         with pytest.raises(TypeError, match="int or a Fraction, not float"):
@@ -139,6 +155,92 @@ class TestExactCoefficients:
     def test_text_shows_the_exact_value(self):
         assert render_lincomb(LinComb({P("a"): Fraction(1, 10)})) == "1/10 a"
         assert render_lincomb(LinComb({P("a"): 3, P("b"): -1})) == "3 a - 1 b"
+
+
+class TestExactCarrier:
+    """``_combine`` and ``_lincomb``, which every memoized recursion shares,
+    and the values those recursions memoize."""
+
+    def test_no_parts_sum_to_zero(self):
+        assert _combine([]) == ({}, 1)
+        assert _combine([], 6) == ({}, 1)
+
+    def test_a_cancelled_term_is_dropped(self):
+        a, b = P("a"), P("b")
+        assert _combine([({a: 1, b: 2}, 3, 1), ({a: 1}, 3, -1)]) == ({b: 2}, 3)
+        assert _combine([({a: 2}, 3, 1), ({a: 1}, 3, -2)]) == ({}, 1)
+
+    def test_factor_and_split_reduce_to_lowest_terms(self):
+        a, b = P("a"), P("b")
+        # ((2a + 4b)/3 + a/3) / 2 = a/2 + 2b/3
+        assert _combine([({a: 2, b: 4}, 3, 1), ({a: 1}, 3, 1)], 2) == ({a: 3, b: 4}, 6)
+        # a + (2/3) a, a weight term's factor over its denominator
+        assert _combine([({a: 1}, 1, 1), ({a: 1}, 3, 2)]) == ({a: 5}, 3)
+        # 2a/4 + 2b/4 reduce by 2
+        assert _combine([({a: 2}, 4, 1), ({b: 2}, 4, 1)]) == ({a: 1, b: 1}, 2)
+
+    def test_leg_tuple_keys(self):
+        a, b = P("a"), P("b")
+        value = _combine([({(a, b): 1, (b, a): 1}, 2, 1), ({(a, b): 1}, 2, 1)])
+        assert value == ({(a, b): 2, (b, a): 1}, 2)
+        t = _lincomb(value, TensorComb)
+        assert type(t) is TensorComb and t == TensorComb({(a, b): 1, (b, a): Fraction(1, 2)})
+        assert_clean(t)
+
+    def test_lincomb_returns_the_class_asked_for(self):
+        a, b = P("a"), P("b")
+        x = _lincomb(({a: 3, b: -2}, 4), LinComb)
+        assert type(x) is LinComb and x == LinComb({a: Fraction(3, 4), b: Fraction(-1, 2)})
+        assert_clean(x)
+        assert _lincomb(({}, 1), TensorComb) == TensorComb.zero()
+
+    def test_every_memo_value_is_exact(self):
+        import forestshuffle.coalgebra as co
+        import forestshuffle.dual as dual
+        import forestshuffle.shuffle as sh
+
+        memos = {
+            "_shuffle": sh._shuffle_cache,
+            "_star": sh._star_cache,
+            "_diamond": sh._diamond_cache,
+            "_coeff": sh._coeff_cache,
+            "_dual": dual._dual_cache,
+            "_trunk": co._trunk_cache,
+        }
+        for memo in memos.values():
+            memo.clear()  # a pure memo: clearing it changes no result
+        first, second = P("a[b] c"), P("b[c,a] a")
+        query = (P("a*b[c] d"), P("a[c] d"), P("b"))  # lam/2: its weight term
+        results = [forest_shuffle(EMPTY, first, Fraction(2, 3)), star_product(second, EMPTY)]
+        for lam in (0, 1, -1, Fraction(2, 3)):
+            for _ in range(2):  # fresh, then memo
+                results += [op(first, second, lam) for op in (forest_shuffle, star_product, diamond_product)]
+                assert type(shuffle_coefficient(*query, lam)) is Fraction
+        for result in results:
+            assert not result.is_zero
+            assert all(type(c) is Fraction for _, c in result.items())
+        assert shuffle_coefficient(*query, Fraction(2, 3)) == Fraction(1, 3)
+        assert type(shuffle_coefficient(P("a"), P("a"), P("b"))) is Fraction
+        for text in ["()", "a", "a[b,c[a]]", "a[b] a[b]", "a[b,c[a]] b c[a]", "a*b[1] c[a,a]"]:
+            for route in (dual_recursive, dual_combinatorial):
+                result = route(P(text))
+                assert not result.is_zero
+                assert all(type(c) is Fraction and c > 0 for _, c in result.items())
+        for text in ["a", "a[b[c]]", "a[b[c[d,e]]]"]:
+            assert all(type(c) is Fraction and c == 1 for _, c in trunk_coproduct(P(text)).items())
+
+        for name, memo in memos.items():
+            assert memo, name
+            for nums, den in memo.values():
+                assert type(den) is int and den > 0, name
+                assert all(type(c) is int and c != 0 for c in nums.values()), name
+                assert math.gcd(den, *nums.values()) == 1, name
+        for name in ("_shuffle", "_star", "_diamond", "_coeff"):
+            # keyed on the weight as (numerator, denominator)
+            assert all(type(x) is int for key in memos[name] for x in key[-1]), name
+        # the formulas' coefficients are positive integers
+        for nums, den in dual._dual_cache.values():
+            assert den == 1 and all(c > 0 for c in nums.values())
 
 
 def _naive(pairs) -> dict:

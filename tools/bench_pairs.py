@@ -19,11 +19,15 @@ exit code) keeps every pair before it.
 The summary has, per workload, per end-to-end metric of BENCHMARK.json and
 per side, the median, the quartiles (inclusive method), their distance and
 the number of runs, and ``change_wins``: the seeds on which the change reads
-better, ties counting for neither.  ``out_sha256_equal_on_every_seed`` says
-whether both sides emitted the same bytes on every seed.  After the last pair
-each listed workload's summary goes to stderr: a ``W:`` line, one line per
-end-to-end metric, and a last line that says whether the output digests
-agreed.
+better, ties counting for neither.  It also has ``shift``, the change's median
+minus the parent's as a fraction of the parent's, signed so that a positive
+shift is worse, beside the metric's ``bound`` from BENCHMARK.json, and
+``past_bound``, whether the shift exceeds it: no metric may shift past its
+bound.  ``out_sha256_equal_on_every_seed`` says whether both sides emitted the
+same bytes on every seed.  After the last pair each listed workload's summary
+goes to stderr: a ``W:`` line, one line per end-to-end metric, ending
+``PAST BOUND`` when its shift is, and a last line that says whether the output
+digests agreed.
 """
 
 from __future__ import annotations
@@ -128,6 +132,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                            - s["parent"]["result"]["metrics"][name]["value"]) > 0
             )
             row["change_wins"] = f"{wins} of {len(paired)}"
+            parent, change = row["parent"]["median"], row["change"]["median"]
+            row["shift"] = (change - parent if sign < 0 else parent - change) / parent
+            row["bound"] = metric["bound"]
+            row["past_bound"] = row["shift"] > metric["bound"]
             rows[name] = row
         rows["out_sha256_equal_on_every_seed"] = all(
             s["parent"]["report"]["out_sha256"] == s["change"]["report"]["out_sha256"] for s in paired
@@ -138,14 +146,17 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 def summary_lines(rows: dict, metrics: list[dict]) -> list[str]:
     """One workload's ``summarize`` entry as text: per metric the parent's
-    median [IQR], the change's median and the change's wins."""
+    median [IQR], the change's median, the change's wins and its shift
+    beside the bound."""
     lines = []
     for metric in metrics:
         row = rows[metric["name"]]
         parent, change = row["parent"], row["change"]
         lines.append(
             f"{metric['name']}: parent {parent['median']:.4g} [{parent['iqr']:.2g}], "
-            f"change {change['median']:.4g}, change wins {row['change_wins']}"
+            f"change {change['median']:.4g}, change wins {row['change_wins']}, "
+            f"shift {row['shift']:+.1%} (bound {row['bound']:.1%})"
+            + (" PAST BOUND" if row["past_bound"] else "")
         )
     agreed = rows["out_sha256_equal_on_every_seed"]
     lines.append(f"out_sha256: {'equal on every seed' if agreed else 'differs on some seed'}")
