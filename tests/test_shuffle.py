@@ -230,6 +230,33 @@ class TestExactArithmetic:
                     digest.update((render_lincomb(op(first, second, lam)) + "\n").encode())
         assert digest.hexdigest() == "97a78169da886d727f33c8b92cf11a3c918fc6fb02a99b930172d3ab793bb9f5"
 
+    def test_fraction_coefficients_and_integer_memos(self):
+        import math
+
+        import forestshuffle.shuffle as sh
+
+        memos = (sh._shuffle_cache, sh._star_cache, sh._diamond_cache)
+        for memo in memos:  # pure memos: clearing them changes no result
+            memo.clear()
+        first, second = P("a[b] c"), P("b[c,a] a")
+        calls = []
+        for lam in (1, Q(2, 3)):
+            for op in PRODUCT_OPS:
+                calls += [op(first, second, lam), op(first, second, lam)]  # fresh, then memo
+        for op in (forest_shuffle, star_product):
+            calls += [op(EMPTY, first, Q(2, 3)), op(second, EMPTY)]
+        for result in calls:
+            assert not result.is_zero
+            assert all(type(c) is Fraction for _, c in result.items())
+        for memo in memos:
+            assert memo
+            for (_, _, weight), value in memo.items():
+                assert all(type(x) is int for x in weight)
+                nums, den = value
+                assert type(nums) is dict and type(den) is int and den > 0
+                assert all(type(c) is int and c for c in nums.values())
+                assert math.gcd(den, *nums.values()) == 1
+
     def test_graft_beside_a_rest_builds_the_concatenation(self):
         from forestshuffle.shuffle import _concat, _graft
 
@@ -380,6 +407,27 @@ class TestShuffleCoefficient:
         for term, coeff in full.items():
             c = shuffle_coefficient(term, f, g, lam)
             assert type(c) is Fraction and c == coeff
+
+    def test_fraction_result_and_integer_memo(self):
+        import math
+
+        import forestshuffle.shuffle as sh
+
+        sh._coeff_cache.clear()  # a pure memo: clearing it changes no result
+        query = (P("a*b[c] d"), P("a[c] d"), P("b"))  # lam/2: its weight term
+        for lam in (0, 1, -1, Q(2, 3)):
+            for _ in range(2):  # fresh, then memo
+                assert type(shuffle_coefficient(*query, lam)) is Fraction
+        assert type(shuffle_coefficient(P("a"), P("a"), P("b"))) is Fraction
+        assert shuffle_coefficient(*query, Q(2, 3)) == Q(1, 3)
+        assert sh._coeff_cache
+        for (_, _, _, weight), (nums, den) in sh._coeff_cache.items():
+            # the one paired coefficient rides on a single key
+            assert all(type(x) is int for x in weight)
+            assert type(nums) is dict and len(nums) <= 1
+            assert type(den) is int and den > 0
+            assert all(type(c) is int and c for c in nums.values())
+            assert math.gcd(den, *nums.values()) == 1
 
     def test_zero_off_support(self):
         assert shuffle_coefficient(P("a[b,c]"), P("a"), P("b")) == 0
