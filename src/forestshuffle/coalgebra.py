@@ -7,7 +7,8 @@ linear tree there is one more cut above the unique leaf, so on linear trees
 the coproduct agrees with deconcatenation of the corresponding word.
 
 It is defined on trees and the empty forest only; a non-connected nonempty
-argument is rejected rather than silently extended.
+argument is rejected rather than silently extended.  The recursion memoizes
+``linalg._Exact`` values, and ``trunk_coproduct`` wraps one in O(1).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forest import EMPTY, Forest, RootedTree, _below, _gc_paused, _grafted, _Memo
-from .linalg import LinComb, TensorComb, _Exact, _lincomb, bilinear, lincomb_sum
+from .linalg import LinComb, TensorComb, _Exact, bilinear, lincomb_sum
 from .words import Word, is_linear, tree_to_word, word_to_tree
 
 __all__ = [
@@ -42,7 +43,7 @@ def trunk_coproduct(arg: Forest | RootedTree) -> TensorComb[Forest]:
     if not forest.is_connected:
         raise ValueError(f"the trunk coproduct is defined on trees only, got {forest.key!r}")
     _trunk_cache.trim()
-    return _lincomb(_trunk(forest), TensorComb)
+    return TensorComb._wrap(_trunk(forest))
 
 
 def _trunk(forest: Forest) -> _Exact:
@@ -96,5 +97,5 @@ def antipode_square_residual(tree: RootedTree) -> LinComb[Forest]:
 
     return lincomb_sum(
         bilinear(forest_shuffle, LinComb.of(left, c), _antipode_leg(right))
-        for (left, right), c in trunk_coproduct(tree.as_forest())._terms.items()
+        for (left, right), c in trunk_coproduct(tree.as_forest()).items()
     )

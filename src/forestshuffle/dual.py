@@ -29,12 +29,13 @@ and on 2 atoms), which relates the formulas' alpha/fertility weights to
 the normalization of strict duality.
 
 The three routes carry their terms as ``linalg._Exact`` values keyed on leg
-pairs (x, y), and each public entry turns one into a ``TensorComb`` once.
-The two formulas' values have denominator 1: the root rule copies
-coefficients, alpha is an integer and so is c_gamma.  The transpose's
-forest rule divides by a normalization.  The family enumeration names each
-family's vertex set by an O(1) record; only ``admissible_families``
-flattens it.
+pairs (x, y) and sum them through ``linalg._combine``; each public entry
+wraps its value in a ``TensorComb``, whose ``items()`` and ``coefficient()``
+give ``Fraction`` values.  The two formulas' values have denominator 1: the
+root rule copies coefficients, alpha is an integer and so is c_gamma.  The
+transpose's forest rule divides by a normalization.  The family
+enumeration names each family's vertex set by an O(1) record; only
+``admissible_families`` flattens it.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .forest import (
     leaf_refs,
     vertex_refs,
 )
-from .linalg import LinComb, TensorComb, _combine, _Exact, _lincomb
+from .linalg import LinComb, TensorComb, _combine, _Exact
 from .sampling import _forests_on_multiset, _multiset_splits
 from .shuffle import shuffle_coefficient
 
@@ -309,7 +310,7 @@ def _component_splits(trees: tuple[RootedTree, ...], i: int):
 def dual_recursive(forest: Forest) -> TensorComb[Forest]:
     """The dual coproduct by its inductive formula."""
     _dual_cache.trim()
-    return _lincomb(_dual(forest), TensorComb)
+    return TensorComb._wrap(_dual(forest))
 
 
 def _dual(forest: Forest) -> _Exact:
@@ -327,7 +328,7 @@ def _dual(forest: Forest) -> _Exact:
             # reduced_dual(tree), recursing from this frame: the two terms
             # with an empty leg are T⊗∅ and ∅⊗T, each with coefficient 1
             nums, _ = _dual(tree.as_forest())  # over denominator 1
-            reduced.append([(x, y, c) for (x, y), c in nums.items() if not (x.is_empty or y.is_empty)])
+            reduced.append({(x, y): c for (x, y), c in nums.items() if not (x.is_empty or y.is_empty)})
         result = _alpha_terms(forest, reduced)
 
     return _dual_cache.put(forest.key, forest.size, result)
@@ -346,24 +347,22 @@ def _root_terms(dec: Decoration, body: _Exact) -> _Exact:
     ])
 
 
-def _alpha_terms(forest: Forest, reduced: list[list[tuple]]) -> _Exact:
+def _alpha_terms(forest: Forest, reduced: list[dict]) -> _Exact:
     """The coproduct of a nonempty forest from its components' reduced
-    terms, one list of (x, y, c) per component, both legs nonempty:
+    coproducts, one {(x, y): c} per component, both legs nonempty:
     F⊗∅ + ∅⊗F plus (x f_in)⊗(y f_out) with coefficient alpha(r, n)·c =
     (r+1)(n-r)·c over every split of the other components into r chosen
     ones f_in and the rest f_out, over denominator 1."""
     n = len(forest.trees)
-    out = {(forest, EMPTY): 1, (EMPTY, forest): 1}
-    get = out.get
+    parts = [({(forest, EMPTY): 1, (EMPTY, forest): 1}, 1, 1)]
     for i, red in enumerate(reduced):
         if not red:
             continue
         for r, f_in, f_out in _component_splits(forest.trees, i):
-            a = (r + 1) * (n - r)
-            for x, y, c in red:
-                legs = (concat(x, f_in), concat(y, f_out))
-                out[legs] = get(legs, 0) + a * c
-    return out, 1
+            # one split maps distinct leg pairs to distinct leg pairs
+            terms = {(concat(x, f_in), concat(y, f_out)): c for (x, y), c in red.items()}
+            parts.append((terms, 1, (r + 1) * (n - r)))
+    return _combine(parts)
 
 
 def reduced_dual(forest: Forest) -> TensorComb[Forest]:
@@ -383,10 +382,14 @@ def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
     """
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))
-    return _lincomb(_alpha_terms(forest, [
-        [(h, g, c) for _, g, h, c in _checked_families(tree) if not (g.is_empty or h.is_empty)]
-        for tree in forest.trees
-    ]), TensorComb)
+    reduced = []
+    for tree in forest.trees:
+        # families with the same two legs add up
+        parts = [
+            ({(h, g): c}, 1, 1) for _, g, h, c in _checked_families(tree) if not (g.is_empty or h.is_empty)
+        ]
+        reduced.append(_combine(parts)[0])
+    return TensorComb._wrap(_alpha_terms(forest, reduced))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +496,7 @@ def dual_oracle(forest: Forest) -> TensorComb[Forest]:
     brute is cheap).  Guarded to the same ``ORACLE_GUARD`` vertices.
     """
     GuardExceeded.check(forest.size, ORACLE_GUARD, "dual_oracle forest size")
-    return _lincomb(_transpose(forest), TensorComb)
+    return TensorComb._wrap(_transpose(forest))
 
 
 # ---------------------------------------------------------------------------

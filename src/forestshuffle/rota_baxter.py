@@ -60,9 +60,9 @@ def word_diamond(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     if not w.letters or not v.letters:
         raise ValueError("the word diamond product needs nonempty operands")
     head = (w.letters[0] * v.letters[0],)
-    tails = _word_shuffle(w.letters[1:], v.letters[1:], _exact(lam))
-    # prepending one letter is injective, so the terms stay clean
-    return LinComb._trusted({Word(head + rest): c for rest, c in tails.items()})
+    lam = _exact(lam)
+    tails = LinComb._wrap(_word_shuffle(w.letters[1:], v.letters[1:], lam.numerator, lam.denominator))
+    return tails.relabel(lambda rest: Word(head + rest))  # one more letter: injective
 
 
 def word_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
@@ -71,8 +71,7 @@ def word_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
         name="words",
         weight=lam,
         product=lambda x, y: bilinear(word_diamond, x, y, lam),
-        # word_P is injective, so a clean combination maps to a clean one
-        operator=lambda x: LinComb._trusted({word_P(w): c for w, c in x._terms.items()}),
+        operator=lambda x: x.relabel(word_P),  # word_P is injective
     )
 
 
@@ -85,8 +84,7 @@ def _grafting_algebra(name: str, lam: Fraction | int, root: Decoration) -> RotaB
         name=name,
         weight=lam,
         product=lambda x, y: bilinear(diamond_product, x, y, lam),
-        # B+ is injective, so a clean combination maps to a clean one
-        operator=lambda x: LinComb._trusted({_grafted(root, f): c for f, c in x._terms.items()}),
+        operator=lambda x: x.relabel(lambda f: _grafted(root, f)),  # B+ is injective
     )
 
 

@@ -13,7 +13,8 @@ parameter per call, not a formal variable, and a float weight is refused.
 The four recursions carry their values as ``linalg._Exact`` (integer
 numerators over one denominator) and key their memos on the weight's
 (numerator, denominator); ``shuffle_coefficient``'s value has one key,
-``_PAIRED``.  The public entries convert to ``Fraction`` once, at the end.
+``_PAIRED``.  Each public entry wraps its recursion's value; ``items()``
+and ``coefficient()`` give ``Fraction`` values.
 Memo caches are pure memos keyed on canonical keys and are semantically
 invisible.
 """
@@ -24,7 +25,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .forest import EMPTY, Forest, _below, _by_key, _gc_paused, _grafted, _Memo, _preorder, b_plus, concat
-from .linalg import LinComb, _combine, _exact, _Exact, _lincomb, bilinear
+from .linalg import LinComb, _combine, _exact, _Exact, bilinear
 
 __all__ = [
     "forest_shuffle",
@@ -103,7 +104,7 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
     """
     lam = _exact(lam)
     _shuffle_cache.trim()
-    return _lincomb(_shuffle(first, second, lam.numerator, lam.denominator), LinComb)
+    return LinComb._wrap(_shuffle(first, second, lam.numerator, lam.denominator))
 
 
 def _shuffle(first: Forest, second: Forest, p: int, q: int) -> _Exact:
@@ -154,7 +155,7 @@ def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinC
     lam = _exact(lam)
     _star_cache.trim()
     _diamond_cache.trim()
-    return _lincomb(_star(first, second, lam.numerator, lam.denominator), LinComb)
+    return LinComb._wrap(_star(first, second, lam.numerator, lam.denominator))
 
 
 def _star(first: Forest, second: Forest, p: int, q: int) -> _Exact:
@@ -196,7 +197,7 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
     lam = _exact(lam)
     _star_cache.trim()
     _diamond_cache.trim()
-    return _lincomb(_diamond(first, second, lam.numerator, lam.denominator), LinComb)
+    return LinComb._wrap(_diamond(first, second, lam.numerator, lam.denominator))
 
 
 def _diamond(first: Forest, second: Forest, p: int, q: int) -> _Exact:

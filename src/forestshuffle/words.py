@@ -4,9 +4,10 @@ Words are the baseline the forest operations generalize: the injection
 ``word_to_tree`` sends a word to the linear tree whose root carries the
 first letter.  ``word_shuffle`` is the classical recursive quasi-shuffle
 (weight ``lam``); at lam=0 it is the plain shuffle of words.  The recursion
-runs on letter tuples and builds each result ``Word`` once, at the end.  A
-``Word`` hashes its key once, at construction, and compares by key: letter
-texts hold no space, so the key determines the letters.
+runs on letter tuples and on ``linalg._Exact``, like the forest products,
+and builds each result ``Word`` once, at the end.  A ``Word`` hashes its key
+once, at construction, and compares by key: letter texts hold no space, so
+the key determines the letters.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .forest import Decoration, EMPTY, Forest, RootedTree, _preorder
-from .linalg import _ONE, LinComb, TensorComb, _accumulate, _exact
+from .linalg import _ONE, LinComb, TensorComb, _combine, _exact, _Exact
 
 __all__ = [
     "Word",
@@ -72,25 +73,27 @@ def word_shuffle(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     with the empty word as unit.  Degree additive; commutative because the
     letter product is.
     """
-    # distinct letter tuples give distinct words: the terms stay clean
-    terms = _word_shuffle(w.letters, v.letters, _exact(lam))
-    return LinComb._trusted({Word(letters): c for letters, c in terms.items()})
+    lam = _exact(lam)
+    terms = LinComb._wrap(_word_shuffle(w.letters, v.letters, lam.numerator, lam.denominator))
+    return terms.relabel(Word)  # distinct letter tuples give distinct words
 
 
-def _word_shuffle(
-    a: tuple[Decoration, ...], b: tuple[Decoration, ...], lam: Fraction
-) -> dict[tuple[Decoration, ...], Fraction]:
-    """``word_shuffle`` on letter tuples: letters -> nonzero coefficient."""
+def _word_shuffle(a: tuple[Decoration, ...], b: tuple[Decoration, ...], p: int, q: int) -> _Exact:
+    """``word_shuffle`` on letter tuples at weight p/q, keyed on letter
+    tuples; the weight term is the part (numerators, denominator * q, p)."""
     if not a:
-        return {b: _ONE}
+        return {b: 1}, 1
     if not b:
-        return {a: _ONE}
-    acc = {a[:1] + rest: c for rest, c in _word_shuffle(a[1:], b, lam).items()}
-    _accumulate(acc, ((b[:1] + rest, c) for rest, c in _word_shuffle(a, b[1:], lam).items()))
-    if lam:
+        return {a: 1}, 1
+    nums, den = _word_shuffle(a[1:], b, p, q)
+    parts = [({a[:1] + rest: c for rest, c in nums.items()}, den, 1)]
+    nums, den = _word_shuffle(a, b[1:], p, q)
+    parts.append(({b[:1] + rest: c for rest, c in nums.items()}, den, 1))
+    if p:
         head = (a[0] * b[0],)
-        _accumulate(acc, ((head + rest, lam * c) for rest, c in _word_shuffle(a[1:], b[1:], lam).items()))
-    return acc
+        nums, den = _word_shuffle(a[1:], b[1:], p, q)
+        parts.append(({head + rest: c for rest, c in nums.items()}, den * q, p))
+    return _combine(parts)
 
 
 def word_shuffle_brute(w: Word, v: Word) -> LinComb[Word]:

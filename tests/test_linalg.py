@@ -1,7 +1,7 @@
 """The shared linear-combination core: TensorComb as a LinComb over leg
-tuples, the zero-free accumulator and the one extension kernel behind every
-linear map, exact coefficients at construction, and the package's exported
-names."""
+tuples, the one exact carrier every combination stores and ``_combine``,
+which sums it behind every linear map, canonical equality, exact
+coefficients at construction, and the package's exported names."""
 
 from __future__ import annotations
 
@@ -25,8 +25,9 @@ from forestshuffle.linalg import (
     LinComb,
     TensorComb,
     _combine,
-    _lincomb,
     bilinear,
+    lincomb_json,
+    lincomb_sum,
     render_lincomb,
     tensor,
     tensor_json,
@@ -40,8 +41,16 @@ from conftest import decorations, forests, nonempty_forests, trees
 
 
 def assert_clean(x: LinComb) -> None:
-    for _, c in x._terms.items():
+    """``x`` stores a canonical exact value, nonzero int numerators over a
+    positive int denominator in lowest terms, and reads out as Fractions."""
+    nums, den = x._value
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for c in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    for b, c in x.items():
         assert type(c) is Fraction and c != 0
+        got = x.coefficient(b)
+        assert type(got) is Fraction and got == c
 
 
 words = st.builds(Word, st.lists(decorations, max_size=4))
@@ -91,7 +100,6 @@ class TestCoefficientsStayNonzeroFractions:
         assert_clean(x.map_basis(lambda g: star_product(g, f, 1)))
         t = tensor(x, y)
         assert_clean(t)
-        assert_clean(t.map_leg(1, lambda g: diamond_product(f, g)))
         assert_clean(t.contract(0, 1, forest_shuffle))
 
     @given(x=combinations(trees.map(lambda t: t.as_forest())), y=combinations(forests))
@@ -102,8 +110,9 @@ class TestCoefficientsStayNonzeroFractions:
 
 
 class TestExactCoefficients:
-    """Every constructor and ``scale`` store Fractions: an int becomes one,
-    a float is refused, and so is a float weight at every public entry."""
+    """Every constructor and ``scale`` take ints and Fractions exactly and
+    read out as Fractions; a float is refused, and so is a float weight at
+    every public entry."""
 
     def test_ints_become_fractions(self):
         a, ab = P("a"), (P("a"), P("b"))
@@ -130,6 +139,7 @@ class TestExactCoefficients:
             lambda: LinComb({P("a"): 0.5}),
             lambda: LinComb.of(P("a"), 0.1),
             lambda: LinComb.of(P("a")).scale(0.5),
+            lambda: LinComb.sum_of([(P("a"), 1), (P("b"), 0.5)]),
             lambda: TensorComb({(P("a"), P("b")): 0.5}),
             lambda: TensorComb.of((P("a"), P("b")), 1.0),
             lambda: forest_shuffle(P("a"), P("b"), 0.1),
@@ -143,8 +153,8 @@ class TestExactCoefficients:
             lambda: corrupted_forest_algebra(0.1),
         ],
         ids=[
-            "LinComb", "of", "scale", "TensorComb", "TensorComb.of", "forest_shuffle", "star_product",
-            "diamond_product", "shuffle_coefficient", "word_shuffle", "word_diamond", "word_algebra",
+            "LinComb", "of", "scale", "sum_of", "TensorComb", "TensorComb.of", "forest_shuffle",
+            "star_product", "diamond_product", "shuffle_coefficient", "word_shuffle", "word_diamond", "word_algebra",
             "forest_algebra", "corrupted_forest_algebra",
         ],
     )
@@ -152,13 +162,27 @@ class TestExactCoefficients:
         with pytest.raises(TypeError, match="int or a Fraction, not float"):
             build()
 
+    @given(x=combinations(nonempty_forests), f=nonempty_forests, g=nonempty_forests)
+    @settings(max_examples=40, deadline=None)
+    def test_text_is_the_fractions_text(self, x, f, g):
+        """The text forms, written from the stored pair, against the same
+        text written from ``items()``'s Fractions."""
+        for y in (x, x.scale(Fraction(-3, 7)), forest_shuffle(f, g, Fraction(2, 3)), LinComb.zero()):
+            assert lincomb_json(y)["terms"] == [{"coeff": str(c), "forest": b.key} for b, c in y.items()]
+            parts = [f"{'-' if c < 0 else '+'} {abs(c)} {b.key}" for b, c in y.items()]
+            expected = " ".join(parts).removeprefix("+ ") if parts else "0"
+            assert render_lincomb(y) == expected
+        t = tensor(x, LinComb.of(f, Fraction(-1, 2)))
+        pairs = [{"coeff": str(c), "left": left.key, "right": right.key} for (left, right), c in t.items()]
+        assert tensor_json(t)["terms"] == pairs
+
     def test_text_shows_the_exact_value(self):
         assert render_lincomb(LinComb({P("a"): Fraction(1, 10)})) == "1/10 a"
         assert render_lincomb(LinComb({P("a"): 3, P("b"): -1})) == "3 a - 1 b"
 
 
 class TestExactCarrier:
-    """``_combine`` and ``_lincomb``, which every memoized recursion shares,
+    """``_combine`` and ``_wrap``, which every memoized recursion shares,
     and the values those recursions memoize."""
 
     def test_no_parts_sum_to_zero(self):
@@ -183,16 +207,18 @@ class TestExactCarrier:
         a, b = P("a"), P("b")
         value = _combine([({(a, b): 1, (b, a): 1}, 2, 1), ({(a, b): 1}, 2, 1)])
         assert value == ({(a, b): 2, (b, a): 1}, 2)
-        t = _lincomb(value, TensorComb)
+        t = TensorComb._wrap(value)
         assert type(t) is TensorComb and t == TensorComb({(a, b): 1, (b, a): Fraction(1, 2)})
         assert_clean(t)
 
     def test_lincomb_returns_the_class_asked_for(self):
         a, b = P("a"), P("b")
-        x = _lincomb(({a: 3, b: -2}, 4), LinComb)
+        value = ({a: 3, b: -2}, 4)
+        x = LinComb._wrap(value)
         assert type(x) is LinComb and x == LinComb({a: Fraction(3, 4), b: Fraction(-1, 2)})
+        assert x._value is value  # wrapping copies nothing
         assert_clean(x)
-        assert _lincomb(({}, 1), TensorComb) == TensorComb.zero()
+        assert TensorComb._wrap(({}, 1)) == TensorComb.zero()
 
     def test_every_memo_value_is_exact(self):
         import forestshuffle.coalgebra as co
@@ -252,7 +278,7 @@ def _naive(pairs) -> dict:
 
 
 class TestExtensionKernel:
-    """Each front end of ``_images`` against a naive double loop.  The
+    """Each linear extension on ``_combine`` against a naive double loop.  The
     inputs mix coefficient 1, a non-unit and negative coefficients, and
     each pair of terms that shares the other legs sums to zero, so the Z
     term every image carries cancels there."""
@@ -274,49 +300,39 @@ class TestExtensionKernel:
         return tensor(self.image(f), LinComb.of(P("y"), Fraction(-1, 2)))
 
     def check(self, got, expected, cancelled):
-        assert got._terms == expected
+        assert dict(got.items()) == expected
         assert_clean(got)
-        assert cancelled not in got._terms
+        assert cancelled not in got.support()
 
     def test_map_basis(self):
         expected = _naive(
-            (b2, c * c2) for b, c in self.X._terms.items() for b2, c2 in self.image(b)._terms.items()
+            (b2, c * c2) for b, c in self.X.items() for b2, c2 in self.image(b).items()
         )
         self.check(self.X.map_basis(self.image), expected, self.Z)
 
     def test_bilinear(self):
         expected = _naive(
             (b, c1 * c2 * c)
-            for b1, c1 in self.X._terms.items()
-            for b2, c2 in self.Y._terms.items()
-            for b, c in self.op(b1, b2)._terms.items()
+            for b1, c1 in self.X.items()
+            for b2, c2 in self.Y.items()
+            for b, c in self.op(b1, b2).items()
         )
         self.check(bilinear(self.op, self.X, self.Y), expected, self.Z)
 
     def test_tensor_map_basis(self):
         expected = _naive(
             (legs, c * c2)
-            for b, c in self.X._terms.items()
-            for legs, c2 in self.tensor_image(b)._terms.items()
+            for b, c in self.X.items()
+            for legs, c2 in self.tensor_image(b).items()
         )
         self.check(tensor_map_basis(self.X, self.tensor_image), expected, (self.Z, P("y")))
-
-    @pytest.mark.parametrize("i", [0, 1])
-    def test_map_leg(self, i):
-        expected = _naive(
-            (legs[:i] + (b,) + legs[i + 1 :], c * c2)
-            for legs, c in self.T._terms.items()
-            for b, c2 in self.image(legs[i])._terms.items()
-        )
-        cancelled = (self.Z, P("e")) if i == 0 else (P("e"), self.Z)
-        self.check(self.T.map_leg(i, self.image), expected, cancelled)
 
     @pytest.mark.parametrize("i", [0, 1])
     def test_expand_leg(self, i):
         expected = _naive(
             (legs[:i] + sub + legs[i + 1 :], c * c2)
-            for legs, c in self.T._terms.items()
-            for sub, c2 in self.tensor_image(legs[i])._terms.items()
+            for legs, c in self.T.items()
+            for sub, c2 in self.tensor_image(legs[i]).items()
         )
         cancelled = (self.Z, P("y"), P("e")) if i == 0 else (P("e"), self.Z, P("y"))
         self.check(self.T.expand_leg(i, self.tensor_image), expected, cancelled)
@@ -324,8 +340,8 @@ class TestExtensionKernel:
     def test_contract(self):
         expected = _naive(
             ((b,), c * c2)
-            for legs, c in self.T._terms.items()
-            for b, c2 in self.op(legs[0], legs[1])._terms.items()
+            for legs, c in self.T.items()
+            for b, c2 in self.op(legs[0], legs[1]).items()
         )
         self.check(self.T.contract(0, 1, self.op), expected, (self.Z,))
 
@@ -358,6 +374,62 @@ class TestAccumulator:
         got = tensor_map_basis(x, trunk_coproduct)
         assert got == expected and {len(legs) for legs in got.support()} == {2}
         assert tensor_map_basis(LinComb.zero(), trunk_coproduct) == TensorComb.zero()
+
+
+class TestCanonicalEquality:
+    """A combination stores its value in lowest terms, so one value built by
+    different routes stores one pair: equal and with equal hashes."""
+
+    @staticmethod
+    def assert_same(values):
+        for x in values:
+            assert_clean(x)
+        first = values[0]
+        assert all(x == first and hash(x) == hash(first) for x in values)
+
+    @given(
+        terms=st.dictionaries(nonempty_forests, coefficients, min_size=1, max_size=3),
+        noise=combinations(nonempty_forests),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_routes_to_one_value(self, terms, noise):
+        x = LinComb(terms)
+        chain = LinComb.zero()
+        for f, c in terms.items():
+            chain = chain + LinComb.of(f).scale(c)
+        self.assert_same([
+            x,
+            chain,
+            lincomb_sum(LinComb.of(f, 3).scale(c / 3) for f, c in terms.items()),
+            (x + noise) - noise,
+            noise - (noise - x),
+            -(noise - x - noise - x).scale(Fraction(1, 2)),
+            LinComb.sum_of([*terms.items(), *[(f, -c) for f, c in noise.items()], *noise.items()]),
+            bilinear(forest_shuffle, x, LinComb.of(EMPTY), 1),  # the empty forest is the unit
+            x.scale(Fraction(2, 3)).scale(Fraction(3, 2)),
+        ])
+
+    @given(f=nonempty_forests, g=nonempty_forests, lam=st.sampled_from([0, 1, Fraction(2, 3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_a_product_entry_by_other_routes(self, f, g, lam):
+        fg = forest_shuffle(f, g, lam)
+        self.assert_same([
+            fg,
+            forest_shuffle(g, f, lam),
+            bilinear(forest_shuffle, LinComb.of(f), LinComb.of(g), lam),
+            LinComb(dict(fg.items())),
+            LinComb.sum_of(fg.items()),
+            fg.scale(3).scale(Fraction(1, 3)),
+            (fg + fg) - fg,
+        ])
+
+    @given(x=combinations(nonempty_forests))
+    @settings(max_examples=40, deadline=None)
+    def test_a_lincomb_never_equals_a_tensor(self, x):
+        one_leg = TensorComb({(f,): c for f, c in x.items()})
+        assert x != one_leg and one_leg != x
+        same_value = TensorComb._wrap(x._value)
+        assert x != same_value and same_value != x
 
 
 class TestTensorComb:
@@ -400,6 +472,8 @@ class TestTensorComb:
             three.flip()
         with pytest.raises(ValueError, match="does not fit"):
             two.tau23()
+        with pytest.raises(ValueError, match="does not fit"):
+            two.permute((0, 0))  # not a permutation: two terms could meet
         with pytest.raises(ValueError, match="2-leg"):
             tensor_json(three)
 
@@ -414,14 +488,12 @@ class TestTensorComb:
     def test_linear_maps_of_zero_are_zero(self):
         zero = TensorComb.zero()
         assert zero.expand_leg(0, trunk_coproduct) == zero
-        assert zero.map_leg(1, lambda f: LinComb.of(f, 3)) == zero
         assert zero.contract(0, 1, forest_shuffle) == zero
         assert tensor_map_basis(LinComb.zero(), trunk_coproduct) == zero
 
     def test_relegging(self):
         t = TensorComb.of((P("a[b]"), P("c")))
         assert {len(legs) for legs in t.expand_leg(0, trunk_coproduct).support()} == {3}
-        assert t.map_leg(1, lambda f: LinComb.of(f, 3)) == t.scale(3)
         merged = t.contract(0, 1, forest_shuffle)
         assert {len(legs) for legs in merged.support()} == {1}
         assert {legs[0] for legs in merged.support()} == forest_shuffle(P("a[b]"), P("c")).support()
@@ -647,6 +719,44 @@ CACHED_ENUMERATORS = {
     "sampling.trees_of_size",
 }
 _CACHES = {"cache", "lru_cache"}
+
+
+def _stored_value_reads(module: str, source: str) -> list[str]:
+    """The places a module reads a combination's stored exact value: the
+    ``_value`` attribute, or the name ``"_value"`` handed to getattr and
+    its kin.  Only ``linalg`` may; a recursion hands its exact value to the
+    class's wrapping constructor, ``_wrap``, and reads results through
+    ``items()`` and ``coefficient()``."""
+    return [
+        f"{module}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "_value")
+        or (isinstance(node, ast.Constant) and node.value == "_value")
+    ]
+
+
+def test_only_linalg_reads_the_stored_value():
+    root = Path(forestshuffle.__file__).parent
+    paths = sorted(root.glob("*.py")) + sorted((root.parents[1] / "perfbench").glob("*.py"))
+    assert [p.stem for p in paths if p.stem == "linalg"] == ["linalg"]
+    reads = [
+        place
+        for path in paths
+        if path.stem != "linalg"
+        for place in _stored_value_reads(path.stem, path.read_text(encoding="utf-8"))
+    ]
+    assert reads == []
+
+
+def test_stored_value_scan_sees_each_kind():
+    source = (
+        "from .linalg import LinComb, TensorComb\n"
+        "def f(x, value):\n"
+        "    nums, den = x._value\n"
+        "    y = getattr(x, '_value')\n"
+        "    return TensorComb._wrap(value), x.items(), x.coefficient(1), den\n"
+    )
+    assert _stored_value_reads("dual", source) == ["dual:3", "dual:4"]
 
 
 def _stray_memos(module: str, source: str) -> list[str]:
