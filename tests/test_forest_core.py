@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 
 from forestshuffle.dual import admissible_families, contraction_fertility, family_count
+import forestshuffle.forest as forest
+from forestshuffle.cli import main
 from forestshuffle.forest import (
     EMPTY,
     MAX_TREE_DEPTH,
@@ -17,6 +21,7 @@ from forestshuffle.forest import (
     RootedTree,
     TreeSyntaxError,
     _grafted,
+    _Memo,
     _redecorate,
     b_plus,
     concat,
@@ -318,6 +323,106 @@ class TestDirectBuilders:
         assert_same_forest(concat(f, P("1")), P("1 a*b[1,c] 1[a*b]"))
         assert b_plus(Decoration(["a", "b"]), f) == P("a*b[a*b[1,c],1[a*b]]").single_tree()
         assert_same_forest(_without(f, 0), P("a*b[1,c]"))
+
+
+def _tables() -> tuple[_Memo, ...]:
+    return forest._decoration_table, forest._tree_table, forest._forest_table
+
+
+def _every_memo() -> list[_Memo]:
+    import forestshuffle.coalgebra as coalgebra
+    import forestshuffle.dual as dual
+    import forestshuffle.shuffle as shuffle
+
+    return [v for m in (forest, coalgebra, dual, shuffle) for v in vars(m).values() if isinstance(v, _Memo)]
+
+
+def _chain(n: int) -> RootedTree:
+    """The chain a[a[...[a]]] of n vertices, built bottom-up through the
+    public constructor."""
+    a = Decoration(["a"])
+    tree = RootedTree(a)
+    for _ in range(n - 1):
+        tree = RootedTree(a, [tree])
+    return tree
+
+
+class TestInterning:
+    """Values of at most _MEMO_SIZE_LIMIT vertices are hash-consed: every
+    way of building one returns the same object.  Sharing is only an
+    optimization, so larger values and emptied tables change no result."""
+
+    @pytest.fixture(autouse=True)
+    def empty_tables(self):
+        # a test that starts near a table's bound could see it emptied
+        # between two constructions of one value
+        for table in _tables():
+            table.clear()
+
+    def test_small_values_are_one_object(self):
+        a, b, c, d = (Decoration([x]) for x in "abcd")
+        tree = P("a[b,c]").single_tree()
+        assert RootedTree(a, [RootedTree(c), RootedTree(b)]) is tree
+        assert b_plus(a, P("c b")) is tree
+        assert graft_at(P("a[b]").single_tree(), (), RootedTree(c)) is tree
+        assert tree.as_forest() is P("a[b,c]") is _grafted(a, P("b c"))
+        assert RootedTree(a, [RootedTree(b), RootedTree(c)]).as_forest() is Forest([tree])
+        forest_ = P("a[b,c] d")
+        assert P("d a[c,b]") is forest_
+        assert Forest([RootedTree(d), tree]) is forest_
+        assert concat(P("d"), P("a[c,b]")) is forest_ is concat(P("a[b,c]"), P("d"))
+        assert forest_.trees[0] is tree and tree.children == (RootedTree(b), RootedTree(c))
+        assert tree.children[0] is RootedTree(b) and tree.decoration is a
+        assert a * b is Decoration(["b", "a"]) is P("a*b").single_tree().decoration
+        assert Decoration() is Decoration([]) and Decoration(["c", "a"]) * d is Decoration("dca")
+        # the boundary: 8 vertices, built by the parser and bottom-up
+        eight = "[".join("a" * 8) + "]" * 7
+        assert P(eight).single_tree() is _chain(8)
+        assert P(eight) is _chain(8).as_forest() is _grafted(a, _chain(7).as_forest())
+
+    def test_larger_values_are_equal(self):
+        nine = "[".join("a" * 9) + "]" * 8
+        eight = nine[2:-1]
+        a, b = Decoration(["a"]), P("b")
+        pairs = [
+            (P(nine), _chain(9).as_forest()),
+            (P(nine), _grafted(a, _chain(8).as_forest())),
+            (concat(b, P(eight)), P(eight + " b")),
+            (P("a[a,a,a] a[a,a,a] b"), concat(P("a[a,a,a] b"), P("a[a,a,a]"))),
+        ]
+        for x, y in pairs:
+            assert x.size > 8 and x == y and hash(x) == hash(y) and x.key == y.key
+            assert x.key not in forest._forest_table
+        tree = P(nine).single_tree()
+        assert _chain(9) == tree and hash(_chain(9)) == hash(tree) and tree.key not in forest._tree_table
+        many = Decoration("abcdefghi")
+        assert many == Decoration("ihgfedcba") and many.atoms not in forest._decoration_table
+
+    def test_tables_stay_bounded(self):
+        for i in range(50_000):
+            P(f"x{i}[y{i},z] z*x{i}")
+            assert max(map(len, _tables())) <= forest._MEMO_ENTRIES
+
+    def test_output_does_not_depend_on_the_tables(self, capsys, monkeypatch):
+        cleared = []
+
+        def isenabled():
+            # every public entry asks whether the collector is on first
+            for table in _tables():
+                table.clear()
+            cleared.append(True)
+            return gc.isenabled()
+
+        outputs = []
+        for emptied in (False, True):
+            if emptied:
+                shim = SimpleNamespace(isenabled=isenabled, enable=gc.enable, disable=gc.disable)
+                monkeypatch.setattr(forest, "gc", shim)
+            for memo in _every_memo():
+                memo.clear()
+            assert main(["verify", "--suite", "dual", "--json", "--max-degree", "4"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert cleared and outputs[0] == outputs[1]
 
 
 class TestFreeModule:

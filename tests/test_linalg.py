@@ -809,6 +809,9 @@ def test_every_memo_is_a_memo():
     assert memos == {
         "coalgebra._trunk_cache",
         "dual._dual_cache",
+        "forest._decoration_table",
+        "forest._forest_table",
+        "forest._tree_table",
         "shuffle._coeff_cache",
         "shuffle._diamond_cache",
         "shuffle._shuffle_cache",
