@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 
-from forestshuffle.dual import admissible_families, contraction_fertility, family_count
 import forestshuffle.forest as forest
 from forestshuffle.cli import main
+from forestshuffle.dual import admissible_families, contraction_fertility, family_count
 from forestshuffle.forest import (
     EMPTY,
     MAX_TREE_DEPTH,
@@ -354,8 +356,7 @@ class TestInterning:
 
     @pytest.fixture(autouse=True)
     def empty_tables(self):
-        # a test that starts near a table's bound could see it emptied
-        # between two constructions of one value
+        # a full table shares no new value
         for table in _tables():
             table.clear()
 
@@ -371,8 +372,8 @@ class TestInterning:
         assert P("d a[c,b]") is forest_
         assert Forest([RootedTree(d), tree]) is forest_
         assert concat(P("d"), P("a[c,b]")) is forest_ is concat(P("a[b,c]"), P("d"))
-        assert forest_.trees[0] is tree and tree.children == (RootedTree(b), RootedTree(c))
-        assert tree.children[0] is RootedTree(b) and tree.decoration is a
+        assert forest_.trees[0] is tree and tree.decoration is a
+        assert tree.children[0] is RootedTree(b) and tree.children[1] is P("c").single_tree()
         assert a * b is Decoration(["b", "a"]) is P("a*b").single_tree().decoration
         assert Decoration() is Decoration([]) and Decoration(["c", "a"]) * d is Decoration("dca")
         # the boundary: 8 vertices, built by the parser and bottom-up
@@ -402,6 +403,35 @@ class TestInterning:
         for i in range(50_000):
             P(f"x{i}[y{i},z] z*x{i}")
             assert max(map(len, _tables())) <= forest._MEMO_ENTRIES
+
+    def test_threads_build_equal_values(self, monkeypatch):
+        # more threads than cores, switching often, build overlapping values
+        # and fill the (shrunk) tables: a race may build a second, equal
+        # object and overshoot a bound by one entry per thread, no more
+        monkeypatch.setattr(forest, "_MEMO_ENTRIES", 256)
+        texts = [f"x{i % 97}[y{i % 89},z] z*x{i % 83} w{i}" for i in range(3000)]
+        built: list[list[Forest]] = [[] for _ in range(4)]
+        sizes: list[int] = []
+
+        def work(out: list[Forest]) -> None:
+            for text in texts:
+                out.append(P(text))
+                sizes.append(max(map(len, _tables())))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in built]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in built:
+            assert [f.key for f in out] == [f.key for f in built[0]] and len(out) == len(texts)
+        assert built[0][-1] == P(texts[-1]) and max(sizes) <= forest._MEMO_ENTRIES + len(threads)
 
     def test_output_does_not_depend_on_the_tables(self, capsys, monkeypatch):
         cleared = []
