@@ -22,7 +22,8 @@ built for a value of at most ``_MEMO_SIZE_LIMIT`` vertices (or atoms), from
 one table per class keyed on the canonical key.  A full table takes no new
 entries, so it stays bounded in any loop, inside a public entry or not
 (parsing, enumeration).  Equality and hashing stay by key; sharing only
-saves memory and collector work.
+saves memory and collector work.  ``parse_forest`` looks its text up in the
+forest table first: canonical text of a shared value returns it unparsed.
 
 All values are immutable and hashable; every operation is a pure function.
 """
@@ -635,8 +636,13 @@ class _Parser:
 def parse_forest(text: str) -> Forest:
     """Parse tree-expression text into a canonical forest.
 
-    parse_forest(s).key == s whenever s is already canonical.
+    parse_forest(s).key == s whenever s is already canonical.  So canonical
+    text that keys the shared value of a small forest returns that value
+    without parsing; any other text (another spelling, extra whitespace, a
+    larger value, malformed input) runs the grammar.
     """
+    if (hit := _forest_table.get(text)) is not None:
+        return hit
     return _Parser(text).parse_forest()
 
 

@@ -27,6 +27,8 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Callable, Generic, Hashable, Iterable, Mapping, TypeVar
 
+from .forest import _by_key
+
 __all__ = [
     "LinComb",
     "TensorComb",
@@ -231,7 +233,7 @@ class TensorComb(LinComb[tuple[B, ...]]):
 
     @staticmethod
     def _item_key(item: tuple[tuple[B, ...], int]) -> tuple[str, ...]:
-        return tuple(leg.key for leg in item[0])
+        return tuple(map(_by_key, item[0]))
 
     @staticmethod
     def _basis_text(legs: tuple[B, ...]) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .forest import EMPTY, Forest, _below, _by_key, _gc_paused, _grafted, _Memo, _preorder, b_plus, concat
+from .forest import _ATOM_RE, EMPTY, Forest, _below, _by_key, _gc_paused, _grafted, _Memo, b_plus, concat
 from .linalg import LinComb, _combine, _exact, _Exact, bilinear
 
 __all__ = [
@@ -225,9 +225,10 @@ def _diamond(first: Forest, second: Forest, p: int, q: int) -> _Exact:
 
 
 def _atom_multiset(forest: Forest) -> tuple[str, ...]:
-    return tuple(
-        sorted([a for t in forest.trees for _, node in _preorder(t) for a in node.decoration.atoms])
-    )
+    """The forest's atoms with multiplicity, sorted, read off its key: the
+    key names each atom once per occurrence, and "1" is the unit, not an
+    atom."""
+    return tuple(sorted([a for a in _ATOM_RE.findall(forest.key) if a != "1"]))
 
 
 def _multiset_difference(forest: Forest, part: Forest) -> Forest | None:

@@ -38,6 +38,7 @@ from forestshuffle.linalg import LinComb, TensorComb, tensor
 from forestshuffle.primitives import decorate_distinct, is_primitive
 from forestshuffle.sampling import default_alphabet, forests_up_to, random_forest
 from forestshuffle.shuffle import _multiset_difference, _without
+from forestshuffle.suites import SuiteConfig, run_suite
 from forestshuffle.words import is_linear, tree_to_word
 
 from conftest import any_decorations, any_forests, any_trees, forests
@@ -127,13 +128,16 @@ class TestParseRender:
             P("a[b c")
         assert err.value.position > 0
 
+    # parse_forest returns a shared value's canonical text unparsed, so the
+    # round trips run the grammar itself
+
     @given(f=any_forests)
     def test_roundtrip(self, f):
-        assert parse_forest(f.key) == f
+        assert forest._Parser(f.key).parse_forest() == f
 
     @staticmethod
     def assert_roundtrip(f: Forest) -> None:
-        back = parse_forest(f.key)
+        back = forest._Parser(f.key).parse_forest()
         assert back == f and back.key == f.key and back.size == f.size
 
     def test_roundtrip_at_the_depth_limit(self):
@@ -432,6 +436,58 @@ class TestInterning:
         for out in built:
             assert [f.key for f in out] == [f.key for f in built[0]] and len(out) == len(texts)
         assert built[0][-1] == P(texts[-1]) and max(sizes) <= forest._MEMO_ENTRIES + len(threads)
+
+    def test_canonical_text_of_a_shared_value_is_not_parsed(self, monkeypatch):
+        shared = [P(text) for text in ("a*b", "a*b[c] d", "1[a] q1_x[1,b]")]
+        eight = "[".join("a" * 8) + "]" * 7
+        shared.append(_chain(8).as_forest())
+
+        def refuse(text):
+            raise AssertionError(f"parsed {text!r}")
+
+        monkeypatch.setattr(forest, "_Parser", refuse)
+        for value in shared:
+            assert P(value.key) is value
+        assert P(eight) is shared[-1] and forest.parse_tree("a*b") is shared[0].single_tree()
+
+    def test_other_text_runs_the_grammar(self, monkeypatch):
+        shared = {text: P(text) for text in ("a b", "a[b,c]", "a")}
+        nine = _chain(9).as_forest()
+        assert nine.key not in forest._forest_table
+        parsed = []
+        parser = forest._Parser
+
+        def counted(text):
+            parsed.append(text)
+            return parser(text)
+
+        monkeypatch.setattr(forest, "_Parser", counted)
+        # other spellings and extra whitespace of shared values
+        for text, key in (("b a", "a b"), ("a[c,b]", "a[b,c]"), (" a", "a"), ("a  b", "a b")):
+            assert P(text) is shared[key]
+        assert parsed == ["b a", "a[c,b]", " a", "a  b"]
+        # the canonical key of a value too large to share
+        assert P(nine.key) == nine and parsed[-1] == nine.key
+
+    def test_malformed_text_fails_where_the_grammar_does(self):
+        # shared values whose keys prefix the bad text; the positions are
+        # the grammar's, as parse_forest reported them before it looked up
+        P("a b")
+        P("a[b]")
+        cases = [("a b[", 4), ("a b,", 3), ("a[b", 3), ("a[b] ]", 5)]
+        cases += [("a[b,,c]", 4), ("a*1", 3), ("  ", 2), ("a]", 1)]
+        for text, position in cases:
+            with pytest.raises(TreeSyntaxError) as err:
+                P(text)
+            assert err.value.position == position and str(err.value).endswith(f"(at position {position})")
+
+    def test_every_shared_key_parses_to_its_value(self):
+        run_suite("forest-core", SuiteConfig(max_degree=4))
+        run_suite("shuffle", SuiteConfig(max_degree=4))
+        assert len(forest._forest_table) > 100
+        for key, value in list(forest._forest_table.items()):
+            back = forest._Parser(key).parse_forest()
+            assert back == value and back.key == key == value.key and back.size == value.size
 
     def test_output_does_not_depend_on_the_tables(self, capsys, monkeypatch):
         cleared = []

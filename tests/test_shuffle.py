@@ -433,6 +433,25 @@ class TestShuffleCoefficient:
         assert shuffle_coefficient(P("a[b,c]"), P("a"), P("b")) == 0
         assert shuffle_coefficient(P("b[c] d"), P("b"), P("c d")) == Q(1, 2)
 
+    def test_atom_multiset_reads_the_key_as_the_walk_does(self):
+        import random
+
+        import forestshuffle.shuffle as sh
+        from forestshuffle.forest import _preorder
+        from forestshuffle.sampling import random_forest
+
+        def walked(forest):
+            atoms = [a for t in forest.trees for _, node in _preorder(t) for a in node.decoration.atoms]
+            return tuple(sorted(atoms))
+
+        decorations = [Decoration(x) for x in ([], ["a"], ["q1_x"], ["a", "a", "b"], ["q1_x", "b1", "10"])]
+        rng = random.Random(25)
+        forests = [EMPTY, P("1"), P("1[1] 1"), P("a*q1_x[1[b1],q1_x*q1_x] 10*a 1[10]")]
+        forests += [random_forest(rng, rng.randint(1, 12), decorations) for _ in range(300)]
+        for forest in forests:
+            assert sh._atom_multiset(forest) == walked(forest)
+        assert sh._atom_multiset(forests[3]) == ("10", "10", "a", "a", "b1", "q1_x", "q1_x", "q1_x")
+
     def test_repeated_query_walks_no_tree(self, monkeypatch):
         import forestshuffle.shuffle as sh
 
