@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import gc
 import re
+import threading
 from functools import wraps
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -83,26 +84,38 @@ class GuardExceeded(RuntimeError):
 
 
 def _gc_paused(fn):
-    """Run ``fn`` with the cyclic garbage collector disabled.
+    """Run ``fn`` as a public entry: with the cyclic garbage collector
+    disabled, and dropping the call-tier memo entries it wrote on return.
 
     The library makes no reference cycles, so reference counting frees all
     it drops, and a collection inside a product or a dual would only rescan
     the memos.  The pause is process-wide.  The collector's prior state is
-    restored in ``finally``; when it is already off the call goes straight
-    through, so a nested entry never switches it back on early.  Wrap only
-    public entry points, never a recursion: the wrapper costs one stack
-    frame per call (see ``MAX_TREE_DEPTH``).
+    restored in ``finally``; when it is already off it stays off, so a
+    nested entry never switches it back on early.  Also in ``finally``,
+    each entry drops the call-tier keys (see ``_Memo.put``) that its thread
+    recorded after the entry started: a nested entry, such as a suite's
+    call to ``forest_shuffle``, drops its own at its own exit, and a call
+    that raises drops them too.  Wrap only public entry points, never a
+    recursion: the wrapper costs one stack frame per call (see
+    ``MAX_TREE_DEPTH``).
     """
 
     @wraps(fn)
     def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
+        keys = _call_tier.keys
+        mark = len(keys)
+        enabled = gc.isenabled()
+        if enabled:
+            gc.disable()
         try:
             return fn(*args, **kwargs)
         finally:
-            gc.enable()
+            if len(keys) > mark:
+                for memo, key in keys[mark:]:
+                    memo.pop(key, None)
+                del keys[mark:]
+            if enabled:
+                gc.enable()
 
     return paused
 
@@ -113,7 +126,21 @@ _MEMO_SIZE_LIMIT = 8
 # 12,000 random 8-12-vertex duals held 176 MiB against 80 MiB.  The
 # hash-consing tables share the bound: a `duality` benchmark pass (seeds 1-9)
 # builds at most 8,006 distinct small forests, so its tables never fill.
+# Call-tier entries (see `_Memo.put`) leave when their public call returns, so
+# between calls a memo holds only entries of at most _MEMO_SIZE_LIMIT vertices.
 _MEMO_ENTRIES = 2**13
+
+
+class _CallTier(threading.local):
+    """Per thread, the (memo, key) of every call-tier entry written and not
+    yet dropped, in the order written.  A thread's own list, so one
+    thread's entry never drops, or leaves behind, another thread's keys."""
+
+    def __init__(self):
+        self.keys: list[tuple[dict, object]] = []
+
+
+_call_tier = _CallTier()
 
 
 class _Memo(dict):
@@ -121,20 +148,30 @@ class _Memo(dict):
     table of a value class.  Look up with the C method ``get``, which adds no
     frame per level.
 
-    A memo's ``put`` keeps a result only when its operands total at most
-    ``_MEMO_SIZE_LIMIT`` vertices.  ``shuffle._coeff`` stores every result, as
-    one query revisits its sub-problems: 36,100 on two 190-vertex chains,
-    about C(380, 190) paths under the size rule.  The public entries ``trim``
-    their memos before the recursion, so a query keeps its whole working set.
-    A hash-consing table is written through ``share``, which stops taking
-    entries once the table is full.  Emptying it instead kept each value it
-    would drop alive through the collector's generations: a `products` pass
-    builds small values enough to fill its tables 17 times over, and so
-    spent 0.43-0.49 s in collections against 0.30-0.36 s."""
+    A memo's ``put`` keeps a result for good when its operands total at most
+    ``_MEMO_SIZE_LIMIT`` vertices.  A result of up to twice that goes into
+    the same dict for the length of the public call that wrote it: ``put``
+    records its key and ``_gc_paused`` drops it when that call returns or
+    raises.  Within one call a product reaches the same 9-16-vertex
+    sub-pair along several recursion paths (935 of 4,616 such sub-calls in
+    a seed-1 `products` pass).  Larger results are never stored: with no
+    bound, ``forest_shuffle`` of a 398-level comb and one vertex peaked at
+    541 MiB against 266 MiB.  ``shuffle._coeff`` stores every result, as one
+    query revisits its sub-problems: 36,100 on two 190-vertex chains, about
+    C(380, 190) paths under the size rule.  The public entries ``trim``
+    their memos before the recursion, so a query keeps its whole working
+    set.  A hash-consing table is written through ``share``, which stops
+    taking entries once the table is full.  Emptying it instead kept each
+    value it would drop alive through the collector's generations: a
+    `products` pass builds small values enough to fill its tables 17 times
+    over, and so spent 0.43-0.49 s in collections against 0.30-0.36 s."""
 
     def put(self, key, size, value):
         if size <= _MEMO_SIZE_LIMIT:
             self[key] = value
+        elif size <= 2 * _MEMO_SIZE_LIMIT:
+            self[key] = value
+            _call_tier.keys.append((self, key))
         return value
 
     def trim(self):

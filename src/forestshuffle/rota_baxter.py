@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .forest import Decoration, Forest, UNIT, _below, _grafted
+from .forest import Decoration, Forest, UNIT, _below, _gc_paused, _grafted
 from .linalg import LinComb, _exact, bilinear
 from .shuffle import diamond_product
-from .words import Word, _word_shuffle
+from .words import Word, _letter_shuffle
 
 __all__ = [
     "RotaBaxterAlgebra",
@@ -55,13 +55,13 @@ def word_P(w: Word) -> Word:
     return Word((UNIT,) + w.letters)
 
 
+@_gc_paused
 def word_diamond(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     """First letters multiply in the monoid, tails quasi-shuffle."""
     if not w.letters or not v.letters:
         raise ValueError("the word diamond product needs nonempty operands")
     head = (w.letters[0] * v.letters[0],)
-    lam = _exact(lam)
-    tails = LinComb._wrap(_word_shuffle(w.letters[1:], v.letters[1:], lam.numerator, lam.denominator))
+    tails = _letter_shuffle(w.letters[1:], v.letters[1:], lam)
     return tails.relabel(lambda rest: Word(head + rest))  # one more letter: injective
 
 

@@ -5,9 +5,10 @@ Words are the baseline the forest operations generalize: the injection
 first letter.  ``word_shuffle`` is the classical recursive quasi-shuffle
 (weight ``lam``); at lam=0 it is the plain shuffle of words.  The recursion
 runs on letter tuples and on ``linalg._Exact``, like the forest products,
-and builds each result ``Word`` once, at the end.  A ``Word`` hashes its key
-once, at construction, and compares by key: letter texts hold no space, so
-the key determines the letters.
+keeps its sub-results in a ``forest._Memo`` under their size rule (the size
+is the letter count), and builds each result ``Word`` once, at the end.  A
+``Word`` hashes its key once, at construction, and compares by key: letter
+texts hold no space, so the key determines the letters.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .forest import Decoration, EMPTY, Forest, RootedTree, _preorder
+from .forest import Decoration, EMPTY, Forest, RootedTree, _gc_paused, _Memo, _preorder
 from .linalg import _ONE, LinComb, TensorComb, _combine, _exact, _Exact
 
 __all__ = [
@@ -65,6 +66,12 @@ class Word:
         return f"Word({self.key!r})"
 
 
+# word_shuffle and rota_baxter.word_diamond pause the collector and trim this
+# memo over _word_shuffle, which never calls an entry.
+_word_cache = _Memo()  # (letters, letters, p, q) -> (numerators, denominator)
+
+
+@_gc_paused
 def word_shuffle(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     """The weight-``lam`` quasi-shuffle of two words.
 
@@ -73,9 +80,16 @@ def word_shuffle(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
     with the empty word as unit.  Degree additive; commutative because the
     letter product is.
     """
+    # distinct letter tuples give distinct words
+    return _letter_shuffle(w.letters, v.letters, lam).relabel(Word)
+
+
+def _letter_shuffle(a: tuple[Decoration, ...], b: tuple[Decoration, ...], lam: Fraction | int) -> LinComb:
+    """The weight-``lam`` quasi-shuffle of two letter tuples, on letter
+    tuples: the body of the entries ``word_shuffle`` and ``word_diamond``."""
     lam = _exact(lam)
-    terms = LinComb._wrap(_word_shuffle(w.letters, v.letters, lam.numerator, lam.denominator))
-    return terms.relabel(Word)  # distinct letter tuples give distinct words
+    _word_cache.trim()
+    return LinComb._wrap(_word_shuffle(a, b, lam.numerator, lam.denominator))
 
 
 def _word_shuffle(a: tuple[Decoration, ...], b: tuple[Decoration, ...], p: int, q: int) -> _Exact:
@@ -85,6 +99,9 @@ def _word_shuffle(a: tuple[Decoration, ...], b: tuple[Decoration, ...], p: int, 
         return {b: 1}, 1
     if not b:
         return {a: 1}, 1
+    key = (a, b, p, q)
+    if (hit := _word_cache.get(key)) is not None:
+        return hit
     nums, den = _word_shuffle(a[1:], b, p, q)
     parts = [({a[:1] + rest: c for rest, c in nums.items()}, den, 1)]
     nums, den = _word_shuffle(a, b[1:], p, q)
@@ -93,7 +110,7 @@ def _word_shuffle(a: tuple[Decoration, ...], b: tuple[Decoration, ...], p: int, 
         head = (a[0] * b[0],)
         nums, den = _word_shuffle(a[1:], b[1:], p, q)
         parts.append(({head + rest: c for rest, c in nums.items()}, den * q, p))
-    return _combine(parts)
+    return _word_cache.put(key, len(a) + len(b), _combine(parts))
 
 
 def word_shuffle_brute(w: Word, v: Word) -> LinComb[Word]:

@@ -217,3 +217,41 @@ def test_workload_lists():
     for bad in ("", "verify,", "verify,verify"):
         with pytest.raises(ValueError):
             bench_pairs.parse_workloads(bad)
+
+
+def test_seed_lists():
+    assert bench_pairs.parse_seeds("1..10,11") == list(range(1, 12))
+    assert bench_pairs.parse_seeds("11,1..3,7") == [11, 1, 2, 3, 7]
+    for bad in ("", ",", "1..10,", ",11", "1..", "..3", "1..3,,5", "1..3,2", "4,4", "6..3,7"):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_seeds(bad)
+    assert bench_pairs.format_seeds({7}) == "7"
+    assert bench_pairs.format_seeds(set(range(1, 11)) | {12}) == "1..10,12"
+    assert bench_pairs.format_seeds({9, 1, 3, 4}) == "1,3..4,9"
+    for text in ("1..10,12", "1,3..4,9", "5"):
+        assert bench_pairs.format_seeds(set(bench_pairs.parse_seeds(text))) == text
+
+
+def test_the_file_names_each_workloads_exact_seeds(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    out = tmp_path / "BENCH.json"
+    old = [_run(s, side, 4.0, 2.5, workload="duality") for s in (1, 2, 4) for side in bench_pairs.SIDES]
+    out.write_text(json.dumps({"description": "kept", "runs": old}))
+    seeds = []
+
+    def run_once(directory, workload, seed):
+        seeds.append(seed)
+        return bench_pairs.parse_output(_stdout(3.0, 1.0, "d"))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(change), "--workload", "products",
+            "--seeds", "1..3,12", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert seeds == [1, 1, 2, 2, 3, 3, 12, 12]
+    # a range would call {1..3, 12} "1..12"
+    assert "--seed {1..2,4 on duality, 1..3,12 on products} " in json.loads(out.read_text())["command"]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv[:-4] + ["--seeds", "1..3,3", "--out", str(out)])
+    assert "argument --seeds: invalid parse_seeds value: '1..3,3'" in capsys.readouterr().err

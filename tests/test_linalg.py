@@ -816,6 +816,7 @@ def test_every_memo_is_a_memo():
         "shuffle._diamond_cache",
         "shuffle._shuffle_cache",
         "shuffle._star_cache",
+        "words._word_cache",
     }
 
 

@@ -288,6 +288,29 @@ def _memos():
     }
 
 
+def _put_memos():
+    """Every memo written through ``_Memo.put``, by name: all but the
+    pairing's, plus the word memo."""
+    import forestshuffle.words as wo
+
+    memos = _memos()
+    del memos["_coeff_cache"]
+    return {**memos, "_word_cache": wo._word_cache}
+
+
+def _key_size(name, key):
+    """The vertex count of a memo key's operands (a word memo's: letters)."""
+    if name == "_word_cache":
+        return len(key[0]) + len(key[1])
+    if name in ("_dual_cache", "_trunk_cache"):
+        return P(key).size
+    return P(key[0]).size + P(key[1]).size
+
+
+def _largest_key(memos):
+    return max((_key_size(name, key) for name, memo in memos.items() for key in memo), default=0)
+
+
 def _chain(n):
     return P("a[" * (n - 1) + "a" + "]" * (n - 1))
 
@@ -397,6 +420,138 @@ class TestMemo:
         # one entry per pair of nonempty sub-chains: more than the entry cap,
         # so nothing was trimmed during the query
         assert len(sh._coeff_cache) == 100 * 100
+
+    def test_call_tier_keys_leave_with_their_call(self, monkeypatch):
+        import forestshuffle.forest as fo
+        import forestshuffle.shuffle as sh
+        from forestshuffle.rota_baxter import word_diamond
+
+        memos = _put_memos()
+        first, second = P("a[b[c],d] e[f,g]"), P("b[a,c] e[f] d[g]")
+        w, v = (Word([Decoration((x,)) for x in text]) for text in ("abcabcab", "cabcabca"))
+        calls = [(op, first, second, lam) for op in (forest_shuffle, star_product, diamond_product) for lam in (0, 1)]
+        calls += [(word_shuffle, w, v, 1), (word_diamond, w, v, 1)]
+        for op, *args in calls:
+            op(*args)
+            assert _largest_key(memos) <= fo._MEMO_SIZE_LIMIT, op.__name__
+
+        # a call that raises mid-recursion, with call-tier keys written
+        combine = sh._combine
+
+        def failing(parts, split=1):
+            if len(fo._call_tier.keys) >= 3:
+                raise RuntimeError("mid-recursion")
+            return combine(parts, split)
+
+        for memo in memos.values():
+            memo.clear()
+        monkeypatch.setattr(sh, "_combine", failing)
+        with pytest.raises(RuntimeError, match="mid-recursion"):
+            star_product(first, second, 1)
+        assert _largest_key(memos) <= fo._MEMO_SIZE_LIMIT and fo._call_tier.keys == []
+
+    def test_a_nested_entry_drops_only_its_own_keys(self):
+        import forestshuffle.forest as fo
+        import forestshuffle.shuffle as sh
+
+        first, second = P("a[b[c],d] e[f,g]"), P("b[a,c] e[f] d[g]")
+        own = ("a[a[a[a[a]]]]", "b[b[b[b[b]]]]", (1, 1))  # a 10-vertex key
+
+        @fo._gc_paused
+        def outer():
+            sh._star_cache.put(own, 10, ({}, 1))
+            star_product(first, second, 1)  # a nested entry
+            # the nested entry dropped its call-tier keys, not the outer one's
+            return own in sh._star_cache, sorted(_key_size("_star_cache", k) for k in sh._star_cache)[-2:]
+
+        kept, largest = outer()
+        assert kept and largest == [fo._MEMO_SIZE_LIMIT, 10]
+        assert own not in sh._star_cache and _largest_key(_put_memos()) <= fo._MEMO_SIZE_LIMIT
+
+    def test_a_call_computes_each_mid_size_sub_pair_once(self, monkeypatch):
+        from collections import Counter
+
+        import forestshuffle.forest as fo
+        import forestshuffle.shuffle as sh
+
+        sh._star_cache.clear()
+        sh._diamond_cache.clear()
+        computed: Counter = Counter()
+        put = fo._Memo.put
+
+        def counting(memo, key, size, value):
+            if fo._MEMO_SIZE_LIMIT < size <= 2 * fo._MEMO_SIZE_LIMIT:
+                computed[id(memo), key] += 1
+            return put(memo, key, size, value)
+
+        monkeypatch.setattr(fo._Memo, "put", counting)
+        first, second = P("a[b[c,d],e[f,g]]"), P("b[a[c],d[e,f],g]")
+        assert first.size == second.size == 7
+        assert star_product(first, second, 1)
+        # each 9-16-vertex sub-pair of the star and diamond recursions is
+        # computed once in the call, though up to three paths reach one
+        assert len(computed) == 18 and max(computed.values()) == 1
+
+    def test_nothing_over_twice_the_limit_is_stored(self, monkeypatch):
+        import forestshuffle.forest as fo
+        import forestshuffle.shuffle as sh
+
+        comb = "a"
+        for _ in range(39):  # a[a[...,b],b]: a branch on every level
+            comb = f"a[{comb},b]"
+        stored: list = []
+
+        def recording(memo, key, value):
+            if memo is sh._shuffle_cache:
+                stored.append(key)
+            dict.__setitem__(memo, key, value)
+
+        sh._shuffle_cache.clear()
+        monkeypatch.setattr(fo._Memo, "__setitem__", recording)
+        assert forest_shuffle(P(comb), P("b"), 1)
+        sizes = [_key_size("_shuffle_cache", key) for key in stored]
+        # operands reach 80 vertices; the call keeps sub-results up to 16
+        assert max(sizes) == 2 * fo._MEMO_SIZE_LIMIT
+
+    def test_threads_get_the_serial_results(self):
+        import sys
+        import threading
+
+        import forestshuffle.forest as fo
+
+        memos = _put_memos()
+        pairs = [
+            (P("a[b[c],d] e[f,g]"), P("b[a,c] e[f] d[g]")),
+            (P("a[b,c[d]]"), P("c[a] b[d[a]]")),
+            (P("a b[c[a]] c"), P("b[a[c,b]]")),
+        ]
+        jobs = [(op, f, g, lam) for f, g in pairs for op in (forest_shuffle, star_product, diamond_product)
+                for lam in (0, 1)]
+        for memo in memos.values():
+            memo.clear()
+        serial = [op(f, g, lam) for op, f, g, lam in jobs]
+        for memo in memos.values():
+            memo.clear()
+        results: list[list] = [[] for _ in range(4)]
+
+        def work(k: int) -> None:  # each thread in its own order, ten times
+            for op, f, g, lam in (jobs[k:] + jobs[:k]) * 10:
+                results[k].append(op(f, g, lam))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, out in enumerate(results):
+            assert out == (serial[k:] + serial[:k]) * 10
+        assert _largest_key(memos) <= fo._MEMO_SIZE_LIMIT
 
 
 class TestShuffleCoefficient:

@@ -1,10 +1,12 @@
 """Alternating parent/change runs of perfbench workloads, into a BENCH file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W[,W2...] \\
-        --seeds A..B --out BENCH_<pr>.json
+        --seeds A..B[,C..D|,N...] --out BENCH_<pr>.json
 
-DIR is a checkout of each commit (``git archive`` or ``git clone``).  For each
-seed S in A..B, and for each listed workload W in turn, both sides run
+DIR is a checkout of each commit (``git archive`` or ``git clone``).  The
+seeds are a comma list of inclusive ranges and single seeds, such as
+``1..10,11``, each seed at most once.  For each seed S in the order given,
+and for each listed workload W in turn, both sides run
 
     python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
 
@@ -12,7 +14,8 @@ from their own directory, one process at a time: the parent first on odd
 seeds, the change first on even ones.  Each run keeps its report line and
 its result line.  When ``--out`` exists, its runs of unlisted workloads are
 kept and those of the listed ones are replaced, so one file can hold every
-workload.  The file is written after each completed pair, so a run that
+workload.  The file's command line names each workload's exact seed set.
+The file is written after each completed pair, so a run that
 fails (exit 1, with one ``error:`` line naming the side, workload, seed and
 exit code) keeps every pair before it.
 
@@ -44,12 +47,31 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``A..B`` (inclusive) or a single seed."""
-    lo, sep, hi = text.partition("..")
-    seeds = list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
-    if not seeds:
-        raise ValueError(f"empty seed range {text!r}")
+    """A comma list of items, each ``A..B`` (inclusive) or a single seed,
+    such as ``1..10,11``, in the order given.  An empty item or range and a
+    seed named twice are refused (``int`` refuses an empty bound)."""
+    seeds: list[int] = []
+    for item in text.split(","):
+        lo, sep, hi = item.partition("..")
+        span = list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
+        if not span:
+            raise ValueError(f"empty seed range {item!r}")
+        seeds += span
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"a seed is named twice in {text!r}")
     return seeds
+
+
+def format_seeds(seeds: set[int]) -> str:
+    """The seeds as ``parse_seeds`` reads them: ascending, each run of
+    consecutive seeds as ``A..B``, so {1..10, 12} is ``1..10,12``."""
+    ordered, items = sorted(seeds), []
+    start = ordered[0]
+    for prev, seed in zip(ordered, ordered[1:] + [None]):
+        if seed != prev + 1:
+            items.append(f"{start}..{prev}" if prev > start else str(start))
+            start = seed
+    return ",".join(items)
 
 
 def parse_workloads(text: str) -> list[str]:
@@ -168,7 +190,7 @@ def write(path: Path, runs: list[dict], description: str, metrics: list[dict]) -
     workloads: dict[str, set[int]] = {}
     for r in runs:
         workloads.setdefault(r["workload"], set()).add(r["seed"])
-    seeds = ", ".join(f"{min(s)}..{max(s)} on {w}" for w, s in workloads.items())
+    seeds = ", ".join(f"{format_seeds(s)} on {w}" for w, s in workloads.items())
     out = {
         "command": f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
         f"--seed {{{seeds}}} --seconds {SECONDS} --trace 0",
@@ -185,7 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
     ap.add_argument("--workload", dest="workloads", required=True, type=parse_workloads,
                     help="W or a comma list W1,W2,...")
-    ap.add_argument("--seeds", required=True, type=parse_seeds, help="A..B, inclusive")
+    ap.add_argument("--seeds", required=True, type=parse_seeds,
+                    help="a comma list of A..B ranges (inclusive) and single seeds, such as 1..10,11")
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--description", default="", help="what the change is, for the file's readers")
     args = ap.parse_args(argv)
