@@ -42,15 +42,14 @@ def trunk_coproduct(arg: Forest | RootedTree) -> TensorComb[Forest]:
     forest = arg.as_forest() if isinstance(arg, RootedTree) else arg
     if not forest.is_connected:
         raise ValueError(f"the trunk coproduct is defined on trees only, got {forest.key!r}")
-    _trunk_cache.trim()
     return TensorComb._wrap(_trunk(forest))
 
 
 def _trunk(forest: Forest) -> _Exact:
-    if (hit := _trunk_cache.get(forest.key)) is not None:
-        return hit
     if forest.is_empty:
         return {(EMPTY, EMPTY): 1}, 1
+    if (hit := _trunk_cache.get(forest.key)) is not None:
+        return hit
     tree = forest.single_tree()
     body = _below(tree)
     nums = {(EMPTY, forest): 1}

@@ -309,7 +309,6 @@ def _component_splits(trees: tuple[RootedTree, ...], i: int):
 @_gc_paused
 def dual_recursive(forest: Forest) -> TensorComb[Forest]:
     """The dual coproduct by its inductive formula."""
-    _dual_cache.trim()
     return TensorComb._wrap(_dual(forest))
 
 

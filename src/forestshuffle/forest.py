@@ -84,14 +84,16 @@ class GuardExceeded(RuntimeError):
 
 
 def _gc_paused(fn):
-    """Run ``fn`` as a public entry: with the cyclic garbage collector
-    disabled, and dropping the call-tier memo entries it wrote on return.
+    """Run ``fn`` as a public entry, the one owner of the entry protocol:
+    pause the cyclic garbage collector, empty every memo over its bound, and
+    drop the call-tier memo entries ``fn`` wrote when it returns.
 
     The library makes no reference cycles, so reference counting frees all
     it drops, and a collection inside a product or a dual would only rescan
     the memos.  The pause is process-wide.  The collector's prior state is
     restored in ``finally``; when it is already off it stays off, so a
-    nested entry never switches it back on early.  Also in ``finally``,
+    nested entry never switches it back on early.  Before ``fn`` runs, a
+    member of ``_MEMOS`` over ``_MEMO_ENTRIES`` is emptied.  In ``finally``,
     each entry drops the call-tier keys (see ``_Memo.put``) that its thread
     recorded after the entry started: a nested entry, such as a suite's
     call to ``forest_shuffle``, drops its own at its own exit, and a call
@@ -107,6 +109,9 @@ def _gc_paused(fn):
         enabled = gc.isenabled()
         if enabled:
             gc.disable()
+        for memo in _MEMOS:
+            if len(memo) > _MEMO_ENTRIES:
+                memo.clear()
         try:
             return fn(*args, **kwargs)
         finally:
@@ -122,8 +127,8 @@ def _gc_paused(fn):
 
 _MEMO_SIZE_LIMIT = 8
 # 2**13 is the smallest power of two above every memo one seed-7 `products` or
-# `verify` benchmark pass fills (5,864 entries), so neither trims; at 2**15,
-# 12,000 random 8-12-vertex duals held 176 MiB against 80 MiB.  The
+# `verify` benchmark pass fills (5,864 entries), so neither empties a memo; at
+# 2**15, 12,000 random 8-12-vertex duals held 176 MiB against 80 MiB.  The
 # hash-consing tables share the bound: a `duality` benchmark pass (seeds 1-9)
 # builds at most 8,006 distinct small forests, so its tables never fill.
 # Call-tier entries (see `_Memo.put`) leave when their public call returns, so
@@ -141,12 +146,13 @@ class _CallTier(threading.local):
 
 
 _call_tier = _CallTier()
+_MEMOS: list[_Memo] = []  # every _Memo built; _gc_paused bounds each one
 
 
 class _Memo(dict):
     """A table on canonical keys: a recursion's memo, or the hash-consing
     table of a value class.  Look up with the C method ``get``, which adds no
-    frame per level.
+    frame per level.  Each one joins ``_MEMOS`` when built.
 
     A memo's ``put`` keeps a result for good when its operands total at most
     ``_MEMO_SIZE_LIMIT`` vertices.  A result of up to twice that goes into
@@ -158,13 +164,18 @@ class _Memo(dict):
     bound, ``forest_shuffle`` of a 398-level comb and one vertex peaked at
     541 MiB against 266 MiB.  ``shuffle._coeff`` stores every result, as one
     query revisits its sub-problems: 36,100 on two 190-vertex chains, about
-    C(380, 190) paths under the size rule.  The public entries ``trim``
-    their memos before the recursion, so a query keeps its whole working
-    set.  A hash-consing table is written through ``share``, which stops
-    taking entries once the table is full.  Emptying it instead kept each
-    value it would drop alive through the collector's generations: a
-    `products` pass builds small values enough to fill its tables 17 times
-    over, and so spent 0.43-0.49 s in collections against 0.30-0.36 s."""
+    C(380, 190) paths under the size rule.  A memo over ``_MEMO_ENTRIES``
+    is emptied at the next public entry of any module, before its recursion
+    starts, so a query keeps its whole working set.  A hash-consing table is
+    written through ``share``, which stops taking entries once the table is
+    full, so no entry empties it.  Emptying it instead kept each value it
+    would drop alive through the collector's generations: a `products` pass
+    builds small values enough to fill its tables 17 times over, and so
+    spent 0.43-0.49 s in collections against 0.30-0.36 s."""
+
+    def __init__(self):
+        super().__init__()
+        _MEMOS.append(self)
 
     def put(self, key, size, value):
         if size <= _MEMO_SIZE_LIMIT:
@@ -173,10 +184,6 @@ class _Memo(dict):
             self[key] = value
             _call_tier.keys.append((self, key))
         return value
-
-    def trim(self):
-        if len(self) > _MEMO_ENTRIES:
-            self.clear()
 
     def share(self, key, value):
         if len(self) < _MEMO_ENTRIES:

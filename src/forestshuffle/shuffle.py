@@ -35,10 +35,10 @@ __all__ = [
     "find_nonassociativity_witness",
 ]
 
-# The public products and shuffle_coefficient pause the collector and trim
-# their memos over private recursions (_shuffle, _star, _diamond, _coeff) that
-# never call an entry.  The products sum their sub-results after plain loops,
-# so a level costs one or two stack frames (see forest.MAX_TREE_DEPTH).
+# The public products and shuffle_coefficient are paused entries over
+# private recursions (_shuffle, _star, _diamond, _coeff) that never call an
+# entry.  The products sum their sub-results after plain loops, so a level
+# costs one or two stack frames (see forest.MAX_TREE_DEPTH).
 _shuffle_cache = _Memo()  # (first, second, (p, q)) -> (numerators, denominator), by key
 _star_cache = _Memo()
 _diamond_cache = _Memo()
@@ -103,7 +103,6 @@ def forest_shuffle(first: Forest, second: Forest, lam: Fraction | int = 0) -> Li
     rational; at lam=0 every term has |F|+|F'| vertices.
     """
     lam = _exact(lam)
-    _shuffle_cache.trim()
     return LinComb._wrap(_shuffle(first, second, lam.numerator, lam.denominator))
 
 
@@ -153,8 +152,6 @@ def star_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> LinC
     a[a,a[a]] + 2 a[a[a,a]], while a ⧢ a[a,a] is 2 a[a,a[a]] + a[a[a,a]]).
     """
     lam = _exact(lam)
-    _star_cache.trim()
-    _diamond_cache.trim()
     return LinComb._wrap(_star(first, second, lam.numerator, lam.denominator))
 
 
@@ -195,8 +192,6 @@ def diamond_product(first: Forest, second: Forest, lam: Fraction | int = 0) -> L
     if first.is_empty or second.is_empty:
         raise ValueError("diamond product is undefined on the empty forest")
     lam = _exact(lam)
-    _star_cache.trim()
-    _diamond_cache.trim()
     return LinComb._wrap(_diamond(first, second, lam.numerator, lam.denominator))
 
 
@@ -256,7 +251,6 @@ def shuffle_coefficient(
     """
     lam = _exact(lam)
     p, q = lam.numerator, lam.denominator
-    _coeff_cache.trim()
     # a repeated query returns from the memo before any tree walk
     hit = _coeff_cache.get((target.key, first.key, second.key, (p, q)))
     if hit is None:

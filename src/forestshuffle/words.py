@@ -66,8 +66,8 @@ class Word:
         return f"Word({self.key!r})"
 
 
-# word_shuffle and rota_baxter.word_diamond pause the collector and trim this
-# memo over _word_shuffle, which never calls an entry.
+# word_shuffle and rota_baxter.word_diamond are paused entries (see
+# forest._gc_paused) over _word_shuffle, which never calls an entry.
 _word_cache = _Memo()  # (letters, letters, p, q) -> (numerators, denominator)
 
 
@@ -88,7 +88,6 @@ def _letter_shuffle(a: tuple[Decoration, ...], b: tuple[Decoration, ...], lam: F
     """The weight-``lam`` quasi-shuffle of two letter tuples, on letter
     tuples: the body of the entries ``word_shuffle`` and ``word_diamond``."""
     lam = _exact(lam)
-    _word_cache.trim()
     return LinComb._wrap(_word_shuffle(a, b, lam.numerator, lam.denominator))
 
 

@@ -408,6 +408,20 @@ class TestInterning:
             P(f"x{i}[y{i},z] z*x{i}")
             assert max(map(len, _tables())) <= forest._MEMO_ENTRIES
 
+    def test_an_entry_leaves_a_full_table_whole(self, monkeypatch):
+        from forestshuffle.coalgebra import trunk_coproduct
+
+        monkeypatch.setattr(forest, "_MEMO_ENTRIES", 16)
+        for x in "abcdefghijklmnopqrst":
+            P(f"{x} {x}")
+        table = forest._forest_table
+        kept = dict(table)
+        assert len(kept) == forest._MEMO_ENTRIES
+        assert trunk_coproduct(P("a[b[c]]"))
+        # a full table takes no entry and is never over the cap: no entry
+        # empties it
+        assert table == kept and all(table[key] is value for key, value in kept.items())
+
     def test_threads_build_equal_values(self, monkeypatch):
         # more threads than cores, switching often, build overlapping values
         # and fill the (shrunk) tables: a race may build a second, equal

@@ -759,6 +759,66 @@ def test_stored_value_scan_sees_each_kind():
     assert _stored_value_reads("dual", source) == ["dual:3", "dual:4"]
 
 
+def _memo_names(sources: dict[str, str]) -> set[str]:
+    """The names the modules bind to a ``_Memo()`` at module level."""
+    return {
+        target.id
+        for source in sources.values()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "_Memo"
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+
+
+def _memo_empties(module: str, source: str, memos: set[str]) -> list[str]:
+    """The places a module calls ``trim()`` or ``clear()`` on a module-level
+    memo, by its name or as a module attribute.  Only ``forest`` may: its
+    public-entry wrapper bounds every memo, so a recursion module calls
+    only ``get`` and ``put``."""
+    return [
+        f"{module}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("trim", "clear")
+        and getattr(node.func.value, "id", getattr(node.func.value, "attr", None)) in memos
+    ]
+
+
+def test_only_forest_empties_a_memo():
+    root = Path(forestshuffle.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))}
+    memos = _memo_names(sources)
+    assert len(memos) == 10
+    empties = [
+        place
+        for module, source in sources.items()
+        if module != "forest"
+        for place in _memo_empties(module, source, memos)
+    ]
+    assert empties == []
+
+
+def test_memo_empty_scan_sees_each_kind():
+    sources = {
+        "forest": "_t = _Memo()\nclass _Memo(dict):\n    pass\n",
+        "dual": "from .forest import _Memo\n_d_cache: _Memo = _Memo()\nlabels = {}\n",
+    }
+    assert _memo_names(sources) == {"_t", "_d_cache"}
+    source = (
+        "from . import forest\n"
+        "def f(labels, memo):\n"
+        "    _d_cache.trim()\n"
+        "    forest._t.clear()\n"
+        "    labels.clear(), memo.clear(), _d_cache.get(1), _d_cache.put(1, 1, 1)\n"
+        "    return _d_cache.clear\n"
+    )
+    assert _memo_empties("dual", source, _memo_names(sources)) == ["dual:3", "dual:4"]
+
+
 def _stray_memos(module: str, source: str) -> list[str]:
     """The memos of a module that are not a forest._Memo: a functools cache
     on a function outside CACHED_ENUMERATORS, a cache wrapper used any other
@@ -791,7 +851,7 @@ def _stray_memos(module: str, source: str) -> list[str]:
 
 
 def test_every_memo_is_a_memo():
-    from forestshuffle.forest import _Memo
+    from forestshuffle.forest import _MEMOS, _Memo
 
     root = Path(forestshuffle.__file__).parent
     stray = [
@@ -800,13 +860,15 @@ def test_every_memo_is_a_memo():
         for name in _stray_memos(path.stem, path.read_text(encoding="utf-8"))
     ]
     assert stray == []
-    memos = {
-        f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
+    named = {
+        f"{module.__name__.rsplit('.', 1)[1]}.{attr}": value
         for module in _modules()
         for attr, value in vars(module).items()
         if isinstance(value, _Memo)
     }
-    assert memos == {
+    # the entry wrapper bounds exactly these, each once
+    assert sorted(map(id, _MEMOS)) == sorted(map(id, named.values()))
+    assert set(named) == {
         "coalgebra._trunk_cache",
         "dual._dual_cache",
         "forest._decoration_table",

@@ -364,8 +364,8 @@ class TestMemo:
             for name, memo in memos.items():
                 new = len(memo.keys() - before[name])
                 added[name] += new
-                # a call trims the memos it writes at its entry, never
-                # during the call, and leaves the other memos alone
+                # an entry empties a memo over the cap before its
+                # recursion, never during the call
                 assert len(memo) <= 64 + new if new else memo.keys() <= before[name], name
 
         rng = random.Random(0)
@@ -380,7 +380,7 @@ class TestMemo:
                 bounded(op, first, second, 1)
             (target, _), *_ = forest_shuffle(first, second, 1).items()
             bounded(shuffle_coefficient, target, first, second, 1)
-        # every memo took in more than the cap, so an untrimmed one would fail
+        # every memo took in more than the cap, so one never emptied would fail
         assert min(added.values()) > 64
 
     def test_trimming_changes_no_result(self, monkeypatch):
@@ -418,7 +418,7 @@ class TestMemo:
         sh._coeff_cache.clear()
         assert shuffle_coefficient(_chain(200), _chain(100), _chain(100)) == math.comb(200, 100)
         # one entry per pair of nonempty sub-chains: more than the entry cap,
-        # so nothing was trimmed during the query
+        # so nothing was emptied during the query
         assert len(sh._coeff_cache) == 100 * 100
 
     def test_call_tier_keys_leave_with_their_call(self, monkeypatch):
@@ -449,6 +449,21 @@ class TestMemo:
         with pytest.raises(RuntimeError, match="mid-recursion"):
             star_product(first, second, 1)
         assert _largest_key(memos) <= fo._MEMO_SIZE_LIMIT and fo._call_tier.keys == []
+
+    def test_any_entry_empties_any_memo_over_the_cap(self):
+        import forestshuffle.forest as fo
+        from forestshuffle.coalgebra import trunk_coproduct
+
+        over, full = fo._Memo(), fo._Memo()  # written by no recursion
+        try:
+            over.update((i, i) for i in range(fo._MEMO_ENTRIES + 1))
+            full.update((i, i) for i in range(fo._MEMO_ENTRIES))
+            assert trunk_coproduct(P("a[b]"))
+            # the entry of another module bounds them, and only over the cap
+            assert over == {} and len(full) == fo._MEMO_ENTRIES
+        finally:
+            for memo in (over, full):
+                fo._MEMOS.remove(memo)
 
     def test_a_nested_entry_drops_only_its_own_keys(self):
         import forestshuffle.forest as fo
@@ -552,6 +567,42 @@ class TestMemo:
         for k, out in enumerate(results):
             assert out == (serial[k:] + serial[:k]) * 10
         assert _largest_key(memos) <= fo._MEMO_SIZE_LIMIT
+
+    def test_threads_get_the_serial_results_while_entries_empty_memos(self, monkeypatch):
+        import sys
+        import threading
+
+        import forestshuffle.forest as fo
+        from forestshuffle.coalgebra import trunk_coproduct
+        from forestshuffle.dual import dual_recursive
+
+        # a cap this small makes each entry empty the memos that the other
+        # threads' recursions are reading and writing, in every module
+        monkeypatch.setattr(fo, "_MEMO_ENTRIES", 4)
+        f, g, t = P("a[b[c],d] e"), P("b[a,c] d"), P("a[b[c[d]],e]")
+        jobs = [(op, f, g, lam) for op in (forest_shuffle, star_product, diamond_product) for lam in (0, 1)]
+        jobs += [(shuffle_coefficient, P("a[b[c],d] e b[a,c] d"), f, g, 0), (dual_recursive, f),
+                 (trunk_coproduct, t)]
+        serial = [op(*args) for op, *args in jobs]
+        results: list[list] = [[] for _ in range(4)]
+
+        def work(k: int) -> None:  # each thread in its own order, five times
+            for op, *args in (jobs[k:] + jobs[:k]) * 5:
+                results[k].append(op(*args))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, out in enumerate(results):
+            assert out == (serial[k:] + serial[:k]) * 5
 
 
 class TestShuffleCoefficient:
