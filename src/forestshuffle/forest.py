@@ -85,21 +85,20 @@ class GuardExceeded(RuntimeError):
 
 def _gc_paused(fn):
     """Run ``fn`` as a public entry, the one owner of the entry protocol:
-    pause the cyclic garbage collector, empty every memo over its bound, and
-    drop the call-tier memo entries ``fn`` wrote when it returns.
+    pause the cyclic garbage collector, and drop the call-tier memo entries
+    ``fn`` wrote when it returns.
 
     The library makes no reference cycles, so reference counting frees all
     it drops, and a collection inside a product or a dual would only rescan
     the memos.  The pause is process-wide.  The collector's prior state is
     restored in ``finally``; when it is already off it stays off, so a
-    nested entry never switches it back on early.  Before ``fn`` runs, a
-    member of ``_MEMOS`` over ``_MEMO_ENTRIES`` is emptied.  In ``finally``,
-    each entry drops the call-tier keys (see ``_Memo.put``) that its thread
+    nested entry never switches it back on early.  In ``finally``, each
+    entry drops the call-tier keys (see ``_Memo.put``) that its thread
     recorded after the entry started: a nested entry, such as a suite's
     call to ``forest_shuffle``, drops its own at its own exit, and a call
-    that raises drops them too.  Wrap only public entry points, never a
-    recursion: the wrapper costs one stack frame per call (see
-    ``MAX_TREE_DEPTH``).
+    that raises drops them too.  Nothing empties a memo.  Wrap only public
+    entry points, never a recursion: the wrapper costs one stack frame per
+    call (see ``MAX_TREE_DEPTH``).
     """
 
     @wraps(fn)
@@ -109,9 +108,6 @@ def _gc_paused(fn):
         enabled = gc.isenabled()
         if enabled:
             gc.disable()
-        for memo in _MEMOS:
-            if len(memo) > _MEMO_ENTRIES:
-                memo.clear()
         try:
             return fn(*args, **kwargs)
         finally:
@@ -127,12 +123,13 @@ def _gc_paused(fn):
 
 _MEMO_SIZE_LIMIT = 8
 # 2**13 is the smallest power of two above every memo one seed-7 `products` or
-# `verify` benchmark pass fills (5,864 entries), so neither empties a memo; at
-# 2**15, 12,000 random 8-12-vertex duals held 176 MiB against 80 MiB.  The
+# `verify` benchmark pass fills (5,864 entries), so in neither does a memo fill;
+# at 2**15, 12,000 random 8-12-vertex duals held 176 MiB against 80 MiB.  The
 # hash-consing tables share the bound: a `duality` benchmark pass (seeds 1-9)
 # builds at most 8,006 distinct small forests, so its tables never fill.
 # Call-tier entries (see `_Memo.put`) leave when their public call returns, so
-# between calls a memo holds only entries of at most _MEMO_SIZE_LIMIT vertices.
+# between calls a memo holds at most _MEMO_ENTRIES entries, none of more than
+# _MEMO_SIZE_LIMIT vertices.
 _MEMO_ENTRIES = 2**13
 
 
@@ -146,39 +143,37 @@ class _CallTier(threading.local):
 
 
 _call_tier = _CallTier()
-_MEMOS: list[_Memo] = []  # every _Memo built; _gc_paused bounds each one
 
 
 class _Memo(dict):
     """A table on canonical keys: a recursion's memo, or the hash-consing
     table of a value class.  Look up with the C method ``get``, which adds no
-    frame per level.  Each one joins ``_MEMOS`` when built.
+    frame per level.  Nothing empties one: each takes lasting entries only
+    while it holds fewer than ``_MEMO_ENTRIES``.
 
     A memo's ``put`` keeps a result for good when its operands total at most
-    ``_MEMO_SIZE_LIMIT`` vertices.  A result of up to twice that goes into
-    the same dict for the length of the public call that wrote it: ``put``
-    records its key and ``_gc_paused`` drops it when that call returns or
-    raises.  Within one call a product reaches the same 9-16-vertex
-    sub-pair along several recursion paths (935 of 4,616 such sub-calls in
-    a seed-1 `products` pass).  Larger results are never stored: with no
-    bound, ``forest_shuffle`` of a 398-level comb and one vertex peaked at
-    541 MiB against 266 MiB.  ``shuffle._coeff`` stores every result, as one
-    query revisits its sub-problems: 36,100 on two 190-vertex chains, about
-    C(380, 190) paths under the size rule.  A memo over ``_MEMO_ENTRIES``
-    is emptied at the next public entry of any module, before its recursion
-    starts, so a query keeps its whole working set.  A hash-consing table is
-    written through ``share``, which stops taking entries once the table is
-    full, so no entry empties it.  Emptying it instead kept each value it
-    would drop alive through the collector's generations: a `products` pass
-    builds small values enough to fill its tables 17 times over, and so
-    spent 0.43-0.49 s in collections against 0.30-0.36 s."""
-
-    def __init__(self):
-        super().__init__()
-        _MEMOS.append(self)
+    ``_MEMO_SIZE_LIMIT`` vertices and the memo is not full.  Any other
+    result of up to twice that goes into the same dict for the length of
+    the public call that wrote it: ``put`` records its key and
+    ``_gc_paused`` drops it when that call returns or raises.  So a full
+    memo keeps what it holds and still serves each call whole.  Within one
+    call a product reaches the same 9-16-vertex sub-pair along several
+    recursion paths (935 of 4,616 such sub-calls in a seed-1 `products`
+    pass).  Larger results are never stored: with no bound,
+    ``forest_shuffle`` of a 398-level comb and one vertex peaked at 541 MiB
+    against 266 MiB.  ``shuffle._coeff`` puts every result at size 0, as one
+    query revisits its sub-problems: two 190-vertex chains take 36,100,
+    about C(380, 190) paths if they were dropped.  Keeping a full memo beat
+    emptying it and filling it again: a seed-1 `duality` pass makes 20,843
+    ``_coeff`` evaluations against 22,360.  A hash-consing table is written
+    through ``share``, which takes no entry once the table is full and
+    records no key: emptying a full table instead kept each value it would
+    drop alive through the collector's generations, and a `products` pass,
+    which builds small values enough to fill its tables 17 times over, spent
+    0.43-0.49 s in collections against 0.30-0.36 s."""
 
     def put(self, key, size, value):
-        if size <= _MEMO_SIZE_LIMIT:
+        if size <= _MEMO_SIZE_LIMIT and len(self) < _MEMO_ENTRIES:
             self[key] = value
         elif size <= 2 * _MEMO_SIZE_LIMIT:
             self[key] = value

@@ -303,8 +303,8 @@ def _coeff(target: Forest, first: Forest, second: Forest, p: int, q: int) -> _Ex
         result = _MISS
     elif result == _MATCH:
         result = _MATCH
-    _coeff_cache[key] = result
-    return result
+    # at size 0 every result stays at least for the query (see forest._Memo)
+    return _coeff_cache.put(key, 0, result)
 
 
 def find_nonassociativity_witness(max_degree: int) -> tuple[Forest, Forest, Forest] | None:

@@ -167,6 +167,26 @@ def test_summary_lines_name_a_digest_mismatch():
     ]
 
 
+def test_a_shift_inside_the_parent_iqr_is_marked():
+    # values exact in binary, so the medians' gap meets the IQR exactly
+    parent = [(4.0, 2.0), (4.5, 2.5), (4.25, 3.0), (5.0, 3.5), (4.75, 4.0)]  # IQRs 0.5 and 1
+    change = [(5.0, 1.0), (4.25, 1.5), (5.25, 1.75), (5.5, 2.0), (4.5, 2.5)]
+    runs = [_run(s, "parent", w, ops) for s, (w, ops) in enumerate(parent)]
+    runs += [_run(s, "change", w, ops) for s, (w, ops) in enumerate(change)]
+    rows = bench_pairs.summarize(runs, METRICS)["products"]
+    # medians 4.5 and 5, as far apart as the parent's quartiles: inside
+    assert rows["wall_s"]["inside_parent_iqr"] is True
+    # medians 3 and 1.75, past the parent's IQR of 1
+    assert rows["ops_per_s"]["inside_parent_iqr"] is False
+    assert bench_pairs.summary_lines(rows, METRICS)[:2] == [
+        "wall_s: parent 4.5 [0.5], change 5, change wins 2 of 5, shift +11.1% (bound 25.0%) inside parent IQR",
+        "ops_per_s: parent 3 [1], change 1.75, change wins 0 of 5, shift +41.7% (bound 25.0%) PAST BOUND",
+    ]
+    # equal medians are inside even a zero IQR
+    rows = bench_pairs.summarize([_run(0, side, 4.0, 2.5) for side in bench_pairs.SIDES], METRICS)["products"]
+    assert rows["wall_s"]["inside_parent_iqr"] is True and rows["ops_per_s"]["inside_parent_iqr"] is True
+
+
 def test_a_workload_list_runs_every_workload_per_seed(tmp_path, monkeypatch, capsys):
     change = tmp_path / "change"
     change.mkdir()

@@ -572,6 +572,29 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.FULL_VERIFY_DIGEST
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "all", "--json", "--max-degree", "4", "--seed", "0"),
+            ("dual", "a[b[c],d] e a", "--mode", "combinatorial", "--json"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_bytes_do_not_depend_on_the_hash_seed(self, argv):
+        # string hashing can change the order of set walks, and with it
+        # which results a full memo keeps or recomputes; the bytes must not
+        outs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(Path(forestshuffle.__file__).parent.parent),
+                       PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "forestshuffle.cli", *argv],
+                capture_output=True, env=env, timeout=300, check=False,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] and outs[0] == outs[1]
+
     @pytest.mark.parametrize("lam", sorted(MORPHISM_DIGESTS))
     def test_rb_morphism_json_digest(self, capsys, lam):
         code, out, _ = run(capsys, "rb", "--check", "morphism", "--json", "--lambda", lam)

@@ -356,17 +356,12 @@ class TestMemo:
         memos = _memos()
         for memo in memos.values():
             memo.clear()
-        added = dict.fromkeys(memos, 0)
 
         def bounded(call, *args):
-            before = {name: set(memo) for name, memo in memos.items()}
             call(*args)
             for name, memo in memos.items():
-                new = len(memo.keys() - before[name])
-                added[name] += new
-                # an entry empties a memo over the cap before its
-                # recursion, never during the call
-                assert len(memo) <= 64 + new if new else memo.keys() <= before[name], name
+                # a full memo keeps new results only for their call
+                assert len(memo) <= 64, name
 
         rng = random.Random(0)
         alphabet = default_alphabet(("a", "b", "c", "d"))
@@ -380,8 +375,8 @@ class TestMemo:
                 bounded(op, first, second, 1)
             (target, _), *_ = forest_shuffle(first, second, 1).items()
             bounded(shuffle_coefficient, target, first, second, 1)
-        # every memo took in more than the cap, so one never emptied would fail
-        assert min(added.values()) > 64
+        # every memo reached the cap, so one that outgrew it would fail
+        assert all(len(memo) == 64 for memo in memos.values())
 
     def test_trimming_changes_no_result(self, monkeypatch):
         import forestshuffle.forest as fo
@@ -407,19 +402,31 @@ class TestMemo:
         for memo in _memos().values():
             memo.clear()
         kept = battery()
-        monkeypatch.setattr(fo, "_MEMO_ENTRIES", 0)  # every entry clears its memos
+        monkeypatch.setattr(fo, "_MEMO_ENTRIES", 0)  # no result outlives its call
         assert battery() == kept
 
-    def test_coeff_keeps_a_deep_query_whole(self):
+    def test_coeff_keeps_a_deep_query_whole(self, monkeypatch):
         import math
 
+        import forestshuffle.forest as fo
         import forestshuffle.shuffle as sh
 
+        evaluations = []
+        coeff = sh._coeff
+
+        def counting(target, first, second, p, q):
+            evaluations.append(target)
+            return coeff(target, first, second, p, q)
+
+        monkeypatch.setattr(sh, "_coeff", counting)
         sh._coeff_cache.clear()
         assert shuffle_coefficient(_chain(200), _chain(100), _chain(100)) == math.comb(200, 100)
-        # one entry per pair of nonempty sub-chains: more than the entry cap,
-        # so nothing was emptied during the query
-        assert len(sh._coeff_cache) == 100 * 100
+        # the top call, then two calls from each of the 100 * 100 pairs of
+        # nonempty sub-chains: each pair is computed once, over the cap too,
+        # where dropping results would walk about C(200, 100) paths
+        assert len(evaluations) == 1 + 2 * 100 * 100
+        # and the results past the cap left with the query
+        assert len(sh._coeff_cache) <= fo._MEMO_ENTRIES
 
     def test_call_tier_keys_leave_with_their_call(self, monkeypatch):
         import forestshuffle.forest as fo
@@ -450,20 +457,23 @@ class TestMemo:
             star_product(first, second, 1)
         assert _largest_key(memos) <= fo._MEMO_SIZE_LIMIT and fo._call_tier.keys == []
 
-    def test_any_entry_empties_any_memo_over_the_cap(self):
+    def test_a_full_memo_keeps_its_entries_and_not_new_ones(self, monkeypatch):
         import forestshuffle.forest as fo
-        from forestshuffle.coalgebra import trunk_coproduct
+        from forestshuffle.coalgebra import _trunk_cache, trunk_coproduct
 
-        over, full = fo._Memo(), fo._Memo()  # written by no recursion
-        try:
-            over.update((i, i) for i in range(fo._MEMO_ENTRIES + 1))
-            full.update((i, i) for i in range(fo._MEMO_ENTRIES))
-            assert trunk_coproduct(P("a[b]"))
-            # the entry of another module bounds them, and only over the cap
-            assert over == {} and len(full) == fo._MEMO_ENTRIES
-        finally:
-            for memo in (over, full):
-                fo._MEMOS.remove(memo)
+        monkeypatch.setattr(fo, "_MEMO_ENTRIES", 16)
+        _trunk_cache.clear()
+        for k in range(2, 9):  # chains and brooms fill it to exactly the cap
+            trunk_coproduct(_chain(k))
+            trunk_coproduct(P("a[" + ",".join("b" * (k - 1)) + "]"))
+        assert len(_trunk_cache) == 16
+        kept = dict(_trunk_cache)
+        fresh = [P("c[d[c]]"), P("d[c[d],c]")]
+        for tree in fresh:  # each one's results last only for its call
+            assert trunk_coproduct(tree)
+        assert _trunk_cache.keys() == kept.keys()
+        assert all(_trunk_cache[key] is value for key, value in kept.items())
+        assert not {tree.key for tree in fresh} & _trunk_cache.keys()
 
     def test_a_nested_entry_drops_only_its_own_keys(self):
         import forestshuffle.forest as fo
@@ -568,7 +578,7 @@ class TestMemo:
             assert out == (serial[k:] + serial[:k]) * 10
         assert _largest_key(memos) <= fo._MEMO_SIZE_LIMIT
 
-    def test_threads_get_the_serial_results_while_entries_empty_memos(self, monkeypatch):
+    def test_threads_get_the_serial_results_while_memos_are_full(self, monkeypatch):
         import sys
         import threading
 
@@ -576,8 +586,8 @@ class TestMemo:
         from forestshuffle.coalgebra import trunk_coproduct
         from forestshuffle.dual import dual_recursive
 
-        # a cap this small makes each entry empty the memos that the other
-        # threads' recursions are reading and writing, in every module
+        # a cap this small fills every memo, so each call's new results
+        # come and go while the other threads read and write the same memos
         monkeypatch.setattr(fo, "_MEMO_ENTRIES", 4)
         f, g, t = P("a[b[c],d] e"), P("b[a,c] d"), P("a[b[c[d]],e]")
         jobs = [(op, f, g, lam) for op in (forest_shuffle, star_product, diamond_product) for lam in (0, 1)]

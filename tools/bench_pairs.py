@@ -26,11 +26,13 @@ better, ties counting for neither.  It also has ``shift``, the change's median
 minus the parent's as a fraction of the parent's, signed so that a positive
 shift is worse, beside the metric's ``bound`` from BENCHMARK.json, and
 ``past_bound``, whether the shift exceeds it: no metric may shift past its
-bound.  ``out_sha256_equal_on_every_seed`` says whether both sides emitted the
-same bytes on every seed.  After the last pair each listed workload's summary
-goes to stderr: a ``W:`` line, one line per end-to-end metric, ending
-``PAST BOUND`` when its shift is, and a last line that says whether the output
-digests agreed.
+bound, and ``inside_parent_iqr``, whether the medians differ by no more than
+the parent's IQR, so that the shift cannot be told from the parent's own
+spread.  ``out_sha256_equal_on_every_seed`` says whether both sides emitted
+the same bytes on every seed.  After the last pair each listed workload's
+summary goes to stderr: a ``W:`` line, one line per end-to-end metric, ending
+``PAST BOUND`` when its shift is and ``inside parent IQR`` when it is, and a
+last line that says whether the output digests agreed.
 """
 
 from __future__ import annotations
@@ -158,6 +160,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             row["shift"] = (change - parent if sign < 0 else parent - change) / parent
             row["bound"] = metric["bound"]
             row["past_bound"] = row["shift"] > metric["bound"]
+            row["inside_parent_iqr"] = abs(change - parent) <= row["parent"]["iqr"]
             rows[name] = row
         rows["out_sha256_equal_on_every_seed"] = all(
             s["parent"]["report"]["out_sha256"] == s["change"]["report"]["out_sha256"] for s in paired
@@ -168,8 +171,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 def summary_lines(rows: dict, metrics: list[dict]) -> list[str]:
     """One workload's ``summarize`` entry as text: per metric the parent's
-    median [IQR], the change's median, the change's wins and its shift
-    beside the bound."""
+    median [IQR], the change's median, the change's wins, its shift beside
+    the bound, and the marks past bound and inside the parent's IQR."""
     lines = []
     for metric in metrics:
         row = rows[metric["name"]]
@@ -179,6 +182,7 @@ def summary_lines(rows: dict, metrics: list[dict]) -> list[str]:
             f"change {change['median']:.4g}, change wins {row['change_wins']}, "
             f"shift {row['shift']:+.1%} (bound {row['bound']:.1%})"
             + (" PAST BOUND" if row["past_bound"] else "")
+            + (" inside parent IQR" if row["inside_parent_iqr"] else "")
         )
     agreed = rows["out_sha256_equal_on_every_seed"]
     lines.append(f"out_sha256: {'equal on every seed' if agreed else 'differs on some seed'}")
