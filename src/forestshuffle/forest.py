@@ -242,7 +242,31 @@ class Decoration:
 UNIT = Decoration()
 
 
-class RootedTree:
+class _Keyed:
+    """The value rules of ``RootedTree``, ``Forest`` and ``words.Word``: a
+    subclass's constructors fill its ``key`` and ``_hash`` slots once, and
+    values of two classes differ even on one key (a tree and its one-tree
+    forest, the empty word and ``EMPTY``)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other: "_Keyed") -> bool:
+        return self.key < other.key
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.key!r})"
+
+
+class RootedTree(_Keyed):
     """An isomorphism class of decorated non-planar rooted trees.
 
     Children are stored sorted by canonical key, so any permutation of the
@@ -288,21 +312,6 @@ class RootedTree:
         set_hash(self, hash(key))
         return _tree_table.share(key, self) if shared else self
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("RootedTree is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RootedTree) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "RootedTree") -> bool:
-        return self.key < other.key
-
-    def __repr__(self) -> str:
-        return f"RootedTree({self.key!r})"
-
     def as_forest(self) -> "Forest":
         """The one-tree forest; it takes the tree's key, size and hash."""
         key, size = self.key, self.size
@@ -324,7 +333,7 @@ def _below(tree: RootedTree) -> "Forest":
     return Forest._build(tree.children, tree.size - 1)
 
 
-class Forest:
+class Forest(_Keyed):
     """A multiset of rooted trees; may be empty.
 
     Concatenation is multiset union, hence commutative and associative with
@@ -362,9 +371,6 @@ class Forest:
         set_hash(self, hash(key))
         return _forest_table.share(key, self) if shared else self
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Forest is immutable")
-
     @property
     def is_empty(self) -> bool:
         return not self.trees
@@ -382,18 +388,6 @@ class Forest:
         if len(self.trees) != 1:
             raise ValueError(f"forest {self.key!r} is not a single tree")
         return self.trees[0]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Forest) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Forest") -> bool:
-        return self.key < other.key
-
-    def __repr__(self) -> str:
-        return f"Forest({self.key!r})"
 
 
 def _slot_setters(cls) -> tuple:

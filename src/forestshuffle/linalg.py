@@ -84,22 +84,13 @@ def _exact(c: Fraction | int) -> Fraction:
     raise TypeError(f"a coefficient or weight must be an int or a Fraction, not {type(c).__name__}")
 
 
-def _exact_sum(pairs: Iterable[tuple[B, Fraction | int]]) -> _Exact:
-    """The sum of (basis, coefficient) pairs; repeated basis elements add up."""
-    parts = []
-    for b, c in pairs:
-        c = _exact(c)
-        parts.append(({b: c.numerator}, c.denominator, 1))
-    return _combine(parts)
-
-
 class LinComb(Generic[B]):
     """A finite rational linear combination over a free basis."""
 
     __slots__ = ("_value",)
 
     def __init__(self, terms: Mapping[B, Fraction | int] | None = None):
-        object.__setattr__(self, "_value", _exact_sum((terms or {}).items()))
+        object.__setattr__(self, "_value", self._sum((terms or {}).items()))
 
     @classmethod
     def _wrap(cls, value: _Exact) -> "LinComb[B]":
@@ -124,7 +115,17 @@ class LinComb(Generic[B]):
     def sum_of(cls, pairs: Iterable[tuple[B, Fraction | int]]) -> "LinComb[B]":
         """The sum of (basis, coefficient) pairs; repeated basis elements add
         up."""
-        return cls._wrap(_exact_sum(pairs))
+        return cls._wrap(cls._sum(pairs))
+
+    @staticmethod
+    def _sum(pairs: Iterable[tuple[B, Fraction | int]]) -> _Exact:
+        """The value of the public constructors: the sum of (basis,
+        coefficient) pairs, each coefficient taken through ``_exact``."""
+        parts = []
+        for b, c in pairs:
+            c = _exact(c)
+            parts.append(({b: c.numerator}, c.denominator, 1))
+        return _combine(parts)
 
     @property
     def is_zero(self) -> bool:
@@ -226,10 +227,13 @@ class TensorComb(LinComb[tuple[B, ...]]):
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple[B, ...], Fraction | int] | None = None):
-        super().__init__(terms)
-        if len({len(legs) for legs in self._value[0]}) > 1:
+    @staticmethod
+    def _sum(pairs: Iterable[tuple[tuple[B, ...], Fraction | int]]) -> _Exact:
+        # the one leg check of the public constructors
+        value = LinComb._sum(pairs)
+        if len({len(legs) for legs in value[0]}) > 1:
             raise ValueError("tensor terms differ in their number of legs")
+        return value
 
     @staticmethod
     def _item_key(item: tuple[tuple[B, ...], int]) -> tuple[str, ...]:

@@ -7,8 +7,9 @@ first letter.  ``word_shuffle`` is the classical recursive quasi-shuffle
 runs on letter tuples and on ``linalg._Exact``, like the forest products,
 keeps its sub-results in a ``forest._Memo`` under their size rule (the size
 is the letter count), and builds each result ``Word`` once, at the end.  A
-``Word`` hashes its key once, at construction, and compares by key: letter
-texts hold no space, so the key determines the letters.
+``Word`` is a ``forest._Keyed`` value: it hashes its key once, at
+construction, and compares by key, as letter texts hold no space, so the
+key determines the letters.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .forest import Decoration, EMPTY, Forest, RootedTree, _gc_paused, _Memo, _preorder
+from .forest import Decoration, EMPTY, Forest, RootedTree, _gc_paused, _Keyed, _Memo, _preorder
 from .linalg import _ONE, LinComb, TensorComb, _combine, _exact, _Exact
 
 __all__ = [
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 
-class Word:
+class Word(_Keyed):
     """An immutable sequence of letters, each a Decoration."""
 
     __slots__ = ("letters", "key", "_hash")
@@ -47,23 +48,8 @@ class Word:
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Word is immutable")
-
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Word) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Word") -> bool:
-        return self.key < other.key
-
-    def __repr__(self) -> str:
-        return f"Word({self.key!r})"
 
 
 # word_shuffle and rota_baxter.word_diamond are paused entries (see

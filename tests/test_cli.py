@@ -13,7 +13,14 @@ from pathlib import Path
 import pytest
 
 import forestshuffle
-from forestshuffle.cli import RB_DEGREE_GUARD, SHUFFLE_GUARD, _build_parser, _recursion_leaves, main
+from forestshuffle.cli import (
+    GRAFT_GUARD,
+    RB_DEGREE_GUARD,
+    SHUFFLE_GUARD,
+    _build_parser,
+    _recursion_leaves,
+    main,
+)
 from forestshuffle.dual import FAMILY_GUARD, _dual_term_count
 from forestshuffle.forest import MAX_TREE_DEPTH, parse_forest
 from forestshuffle.primitives import COUNT_GUARD
@@ -429,6 +436,25 @@ class TestErrorPaths:
             assert time.perf_counter() - start < 1
             assert code == 4 and out == ""
             assert f"recursion leaf count is guarded to {SHUFFLE_GUARD}" in err
+
+    def test_graft_past_the_guard_is_status_4(self, capsys):
+        # every leaf re-sorts the root's 8,000 children: 8.9 s unguarded
+        star = "a[" + ",".join(["b"] * 8000) + "]"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "graft", star, "b")
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert f"graft leaves x vertices is guarded to {GRAFT_GUARD}, got {8000 * 8002}" in err
+        # --op linear grafts at most once: a wide base returns zero
+        assert run(capsys, "graft", star, "b", "--op", "linear")[:2] == (0, "0\n")
+
+    def test_graft_on_a_comb_at_the_depth_guard_runs(self, capsys):
+        comb = "a"  # a[a[...,b],b]: 400 levels, 400 leaves, 799 vertices
+        for _ in range(MAX_TREE_DEPTH - 1):
+            comb = f"a[{comb},b]"
+        assert 400 * (799 + 1) <= GRAFT_GUARD
+        code, out, _ = run(capsys, "graft", comb, "b")
+        assert code == 0 and out.count(" + ") == 399
 
 
 class TestVerify:

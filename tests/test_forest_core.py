@@ -39,7 +39,7 @@ from forestshuffle.primitives import decorate_distinct, is_primitive
 from forestshuffle.sampling import default_alphabet, forests_up_to, random_forest
 from forestshuffle.shuffle import _multiset_difference, _without
 from forestshuffle.suites import SuiteConfig, run_suite
-from forestshuffle.words import is_linear, tree_to_word
+from forestshuffle.words import Word, is_linear, tree_to_word
 
 from conftest import any_decorations, any_forests, any_trees, forests
 
@@ -189,6 +189,37 @@ class TestCanonicalKey:
 
         g = Forest([shuffled(t) for t in reversed(f.trees)])
         assert g.key == f.key
+
+
+class TestKeyedValues:
+    """RootedTree, Forest and Word take their value rules from forest._Keyed."""
+
+    def test_a_tree_and_its_one_tree_forest_differ(self):
+        tree = P("a[b]").single_tree()
+        assert tree.key == tree.as_forest().key
+        assert tree != tree.as_forest() and tree.as_forest() != tree
+
+    def test_the_empty_word_and_the_empty_forest_differ(self):
+        assert Word(()).key == EMPTY.key == "()"
+        assert Word(()) != EMPTY and EMPTY != Word(())
+        assert Word(()) == Word([]) and hash(Word(())) == hash(Word([]))
+
+    def test_reprs_name_the_class(self):
+        a, b = Decoration(["a"]), Decoration(["b"])
+        assert repr(P("a[b]").single_tree()) == "RootedTree('a[b]')"
+        assert repr(P("b a")) == "Forest('a b')"
+        assert repr(Word([a, b])) == "Word('(a b)')"
+
+    @pytest.mark.parametrize(
+        "value", [P("a[b]").single_tree(), P("a b"), Word([Decoration(["a"])])], ids=repr
+    )
+    def test_values_are_immutable(self, value):
+        name = type(value).__name__
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            value.key = "b"
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            value.extra = 1
+        assert value.key != "b"
 
 
 class TestStructuralOps:

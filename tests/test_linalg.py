@@ -477,6 +477,17 @@ class TestTensorComb:
         with pytest.raises(ValueError, match="2-leg"):
             tensor_json(three)
 
+    def test_both_constructors_check_the_legs(self):
+        # sum_of once built a mixed tensor that only failed later, in + or flip
+        mixed = [((P("a"),), 1), ((P("a"), P("b")), 1)]
+        with pytest.raises(ValueError, match="number of legs"):
+            TensorComb.sum_of(mixed)
+        with pytest.raises(ValueError, match="number of legs"):
+            TensorComb(dict(mixed))
+        # the check reads the sum: cancelled terms leave no leg count behind
+        cancelled = TensorComb.sum_of(mixed + [((P("a"), P("b")), -1)])
+        assert cancelled == TensorComb.of((P("a"),))
+
     def test_zero_sums_with_any_leg_count(self):
         two = TensorComb.of((P("a"), P("b")))
         three = TensorComb.of((P("a"), P("b"), P("c")))
@@ -880,6 +891,61 @@ def test_every_memo_is_a_memo():
     }
 
 
+_KEYED_RULES = ("__setattr__", "__eq__", "__hash__", "__lt__", "__repr__")
+
+
+def _keyed_faults(classes) -> list[str]:
+    """The classes with a ``key`` slot that do not take every keyed-value
+    rule from ``forest._Keyed``: not a subclass, or one that defines a rule
+    itself."""
+    from forestshuffle.forest import _Keyed
+
+    faults = []
+    for cls in classes:
+        if "key" not in getattr(cls, "__slots__", ()):
+            continue
+        if not issubclass(cls, _Keyed):
+            faults.append(f"{cls.__name__} is no _Keyed")
+        faults += [f"{cls.__name__}.{name}" for name in _KEYED_RULES if name in vars(cls)]
+    return faults
+
+
+def test_every_keyed_value_takes_the_one_base():
+    from forestshuffle.forest import _Keyed
+
+    classes = {
+        value
+        for module in _modules()
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    }
+    keyed = {cls.__name__ for cls in classes if "key" in getattr(cls, "__slots__", ())}
+    assert keyed == {"RootedTree", "Forest", "Word"}
+    assert _keyed_faults(classes) == []
+    assert [name for name in _KEYED_RULES if name in vars(_Keyed)] == list(_KEYED_RULES)
+
+
+def test_keyed_scan_sees_each_kind():
+    from forestshuffle.forest import _Keyed
+
+    class Plain:  # a key slot, no base
+        __slots__ = ("key", "_hash")
+
+    class Restated(_Keyed):  # the base, with one rule of its own
+        __slots__ = ("key", "_hash")
+
+        def __repr__(self):
+            return "Restated"
+
+    class Keyless:  # no key slot: out of the scan
+        __slots__ = ("atoms",)
+
+        def __eq__(self, other):
+            return True
+
+    assert _keyed_faults([Plain, Restated, Keyless]) == ["Plain is no _Keyed", "Restated.__repr__"]
+
+
 def _guard_faults(module: str, source: str) -> tuple[list[str], list[str]]:
     """The bound names a module's ``GuardExceeded.check`` calls pass, and its
     faults: a ``GuardExceeded(...)`` built outside ``GuardExceeded.check``,
@@ -930,6 +996,7 @@ def test_every_guard_goes_through_check():
     assert set(bounds) == {
         "COUNT_GUARD",
         "FAMILY_GUARD",
+        "GRAFT_GUARD",
         "MAX_TREE_DEPTH",
         "ORACLE_GUARD",
         "RB_DEGREE_GUARD",
