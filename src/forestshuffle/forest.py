@@ -121,12 +121,20 @@ def _gc_paused(fn):
     return paused
 
 
-_MEMO_SIZE_LIMIT = 8
+# A memo entry bounds terms, not bytes, and a product entry of 7-8 vertices
+# holds many: at a bound of 8, a seed-1 `products` benchmark pass ended with
+# 13,798 lasting product entries of 118,750 terms, and its 4,243 entries of 7-8
+# vertices served 1,868 of their 24,998 hits.  At 6 it ends with 9,555 entries
+# of 52,552 terms and peaks at 38.6 MiB against 61.4 MiB, and a 7-12-vertex
+# sub-pair that repeats inside one call is still served by the call tier (see
+# `_Memo.put`).
+_MEMO_SIZE_LIMIT = 6
 # 2**13 is the smallest power of two above every memo one seed-7 `products` or
-# `verify` benchmark pass fills (5,864 entries), so in neither does a memo fill;
-# at 2**15, 12,000 random 8-12-vertex duals held 176 MiB against 80 MiB.  The
-# hash-consing tables share the bound: a `duality` benchmark pass (seeds 1-9)
-# builds at most 8,006 distinct small forests, so its tables never fill.
+# `verify` benchmark pass fills (4,139 and 4,397 entries), so in neither does a
+# memo fill; at 2**15, 12,000 random 8-12-vertex duals held 176 MiB against 80
+# MiB.  The hash-consing tables share the bound: a `duality` benchmark pass
+# (seeds 1-9) builds at most 5,439 distinct small forests, so its tables never
+# fill.
 # Call-tier entries (see `_Memo.put`) leave when their public call returns, so
 # between calls a memo holds at most _MEMO_ENTRIES entries, none of more than
 # _MEMO_SIZE_LIMIT vertices.
@@ -157,8 +165,8 @@ class _Memo(dict):
     the public call that wrote it: ``put`` records its key and
     ``_gc_paused`` drops it when that call returns or raises.  So a full
     memo keeps what it holds and still serves each call whole.  Within one
-    call a product reaches the same 9-16-vertex sub-pair along several
-    recursion paths (935 of 4,616 such sub-calls in a seed-1 `products`
+    call a product reaches the same 7-12-vertex sub-pair along several
+    recursion paths (5,874 of 13,305 such sub-calls in a seed-1 `products`
     pass).  Larger results are never stored: with no bound,
     ``forest_shuffle`` of a 398-level comb and one vertex peaked at 541 MiB
     against 266 MiB.  ``shuffle._coeff`` puts every result at size 0, as one
@@ -169,8 +177,9 @@ class _Memo(dict):
     through ``share``, which takes no entry once the table is full and
     records no key: emptying a full table instead kept each value it would
     drop alive through the collector's generations, and a `products` pass,
-    which builds small values enough to fill its tables 17 times over, spent
-    0.43-0.49 s in collections against 0.30-0.36 s."""
+    which then built small forests enough to fill its forest table 17 times
+    over (7 times at the bound 6), spent 0.43-0.49 s in collections against
+    0.30-0.36 s."""
 
     def put(self, key, size, value):
         if size <= _MEMO_SIZE_LIMIT and len(self) < _MEMO_ENTRIES:

@@ -275,3 +275,104 @@ def test_the_file_names_each_workloads_exact_seeds(tmp_path, monkeypatch, capsys
     with pytest.raises(SystemExit):
         bench_pairs.main(argv[:-4] + ["--seeds", "1..3,3", "--out", str(out)])
     assert "argument --seeds: invalid parse_seeds value: '1..3,3'" in capsys.readouterr().err
+
+
+def _pytest_stdout(passed: int, xfailed: int = 1, failed: int = 0, seconds: float = 90.61) -> str:
+    """A Tier-1 run's stdout as ``pytest -q --durations=10`` prints it."""
+    rows = [f"{13.4 - k:.2f}s call     tests/test_x.py::test_{k}" for k in range(9)]
+    rows.append("2.10s setup    tests/test_y.py::TestZ::test_w[a b]")
+    counts = ([f"{failed} failed"] if failed else []) + [f"{passed} passed", f"{xfailed} xfailed"]
+    return "\n".join(
+        ["....x" + "." * 60 + " [ 15%]", "=" * 29 + " slowest 10 durations " + "=" * 29, *rows,
+         "(9 durations < 0.005s hidden.  Use -vv to show these durations.)",
+         f"{', '.join(counts)} in {seconds}s (0:01:30)"]
+    ) + "\n"
+
+
+def test_tier1_output_is_parsed():
+    report, result = bench_pairs.parse_tier1_output(_pytest_stdout(424, failed=1), 91.5)
+    assert result == {"metrics": {"wall_s": {"value": 91.5, "unit": "s"}}}
+    assert report["counts"] == {"passed": 424, "xfailed": 1, "failed": 1}
+    assert report["summary"] == "1 failed, 424 passed, 1 xfailed in 90.61s (0:01:30)"
+    assert len(report["slowest"]) == 10
+    assert report["slowest"][0] == {"s": 13.4, "when": "call", "test": "tests/test_x.py::test_0"}
+    assert report["slowest"][-1] == {"s": 2.1, "when": "setup", "test": "tests/test_y.py::TestZ::test_w[a b]"}
+    # without -q the summary line is framed; an error and a warning are named in the singular
+    framed = "= 1 error, 3 passed, 1 warning in 2.00s ="
+    assert bench_pairs.parse_tier1_output(framed, 2.5)[0]["counts"] == {
+        "passed": 3, "xfailed": 0, "failed": 0, "errors": 1, "warnings": 1,
+    }
+    with pytest.raises(ValueError):
+        bench_pairs.parse_tier1_output("no tests ran\n", 1.0)
+
+
+def test_a_tier1_run_is_the_tier1_command(tmp_path, monkeypatch):
+    calls = []
+
+    def run(argv, cwd, env, capture_output, text, check):
+        calls.append((argv, cwd, env))
+        code = {"parent": 0, "change": 1, "broken": 4}[cwd.name]
+        stdout = _pytest_stdout(425, failed=code) if code < 2 else ""
+        return bench_pairs.subprocess.CompletedProcess(argv, code, stdout, "ERROR: usage\n" if code > 1 else "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    report, result = bench_pairs.run_once(tmp_path / "parent", "tier1", 3)
+    assert report["counts"] == {"passed": 425, "xfailed": 1, "failed": 0} and result["metrics"]["wall_s"]["value"] > 0
+    argv, cwd, env = calls[0]
+    assert argv == bench_pairs.command("tier1", 3) == [
+        "python3", "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10",
+    ]
+    # the checkout's own source comes first
+    assert cwd == tmp_path / "parent" and env["PYTHONPATH"] == "src" + bench_pairs.os.pathsep + "elsewhere"
+    # a failing test is counted, not fatal; any other exit code is
+    assert bench_pairs.run_once(tmp_path / "change", "tier1", 3)[0]["counts"]["failed"] == 1
+    with pytest.raises(bench_pairs.RunFailed) as failed:
+        bench_pairs.run_once(tmp_path / "broken", "tier1", 3)
+    assert (failed.value.returncode, failed.value.last_line) == (4, "ERROR: usage")
+    # a perfbench run keeps the environment it was given
+    monkeypatch.setattr(bench_pairs, "parse_output", lambda stdout: ({}, {}))
+    bench_pairs.run_once(tmp_path / "parent", "products", 3)
+    assert calls[-1][2] is None
+
+
+def test_a_tier1_workload_is_summarized_beside_the_others(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    out = tmp_path / "BENCH.json"
+    old = [_run(s, side, 4.0, 2.5) for s in (1, 2) for side in bench_pairs.SIDES]
+    out.write_text(json.dumps({"description": "kept", "runs": old}))
+    walls = {("parent", 1): 90.0, ("change", 1): 80.0, ("parent", 2): 92.0, ("change", 2): 84.0,
+             ("parent", 3): 95.0, ("change", 3): 82.0}
+
+    def run_once(directory, workload, seed):
+        assert workload == "tier1"
+        passed = 425 if directory.name == "parent" or seed < 3 else 424
+        return bench_pairs.parse_tier1_output(_pytest_stdout(passed), walls[directory.name, seed])
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(change), "--workload", "tier1",
+            "--seeds", "1..3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    written = json.loads(out.read_text())
+    assert [(r["workload"], r["seed"], r["side"]) for r in written["runs"]][4:] == [
+        ("tier1", 1, "parent"), ("tier1", 1, "change"), ("tier1", 2, "change"), ("tier1", 2, "parent"),
+        ("tier1", 3, "parent"), ("tier1", 3, "change"),
+    ]
+    assert len(written["runs"][-1]["report"]["slowest"]) == 10
+    assert written["command"] == (
+        "python3 perfbench/run.py --workload {products} --seed {1..2 on products} --seconds 20 --trace 0; "
+        "PYTHONPATH=src python3 -m pytest -q --continue-on-collection-errors --durations=10 (tier1, seeds 1..3)"
+    )
+    # tier1 has one metric, wall_s, and compares its outcome counts
+    rows = written["summary"]["tier1"]
+    assert set(rows) == {"wall_s", "counts_equal_on_every_seed"}
+    assert rows["wall_s"]["parent"]["median"] == 92.0 and rows["wall_s"]["change"]["median"] == 82.0
+    assert rows["wall_s"]["change_wins"] == "3 of 3" and rows["counts_equal_on_every_seed"] is False
+    assert written["summary"]["products"]["out_sha256_equal_on_every_seed"] is True
+    assert capsys.readouterr().err.splitlines()[-3:] == [
+        "tier1:",
+        "wall_s: parent 92 [2.5], change 82, change wins 3 of 3, shift -10.9% (bound 25.0%)",
+        "counts: differ on some seed",
+    ]

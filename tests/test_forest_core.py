@@ -384,6 +384,11 @@ def _chain(n: int) -> RootedTree:
     return tree
 
 
+def _chain_text(n: int) -> str:
+    """The canonical text of ``_chain(n)``."""
+    return "[".join("a" * n) + "]" * (n - 1)
+
+
 class TestInterning:
     """Values of at most _MEMO_SIZE_LIMIT vertices are hash-consed: every
     way of building one returns the same object.  Sharing is only an
@@ -411,28 +416,31 @@ class TestInterning:
         assert tree.children[0] is RootedTree(b) and tree.children[1] is P("c").single_tree()
         assert a * b is Decoration(["b", "a"]) is P("a*b").single_tree().decoration
         assert Decoration() is Decoration([]) and Decoration(["c", "a"]) * d is Decoration("dca")
-        # the boundary: 8 vertices, built by the parser and bottom-up
-        eight = "[".join("a" * 8) + "]" * 7
-        assert P(eight).single_tree() is _chain(8)
-        assert P(eight) is _chain(8).as_forest() is _grafted(a, _chain(7).as_forest())
+        # the boundary: _MEMO_SIZE_LIMIT vertices, built by the parser and
+        # bottom-up
+        n = forest._MEMO_SIZE_LIMIT
+        assert P(_chain_text(n)).single_tree() is _chain(n)
+        assert P(_chain_text(n)) is _chain(n).as_forest() is _grafted(a, _chain(n - 1).as_forest())
 
     def test_larger_values_are_equal(self):
-        nine = "[".join("a" * 9) + "]" * 8
-        eight = nine[2:-1]
+        # one vertex (or atom) over the boundary
+        n = forest._MEMO_SIZE_LIMIT + 1
+        over, edge = _chain_text(n), _chain_text(n - 1)
+        star = "a[" + ",".join("a" * (n // 2 - 1)) + "]"  # two of them and b: n or n + 1 vertices
         a, b = Decoration(["a"]), P("b")
         pairs = [
-            (P(nine), _chain(9).as_forest()),
-            (P(nine), _grafted(a, _chain(8).as_forest())),
-            (concat(b, P(eight)), P(eight + " b")),
-            (P("a[a,a,a] a[a,a,a] b"), concat(P("a[a,a,a] b"), P("a[a,a,a]"))),
+            (P(over), _chain(n).as_forest()),
+            (P(over), _grafted(a, _chain(n - 1).as_forest())),
+            (concat(b, P(edge)), P(edge + " b")),
+            (P(f"{star} {star} b"), concat(P(f"{star} b"), P(star))),
         ]
         for x, y in pairs:
-            assert x.size > 8 and x == y and hash(x) == hash(y) and x.key == y.key
+            assert x.size > forest._MEMO_SIZE_LIMIT and x == y and hash(x) == hash(y) and x.key == y.key
             assert x.key not in forest._forest_table
-        tree = P(nine).single_tree()
-        assert _chain(9) == tree and hash(_chain(9)) == hash(tree) and tree.key not in forest._tree_table
-        many = Decoration("abcdefghi")
-        assert many == Decoration("ihgfedcba") and many.atoms not in forest._decoration_table
+        tree = P(over).single_tree()
+        assert _chain(n) == tree and hash(_chain(n)) == hash(tree) and tree.key not in forest._tree_table
+        many = Decoration("abcdefghijklmnopqrstuvwxyz"[:n])
+        assert many == Decoration(reversed(many.atoms)) and many.atoms not in forest._decoration_table
 
     def test_tables_stay_bounded(self):
         for i in range(50_000):
@@ -484,8 +492,8 @@ class TestInterning:
 
     def test_canonical_text_of_a_shared_value_is_not_parsed(self, monkeypatch):
         shared = [P(text) for text in ("a*b", "a*b[c] d", "1[a] q1_x[1,b]")]
-        eight = "[".join("a" * 8) + "]" * 7
-        shared.append(_chain(8).as_forest())
+        edge = _chain_text(forest._MEMO_SIZE_LIMIT)
+        shared.append(_chain(forest._MEMO_SIZE_LIMIT).as_forest())
 
         def refuse(text):
             raise AssertionError(f"parsed {text!r}")
@@ -493,12 +501,12 @@ class TestInterning:
         monkeypatch.setattr(forest, "_Parser", refuse)
         for value in shared:
             assert P(value.key) is value
-        assert P(eight) is shared[-1] and forest.parse_tree("a*b") is shared[0].single_tree()
+        assert P(edge) is shared[-1] and forest.parse_tree("a*b") is shared[0].single_tree()
 
     def test_other_text_runs_the_grammar(self, monkeypatch):
         shared = {text: P(text) for text in ("a b", "a[b,c]", "a")}
-        nine = _chain(9).as_forest()
-        assert nine.key not in forest._forest_table
+        over = _chain(forest._MEMO_SIZE_LIMIT + 1).as_forest()
+        assert over.key not in forest._forest_table
         parsed = []
         parser = forest._Parser
 
@@ -512,7 +520,7 @@ class TestInterning:
             assert P(text) is shared[key]
         assert parsed == ["b a", "a[c,b]", " a", "a  b"]
         # the canonical key of a value too large to share
-        assert P(nine.key) == nine and parsed[-1] == nine.key
+        assert P(over.key) == over and parsed[-1] == over.key
 
     def test_malformed_text_fails_where_the_grammar_does(self):
         # shared values whose keys prefix the bad text; the positions are

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from forestshuffle.forest import EMPTY, Decoration, parse_forest
+from forestshuffle.forest import EMPTY, Decoration, Forest, RootedTree, parse_forest
 from forestshuffle.linalg import LinComb, bilinear
 from forestshuffle.sampling import default_alphabet, trees_of_size
 from forestshuffle.shuffle import (
@@ -311,8 +311,28 @@ def _largest_key(memos):
     return max((_key_size(name, key) for name, memo in memos.items() for key in memo), default=0)
 
 
-def _chain(n):
-    return P("a[" * (n - 1) + "a" + "]" * (n - 1))
+def _chain(n, letter="a"):
+    return P(f"{letter}[" * (n - 1) + letter + "]" * (n - 1))
+
+
+def _heap(n, letters, arity):
+    """A one-tree forest of n vertices in heap order: vertex i is the child
+    of vertex (i - 1) // arity and is decorated with letters[i % len]."""
+    trees: list = [None] * n
+    for i in reversed(range(n)):
+        kids = trees[arity * i + 1 : min(arity * i + arity + 1, n)]
+        trees[i] = RootedTree(Decoration([letters[i % len(letters)]]), kids)
+    return Forest([trees[0]])
+
+
+def _mid_size_pair():
+    """Two trees of _MEMO_SIZE_LIMIT + 1 vertices each: the star recursion
+    on them reaches lasting sub-pairs of the limit's size and call-tier
+    sub-pairs of one vertex over it up to twice it."""
+    import forestshuffle.forest as fo
+
+    size = fo._MEMO_SIZE_LIMIT + 1
+    return _heap(size, "abcdefg", 2), _heap(size, "bacdgef", 3)
 
 
 class TestMemo:
@@ -365,8 +385,9 @@ class TestMemo:
 
         rng = random.Random(0)
         alphabet = default_alphabet(("a", "b", "c", "d"))
+        limit = fo._MEMO_SIZE_LIMIT  # the forests reach every lasting size
         for _ in range(50):
-            forest = random_forest(rng, rng.randint(8, 12), alphabet)
+            forest = random_forest(rng, rng.randint(limit, limit + 4), alphabet)
             bounded(dual_recursive, forest)
             for tree in forest.trees:
                 bounded(trunk_coproduct, tree)
@@ -461,12 +482,14 @@ class TestMemo:
         import forestshuffle.forest as fo
         from forestshuffle.coalgebra import _trunk_cache, trunk_coproduct
 
-        monkeypatch.setattr(fo, "_MEMO_ENTRIES", 16)
+        # the chains and brooms of 2 to _MEMO_SIZE_LIMIT vertices offer
+        # twice the limit lasting entries: they fill it to exactly the cap
+        monkeypatch.setattr(fo, "_MEMO_ENTRIES", 2 * fo._MEMO_SIZE_LIMIT)
         _trunk_cache.clear()
-        for k in range(2, 9):  # chains and brooms fill it to exactly the cap
+        for k in range(2, fo._MEMO_SIZE_LIMIT + 1):
             trunk_coproduct(_chain(k))
             trunk_coproduct(P("a[" + ",".join("b" * (k - 1)) + "]"))
-        assert len(_trunk_cache) == 16
+        assert len(_trunk_cache) == fo._MEMO_ENTRIES
         kept = dict(_trunk_cache)
         fresh = [P("c[d[c]]"), P("d[c[d],c]")]
         for tree in fresh:  # each one's results last only for its call
@@ -479,18 +502,19 @@ class TestMemo:
         import forestshuffle.forest as fo
         import forestshuffle.shuffle as sh
 
-        first, second = P("a[b[c],d] e[f,g]"), P("b[a,c] e[f] d[g]")
-        own = ("a[a[a[a[a]]]]", "b[b[b[b[b]]]]", (1, 1))  # a 10-vertex key
+        first, second = _mid_size_pair()
+        size = fo._MEMO_SIZE_LIMIT + 2  # a call-tier key
+        own = (_chain(size // 2).key, _chain(size - size // 2, "b").key, (1, 1))
 
         @fo._gc_paused
         def outer():
-            sh._star_cache.put(own, 10, ({}, 1))
+            sh._star_cache.put(own, size, ({}, 1))
             star_product(first, second, 1)  # a nested entry
             # the nested entry dropped its call-tier keys, not the outer one's
             return own in sh._star_cache, sorted(_key_size("_star_cache", k) for k in sh._star_cache)[-2:]
 
         kept, largest = outer()
-        assert kept and largest == [fo._MEMO_SIZE_LIMIT, 10]
+        assert kept and largest == [fo._MEMO_SIZE_LIMIT, size]
         assert own not in sh._star_cache and _largest_key(_put_memos()) <= fo._MEMO_SIZE_LIMIT
 
     def test_a_call_computes_each_mid_size_sub_pair_once(self, monkeypatch):
@@ -499,23 +523,55 @@ class TestMemo:
         import forestshuffle.forest as fo
         import forestshuffle.shuffle as sh
 
-        sh._star_cache.clear()
-        sh._diamond_cache.clear()
-        computed: Counter = Counter()
+        first, second = _mid_size_pair()
         put = fo._Memo.put
 
-        def counting(memo, key, size, value):
-            if fo._MEMO_SIZE_LIMIT < size <= 2 * fo._MEMO_SIZE_LIMIT:
-                computed[id(memo), key] += 1
-            return put(memo, key, size, value)
+        def star_counting(tier):
+            """Each call-tier sub-pair's computations in one star product,
+            with the call tier on or (tier False) storing none of them."""
+            computed: Counter = Counter()
 
-        monkeypatch.setattr(fo._Memo, "put", counting)
-        first, second = P("a[b[c,d],e[f,g]]"), P("b[a[c],d[e,f],g]")
-        assert first.size == second.size == 7
-        assert star_product(first, second, 1)
-        # each 9-16-vertex sub-pair of the star and diamond recursions is
-        # computed once in the call, though up to three paths reach one
-        assert len(computed) == 18 and max(computed.values()) == 1
+            def counting(memo, key, size, value):
+                if fo._MEMO_SIZE_LIMIT < size <= 2 * fo._MEMO_SIZE_LIMIT:
+                    computed[id(memo), key] += 1
+                    if not tier:
+                        return value
+                return put(memo, key, size, value)
+
+            sh._star_cache.clear()
+            sh._diamond_cache.clear()
+            monkeypatch.setattr(fo._Memo, "put", counting)
+            assert star_product(first, second, 1)
+            monkeypatch.setattr(fo._Memo, "put", put)
+            return computed
+
+        computed, untiered = star_counting(True), star_counting(False)
+        sizes = {P(left).size + P(right).size for _, (left, right, _weight) in computed}
+        assert min(sizes) == fo._MEMO_SIZE_LIMIT + 1 and max(sizes) == 2 * fo._MEMO_SIZE_LIMIT
+        # each call-tier sub-pair of the star and diamond recursions is
+        # computed once in the call, though several paths reach one
+        assert computed.keys() == untiered.keys() and max(computed.values()) == 1
+        assert max(untiered.values()) > 1
+
+    def test_the_product_memos_keep_few_terms_between_calls(self):
+        import random
+
+        import forestshuffle.shuffle as sh
+        from forestshuffle.sampling import random_forest
+
+        memos = (sh._shuffle_cache, sh._star_cache, sh._diamond_cache)
+        for memo in memos:
+            memo.clear()
+        rng = random.Random(30)
+        alphabet = default_alphabet(("a", "b", "c"))
+        for _ in range(40):
+            first, second = (random_forest(rng, rng.randint(6, 8), alphabet) for _ in "12")
+            for op in (forest_shuffle, star_product, diamond_product):
+                op(first, second, 1)
+        # an entry bounds terms, not bytes: the lasting entries hold 12,206
+        # terms here (1,885 entries); with lasting entries of up to 8
+        # vertices they held 26,003 (2,576 entries)
+        assert sum(len(nums) for memo in memos for nums, _ in memo.values()) <= 13_000
 
     def test_nothing_over_twice_the_limit_is_stored(self, monkeypatch):
         import forestshuffle.forest as fo

@@ -19,6 +19,15 @@ The file is written after each completed pair, so a run that
 fails (exit 1, with one ``error:`` line naming the side, workload, seed and
 exit code) keeps every pair before it.
 
+The workload ``tier1`` runs the Tier-1 test command instead,
+
+    PYTHONPATH=src python3 -m pytest -q --continue-on-collection-errors --durations=10
+
+in the same alternation (its seed only numbers the pair and picks the side
+that runs first).  Each of its runs keeps the wall time the harness measured
+around the command, the outcome counts of pytest's summary line (a failing
+test is counted, not fatal) and the 10 slowest test phases.
+
 The summary has, per workload, per end-to-end metric of BENCHMARK.json and
 per side, the median, the quartiles (inclusive method), their distance and
 the number of runs, and ``change_wins``: the seeds on which the change reads
@@ -29,23 +38,35 @@ shift is worse, beside the metric's ``bound`` from BENCHMARK.json, and
 bound, and ``inside_parent_iqr``, whether the medians differ by no more than
 the parent's IQR, so that the shift cannot be told from the parent's own
 spread.  ``out_sha256_equal_on_every_seed`` says whether both sides emitted
-the same bytes on every seed.  After the last pair each listed workload's
+the same bytes on every seed; for ``tier1``, whose only metric is
+``wall_s``, ``counts_equal_on_every_seed`` says whether both sides counted
+the same outcomes on every seed.  After the last pair each listed workload's
 summary goes to stderr: a ``W:`` line, one line per end-to-end metric, ending
 ``PAST BOUND`` when its shift is and ``inside parent IQR`` when it is, and a
-last line that says whether the output digests agreed.
+last line that says whether the output digests (or the counts) agreed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SECONDS = 20
 SIDES = ("parent", "change")
+TIER1 = "tier1"
+TIER1_COMMAND = ["python3", "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
+# pytest's summary line, such as "1 failed, 424 passed, 1 xfailed in 90.61s"
+_SUMMARY = re.compile(r" in \d+(\.\d+)?s\b")
+_COUNT = re.compile(r"(\d+) ([a-z]+)")
+# one row of --durations, such as "13.40s call     tests/test_dual.py::test_x"
+_DURATION = re.compile(r"(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S.*)")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -89,6 +110,8 @@ def side_order(seed: int) -> tuple[str, str]:
 
 
 def command(workload: str, seed: int) -> list[str]:
+    if workload == TIER1:
+        return list(TIER1_COMMAND)
     return [
         "python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(SECONDS), "--trace", "0",
@@ -105,6 +128,25 @@ def parse_output(stdout: str) -> tuple[dict, dict]:
     return json.loads(reports[-1]), json.loads(lines[-1])
 
 
+def parse_tier1_output(stdout: str, wall_s: float) -> tuple[dict, dict]:
+    """The report and result of one Tier-1 run: the outcome counts of
+    pytest's last summary line (``passed``, ``xfailed`` and ``failed`` always
+    present; ``error``/``warning`` read as ``errors``/``warnings``), the
+    slowest test phases as pytest lists them, and ``wall_s``."""
+    summaries = [line.strip("= ") for line in stdout.splitlines() if _SUMMARY.search(line)]
+    if not summaries:
+        raise ValueError("no pytest summary line in the output")
+    counts = {"passed": 0, "xfailed": 0, "failed": 0}
+    for n, kind in _COUNT.findall(summaries[-1].rpartition(" in ")[0]):
+        counts[{"error": "errors", "warning": "warnings"}.get(kind, kind)] = int(n)
+    slowest = [
+        {"s": float(s), "when": when, "test": test}
+        for s, when, test in (m.groups() for m in map(_DURATION.fullmatch, stdout.splitlines()) if m)
+    ]
+    report = {"counts": counts, "slowest": slowest, "summary": summaries[-1]}
+    return report, {"metrics": {"wall_s": {"value": wall_s, "unit": "s"}}}
+
+
 class RunFailed(Exception):
     """A run exited non-zero; carries its exit code and last stderr line."""
 
@@ -115,12 +157,19 @@ class RunFailed(Exception):
 
 
 def run_once(directory: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    """One run in ``directory``.  A Tier-1 run reads the checkout's ``src``
+    first and may exit 1, which pytest uses for a failing test."""
+    tier1 = workload == TIER1
+    path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path) if tier1 else None
+    start = time.perf_counter()
     proc = subprocess.run(
-        command(workload, seed), cwd=directory, capture_output=True, text=True, check=False
+        command(workload, seed), cwd=directory, env=env, capture_output=True, text=True, check=False
     )
-    if proc.returncode != 0:
-        raise RunFailed(proc.returncode, proc.stderr)
-    return parse_output(proc.stdout)
+    wall_s = time.perf_counter() - start
+    if proc.returncode not in ((0, 1) if tier1 else (0,)):
+        raise RunFailed(proc.returncode, proc.stderr or proc.stdout)
+    return parse_tier1_output(proc.stdout, wall_s) if tier1 else parse_output(proc.stdout)
 
 
 def _stats(values: list[float]) -> dict:
@@ -131,9 +180,16 @@ def _stats(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
+def workload_metrics(workload: str, metrics: list[dict]) -> list[dict]:
+    """The end-to-end metrics a workload's runs report: all of them for a
+    perfbench workload, only ``wall_s`` for ``tier1``."""
+    return [m for m in metrics if m["name"] == "wall_s"] if workload == TIER1 else metrics
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: per metric, each side's spread and the change's wins
-    over the seeds both sides ran; and whether the output digests agree."""
+    over the seeds both sides ran; and whether the output digests (for
+    ``tier1``, the outcome counts) agree."""
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed: dict[int, dict[str, dict]] = {}
@@ -142,7 +198,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r
         paired = [sides for sides in by_seed.values() if len(sides) == 2]
         rows: dict = {}
-        for metric in metrics:
+        for metric in workload_metrics(workload, metrics):
             name = metric["name"]
             row = {
                 side: _stats([s[side]["result"]["metrics"][name]["value"] for s in paired])
@@ -162,8 +218,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             row["past_bound"] = row["shift"] > metric["bound"]
             row["inside_parent_iqr"] = abs(change - parent) <= row["parent"]["iqr"]
             rows[name] = row
-        rows["out_sha256_equal_on_every_seed"] = all(
-            s["parent"]["report"]["out_sha256"] == s["change"]["report"]["out_sha256"] for s in paired
+        field = "counts" if workload == TIER1 else "out_sha256"
+        rows[f"{field}_equal_on_every_seed"] = all(
+            s["parent"]["report"][field] == s["change"]["report"][field] for s in paired
         )
         summary[workload] = rows
     return summary
@@ -184,8 +241,12 @@ def summary_lines(rows: dict, metrics: list[dict]) -> list[str]:
             + (" PAST BOUND" if row["past_bound"] else "")
             + (" inside parent IQR" if row["inside_parent_iqr"] else "")
         )
-    agreed = rows["out_sha256_equal_on_every_seed"]
-    lines.append(f"out_sha256: {'equal on every seed' if agreed else 'differs on some seed'}")
+    if "counts_equal_on_every_seed" in rows:
+        agreed = rows["counts_equal_on_every_seed"]
+        lines.append(f"counts: {'equal on every seed' if agreed else 'differ on some seed'}")
+    else:
+        agreed = rows["out_sha256_equal_on_every_seed"]
+        lines.append(f"out_sha256: {'equal on every seed' if agreed else 'differs on some seed'}")
     return lines
 
 
@@ -194,10 +255,15 @@ def write(path: Path, runs: list[dict], description: str, metrics: list[dict]) -
     workloads: dict[str, set[int]] = {}
     for r in runs:
         workloads.setdefault(r["workload"], set()).add(r["seed"])
-    seeds = ", ".join(f"{format_seeds(s)} on {w}" for w, s in workloads.items())
+    tier1, commands = workloads.pop(TIER1, None), []
+    if workloads:
+        seeds = ", ".join(f"{format_seeds(s)} on {w}" for w, s in workloads.items())
+        commands.append(f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
+                        f"--seed {{{seeds}}} --seconds {SECONDS} --trace 0")
+    if tier1:
+        commands.append(f"PYTHONPATH=src {' '.join(TIER1_COMMAND)} (tier1, seeds {format_seeds(tier1)})")
     out = {
-        "command": f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
-        f"--seed {{{seeds}}} --seconds {SECONDS} --trace 0",
+        "command": "; ".join(commands),
         "description": description,
         "summary": summarize(runs, metrics),
         "runs": runs,
@@ -242,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     summary = summarize(runs, metrics)
     for workload in args.workloads:
         print(f"{workload}:", file=sys.stderr)
-        for line in summary_lines(summary[workload], metrics):
+        for line in summary_lines(summary[workload], workload_metrics(workload, metrics)):
             print(line, file=sys.stderr)
     return 0
 
