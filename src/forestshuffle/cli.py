@@ -389,7 +389,7 @@ def _cmd_verify(args) -> int:
     try:
         reports = run_suite(args.suite, cfg)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     if args.json:
         _print_json([r.to_json() for r in reports])

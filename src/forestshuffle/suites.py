@@ -3,6 +3,10 @@
 Each suite turns one module's invariants into individually counted cases.
 Reports are deterministic for a fixed seed; the wall-clock duration is kept
 out of the JSON form so that identical argv+seed give byte-identical output.
+
+A suite may reuse, within one run, a value it computed itself (a table
+local to the suite function, gone when it returns), but never a value of
+the route it checks.
 """
 
 from __future__ import annotations
@@ -186,7 +190,41 @@ def _symmetry(trees) -> int:
     return sigma
 
 
-def _sigma_refined_oracle(f: Forest) -> TensorComb[Forest]:
+def _tabled(fn, table: dict):
+    """fn, computed once per argument tuple through ``table``.  The table
+    is the caller's, so what it holds lives only as long as the caller
+    keeps it."""
+
+    def once(*args):
+        if (hit := table.get(args)) is None:
+            hit = table[args] = fn(*args)
+        return hit
+
+    return once
+
+
+def _placed_terms(g: Forest) -> list:
+    """The terms of ``dual_recursive(g)`` for a forest g decorated x0, x1,
+    ... in preorder, as (a, where a's vertices sit in g, b, where b's sit,
+    coefficient): each position is the index i of the vertex's xi, in the
+    leg's own preorder."""
+    index = {Decoration((f"x{i}",)): i for i in range(g.size)}
+
+    def where(leg: Forest) -> tuple[int, ...]:
+        return tuple([index[node.decoration] for t in leg.trees for _, node in _preorder(t)])
+
+    return [(a, where(a), b, where(b), c) for (a, b), c in dual_recursive(g).items()]
+
+
+def _projected_leg(leg: Forest, labels: tuple[Decoration, ...]) -> tuple[Forest, int]:
+    """The leg with its vertices decorated by ``labels`` in preorder, and
+    that forest's σ."""
+    relabel = iter(labels).__next__
+    projected = Forest([_redecorate(t, lambda _: relabel()) for t in leg.trees])
+    return projected, _symmetry(projected.trees)
+
+
+def _sigma_refined_oracle(f: Forest, table: dict | None = None) -> TensorComb[Forest]:
     """The strict-duality coproduct of f by the σ-refined reciprocal formula.
 
     On f's relabelling by distinct decorations every admissible family and
@@ -194,19 +232,21 @@ def _sigma_refined_oracle(f: Forest) -> TensorComb[Forest]:
     the termwise reciprocal is the reciprocal-coefficient form.  Each term
     A⊗B with coefficient c maps back to π(A)⊗π(B) with coefficient
     σ(πA)σ(πB)/(σ(f)·c), and the sum adds up the families that collide
-    under π."""
+    under π.
+
+    ``table`` keeps, across the calls that share it, the placed terms of
+    each relabelling and each projected leg with its σ, keyed on the leg
+    and the labels it takes from f; without one, each call starts empty."""
+    table = {} if table is None else table
     g, back = _relabel(f.trees)
+    labels = tuple(back.values())  # f's decorations in preorder
     sigma_f = _symmetry(f.trees)
-    # a leg recurs across many terms: project it and take its σ once
-    legs: dict[Forest, tuple[Forest, int]] = {}
+    project = _tabled(_projected_leg, table)
     pairs = []
-    for (a, b), c in dual_recursive(g).items():
-        for x in (a, b):
-            if x not in legs:
-                px = Forest([_redecorate(t, back.__getitem__) for t in x.trees])
-                legs[x] = (px, _symmetry(px.trees))
-        (pa, sa), (pb, sb) = legs[a], legs[b]
-        pairs.append(((pa, pb), Fraction(sa * sb) / (sigma_f * c)))
+    for a, where_a, b, where_b, c in _tabled(_placed_terms, table)(g):
+        pa, sa = project(a, tuple([labels[i] for i in where_a]))
+        pb, sb = project(b, tuple([labels[i] for i in where_b]))
+        pairs.append(((pa, pb), Fraction(sa * sb, sigma_f) / c))
     return TensorComb.sum_of(pairs)
 
 
@@ -432,15 +472,11 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
         _counit_sides(witness)[1] == LinComb.of(witness),
     )
 
-    def bialgebra_case(t1: Forest, t2: Forest, lam: Fraction) -> bool:
+    def bialgebra_case(t1: Forest, t2: Forest, lam: Fraction, split: TensorComb) -> bool:
+        """Δ(t1 ⧢ t2) against the split square ``split`` of (t1, t2),
+        multiplied out at weight lam."""
         lhs = tensor_map_basis(forest_shuffle(t1, t2, lam), trunk_coproduct)
-        big = (
-            tensor(LinComb.of(t1), LinComb.of(t2))
-            .expand_leg(0, trunk_coproduct)
-            .expand_leg(2, trunk_coproduct)
-            .tau23()
-        )
-        rhs = big.contract(2, 3, lambda a, b: forest_shuffle(a, b, lam)).contract(
+        rhs = split.contract(2, 3, lambda a, b: forest_shuffle(a, b, lam)).contract(
             0, 1, lambda a, b: forest_shuffle(a, b, lam)
         )
         return lhs == rhs
@@ -449,12 +485,14 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
         for k in range(0, total + 1):
             for t1 in [EMPTY] if k == 0 else trees_of_size(k, alphabet):
                 for t2 in [EMPTY] if total == k else trees_of_size(total - k, alphabet):
+                    # the split square holds no weight: one per pair
+                    split = _split_square(t1, t2)
                     for lam in (Fraction(0), Fraction(1), Fraction(-1)):
                         rep.check(
                             f"bialgebra compatibility (weight {lam})",
                             f"{t1.key} | {t2.key}",
                             True,
-                            bialgebra_case(t1, t2, lam),
+                            bialgebra_case(t1, t2, lam, split),
                         )
     for lam in (Fraction(0), Fraction(1), Fraction(-1)):
         for _ in range(cfg.count(20)):
@@ -464,7 +502,7 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
                 f"bialgebra compatibility random (weight {lam})",
                 f"{t1.key} | {t2.key}",
                 True,
-                bialgebra_case(t1, t2, lam),
+                bialgebra_case(t1, t2, lam, _split_square(t1, t2)),
             )
 
     for tf in trees_up_to(cfg.degree(5), alphabet):
@@ -487,6 +525,17 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
             )
             rep.check("deconcatenation compatibility", w.key, rhs, lhs)
     return rep
+
+
+def _split_square(t1: Forest, t2: Forest) -> TensorComb[Forest]:
+    """(Δ⊗Δ)(t1⊗t2) with its middle legs swapped: the right side of the
+    bialgebra square before its two products."""
+    return (
+        tensor(LinComb.of(t1), LinComb.of(t2))
+        .expand_leg(0, trunk_coproduct)
+        .expand_leg(2, trunk_coproduct)
+        .tau23()
+    )
 
 
 def _counit_sides(tf: Forest) -> tuple[LinComb[Forest], LinComb[Forest]]:
@@ -516,6 +565,8 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
             d = dual_recursive(f)
             rep.check("cocommutativity", f.key, d, d.flip())
 
+    # one σ table for both families: the forests share few relabellings
+    sigma: dict = {}
     for n in range(0, cfg.degree(6) + 1):
         for f in _distinct_forest_shapes(n):
             oracle = dual_oracle(f)
@@ -525,10 +576,12 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
                 frozenset(oracle.support()),
                 frozenset(dual_recursive(f).support()),
             )
-            rep.check("oracle == σ-refined reciprocal formula (distinct atoms)", f.key, oracle, _sigma_refined_oracle(f))
+            formula = _sigma_refined_oracle(f, sigma)
+            rep.check("oracle == σ-refined reciprocal formula (distinct atoms)", f.key, oracle, formula)
     # repeated components are where the σ factors differ from 1
     for f in forests_up_to(cfg.degree(6), alphabet):
-        rep.check("oracle == σ-refined reciprocal formula (2 atoms)", f.key, dual_oracle(f), _sigma_refined_oracle(f))
+        oracle = dual_oracle(f)
+        rep.check("oracle == σ-refined reciprocal formula (2 atoms)", f.key, oracle, _sigma_refined_oracle(f, sigma))
 
     # the transpose against its brute-force reference, which pairs every
     # basis split through shuffle_coefficient; degree 4 keeps the brute cheap
@@ -562,11 +615,13 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
             rep.check("grafting pairs the trunk coproduct", tf.key, trunk_coproduct(tf), got)
 
     cap = max(1, cfg.degree(5) - 2)
+    # the samples draw from few small trees: graft each basis pair once
+    op = partial(bilinear, _tabled(graft_linear, {}))
+    lop = partial(bilinear, _tabled(graft_leaves, {}))
     for _ in range(cfg.count(300)):
         x = LinComb.of(random_tree(rng, rng.randint(1, cap), alphabet))
         y = LinComb.of(random_tree(rng, rng.randint(1, cap), alphabet))
         z = LinComb.of(random_tree(rng, rng.randint(1, cap), alphabet))
-        op = partial(bilinear, graft_linear)
         assoc = op(op(x, y), z) - op(x, op(y, z))
         rep.check(
             "tip-grafting associator symmetric in first two",
@@ -580,7 +635,6 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
             op(op(x, z), y) - op(x, op(z, y)),
             assoc,
         )
-        lop = partial(bilinear, graft_leaves)
         rep.check(
             "leaf-grafting associator symmetric in last two",
             f"{render_lincomb(x)} | {render_lincomb(y)} | {render_lincomb(z)}",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -375,4 +377,85 @@ def test_a_tier1_workload_is_summarized_beside_the_others(tmp_path, monkeypatch,
         "tier1:",
         "wall_s: parent 92 [2.5], change 82, change wins 3 of 3, shift -10.9% (bound 25.0%)",
         "counts: differ on some seed",
+    ]
+
+
+FULL_METRICS = METRICS + [{"name": "peak_rss_mib", "unit": "MiB", "better": "lower", "bound": 0.2}]
+
+
+def test_a_verify_full_run_is_the_cli_verify_command(tmp_path, monkeypatch):
+    calls = []
+
+    def measured(argv, directory, env):
+        calls.append((argv, directory, env))
+        code = {"parent": 0, "broken": 2}[directory.name]
+        stdout = b'[\n  {"suite": "dual"}\n]\n' if code == 0 else b""
+        return code, stdout, "error: boom\n" if code else "", 7.25, 41.5
+
+    monkeypatch.setattr(bench_pairs, "measured", measured)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    report, result = bench_pairs.run_once(tmp_path / "parent", "verify-full", 4)
+    assert report == {"out_sha256": bench_pairs.hashlib.sha256(b'[\n  {"suite": "dual"}\n]\n').hexdigest()}
+    assert result == {"metrics": {"wall_s": {"value": 7.25, "unit": "s"},
+                                  "peak_rss_mib": {"value": 41.5, "unit": "MiB"}}}
+    argv, directory, env = calls[0]
+    assert argv == bench_pairs.command("verify-full", 4) == [
+        "python3", "-m", "forestshuffle.cli", "verify", "--suite", "all", "--json", "--seed", "4",
+    ]
+    assert directory == tmp_path / "parent" and env["PYTHONPATH"] == "src" + bench_pairs.os.pathsep + "elsewhere"
+    with pytest.raises(bench_pairs.RunFailed) as failed:
+        bench_pairs.run_once(tmp_path / "broken", "verify-full", 4)
+    assert (failed.value.returncode, failed.value.last_line) == (2, "error: boom")
+
+
+def test_measured_reads_the_childs_own_peak(tmp_path):
+    # Linux starts a child's peak at its parent's, so the harness runs in a
+    # fresh process, as it does from the command line; a large child comes
+    # first, whose peak RUSAGE_CHILDREN would report for the small one too
+    script = f"""
+import importlib.util, json, pathlib, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", {str(_PATH)!r})
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+big = "import sys; b = bytearray(64 << 20); sys.stdout.write('x' * 3)"
+small = "import sys; sys.stderr.write('y'); sys.exit(3)"
+runs = [bench_pairs.measured([sys.executable, "-c", code], pathlib.Path("."), {{}}) for code in (big, small)]
+print(json.dumps([[code, out.decode(), err, wall, rss] for code, out, err, wall, rss in runs]))
+"""
+    harness = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, check=True)
+    big, small = json.loads(harness.stdout)
+    assert big[:3] == [0, "xxx", ""] and big[3] > 0 and big[4] > 64
+    assert small[:3] == [3, "", "y"] and 0 < small[4] < 64
+
+
+def test_a_verify_full_workload_is_summarized_beside_the_others(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": FULL_METRICS}))
+    out = tmp_path / "BENCH.json"
+    walls = {("parent", 1): 7.0, ("change", 1): 6.0, ("parent", 2): 7.4, ("change", 2): 6.2}
+
+    def run_once(directory, workload, seed):
+        assert workload == "verify-full"
+        metrics = {"wall_s": {"value": walls[directory.name, seed], "unit": "s"},
+                   "peak_rss_mib": {"value": 40.0, "unit": "MiB"}}
+        return {"out_sha256": f"seed{seed}"}, {"metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(change), "--workload", "verify-full",
+            "--seeds", "1..2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    written = json.loads(out.read_text())
+    assert written["command"] == (
+        "PYTHONPATH=src python3 -m forestshuffle.cli verify --suite all --json --seed {1..2} (verify-full)"
+    )
+    rows = written["summary"]["verify-full"]
+    assert set(rows) == {"wall_s", "peak_rss_mib", "out_sha256_equal_on_every_seed"}
+    assert rows["wall_s"]["change_wins"] == "2 of 2" and rows["peak_rss_mib"]["change_wins"] == "0 of 2"
+    assert rows["out_sha256_equal_on_every_seed"] is True
+    assert capsys.readouterr().err.splitlines()[-4:] == [
+        "verify-full:",
+        "wall_s: parent 7.2 [0.2], change 6.1, change wins 2 of 2, shift -15.3% (bound 25.0%)",
+        "peak_rss_mib: parent 40 [0], change 40, change wins 0 of 2, shift +0.0% (bound 20.0%) inside parent IQR",
+        "out_sha256: equal on every seed",
     ]

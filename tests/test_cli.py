@@ -353,8 +353,10 @@ class TestErrorPaths:
         assert code == 0 and out
 
     def test_unknown_suite_is_status_2(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "nope")
+        code, out, err = run(capsys, "verify", "--suite", "nope")
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: unknown suite 'nope'") and len(err.splitlines()) == 1
 
     def test_negative_primitive_count_is_status_2(self, capsys):
         code, out, err = run(capsys, "primitives", "--count", "-1")

@@ -28,6 +28,18 @@ that runs first).  Each of its runs keeps the wall time the harness measured
 around the command, the outcome counts of pytest's summary line (a failing
 test is counted, not fatal) and the 10 slowest test phases.
 
+The workload ``verify-full`` runs every verification suite at its default
+degrees,
+
+    PYTHONPATH=src python3 -m forestshuffle.cli verify --suite all --json --seed S
+
+with its stdout sent to a file.  Each of its runs keeps the wall time the
+harness measured around the command, the child's own peak RSS (from
+``os.wait4``, since ``RUSAGE_CHILDREN`` reads the largest of all children
+so far) and the sha256 of its stdout.  Linux starts a child's peak at its
+parent's, so the peak reads at least the harness's own (about 19 MiB).  A
+failing case exits 1 and stops the harness, like any other failed run.
+
 The summary has, per workload, per end-to-end metric of BENCHMARK.json and
 per side, the median, the quartiles (inclusive method), their distance and
 the number of runs, and ``change_wins``: the seeds on which the change reads
@@ -37,7 +49,8 @@ shift is worse, beside the metric's ``bound`` from BENCHMARK.json, and
 ``past_bound``, whether the shift exceeds it: no metric may shift past its
 bound, and ``inside_parent_iqr``, whether the medians differ by no more than
 the parent's IQR, so that the shift cannot be told from the parent's own
-spread.  ``out_sha256_equal_on_every_seed`` says whether both sides emitted
+spread.  ``verify-full`` reports ``wall_s`` and ``peak_rss_mib`` only.
+``out_sha256_equal_on_every_seed`` says whether both sides emitted
 the same bytes on every seed; for ``tier1``, whose only metric is
 ``wall_s``, ``counts_equal_on_every_seed`` says whether both sides counted
 the same outcomes on every seed.  After the last pair each listed workload's
@@ -49,12 +62,14 @@ last line that says whether the output digests (or the counts) agreed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,6 +77,11 @@ SECONDS = 20
 SIDES = ("parent", "change")
 TIER1 = "tier1"
 TIER1_COMMAND = ["python3", "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
+VERIFY_FULL = "verify-full"
+# the seed follows
+VERIFY_FULL_COMMAND = ["python3", "-m", "forestshuffle.cli", "verify", "--suite", "all", "--json", "--seed"]
+# the end-to-end metrics of the workloads that do not run perfbench
+OWN_METRICS = {TIER1: ("wall_s",), VERIFY_FULL: ("wall_s", "peak_rss_mib")}
 # pytest's summary line, such as "1 failed, 424 passed, 1 xfailed in 90.61s"
 _SUMMARY = re.compile(r" in \d+(\.\d+)?s\b")
 _COUNT = re.compile(r"(\d+) ([a-z]+)")
@@ -112,6 +132,8 @@ def side_order(seed: int) -> tuple[str, str]:
 def command(workload: str, seed: int) -> list[str]:
     if workload == TIER1:
         return list(TIER1_COMMAND)
+    if workload == VERIFY_FULL:
+        return [*VERIFY_FULL_COMMAND, str(seed)]
     return [
         "python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(SECONDS), "--trace", "0",
@@ -156,12 +178,44 @@ class RunFailed(Exception):
         self.last_line = (stderr.strip().splitlines() or [""])[-1]
 
 
+def _src_env() -> dict:
+    """The environment with the checkout's ``src`` first on the path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH")))))
+
+
+def measured(argv: list[str], directory: Path, env: dict) -> tuple[int, bytes, str, float, float]:
+    """Run ``argv`` in ``directory`` with its stdout and stderr in files.
+    Returns the exit code, the stdout bytes, the stderr text, the wall time
+    around the run and the child's own peak RSS in MiB."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=directory, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        # Linux counts ru_maxrss in KiB
+        return proc.returncode, out.read(), err.read().decode(errors="replace"), wall_s, usage.ru_maxrss / 1024
+
+
+def run_verify_full(directory: Path, seed: int) -> tuple[dict, dict]:
+    """One ``verify-full`` run: its output digest, wall time and peak RSS."""
+    code, stdout, stderr, wall_s, rss_mib = measured(command(VERIFY_FULL, seed), directory, _src_env())
+    if code != 0:
+        raise RunFailed(code, stderr or stdout.decode(errors="replace"))
+    report = {"out_sha256": hashlib.sha256(stdout).hexdigest()}
+    metrics = {"wall_s": {"value": wall_s, "unit": "s"}, "peak_rss_mib": {"value": rss_mib, "unit": "MiB"}}
+    return report, {"metrics": metrics}
+
+
 def run_once(directory: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """One run in ``directory``.  A Tier-1 run reads the checkout's ``src``
     first and may exit 1, which pytest uses for a failing test."""
+    if workload == VERIFY_FULL:
+        return run_verify_full(directory, seed)
     tier1 = workload == TIER1
-    path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path) if tier1 else None
+    env = _src_env() if tier1 else None
     start = time.perf_counter()
     proc = subprocess.run(
         command(workload, seed), cwd=directory, env=env, capture_output=True, text=True, check=False
@@ -182,8 +236,9 @@ def _stats(values: list[float]) -> dict:
 
 def workload_metrics(workload: str, metrics: list[dict]) -> list[dict]:
     """The end-to-end metrics a workload's runs report: all of them for a
-    perfbench workload, only ``wall_s`` for ``tier1``."""
-    return [m for m in metrics if m["name"] == "wall_s"] if workload == TIER1 else metrics
+    perfbench workload, those of ``OWN_METRICS`` for the others."""
+    names = OWN_METRICS.get(workload)
+    return metrics if names is None else [m for m in metrics if m["name"] in names]
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -255,13 +310,15 @@ def write(path: Path, runs: list[dict], description: str, metrics: list[dict]) -
     workloads: dict[str, set[int]] = {}
     for r in runs:
         workloads.setdefault(r["workload"], set()).add(r["seed"])
-    tier1, commands = workloads.pop(TIER1, None), []
+    tier1, full, commands = workloads.pop(TIER1, None), workloads.pop(VERIFY_FULL, None), []
     if workloads:
         seeds = ", ".join(f"{format_seeds(s)} on {w}" for w, s in workloads.items())
         commands.append(f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
                         f"--seed {{{seeds}}} --seconds {SECONDS} --trace 0")
     if tier1:
         commands.append(f"PYTHONPATH=src {' '.join(TIER1_COMMAND)} (tier1, seeds {format_seeds(tier1)})")
+    if full:
+        commands.append(f"PYTHONPATH=src {' '.join(VERIFY_FULL_COMMAND)} {{{format_seeds(full)}}} (verify-full)")
     out = {
         "command": "; ".join(commands),
         "description": description,
