@@ -56,8 +56,9 @@ def test_a_sigma_table_keyed_on_the_leg_alone_fails(monkeypatch):
     assert _failed_families("dual") == {"oracle == σ-refined reciprocal formula (2 atoms)": 141}
 
 
-# below degree 5 the samples draw trees of at most 2 vertices, and every
-# leaf grafting of those has one leaf: a wrong leaf graft cannot show
+# below degree 5 the samples draw trees of at most 2 vertices, so every
+# grafting has one leaf and one term: a leaf graft that ignores its scion
+# reads the same on both sides of the check
 @pytest.mark.parametrize(
     "op, max_degree, families",
     [
