@@ -170,3 +170,28 @@ class TestPhiBar:
         alg = word_algebra(Q(0))
         composite = P("a*b")
         assert phi_bar(composite, alg, word_embedding) == LinComb.of(Word((A * B,)))
+
+    @pytest.mark.parametrize("weights", [(0, 1), (1, 0)])
+    def test_the_memo_keeps_each_target_apart(self, weights):
+        import forestshuffle.rota_baxter as rb
+
+        rb._phi_cache.clear()  # a pure memo: clearing it changes no result
+        # (a, b) ◇ (b, a): the heads fuse at every weight, the tails only at
+        # weight 1; in either order, the second call reads none of the first's
+        fused = Word((A * B, A * B))
+        for lam in weights:
+            image = phi_bar(P("a[b] b[a]"), word_algebra(lam), word_embedding)
+            assert image.coefficient(fused) == lam
+            assert image.coefficient(Word((A * B, A, B))) == 1
+
+    def test_two_equal_targets_each_give_the_value(self):
+        import forestshuffle.rota_baxter as rb
+
+        rb._phi_cache.clear()
+        cherry = P("a[b,c]")
+        first, second = word_algebra(0), word_algebra(0)
+        for alg in (first, second):
+            assert phi_bar(cherry, alg, word_embedding) == LinComb.of(Word((A, B * Decoration(["c"]))))
+        # the algebras' operations are distinct objects, so are their keys
+        assert first != second
+        assert {(cherry.key, alg, word_embedding) for alg in (first, second)} <= rb._phi_cache.keys()

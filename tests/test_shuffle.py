@@ -277,12 +277,13 @@ def _memos():
     """Every recursion memo of the package, by name."""
     import forestshuffle.coalgebra as co
     import forestshuffle.dual as du
+    import forestshuffle.rota_baxter as rb
     import forestshuffle.shuffle as sh
     from forestshuffle.forest import _Memo
 
     return {
         name: memo
-        for module in (co, du, sh)
+        for module in (co, du, rb, sh)
         for name, memo in vars(module).items()
         if isinstance(memo, _Memo)
     }
@@ -302,8 +303,10 @@ def _key_size(name, key):
     """The vertex count of a memo key's operands (a word memo's: letters)."""
     if name == "_word_cache":
         return len(key[0]) + len(key[1])
-    if name in ("_dual_cache", "_trunk_cache"):
+    if name in ("_dual_cache", "_trunk_cache", "_transpose_cache", "_family_cache"):
         return P(key).size
+    if name == "_phi_cache":
+        return P(key[0]).size
     return P(key[0]).size + P(key[1]).size
 
 
@@ -369,7 +372,14 @@ class TestMemo:
 
         import forestshuffle.forest as fo
         from forestshuffle.coalgebra import trunk_coproduct
-        from forestshuffle.dual import dual_recursive
+        from forestshuffle.dual import (
+            ORACLE_GUARD,
+            admissible_families,
+            dual_combinatorial,
+            dual_oracle,
+            dual_recursive,
+        )
+        from forestshuffle.rota_baxter import phi_bar, word_algebra, word_embedding
         from forestshuffle.sampling import random_forest
 
         monkeypatch.setattr(fo, "_MEMO_ENTRIES", 64)
@@ -385,12 +395,18 @@ class TestMemo:
 
         rng = random.Random(0)
         alphabet = default_alphabet(("a", "b", "c", "d"))
+        words = word_algebra(0)
         limit = fo._MEMO_SIZE_LIMIT  # the forests reach every lasting size
         for _ in range(50):
             forest = random_forest(rng, rng.randint(limit, limit + 4), alphabet)
             bounded(dual_recursive, forest)
+            bounded(dual_combinatorial, forest)
+            if forest.size <= ORACLE_GUARD:
+                bounded(dual_oracle, forest)
+            bounded(phi_bar, forest, words, word_embedding)
             for tree in forest.trees:
                 bounded(trunk_coproduct, tree)
+                bounded(admissible_families, tree)
             first, second = (random_forest(rng, rng.randint(1, 3), alphabet) for _ in "12")
             for op in (forest_shuffle, star_product, diamond_product):
                 bounded(op, first, second, 1)
@@ -477,6 +493,37 @@ class TestMemo:
         with pytest.raises(RuntimeError, match="mid-recursion"):
             star_product(first, second, 1)
         assert _largest_key(memos) <= fo._MEMO_SIZE_LIMIT and fo._call_tier.keys == []
+
+    @pytest.mark.parametrize("entry", ["dual_oracle", "admissible_families", "phi_bar"])
+    def test_the_dual_and_phi_bar_memos_drop_their_call_tier(self, monkeypatch, entry):
+        import forestshuffle.dual as du
+        import forestshuffle.forest as fo
+        import forestshuffle.rota_baxter as rb
+
+        name, call = {
+            "dual_oracle": ("_transpose_cache", lambda: du.dual_oracle(_heap(8, "ab", 2))),
+            "admissible_families": ("_family_cache", lambda: du.admissible_families(_heap(10, "ab", 3).single_tree())),
+            "phi_bar": ("_phi_cache", lambda: rb.phi_bar(_heap(10, "ab", 2), rb.word_algebra(0), rb.word_embedding)),
+        }[entry]
+        memo = _memos()[name]
+        memo.clear()
+        written, put = [], fo._Memo.put
+
+        def spy(self, key, size, value):
+            put(self, key, size, value)
+            if self is memo and key in self:
+                written.append(size)
+            return value
+
+        monkeypatch.setattr(fo._Memo, "put", spy)
+        keys = fo._call_tier.keys
+        mark = len(keys)
+        assert call()
+        # while the call ran its memo held entries of up to twice the limit
+        assert fo._MEMO_SIZE_LIMIT < max(written) <= 2 * fo._MEMO_SIZE_LIMIT
+        # and the call dropped them, leaving the thread's key list as it was
+        assert len(keys) == mark
+        assert _largest_key({name: memo}) <= fo._MEMO_SIZE_LIMIT
 
     def test_a_full_memo_keeps_its_entries_and_not_new_ones(self, monkeypatch):
         import forestshuffle.forest as fo
