@@ -39,8 +39,16 @@ enumeration names each family's vertex set by an O(1) record; only
 
 Three recursions keep a ``forest._Memo`` under its size rule: ``_dual``
 and ``_transpose`` their ``_Exact`` values by forest key, and
-``_family_sets`` its families as a tuple by tree key.  After ``verify --suite all --max-degree 5`` the
-transpose memo holds 707 entries and the family memo 318.
+``_family_sets`` its families as a tuple by tree key.  The last two keep
+sub-results only: their entries (``dual_oracle``, and ``admissible_families``
+and ``dual_combinatorial``) compute the asked forest's or tree's own value
+from the memo without storing it, as a sweep seldom asks for one twice.
+Stored, those values were most of both memos at the default degrees
+(2,174 of 2,989 transpose entries, never read, and 956 of 1,308 family
+entries, read 20 times in all) and raised the peak RSS of
+``verify --suite all`` by a quarter (31.7 to 40.4 MiB).
+After ``verify --suite all --max-degree 5`` the transpose memo holds 205
+entries and the family memo 87.
 """
 
 from __future__ import annotations
@@ -151,6 +159,13 @@ _family_cache = _Memo()  # tree key -> ((record, t_gamma, t_complement, c_gamma)
 
 
 def _family_sets(tree: RootedTree) -> tuple[tuple, ...]:
+    """``_families`` of a tree, through ``_family_cache``."""
+    if (hit := _family_cache.get(tree.key)) is not None:
+        return hit
+    return _family_cache.put(tree.key, tree.size, _families(tree))
+
+
+def _families(tree: RootedTree) -> tuple[tuple, ...]:
     """Inductive enumeration of admissible families, each as (record, t_gamma,
     t_complement, c_gamma).
 
@@ -167,11 +182,9 @@ def _family_sets(tree: RootedTree) -> tuple[tuple, ...]:
     A record names gamma in O(1): True for the whole vertex set, False for
     the empty one, and (i, child record, joins) for a family of child i,
     joined by the root and the other children when ``joins`` is true.
-    ``_gamma`` flattens a record to vertex refs.  The list is kept as a
-    tuple in ``_family_cache``, so no caller can change a shared one.
+    ``_gamma`` flattens a record to vertex refs.  The families are a tuple,
+    so no caller can change one that ``_family_cache`` shares.
     """
-    if (hit := _family_cache.get(tree.key)) is not None:
-        return hit
     kids = tree.children
     n = len(kids)
     dec = tree.decoration
@@ -180,7 +193,7 @@ def _family_sets(tree: RootedTree) -> tuple[tuple, ...]:
         for sub, g, h, c in _family_sets(kids[0]):
             out.append(((0, sub, False), g, _grafted(dec, h), c))
             out.append(((0, sub, True), _grafted(dec, g), h, c))
-        return _family_cache.put(tree.key, tree.size, tuple(out))
+        return tuple(out)
 
     whole = tree.as_forest()
     out = [(False, EMPTY, whole, 1), (True, whole, EMPTY, 1)]
@@ -193,7 +206,7 @@ def _family_sets(tree: RootedTree) -> tuple[tuple, ...]:
                 continue
             out.append(((i, sub, False), g, _grafted(dec, concat(others, h)), n * c))
             out.append(((i, sub, True), _grafted(dec, concat(others, g)), h, n * c))
-    return _family_cache.put(tree.key, tree.size, tuple(out))
+    return tuple(out)
 
 
 def _gamma(tree: RootedTree, record) -> frozenset[VertexRef]:
@@ -215,9 +228,10 @@ def _gamma(tree: RootedTree, record) -> frozenset[VertexRef]:
 
 
 def _checked_families(tree: RootedTree) -> tuple[tuple, ...]:
-    """``_family_sets`` of a tree, refused past ``FAMILY_GUARD`` families."""
+    """``_families`` of a tree, refused past ``FAMILY_GUARD`` families; the
+    children's come from the memo, the tree's own is not stored."""
     GuardExceeded.check(family_count(tree), FAMILY_GUARD, "admissible family count")
-    return _family_sets(tree)
+    return _families(tree)
 
 
 @_gc_paused
@@ -457,16 +471,21 @@ _transpose_cache = _Memo()  # forest key -> ({(x, y): numerator}, denominator)
 
 
 def _transpose(forest: Forest) -> _Exact:
-    """The transpose of the weight-0 shuffle, by recursion over the target."""
-    if forest.is_empty:
-        return {(EMPTY, EMPTY): 1}, 1
+    """``_transpose_terms`` of a forest, through ``_transpose_cache``."""
     if (hit := _transpose_cache.get(forest.key)) is not None:
         return hit
+    return _transpose_cache.put(forest.key, forest.size, _transpose_terms(forest))
+
+
+def _transpose_terms(forest: Forest) -> _Exact:
+    """The transpose of the weight-0 shuffle, by recursion over the target;
+    each smaller forest through ``_transpose``."""
+    if forest.is_empty:
+        return {(EMPTY, EMPTY): 1}, 1
     trees = forest.trees
     if len(trees) == 1:
         tree = trees[0]
-        result = _root_terms(tree.decoration, _transpose(_below(tree)))
-        return _transpose_cache.put(forest.key, forest.size, result)
+        return _root_terms(tree.decoration, _transpose(_below(tree)))
 
     parts = [({(forest, EMPTY): 1, (EMPTY, forest): 1}, 1, 1)]
     for i, core in enumerate(trees):
@@ -491,7 +510,7 @@ def _transpose(forest: Forest) -> _Exact:
                 for x, y, t, u, c in red
             }
             parts.append((terms, den * norm, 1))
-    return _transpose_cache.put(forest.key, forest.size, _combine(parts))
+    return _combine(parts)
 
 
 @_gc_paused
@@ -512,7 +531,7 @@ def dual_oracle(forest: Forest) -> TensorComb[Forest]:
     brute is cheap).  Guarded to the same ``ORACLE_GUARD`` vertices.
     """
     GuardExceeded.check(forest.size, ORACLE_GUARD, "dual_oracle forest size")
-    return TensorComb._wrap(_transpose(forest))
+    return TensorComb._wrap(_transpose_terms(forest))
 
 
 # ---------------------------------------------------------------------------

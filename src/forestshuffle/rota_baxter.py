@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .forest import Decoration, Forest, UNIT, _below, _gc_paused, _grafted, _Memo
@@ -69,7 +70,14 @@ def word_diamond(w: Word, v: Word, lam: Fraction | int = 0) -> LinComb[Word]:
 
 
 def word_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
-    lam = _exact(lam)
+    """The words of weight ``lam``, one object per weight (as for every
+    algebra made here): ``phi_bar``'s memo is keyed on its target, so a
+    fresh object per call would leave entries that no later call reads."""
+    return _word_algebra(_exact(lam))
+
+
+@cache
+def _word_algebra(lam: Fraction) -> RotaBaxterAlgebra:
     return RotaBaxterAlgebra(
         name="words",
         weight=lam,
@@ -78,11 +86,11 @@ def word_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
     )
 
 
-def _grafting_algebra(name: str, lam: Fraction | int, root: Decoration) -> RotaBaxterAlgebra:
+@cache
+def _grafting_algebra(name: str, lam: Fraction, root: Decoration) -> RotaBaxterAlgebra:
     """Forests under the diamond product, with the operator grafting a root
     decorated ``root`` below each forest (the linear extension the products
     use)."""
-    lam = _exact(lam)
     return RotaBaxterAlgebra(
         name=name,
         weight=lam,
@@ -92,13 +100,13 @@ def _grafting_algebra(name: str, lam: Fraction | int, root: Decoration) -> RotaB
 
 
 def forest_algebra(lam: Fraction | int = 0) -> RotaBaxterAlgebra:
-    return _grafting_algebra("forests", lam, UNIT)
+    return _grafting_algebra("forests", _exact(lam), UNIT)
 
 
 def corrupted_forest_algebra(lam: Fraction | int) -> RotaBaxterAlgebra:
     """Negative control: the operator grafts a root decorated a, which
     breaks the Rota-Baxter identity."""
-    return _grafting_algebra("forests-corrupted-a", lam, Decoration(("a",)))
+    return _grafting_algebra("forests-corrupted-a", _exact(lam), Decoration(("a",)))
 
 
 def rb_residual(algebra: RotaBaxterAlgebra, x: LinComb, y: LinComb) -> LinComb:
@@ -117,7 +125,8 @@ def word_embedding(dec: Decoration) -> LinComb[Word]:
 
 # Keyed on the forest, the target algebra and the letter map: the frozen
 # dataclass hashes on its fields, and its lambdas by identity, so no lookup
-# reads another algebra's value.
+# reads another algebra's value, and the factories above hand out one
+# algebra per weight, so every caller at a weight shares its entries.
 _phi_cache = _Memo()  # (forest key, target, phi) -> LinComb
 
 

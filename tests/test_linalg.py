@@ -694,8 +694,10 @@ PINNED_RECURSIONS = {
     "cli._count_leaves": "MAX_TREE_DEPTH (the operands' depths in sum)",
     "coalgebra._trunk": "MAX_TREE_DEPTH",
     "dual._dual": "MAX_TREE_DEPTH",
+    "dual._families": "MAX_TREE_DEPTH",
     "dual._family_sets": "MAX_TREE_DEPTH",
     "dual._transpose": "MAX_TREE_DEPTH",
+    "dual._transpose_terms": "MAX_TREE_DEPTH",
     "forest._Parser.parse_tree": "MAX_TREE_DEPTH",
     "rota_baxter._phi_bar": "the size its caller asks for",
     "sampling._forests_on_multiset": "SHAPE_GUARD / ORACLE_GUARD",
@@ -720,10 +722,13 @@ def test_recursions_are_pinned():
     assert found == set(PINNED_RECURSIONS)
 
 
-# The functions that keep ``functools.cache``.  Their keys are bounded by
-# SHAPE_GUARD / ORACLE_GUARD, and enumerate_shapes(12) needs 12-unit keys,
-# which the 8-vertex rule of forest._Memo would drop.
+# The functions that keep ``functools.cache``.  The enumerators' keys are
+# bounded by SHAPE_GUARD / ORACLE_GUARD, and enumerate_shapes(12) needs
+# 12-unit keys, which the 8-vertex rule of forest._Memo would drop.  The
+# algebra factories keep one algebra per weight, the key of phi_bar's memo.
 CACHED_ENUMERATORS = {
+    "rota_baxter._grafting_algebra",
+    "rota_baxter._word_algebra",
     "sampling._forests_on_multiset",
     "sampling._trees_on_multiset",
     "sampling.forests_of_size",

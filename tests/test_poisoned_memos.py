@@ -3,7 +3,7 @@ read it.
 
 The admissible families, the transpose of the shuffle and the induced map
 ``phi_bar`` keep their sub-results in a ``forest._Memo``.  Each test below
-plants one wrong value under a key that a check asks for, and asserts that
+plants one wrong value under a key that a check reads, and asserts that
 the check's independent side then records failures: the recursive formula
 for the families, the brute-force pairing for the transpose, and a value
 written out by hand for ``phi_bar``.
@@ -38,7 +38,10 @@ def test_a_wrong_family_entry_fails_recursive_against_combinatorial(monkeypatch)
     assert any(not (g.is_empty or h.is_empty) for _, g, h, _ in real)
     wrong = tuple((record, g, h, 2 * c) for record, g, h, c in real)
     monkeypatch.setitem(dual._family_cache, tree.key, wrong)
-    assert dual._checked_families(tree) is wrong
+    # the asked tree's own families are computed, not read: a[a]'s entry
+    # is read by the trees above it, such as b[a[a]]
+    assert dual._checked_families(tree) == real
+    assert dual._family_sets(tree) is wrong
     failed = _failed_families("dual")
     assert failed["recursive == combinatorial (2 atoms)"] > 0
     assert "recursive == combinatorial (distinct atoms)" not in failed
@@ -49,7 +52,11 @@ def test_a_wrong_transpose_entry_fails_the_brute_oracle(monkeypatch):
     nums, den = dual._transpose(forest)
     wrong = {pair: 2 * c for pair, c in nums.items()}, den
     monkeypatch.setitem(dual._transpose_cache, forest.key, wrong)
-    assert dual.dual_oracle(forest) != dual.dual_oracle_brute(forest)
+    # the asked forest's own transpose is computed, not read: a[a]'s entry
+    # is read by the forests above it, such as b[a[a]]
+    assert dual.dual_oracle(forest) == dual.dual_oracle_brute(forest)
+    above = P("b[a[a]]")
+    assert dual.dual_oracle(above) != dual.dual_oracle_brute(above)
     failed = _failed_families("dual")
     assert failed["transpose == brute oracle (2 atoms)"] > 0
     assert "transpose == brute oracle (distinct atoms)" not in failed

@@ -184,14 +184,24 @@ class TestPhiBar:
             assert image.coefficient(fused) == lam
             assert image.coefficient(Word((A * B, A, B))) == 1
 
-    def test_two_equal_targets_each_give_the_value(self):
-        import forestshuffle.rota_baxter as rb
-
-        rb._phi_cache.clear()
+    def test_one_target_per_weight(self):
         cherry = P("a[b,c]")
-        first, second = word_algebra(0), word_algebra(0)
-        for alg in (first, second):
-            assert phi_bar(cherry, alg, word_embedding) == LinComb.of(Word((A, B * Decoration(["c"]))))
-        # the algebras' operations are distinct objects, so are their keys
-        assert first != second
-        assert {(cherry.key, alg, word_embedding) for alg in (first, second)} <= rb._phi_cache.keys()
+        alg = word_algebra(0)
+        # the memo is keyed on the target, so equal weights share one object
+        assert word_algebra(Q(0)) is alg and word_algebra(1) is not alg
+        assert forest_algebra(0) is forest_algebra(Q(0))
+        assert phi_bar(cherry, alg, word_embedding) == LinComb.of(Word((A, B * Decoration(["c"]))))
+
+    def test_a_second_suite_run_adds_no_entry(self):
+        import forestshuffle.rota_baxter as rb
+        from forestshuffle.suites import SuiteConfig, run_suite
+
+        rb._phi_cache.clear()  # a pure memo: clearing it changes no result
+        lengths = []
+        for _ in range(2):
+            (report,) = run_suite("rota-baxter", SuiteConfig(max_degree=4, seed=0))
+            assert not report.failures
+            lengths.append(len(rb._phi_cache))
+        # each run asks the factories for its algebras, so the second run
+        # reads the first run's entries and writes none
+        assert 0 < lengths[0] == lengths[1]

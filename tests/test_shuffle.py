@@ -404,9 +404,11 @@ class TestMemo:
             if forest.size <= ORACLE_GUARD:
                 bounded(dual_oracle, forest)
             bounded(phi_bar, forest, words, word_embedding)
+            # the family memo keeps a call's sub-results, not the asked
+            # tree's own families, so the forest's trees go under a root
+            bounded(admissible_families, RootedTree(Decoration(["a"]), forest.trees))
             for tree in forest.trees:
                 bounded(trunk_coproduct, tree)
-                bounded(admissible_families, tree)
             first, second = (random_forest(rng, rng.randint(1, 3), alphabet) for _ in "12")
             for op in (forest_shuffle, star_product, diamond_product):
                 bounded(op, first, second, 1)
@@ -502,7 +504,12 @@ class TestMemo:
 
         name, call = {
             "dual_oracle": ("_transpose_cache", lambda: du.dual_oracle(_heap(8, "ab", 2))),
-            "admissible_families": ("_family_cache", lambda: du.admissible_families(_heap(10, "ab", 3).single_tree())),
+            # 10 vertices over a 9-vertex child: the asked tree's own
+            # families are not stored, its child's go to the call tier
+            "admissible_families": (
+                "_family_cache",
+                lambda: du.admissible_families(RootedTree(Decoration(["a"]), _heap(9, "ab", 3).trees)),
+            ),
             "phi_bar": ("_phi_cache", lambda: rb.phi_bar(_heap(10, "ab", 2), rb.word_algebra(0), rb.word_embedding)),
         }[entry]
         memo = _memos()[name]
