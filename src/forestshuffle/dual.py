@@ -42,13 +42,12 @@ and ``_transpose`` their ``_Exact`` values by forest key, and
 ``_family_sets`` its families as a tuple by tree key.  The last two keep
 sub-results only: their entries (``dual_oracle``, and ``admissible_families``
 and ``dual_combinatorial``) compute the asked forest's or tree's own value
-from the memo without storing it, as a sweep seldom asks for one twice.
-Stored, those values were most of both memos at the default degrees
-(2,174 of 2,989 transpose entries, never read, and 956 of 1,308 family
-entries, read 20 times in all) and raised the peak RSS of
-``verify --suite all`` by a quarter (31.7 to 40.4 MiB).
-After ``verify --suite all --max-degree 5`` the transpose memo holds 205
-entries and the family memo 87.
+from the memo without storing it.  A sweep seldom asks for one twice, and
+at the default degrees of ``verify --suite all`` those values would be
+most of both memos (2,174 of 2,989 transpose entries, never read, and 956
+of 1,308 family entries, read 20 times in all).  After
+``verify --suite all --max-degree 5`` the transpose memo holds 205 entries
+and the family memo 87.
 """
 
 from __future__ import annotations
