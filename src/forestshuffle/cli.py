@@ -280,6 +280,8 @@ def _cmd_graft(args) -> int:
 
 def _cmd_primitives(args) -> int:
     if args.list_size is not None:
+        if args.csv:
+            raise ValueError("--csv writes the --count table: --list takes no --csv")
         shapes = [s for s in enumerate_shapes(args.list_size) if is_primitive(s)]
         if args.json:
             _print_json([s.key for s in shapes])

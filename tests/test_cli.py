@@ -179,6 +179,13 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_csv_with_list_is_status_2_and_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "pt.csv"
+        code, out, err = run(capsys, "primitives", "--list", "5", "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--count" in err
+        assert not path.exists()
+
     def test_parse_error_is_status_3(self, capsys):
         code, _, err = run(capsys, "shuffle", "a[", "b")
         assert code == 3
