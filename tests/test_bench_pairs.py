@@ -308,36 +308,6 @@ def test_tier1_output_is_parsed():
         bench_pairs.parse_tier1_output("no tests ran\n", 1.0)
 
 
-def test_a_tier1_run_is_the_tier1_command(tmp_path, monkeypatch):
-    calls = []
-
-    def run(argv, cwd, env, capture_output, text, check):
-        calls.append((argv, cwd, env))
-        code = {"parent": 0, "change": 1, "broken": 4}[cwd.name]
-        stdout = _pytest_stdout(425, failed=code) if code < 2 else ""
-        return bench_pairs.subprocess.CompletedProcess(argv, code, stdout, "ERROR: usage\n" if code > 1 else "")
-
-    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
-    monkeypatch.setenv("PYTHONPATH", "elsewhere")
-    report, result = bench_pairs.run_once(tmp_path / "parent", "tier1", 3)
-    assert report["counts"] == {"passed": 425, "xfailed": 1, "failed": 0} and result["metrics"]["wall_s"]["value"] > 0
-    argv, cwd, env = calls[0]
-    assert argv == bench_pairs.command("tier1", 3) == [
-        "python3", "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10",
-    ]
-    # the checkout's own source comes first
-    assert cwd == tmp_path / "parent" and env["PYTHONPATH"] == "src" + bench_pairs.os.pathsep + "elsewhere"
-    # a failing test is counted, not fatal; any other exit code is
-    assert bench_pairs.run_once(tmp_path / "change", "tier1", 3)[0]["counts"]["failed"] == 1
-    with pytest.raises(bench_pairs.RunFailed) as failed:
-        bench_pairs.run_once(tmp_path / "broken", "tier1", 3)
-    assert (failed.value.returncode, failed.value.last_line) == (4, "ERROR: usage")
-    # a perfbench run keeps the environment it was given
-    monkeypatch.setattr(bench_pairs, "parse_output", lambda stdout: ({}, {}))
-    bench_pairs.run_once(tmp_path / "parent", "products", 3)
-    assert calls[-1][2] is None
-
-
 def test_a_tier1_workload_is_summarized_beside_the_others(tmp_path, monkeypatch, capsys):
     change = tmp_path / "change"
     change.mkdir()
@@ -381,31 +351,6 @@ def test_a_tier1_workload_is_summarized_beside_the_others(tmp_path, monkeypatch,
 
 
 FULL_METRICS = METRICS + [{"name": "peak_rss_mib", "unit": "MiB", "better": "lower", "bound": 0.2}]
-
-
-def test_a_verify_full_run_is_the_cli_verify_command(tmp_path, monkeypatch):
-    calls = []
-
-    def measured(argv, directory, env):
-        calls.append((argv, directory, env))
-        code = {"parent": 0, "broken": 2}[directory.name]
-        stdout = b'[\n  {"suite": "dual"}\n]\n' if code == 0 else b""
-        return code, stdout, "error: boom\n" if code else "", 7.25, 41.5
-
-    monkeypatch.setattr(bench_pairs, "measured", measured)
-    monkeypatch.setenv("PYTHONPATH", "elsewhere")
-    report, result = bench_pairs.run_once(tmp_path / "parent", "verify-full", 4)
-    assert report == {"out_sha256": bench_pairs.hashlib.sha256(b'[\n  {"suite": "dual"}\n]\n').hexdigest()}
-    assert result == {"metrics": {"wall_s": {"value": 7.25, "unit": "s"},
-                                  "peak_rss_mib": {"value": 41.5, "unit": "MiB"}}}
-    argv, directory, env = calls[0]
-    assert argv == bench_pairs.command("verify-full", 4) == [
-        "python3", "-m", "forestshuffle.cli", "verify", "--suite", "all", "--json", "--seed", "4",
-    ]
-    assert directory == tmp_path / "parent" and env["PYTHONPATH"] == "src" + bench_pairs.os.pathsep + "elsewhere"
-    with pytest.raises(bench_pairs.RunFailed) as failed:
-        bench_pairs.run_once(tmp_path / "broken", "verify-full", 4)
-    assert (failed.value.returncode, failed.value.last_line) == (2, "error: boom")
 
 
 def test_measured_reads_the_childs_own_peak(tmp_path):
@@ -459,3 +404,130 @@ def test_a_verify_full_workload_is_summarized_beside_the_others(tmp_path, monkey
         "peak_rss_mib: parent 40 [0], change 40, change wins 0 of 2, shift +0.0% (bound 20.0%) inside parent IQR",
         "out_sha256: equal on every seed",
     ]
+
+
+_JSON_OUT = b'[\n  {"suite": "dual"}\n]\n'
+
+
+def _digest_read(code):
+    report = {"out_sha256": bench_pairs.hashlib.sha256(_JSON_OUT).hexdigest()}
+    return report, {"metrics": {"wall_s": {"value": 7.25, "unit": "s"}, "peak_rss_mib": {"value": 41.5, "unit": "MiB"}}}
+
+
+# per kind: the argv of seed 3, whether the checkout's src comes first, the
+# exit codes it accepts, the stdout of an accepted run and what the run reads
+RUN_CASES = {
+    "products": (
+        ["python3", "perfbench/run.py", "--workload", "products", "--seed", "3", "--seconds", "20", "--trace", "0"],
+        False, (0,), lambda code: _stdout(1.5, 2.0, "x").encode(),
+        lambda code: bench_pairs.parse_output(_stdout(1.5, 2.0, "x")),
+    ),
+    "tier1": (
+        ["python3", "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"],
+        True, (0, 1), lambda code: _pytest_stdout(425, failed=code).encode(),
+        lambda code: bench_pairs.parse_tier1_output(_pytest_stdout(425, failed=code), 7.25),
+    ),
+    "verify-full": (
+        ["python3", "-m", "forestshuffle.cli", "verify", "--suite", "all", "--json", "--seed", "3"],
+        True, (0,), lambda code: _JSON_OUT, _digest_read,
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", RUN_CASES)
+def test_a_run_is_its_kinds_command(tmp_path, monkeypatch, workload):
+    argv, src_first, accepted, stdout, reads = RUN_CASES[workload]
+    calls = []
+
+    def measured(argv, directory, env):
+        calls.append((argv, directory, env))
+        code = int(directory.name.removeprefix("exit"))
+        if code in accepted:
+            return code, stdout(code), "", 7.25, 41.5
+        # a refused run names its last stderr line, or its last stdout line
+        return code, b"out\nboom\n" if code == 3 else b"", "" if code == 3 else "ERROR: usage\n", 7.25, 41.5
+
+    monkeypatch.setattr(bench_pairs, "measured", measured)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    assert bench_pairs.command(workload, 3) == argv
+    runs = {code: bench_pairs.run_once(tmp_path / f"exit{code}", workload, 3) for code in accepted}
+    for code in accepted:
+        assert runs[code] == reads(code)
+        assert calls[accepted.index(code)][:2] == (argv, tmp_path / f"exit{code}")
+        env = calls[accepted.index(code)][2]
+        if src_first:
+            # the checkout's own source comes first
+            assert env["PYTHONPATH"] == "src" + bench_pairs.os.pathsep + "elsewhere"
+        else:
+            # a perfbench run keeps the environment it was given
+            assert env is None
+    if workload == "tier1":
+        # a failing test is counted, not fatal
+        assert runs[1][0]["counts"] == {"passed": 425, "xfailed": 1, "failed": 1}
+    for code in sorted({1, 2, 3, 4} - set(accepted)):
+        with pytest.raises(bench_pairs.RunFailed) as failed:
+            bench_pairs.run_once(tmp_path / f"exit{code}", workload, 3)
+        assert (failed.value.returncode, failed.value.last_line) == (code, "boom" if code == 3 else "ERROR: usage")
+
+
+@pytest.mark.parametrize("name", ["BENCH_30.json", "BENCH_31.json"])
+def test_write_reproduces_a_committed_file(tmp_path, name):
+    # together they hold perfbench, tier1 and verify-full runs
+    committed = _PATH.parent.parent / name
+    data = json.loads(committed.read_text())
+    metrics = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    bench_pairs.write(tmp_path / name, data["runs"], data["description"], metrics)
+    assert (tmp_path / name).read_bytes() == committed.read_bytes()
+
+
+# a perfbench stand-in: one report line, then one result line
+_STUB_RUN = """
+import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+wall = {"parent": 4.0, "change": 3.0}[pathlib.Path.cwd().name] + int(args["--seed"]) / 10
+print("perfbench report " + json.dumps({"argv": sys.argv[1:], "out_sha256": args["--workload"]}))
+metrics = {"wall_s": (wall, "s"), "ops_per_s": (10 / wall, "1/s"), "peak_rss_mib": (30.0, "MiB")}
+print(json.dumps({"metrics": {name: {"value": v, "unit": unit} for name, (v, unit) in metrics.items()}}))
+"""
+
+
+def test_main_runs_two_stub_checkouts(tmp_path, capsys):
+    for side in bench_pairs.SIDES:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(_STUB_RUN)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": FULL_METRICS}))
+        # found only through the checkout's src first on the path
+        (tmp_path / side / "src" / "forestshuffle").mkdir(parents=True)
+        (tmp_path / side / "src" / "forestshuffle" / "__init__.py").write_text("")
+        (tmp_path / side / "src" / "forestshuffle" / "cli.py").write_text("import sys\nprint(*sys.argv[1:])\n")
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "stub,verify-full", "--seeds", "1..2", "--out", str(out), "--description", "stubs"]
+    assert bench_pairs.main(argv) == 0
+    written = json.loads(out.read_text())
+    assert [(r["workload"], r["seed"], r["side"]) for r in written["runs"]] == [
+        ("stub", 1, "parent"), ("stub", 1, "change"), ("verify-full", 1, "parent"), ("verify-full", 1, "change"),
+        ("stub", 2, "change"), ("stub", 2, "parent"), ("verify-full", 2, "change"), ("verify-full", 2, "parent"),
+    ]
+    assert written["runs"][0]["report"]["argv"] == ["--workload", "stub", "--seed", "1", "--seconds", "20",
+                                                    "--trace", "0"]
+    digest = bench_pairs.hashlib.sha256(b"verify --suite all --json --seed 2\n").hexdigest()
+    assert written["runs"][-1]["report"] == {"out_sha256": digest}
+    assert 0 < written["runs"][-1]["result"]["metrics"]["peak_rss_mib"]["value"] < 200
+    assert written["description"] == "stubs" and written["command"] == (
+        "python3 perfbench/run.py --workload {stub} --seed {1..2 on stub} --seconds 20 --trace 0; "
+        "PYTHONPATH=src python3 -m forestshuffle.cli verify --suite all --json --seed {1..2} (verify-full)"
+    )
+    assert set(written["summary"]["stub"]) == {"wall_s", "ops_per_s", "peak_rss_mib", "out_sha256_equal_on_every_seed"}
+    assert set(written["summary"]["verify-full"]) == {"wall_s", "peak_rss_mib", "out_sha256_equal_on_every_seed"}
+    assert written["summary"]["verify-full"]["out_sha256_equal_on_every_seed"] is True
+    err = capsys.readouterr().err.splitlines()
+    assert err[-9:-3] == [
+        "stub:",
+        "wall_s: parent 4.15 [0.05], change 3.15, change wins 2 of 2, shift -24.1% (bound 25.0%)",
+        "ops_per_s: parent 2.41 [0.029], change 3.175, change wins 2 of 2, shift -31.8% (bound 25.0%)",
+        "peak_rss_mib: parent 30 [0], change 30, change wins 0 of 2, shift +0.0% (bound 20.0%) inside parent IQR",
+        "out_sha256: equal on every seed",
+        "verify-full:",
+    ]
+    assert err[-1] == "out_sha256: equal on every seed"

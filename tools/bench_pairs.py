@@ -1,4 +1,4 @@
-"""Alternating parent/change runs of perfbench workloads, into a BENCH file.
+"""Alternating parent/change runs of named workloads, into a BENCH file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W[,W2...] \\
         --seeds A..B[,C..D|,N...] --out BENCH_<pr>.json
@@ -6,57 +6,46 @@
 DIR is a checkout of each commit (``git archive`` or ``git clone``).  The
 seeds are a comma list of inclusive ranges and single seeds, such as
 ``1..10,11``, each seed at most once.  For each seed S in the order given,
-and for each listed workload W in turn, both sides run
+and for each listed workload W in turn, both sides run W's command from
+their own directory, one process at a time: the parent first on odd seeds,
+the change first on even ones.  When ``--out`` exists, its runs of unlisted
+workloads are kept and those of the listed ones are replaced, so one file
+can hold every workload.  The file is written after each completed pair, so
+a run that fails (exit 1, with one ``error:`` line naming the side,
+workload, seed and exit code) keeps every pair before it.
 
-    python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
+Each kind of workload is one row of ``KINDS``, and a new scenario is one new
+row.  A row gives its command (``{workload}`` and ``{seed}`` filled in per
+run), whether the checkout's ``src`` goes first on ``PYTHONPATH``, the exit
+codes it accepts, how it reads a run's stdout, wall time and peak RSS, its
+end-to-end metrics, the report field both sides must agree on, and how the
+file's command line names its runs with their exact seed sets.  Every run
+goes through ``measured``, which takes the wall time around the run and the
+child's own peak RSS (``os.wait4``, as ``RUSAGE_CHILDREN`` reads the largest
+child so far; Linux starts a child's peak at its parent's, so it reads at
+least the harness's own, about 19 MiB).  The default row, for any other
+name W, runs ``python3 perfbench/run.py --workload W --seed S --seconds 20
+--trace 0`` in the inherited environment and keeps perfbench's report and
+result lines.  ``tier1`` runs pytest, which exits 1 on a failing test
+(counted, not fatal), and keeps ``wall_s``, the outcome counts, on which
+both sides must agree, and the 10 slowest test phases; its seed only
+numbers the pair.  ``verify-full`` runs ``verify --suite all --json --seed
+S`` at the default degrees and keeps ``wall_s``, ``peak_rss_mib`` and the
+sha256 of stdout.
 
-from their own directory, one process at a time: the parent first on odd
-seeds, the change first on even ones.  Each run keeps its report line and
-its result line.  When ``--out`` exists, its runs of unlisted workloads are
-kept and those of the listed ones are replaced, so one file can hold every
-workload.  The file's command line names each workload's exact seed set.
-The file is written after each completed pair, so a run that
-fails (exit 1, with one ``error:`` line naming the side, workload, seed and
-exit code) keeps every pair before it.
-
-The workload ``tier1`` runs the Tier-1 test command instead,
-
-    PYTHONPATH=src python3 -m pytest -q --continue-on-collection-errors --durations=10
-
-in the same alternation (its seed only numbers the pair and picks the side
-that runs first).  Each of its runs keeps the wall time the harness measured
-around the command, the outcome counts of pytest's summary line (a failing
-test is counted, not fatal) and the 10 slowest test phases.
-
-The workload ``verify-full`` runs every verification suite at its default
-degrees,
-
-    PYTHONPATH=src python3 -m forestshuffle.cli verify --suite all --json --seed S
-
-with its stdout sent to a file.  Each of its runs keeps the wall time the
-harness measured around the command, the child's own peak RSS (from
-``os.wait4``, since ``RUSAGE_CHILDREN`` reads the largest of all children
-so far) and the sha256 of its stdout.  Linux starts a child's peak at its
-parent's, so the peak reads at least the harness's own (about 19 MiB).  A
-failing case exits 1 and stops the harness, like any other failed run.
-
-The summary has, per workload, per end-to-end metric of BENCHMARK.json and
-per side, the median, the quartiles (inclusive method), their distance and
-the number of runs, and ``change_wins``: the seeds on which the change reads
-better, ties counting for neither.  It also has ``shift``, the change's median
-minus the parent's as a fraction of the parent's, signed so that a positive
-shift is worse, beside the metric's ``bound`` from BENCHMARK.json, and
-``past_bound``, whether the shift exceeds it: no metric may shift past its
-bound, and ``inside_parent_iqr``, whether the medians differ by no more than
-the parent's IQR, so that the shift cannot be told from the parent's own
-spread.  ``verify-full`` reports ``wall_s`` and ``peak_rss_mib`` only.
-``out_sha256_equal_on_every_seed`` says whether both sides emitted
-the same bytes on every seed; for ``tier1``, whose only metric is
-``wall_s``, ``counts_equal_on_every_seed`` says whether both sides counted
-the same outcomes on every seed.  After the last pair each listed workload's
-summary goes to stderr: a ``W:`` line, one line per end-to-end metric, ending
-``PAST BOUND`` when its shift is and ``inside parent IQR`` when it is, and a
-last line that says whether the output digests (or the counts) agreed.
+The summary has, per workload, per end-to-end metric of its row and per
+side, the median, the quartiles (inclusive method), their distance and the
+number of runs, and ``change_wins``: the seeds on which the change reads
+better, ties counting for neither.  ``shift`` is the change's median minus
+the parent's as a fraction of the parent's, signed so that a positive shift
+is worse, beside the metric's ``bound`` from BENCHMARK.json; ``past_bound``
+says whether it exceeds the bound, and ``inside_parent_iqr`` whether the
+medians differ by no more than the parent's IQR, so that the shift cannot be
+told from the parent's own spread.  ``out_sha256_equal_on_every_seed`` (for
+``tier1``, ``counts_...``) says whether both sides agreed on every seed.
+After the last pair each listed workload's summary goes to stderr: a ``W:``
+line, one line per metric, ending ``PAST BOUND`` and ``inside parent IQR``
+where they hold, and a last line that says whether the sides agreed.
 """
 
 from __future__ import annotations
@@ -72,16 +61,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 SECONDS = 20
 SIDES = ("parent", "change")
-TIER1 = "tier1"
-TIER1_COMMAND = ["python3", "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
-VERIFY_FULL = "verify-full"
-# the seed follows
-VERIFY_FULL_COMMAND = ["python3", "-m", "forestshuffle.cli", "verify", "--suite", "all", "--json", "--seed"]
-# the end-to-end metrics of the workloads that do not run perfbench
-OWN_METRICS = {TIER1: ("wall_s",), VERIFY_FULL: ("wall_s", "peak_rss_mib")}
 # pytest's summary line, such as "1 failed, 424 passed, 1 xfailed in 90.61s"
 _SUMMARY = re.compile(r" in \d+(\.\d+)?s\b")
 _COUNT = re.compile(r"(\d+) ([a-z]+)")
@@ -129,17 +112,6 @@ def side_order(seed: int) -> tuple[str, str]:
     return SIDES if seed % 2 else SIDES[::-1]
 
 
-def command(workload: str, seed: int) -> list[str]:
-    if workload == TIER1:
-        return list(TIER1_COMMAND)
-    if workload == VERIFY_FULL:
-        return [*VERIFY_FULL_COMMAND, str(seed)]
-    return [
-        "python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(SECONDS), "--trace", "0",
-    ]
-
-
 def parse_output(stdout: str) -> tuple[dict, dict]:
     """The report and the result object of one run's stdout."""
     lines = stdout.strip().splitlines()
@@ -167,6 +139,68 @@ def parse_tier1_output(stdout: str, wall_s: float) -> tuple[dict, dict]:
     ]
     report = {"counts": counts, "slowest": slowest, "summary": summaries[-1]}
     return report, {"metrics": {"wall_s": {"value": wall_s, "unit": "s"}}}
+
+
+def parse_digest(stdout: bytes, wall_s: float, rss_mib: float) -> tuple[dict, dict]:
+    """The report and result of a run timed from outside: the sha256 of its
+    stdout, its wall time and its own peak RSS."""
+    report = {"out_sha256": hashlib.sha256(stdout).hexdigest()}
+    metrics = {"wall_s": {"value": wall_s, "unit": "s"}, "peak_rss_mib": {"value": rss_mib, "unit": "MiB"}}
+    return report, {"metrics": metrics}
+
+
+class Kind(NamedTuple):
+    """One row of the workload table."""
+
+    argv: tuple[str, ...]  # "{workload}" and "{seed}" are filled in per run
+    read: Callable[[bytes, float, float], tuple[dict, dict]]  # (stdout, wall_s, peak_rss_mib)
+    # the file's command line: "{run}" is argv with its workload and seed
+    # sets, "{seeds}" the seed set
+    shown: str = "{run}"
+    src_first: bool = False
+    exit_codes: tuple[int, ...] = (0,)
+    metrics: tuple[str, ...] | None = None  # None: every end-to-end metric
+    agree: str = "out_sha256"
+
+    def end_to_end(self, metrics: list[dict]) -> list[dict]:
+        return [m for m in metrics if self.metrics is None or m["name"] in self.metrics]
+
+    def command_line(self, seeds: dict[str, set[int]]) -> str:
+        """How the file's command line names the runs of each workload's seeds."""
+        texts = {w: format_seeds(s) for w, s in seeds.items()}
+        if "{workload}" in self.argv:
+            seed_text = ", ".join(f"{s} on {w}" for w, s in texts.items())
+        else:
+            (seed_text,) = texts.values()
+        run = " ".join(self.argv).format(workload="{" + ",".join(texts) + "}", seed="{" + seed_text + "}")
+        return self.shown.format(run="PYTHONPATH=src " * self.src_first + run, seeds=seed_text)
+
+
+# None is the default row: any other name is a perfbench workload
+KINDS: dict[str | None, Kind] = {
+    None: Kind(
+        ("python3", "perfbench/run.py", "--workload", "{workload}", "--seed", "{seed}",
+         "--seconds", str(SECONDS), "--trace", "0"),
+        lambda stdout, wall_s, rss_mib: parse_output(stdout.decode()),
+    ),
+    "tier1": Kind(
+        ("python3", "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"),
+        lambda stdout, wall_s, rss_mib: parse_tier1_output(stdout.decode(), wall_s),
+        "{run} (tier1, seeds {seeds})", src_first=True, exit_codes=(0, 1), metrics=("wall_s",), agree="counts",
+    ),
+    "verify-full": Kind(
+        ("python3", "-m", "forestshuffle.cli", "verify", "--suite", "all", "--json", "--seed", "{seed}"),
+        parse_digest, "{run} (verify-full)", src_first=True, metrics=("wall_s", "peak_rss_mib"),
+    ),
+}
+
+
+def kind_of(workload: str) -> Kind:
+    return KINDS.get(workload, KINDS[None])
+
+
+def command(workload: str, seed: int) -> list[str]:
+    return [arg.format(workload=workload, seed=seed) for arg in kind_of(workload).argv]
 
 
 class RunFailed(Exception):
@@ -199,31 +233,15 @@ def measured(argv: list[str], directory: Path, env: dict) -> tuple[int, bytes, s
         return proc.returncode, out.read(), err.read().decode(errors="replace"), wall_s, usage.ru_maxrss / 1024
 
 
-def run_verify_full(directory: Path, seed: int) -> tuple[dict, dict]:
-    """One ``verify-full`` run: its output digest, wall time and peak RSS."""
-    code, stdout, stderr, wall_s, rss_mib = measured(command(VERIFY_FULL, seed), directory, _src_env())
-    if code != 0:
-        raise RunFailed(code, stderr or stdout.decode(errors="replace"))
-    report = {"out_sha256": hashlib.sha256(stdout).hexdigest()}
-    metrics = {"wall_s": {"value": wall_s, "unit": "s"}, "peak_rss_mib": {"value": rss_mib, "unit": "MiB"}}
-    return report, {"metrics": metrics}
-
-
 def run_once(directory: Path, workload: str, seed: int) -> tuple[dict, dict]:
-    """One run in ``directory``.  A Tier-1 run reads the checkout's ``src``
-    first and may exit 1, which pytest uses for a failing test."""
-    if workload == VERIFY_FULL:
-        return run_verify_full(directory, seed)
-    tier1 = workload == TIER1
-    env = _src_env() if tier1 else None
-    start = time.perf_counter()
-    proc = subprocess.run(
-        command(workload, seed), cwd=directory, env=env, capture_output=True, text=True, check=False
+    """One run of ``workload`` in ``directory``, read by its row."""
+    kind = kind_of(workload)
+    code, stdout, stderr, wall_s, rss_mib = measured(
+        command(workload, seed), directory, _src_env() if kind.src_first else None
     )
-    wall_s = time.perf_counter() - start
-    if proc.returncode not in ((0, 1) if tier1 else (0,)):
-        raise RunFailed(proc.returncode, proc.stderr or proc.stdout)
-    return parse_tier1_output(proc.stdout, wall_s) if tier1 else parse_output(proc.stdout)
+    if code not in kind.exit_codes:
+        raise RunFailed(code, stderr or stdout.decode(errors="replace"))
+    return kind.read(stdout, wall_s, rss_mib)
 
 
 def _stats(values: list[float]) -> dict:
@@ -234,26 +252,19 @@ def _stats(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
-def workload_metrics(workload: str, metrics: list[dict]) -> list[dict]:
-    """The end-to-end metrics a workload's runs report: all of them for a
-    perfbench workload, those of ``OWN_METRICS`` for the others."""
-    names = OWN_METRICS.get(workload)
-    return metrics if names is None else [m for m in metrics if m["name"] in names]
-
-
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload: per metric, each side's spread and the change's wins
-    over the seeds both sides ran; and whether the output digests (for
-    ``tier1``, the outcome counts) agree."""
+    """Per workload: per metric of its row, each side's spread and the
+    change's wins over the seeds both sides ran; and whether they agree."""
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
+        kind = kind_of(workload)
         by_seed: dict[int, dict[str, dict]] = {}
         for r in runs:
             if r["workload"] == workload:
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r
         paired = [sides for sides in by_seed.values() if len(sides) == 2]
         rows: dict = {}
-        for metric in workload_metrics(workload, metrics):
+        for metric in kind.end_to_end(metrics):
             name = metric["name"]
             row = {
                 side: _stats([s[side]["result"]["metrics"][name]["value"] for s in paired])
@@ -273,20 +284,19 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             row["past_bound"] = row["shift"] > metric["bound"]
             row["inside_parent_iqr"] = abs(change - parent) <= row["parent"]["iqr"]
             rows[name] = row
-        field = "counts" if workload == TIER1 else "out_sha256"
-        rows[f"{field}_equal_on_every_seed"] = all(
-            s["parent"]["report"][field] == s["change"]["report"][field] for s in paired
+        rows[f"{kind.agree}_equal_on_every_seed"] = all(
+            s["parent"]["report"][kind.agree] == s["change"]["report"][kind.agree] for s in paired
         )
         summary[workload] = rows
     return summary
 
 
-def summary_lines(rows: dict, metrics: list[dict]) -> list[str]:
+def summary_lines(rows: dict, metrics: list[dict], kind: Kind = KINDS[None]) -> list[str]:
     """One workload's ``summarize`` entry as text: per metric the parent's
     median [IQR], the change's median, the change's wins, its shift beside
     the bound, and the marks past bound and inside the parent's IQR."""
     lines = []
-    for metric in metrics:
+    for metric in kind.end_to_end(metrics):
         row = rows[metric["name"]]
         parent, change = row["parent"], row["change"]
         lines.append(
@@ -296,31 +306,20 @@ def summary_lines(rows: dict, metrics: list[dict]) -> list[str]:
             + (" PAST BOUND" if row["past_bound"] else "")
             + (" inside parent IQR" if row["inside_parent_iqr"] else "")
         )
-    if "counts_equal_on_every_seed" in rows:
-        agreed = rows["counts_equal_on_every_seed"]
-        lines.append(f"counts: {'equal on every seed' if agreed else 'differ on some seed'}")
-    else:
-        agreed = rows["out_sha256_equal_on_every_seed"]
-        lines.append(f"out_sha256: {'equal on every seed' if agreed else 'differs on some seed'}")
+    # a plural field ("counts") takes a plural verb
+    differ = "differ" if kind.agree.endswith("s") else "differs"
+    agreed = rows[f"{kind.agree}_equal_on_every_seed"]
+    lines.append(f"{kind.agree}: {'equal on every seed' if agreed else differ + ' on some seed'}")
     return lines
 
 
 def write(path: Path, runs: list[dict], description: str, metrics: list[dict]) -> None:
     """The runs, with the command line and the summary, as one JSON file."""
-    workloads: dict[str, set[int]] = {}
+    seeds: dict[Kind, dict[str, set[int]]] = {}
     for r in runs:
-        workloads.setdefault(r["workload"], set()).add(r["seed"])
-    tier1, full, commands = workloads.pop(TIER1, None), workloads.pop(VERIFY_FULL, None), []
-    if workloads:
-        seeds = ", ".join(f"{format_seeds(s)} on {w}" for w, s in workloads.items())
-        commands.append(f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
-                        f"--seed {{{seeds}}} --seconds {SECONDS} --trace 0")
-    if tier1:
-        commands.append(f"PYTHONPATH=src {' '.join(TIER1_COMMAND)} (tier1, seeds {format_seeds(tier1)})")
-    if full:
-        commands.append(f"PYTHONPATH=src {' '.join(VERIFY_FULL_COMMAND)} {{{format_seeds(full)}}} (verify-full)")
+        seeds.setdefault(kind_of(r["workload"]), {}).setdefault(r["workload"], set()).add(r["seed"])
     out = {
-        "command": "; ".join(commands),
+        "command": "; ".join(kind.command_line(seeds[kind]) for kind in KINDS.values() if kind in seeds),
         "description": description,
         "summary": summarize(runs, metrics),
         "runs": runs,
@@ -365,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     summary = summarize(runs, metrics)
     for workload in args.workloads:
         print(f"{workload}:", file=sys.stderr)
-        for line in summary_lines(summary[workload], workload_metrics(workload, metrics)):
+        for line in summary_lines(summary[workload], metrics, kind_of(workload)):
             print(line, file=sys.stderr)
     return 0
 
