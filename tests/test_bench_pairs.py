@@ -414,6 +414,13 @@ def _digest_read(code):
     return report, {"metrics": {"wall_s": {"value": 7.25, "unit": "s"}, "peak_rss_mib": {"value": 41.5, "unit": "MiB"}}}
 
 
+def _comb(depth):  # a[a[...,b],b]: a branch on every level
+    tree = "a"
+    for _ in range(depth - 1):
+        tree = f"a[{tree},b]"
+    return tree
+
+
 # per kind: the argv of seed 3, whether the checkout's src comes first, the
 # exit codes it accepts, the stdout of an accepted run and what the run reads
 RUN_CASES = {
@@ -429,6 +436,10 @@ RUN_CASES = {
     ),
     "verify-full": (
         ["python3", "-m", "forestshuffle.cli", "verify", "--suite", "all", "--json", "--seed", "3"],
+        True, (0,), lambda code: _JSON_OUT, _digest_read,
+    ),
+    "deep-comb": (
+        ["python3", "-m", "forestshuffle.cli", "shuffle", _comb(398), "b", "--json"],
         True, (0,), lambda code: _JSON_OUT, _digest_read,
     ),
 }
@@ -468,6 +479,30 @@ def test_a_run_is_its_kinds_command(tmp_path, monkeypatch, workload):
         with pytest.raises(bench_pairs.RunFailed) as failed:
             bench_pairs.run_once(tmp_path / f"exit{code}", workload, 3)
         assert (failed.value.returncode, failed.value.last_line) == (code, "boom" if code == 3 else "ERROR: usage")
+
+
+def test_a_deep_comb_workload_is_summarized_beside_the_others(tmp_path):
+    runs = [
+        {"report": {"out_sha256": "d"}, "result": _digest_read(0)[1], "seed": seed, "side": side, "workload": w}
+        for w in ("deep-comb", "products") for seed in (1, 2, 5) for side in bench_pairs.SIDES
+    ]
+    metrics = [m for m in FULL_METRICS if m["name"] != "ops_per_s"]
+    bench_pairs.write(tmp_path / "BENCH.json", runs, "", metrics)
+    written = json.loads((tmp_path / "BENCH.json").read_text())
+    # the default kind comes first, and the comb is named, not spelled out
+    assert written["command"] == (
+        "python3 perfbench/run.py --workload {products} --seed {1..2,5 on products} --seconds 20 --trace 0; "
+        "PYTHONPATH=src python3 -m forestshuffle.cli shuffle COMB b --json "
+        "(deep-comb, seeds 1..2,5; COMB is the 398-level comb a[a[...,b],b])"
+    )
+    rows = written["summary"]["deep-comb"]
+    assert set(rows) == {"wall_s", "peak_rss_mib", "out_sha256_equal_on_every_seed"}
+    assert rows["peak_rss_mib"]["parent"]["median"] == 41.5 and rows["out_sha256_equal_on_every_seed"] is True
+    assert bench_pairs.summary_lines(rows, metrics, bench_pairs.kind_of("deep-comb")) == [
+        "wall_s: parent 7.25 [0], change 7.25, change wins 0 of 3, shift +0.0% (bound 25.0%) inside parent IQR",
+        "peak_rss_mib: parent 41.5 [0], change 41.5, change wins 0 of 3, shift +0.0% (bound 20.0%) inside parent IQR",
+        "out_sha256: equal on every seed",
+    ]
 
 
 @pytest.mark.parametrize("name", ["BENCH_30.json", "BENCH_31.json"])

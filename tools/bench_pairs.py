@@ -28,10 +28,12 @@ name W, runs ``python3 perfbench/run.py --workload W --seed S --seconds 20
 --trace 0`` in the inherited environment and keeps perfbench's report and
 result lines.  ``tier1`` runs pytest, which exits 1 on a failing test
 (counted, not fatal), and keeps ``wall_s``, the outcome counts, on which
-both sides must agree, and the 10 slowest test phases; its seed only
-numbers the pair.  ``verify-full`` runs ``verify --suite all --json --seed
-S`` at the default degrees and keeps ``wall_s``, ``peak_rss_mib`` and the
-sha256 of stdout.
+both sides must agree, and the 10 slowest test phases.  ``verify-full``
+runs ``verify --suite all --json --seed S`` at the default degrees, and
+``deep-comb`` runs ``shuffle COMB b --json`` on the 398-level comb
+``a[a[...,b],b]`` (figures that include parsing the comb and rendering its
+796 terms as JSON); both keep ``wall_s``, ``peak_rss_mib`` and the sha256
+of stdout.  The seed only numbers a ``tier1`` or ``deep-comb`` pair.
 
 The summary has, per workload, per end-to-end metric of its row and per
 side, the median, the quartiles (inclusive method), their distance and the
@@ -191,6 +193,13 @@ KINDS: dict[str | None, Kind] = {
     "verify-full": Kind(
         ("python3", "-m", "forestshuffle.cli", "verify", "--suite", "all", "--json", "--seed", "{seed}"),
         parse_digest, "{run} (verify-full)", src_first=True, metrics=("wall_s", "peak_rss_mib"),
+    ),
+    # the 398-level comb a[a[...,b],b] times b
+    "deep-comb": Kind(
+        ("python3", "-m", "forestshuffle.cli", "shuffle", "a[" * 397 + "a" + ",b]" * 397, "b", "--json"),
+        parse_digest, "PYTHONPATH=src python3 -m forestshuffle.cli shuffle COMB b --json "
+        "(deep-comb, seeds {seeds}; COMB is the 398-level comb a[a[...,b],b])",
+        src_first=True, metrics=("wall_s", "peak_rss_mib"),
     ),
 }
 
