@@ -54,14 +54,34 @@ def _combine(parts: list[tuple[dict[Hashable, int], int, int]], split: int = 1) 
     """The sum of parts (numerators, denominator, factor), each worth
     factor * numerators / denominator, divided by ``split``: summed over the
     lcm of the denominators and reduced to lowest terms.  No parts sum to
-    zero, ({}, 1).  The one place where terms are summed."""
+    zero, ({}, 1).  The one place where terms are summed.
+
+    A part is scaled only when its factor over the lcm is not 1.  A part
+    whose basis elements the sum does not hold yet is merged whole with
+    ``dict.update``, which reuses the hashes its dict stores; only a part
+    that shares basis elements with the sum is added term by term.  The
+    first part's dict is taken as it is and copied, once, before anything
+    is merged into it, so no input dict is changed, and a lone part already
+    in lowest terms comes back as the same dict: no stored dict is ever
+    changed (see ``_Exact``)."""
     den = lcm(*[d for _, d, _ in parts])
     acc: dict = {}
-    get = acc.get
+    owned = True  # False while acc is a part's own dict, which must not change
     for nums, d, factor in parts:
         factor *= den // d
-        for b, c in nums.items():
-            acc[b] = get(b, 0) + c * factor
+        if acc and not owned:
+            acc, owned = acc.copy(), True
+        if acc and not acc.keys().isdisjoint(nums.keys()):
+            get = acc.get
+            for b, c in nums.items():
+                acc[b] = get(b, 0) + c * factor
+            continue
+        if factor != 1:
+            nums = {b: c * factor for b, c in nums.items()}
+        if acc:
+            acc.update(nums)
+        else:
+            acc, owned = nums, factor != 1
     if 0 in acc.values():  # a negative factor cancelled terms, or a zero came in
         acc = {b: c for b, c in acc.items() if c}
     den *= split

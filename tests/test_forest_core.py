@@ -534,6 +534,32 @@ class TestInterning:
                 P(text)
             assert err.value.position == position and str(err.value).endswith(f"(at position {position})")
 
+    def test_concat_joins_ordered_runs_and_grafted_reads_the_table(self):
+        # every pair of forests up to 4 vertices: runs in order, reversed,
+        # interleaved, and meeting on equal boundary keys
+        forests_ = forests_up_to(4, default_alphabet(("a", "b")))
+        seen = set()
+        for f in forests_:
+            for g in forests_:
+                if f.trees and g.trees:
+                    ordered = f.trees[-1].key <= g.trees[0].key
+                    reversed_ = g.trees[-1].key <= f.trees[0].key
+                    equal = f.trees[-1].key == g.trees[0].key or g.trees[-1].key == f.trees[0].key
+                    seen.add((ordered, reversed_, equal))
+                built, reference = concat(f, g), Forest(f.trees + g.trees)
+                assert_same_forest(built, reference)
+                # with an empty side concat returns the other, built before
+                # the tables were emptied
+                if f.trees and g.trees and built.size <= forest._MEMO_SIZE_LIMIT:
+                    assert built is reference is forest._forest_table[built.key]
+        assert {(True, False, False), (False, True, False), (False, False, False), (True, True, True)} <= seen
+        assert {(True, False, True), (False, True, True)} <= seen
+        for d in default_alphabet(("a", "b")):
+            for f in forests_:
+                entry = forest._forest_table.get(Forest([RootedTree(d, f.trees)]).key)
+                if entry is not None:
+                    assert _grafted(d, f) is entry
+
     def test_every_shared_key_parses_to_its_value(self):
         run_suite("forest-core", SuiteConfig(max_degree=4))
         run_suite("shuffle", SuiteConfig(max_degree=4))

@@ -203,6 +203,49 @@ class TestExactCarrier:
         # 2a/4 + 2b/4 reduce by 2
         assert _combine([({a: 2}, 4, 1), ({b: 2}, 4, 1)]) == ({a: 1, b: 1}, 2)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        parts=st.lists(
+            st.tuples(
+                # a few basis elements, so parts both share and miss them
+                st.dictionaries(st.sampled_from(["a", "b", "a b", "a[b]", "b[a]"]), st.integers(-4, 4), max_size=4),
+                st.integers(1, 6),
+                st.sampled_from([1, 1, 2, -1, -3]),
+            ),
+            max_size=5,
+        ),
+        split=st.sampled_from([1, 1, 2, 6]),
+    )
+    def test_sum_matches_a_fraction_sum(self, parts, split):
+        parts = [({P(k): c for k, c in nums.items()}, d, factor) for nums, d, factor in parts]
+        before = [dict(nums) for nums, _, _ in parts]
+        expected: dict = {}
+        for nums, d, factor in parts:
+            for b, c in nums.items():
+                expected[b] = expected.get(b, 0) + Fraction(c * factor, d * split)
+        nums, den = _combine(parts, split)
+        assert type(den) is int and den > 0 and math.gcd(den, *nums.values()) == 1
+        assert {b: Fraction(c, den) for b, c in nums.items()} == {b: c for b, c in expected.items() if c}
+        # no input dict is changed, shared or not
+        assert [nums for nums, _, _ in parts] == before
+        if len(parts) == 1 and parts[0][2] == 1:
+            part, d, _ = parts[0]
+            if 0 not in part.values() and math.gcd(d * split, *part.values()) == 1:
+                assert nums is part
+
+    def test_a_lone_canonical_part_comes_back_as_is(self):
+        a, b = P("a"), P("b")
+        nums = {a: 1, b: -2}
+        assert _combine([(nums, 3, 1)])[0] is nums
+        assert _combine([(nums, 3, 1)], 2) == (nums, 6) and _combine([(nums, 3, 1)], 2)[0] is nums
+        assert _combine([({}, 1, 1), (nums, 3, 1)])[0] is nums
+        # scaled or reduced: a new dict, and the part is unchanged
+        for parts, split in [([(nums, 3, 2)], 1), ([({a: 2}, 3, 1)], 2), ([({a: 2}, 4, 1)], 1)]:
+            assert _combine(parts, split)[0] is not parts[0][0]
+        assert _combine([(nums, 3, 1), ({a: 1}, 3, 1)]) == ({b: -2, a: 2}, 3) and nums == {a: 1, b: -2}
+        assert _combine([(nums, 3, 1), ({P("c"): 1}, 3, 1)]) == ({a: 1, b: -2, P("c"): 1}, 3)
+        assert nums == {a: 1, b: -2}
+
     def test_leg_tuple_keys(self):
         a, b = P("a"), P("b")
         value = _combine([({(a, b): 1, (b, a): 1}, 2, 1), ({(a, b): 1}, 2, 1)])
