@@ -432,31 +432,12 @@ def b_plus(decoration: Decoration, forest: Forest) -> RootedTree:
 def _grafted(decoration: Decoration, forest: Forest) -> Forest:
     """B+^decoration(forest) as a one-tree forest: one key, one hash, no sort.
     A one-tree forest's key is its tree's, so a shared forest is returned
-    before the tree is built or looked up.  A value too large to share is
-    set up here, tree and forest, as ``RootedTree._build`` and ``as_forest``
-    would set it, without the two calls and their table checks: 185,905 of
-    the 228,033 grafts of a seed-1 `products` pass are of such values."""
+    before the tree is built or looked up."""
     key = _b_plus_key(decoration, forest)
     size = forest.size + 1
-    if size <= _MEMO_SIZE_LIMIT:
-        if (hit := _forest_table.get(key)) is not None:
-            return hit
-        return RootedTree._build(decoration, forest.trees, key, size).as_forest()
-    key_hash = hash(key)
-    tree = object.__new__(RootedTree)
-    set_decoration, set_children, set_key, set_size, set_hash = _TREE_SETTERS
-    set_decoration(tree, decoration)
-    set_children(tree, forest.trees)
-    set_key(tree, key)
-    set_size(tree, size)
-    set_hash(tree, key_hash)
-    grafted = object.__new__(Forest)
-    set_trees, set_key, set_size, set_hash = _FOREST_SETTERS
-    set_trees(grafted, (tree,))
-    set_key(grafted, key)
-    set_size(grafted, size)
-    set_hash(grafted, key_hash)
-    return grafted
+    if size <= _MEMO_SIZE_LIMIT and (hit := _forest_table.get(key)) is not None:
+        return hit
+    return RootedTree._build(decoration, forest.trees, key, size).as_forest()
 
 
 def concat(first: Forest, second: Forest) -> Forest:

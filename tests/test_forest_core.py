@@ -230,14 +230,29 @@ class TestStructuralOps:
         assert b_plus(UNIT, P("a[b]")).as_forest() == P("1[a[b]]")
 
     def test_concat_monoid_exhaustive(self):
-        pool = forests_up_to(3, default_alphabet(("a", "b")))
+        # emptied tables, so each value below of at most _MEMO_SIZE_LIMIT
+        # vertices is the shared one of its key
+        for table in _tables():
+            table.clear()
+        pool = forests_up_to(4, default_alphabet(("a", "b")))
+        boundaries = set()
         for f in pool:
             assert concat(EMPTY, f) == f
             for g in pool:
+                built = concat(f, g)
+                assert_same_forest(built, Forest(f.trees + g.trees))
+                if f.trees and g.trees:
+                    # runs in order, reversed, interleaved, or meeting on an equal key
+                    head, tail, g_head, g_tail = f.trees[0].key, f.trees[-1].key, g.trees[0].key, g.trees[-1].key
+                    boundaries.add((tail <= g_head, g_tail <= head, tail == g_head or g_tail == head))
+                    if built.size <= forest._MEMO_SIZE_LIMIT:
+                        assert built is forest._forest_table[built.key]
                 if f.size + g.size > 5:
                     continue
                 assert concat(f, g) == concat(g, f)
                 assert concat(f, g).size == f.size + g.size
+        cases = {(True, False, False), (False, True, False), (False, False, False), (True, True, True)}
+        assert cases | {(True, False, True), (False, True, True)} <= boundaries
 
     def test_graft_at(self):
         a = P("a").single_tree()
@@ -407,6 +422,11 @@ class TestInterning:
         assert b_plus(a, P("c b")) is tree
         assert graft_at(P("a[b]").single_tree(), (), RootedTree(c)) is tree
         assert tree.as_forest() is P("a[b,c]") is _grafted(a, P("b c"))
+        for root in (a, b):
+            for f in forests_up_to(4, default_alphabet(("a", "b"))):
+                # the shared forest first, so _grafted has to return it
+                shared = Forest([RootedTree(root, f.trees)])
+                assert _grafted(root, f) is shared
         assert RootedTree(a, [RootedTree(b), RootedTree(c)]).as_forest() is Forest([tree])
         forest_ = P("a[b,c] d")
         assert P("d a[c,b]") is forest_
@@ -533,32 +553,6 @@ class TestInterning:
             with pytest.raises(TreeSyntaxError) as err:
                 P(text)
             assert err.value.position == position and str(err.value).endswith(f"(at position {position})")
-
-    def test_concat_joins_ordered_runs_and_grafted_reads_the_table(self):
-        # every pair of forests up to 4 vertices: runs in order, reversed,
-        # interleaved, and meeting on equal boundary keys
-        forests_ = forests_up_to(4, default_alphabet(("a", "b")))
-        seen = set()
-        for f in forests_:
-            for g in forests_:
-                if f.trees and g.trees:
-                    ordered = f.trees[-1].key <= g.trees[0].key
-                    reversed_ = g.trees[-1].key <= f.trees[0].key
-                    equal = f.trees[-1].key == g.trees[0].key or g.trees[-1].key == f.trees[0].key
-                    seen.add((ordered, reversed_, equal))
-                built, reference = concat(f, g), Forest(f.trees + g.trees)
-                assert_same_forest(built, reference)
-                # with an empty side concat returns the other, built before
-                # the tables were emptied
-                if f.trees and g.trees and built.size <= forest._MEMO_SIZE_LIMIT:
-                    assert built is reference is forest._forest_table[built.key]
-        assert {(True, False, False), (False, True, False), (False, False, False), (True, True, True)} <= seen
-        assert {(True, False, True), (False, True, True)} <= seen
-        for d in default_alphabet(("a", "b")):
-            for f in forests_:
-                entry = forest._forest_table.get(Forest([RootedTree(d, f.trees)]).key)
-                if entry is not None:
-                    assert _grafted(d, f) is entry
 
     def test_every_shared_key_parses_to_its_value(self):
         run_suite("forest-core", SuiteConfig(max_degree=4))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import forestshuffle
@@ -216,6 +216,17 @@ class TestExactCarrier:
         ),
         split=st.sampled_from([1, 1, 2, 6]),
     )
+    # a lone canonical part, alone, split, or after an empty one
+    @example(parts=[({"a": 1, "b": -2}, 3, 1)], split=1)
+    @example(parts=[({"a": 1, "b": -2}, 3, 1)], split=2)
+    @example(parts=[({}, 1, 1), ({"a": 1, "b": -2}, 3, 1)], split=1)
+    # scaled, or reduced by the denominator or the split
+    @example(parts=[({"a": 1, "b": -2}, 3, 2)], split=1)
+    @example(parts=[({"a": 2}, 4, 1)], split=1)
+    @example(parts=[({"a": 2}, 3, 1)], split=2)
+    # a second part sharing a basis element with the first, or none
+    @example(parts=[({"a": 1, "b": -2}, 3, 1), ({"a": 1}, 3, 1)], split=1)
+    @example(parts=[({"a": 1, "b": -2}, 3, 1), ({"a b": 1}, 3, 1)], split=1)
     def test_sum_matches_a_fraction_sum(self, parts, split):
         parts = [({P(k): c for k, c in nums.items()}, d, factor) for nums, d, factor in parts]
         before = [dict(nums) for nums, _, _ in parts]
@@ -228,23 +239,17 @@ class TestExactCarrier:
         assert {b: Fraction(c, den) for b, c in nums.items()} == {b: c for b, c in expected.items() if c}
         # no input dict is changed, shared or not
         assert [nums for nums, _, _ in parts] == before
-        if len(parts) == 1 and parts[0][2] == 1:
-            part, d, _ = parts[0]
-            if 0 not in part.values() and math.gcd(d * split, *part.values()) == 1:
+        nonempty = [i for i, (part, _, _) in enumerate(parts) if part]
+        if len(nonempty) == 1:
+            part, d, factor = parts[nonempty[0]]
+            scale = factor * (math.lcm(*[d for _, d, _ in parts]) // d)
+            lowest = 0 not in part.values() and math.gcd(d * split, *part.values()) == 1
+            if scale != 1 or not lowest:
+                # scaled or reduced: a new dict
+                assert nums is not part
+            elif nonempty == [len(parts) - 1]:
+                # a lone canonical part, after empty ones only, comes back as is
                 assert nums is part
-
-    def test_a_lone_canonical_part_comes_back_as_is(self):
-        a, b = P("a"), P("b")
-        nums = {a: 1, b: -2}
-        assert _combine([(nums, 3, 1)])[0] is nums
-        assert _combine([(nums, 3, 1)], 2) == (nums, 6) and _combine([(nums, 3, 1)], 2)[0] is nums
-        assert _combine([({}, 1, 1), (nums, 3, 1)])[0] is nums
-        # scaled or reduced: a new dict, and the part is unchanged
-        for parts, split in [([(nums, 3, 2)], 1), ([({a: 2}, 3, 1)], 2), ([({a: 2}, 4, 1)], 1)]:
-            assert _combine(parts, split)[0] is not parts[0][0]
-        assert _combine([(nums, 3, 1), ({a: 1}, 3, 1)]) == ({b: -2, a: 2}, 3) and nums == {a: 1, b: -2}
-        assert _combine([(nums, 3, 1), ({P("c"): 1}, 3, 1)]) == ({a: 1, b: -2, P("c"): 1}, 3)
-        assert nums == {a: 1, b: -2}
 
     def test_leg_tuple_keys(self):
         a, b = P("a"), P("b")
