@@ -18,14 +18,16 @@ subsequence of a sorted tuple, a merge of two sorted tuples, or two sorted
 tuples whose keys meet in order (the last key of one at most the first of
 the other), which ``concat`` joins with their forest keys as they are.
 
-Canonical values are hash-consed: ``Decoration``, ``RootedTree._build``,
-``Forest._build`` and ``RootedTree.as_forest`` return the object already
-built for a value of at most ``_MEMO_SIZE_LIMIT`` vertices (or atoms), from
-one table per class keyed on the canonical key.  A full table takes no new
-entries, so it stays bounded in any loop, inside a public entry or not
-(parsing, enumeration).  Equality and hashing stay by key; sharing only
-saves memory and collector work.  ``parse_forest`` looks its text up in the
-forest table first: canonical text of a shared value returns it unparsed.
+Canonical values are hash-consed: ``Decoration``, ``RootedTree._build``
+and ``Forest._build`` return the object already built for a value of at
+most ``_MEMO_SIZE_LIMIT`` vertices (or atoms), from one table per class
+keyed on the canonical key, and they are the only places a tree or forest
+is made: every other builder (``as_forest``, ``b_plus``, ``_grafted``,
+``concat``) goes through one of them.  A full table takes no new entries,
+so it stays bounded in any loop, inside a public entry or not (parsing,
+enumeration).  Equality and hashing stay by key; sharing only saves memory
+and collector work.  ``parse_forest`` looks its text up in the forest table
+first: canonical text of a shared value returns it unparsed.
 
 All values are immutable and hashable; every operation is a pure function.
 """
@@ -198,8 +200,7 @@ class _Memo(dict):
 
 
 # The hash-consing tables: the one shared object of each canonical value of
-# at most _MEMO_SIZE_LIMIT vertices (a decoration: atoms).  A one-tree
-# forest's key is its tree's, so `as_forest` shares the forest table.
+# at most _MEMO_SIZE_LIMIT vertices (a decoration: atoms).
 _decoration_table = _Memo()  # sorted atom tuple -> Decoration
 _tree_table = _Memo()  # tree key -> RootedTree
 _forest_table = _Memo()  # forest key -> Forest
@@ -255,9 +256,10 @@ UNIT = Decoration()
 
 class _Keyed:
     """The value rules of ``RootedTree``, ``Forest`` and ``words.Word``: a
-    subclass's constructors fill its ``key`` and ``_hash`` slots once, and
-    values of two classes differ even on one key (a tree and its one-tree
-    forest, the empty word and ``EMPTY``)."""
+    subclass's constructors fill its ``key`` slot once, a value hashes as
+    its key (a ``str`` keeps its own hash once computed, so no slot copies
+    it), and values of two classes differ even on one key (a tree and its
+    one-tree forest, the empty word and ``EMPTY``)."""
 
     __slots__ = ()
 
@@ -268,7 +270,7 @@ class _Keyed:
         return type(other) is type(self) and self.key == other.key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __lt__(self, other: "_Keyed") -> bool:
         return self.key < other.key
@@ -286,7 +288,7 @@ class RootedTree(_Keyed):
     bottom-up, making canonicalization O(n log n) overall.
     """
 
-    __slots__ = ("decoration", "children", "key", "size", "_hash")
+    __slots__ = ("decoration", "children", "key", "size")
 
     decoration: Decoration
     children: tuple["RootedTree", ...]
@@ -315,27 +317,16 @@ class RootedTree(_Keyed):
         if shared and (hit := _tree_table.get(key)) is not None:
             return hit
         self = object.__new__(cls)
-        set_decoration, set_children, set_key, set_size, set_hash = _TREE_SETTERS
+        set_decoration, set_children, set_key, set_size = _TREE_SETTERS
         set_decoration(self, decoration)
         set_children(self, children)
         set_key(self, key)
         set_size(self, size)
-        set_hash(self, hash(key))
         return _tree_table.share(key, self) if shared else self
 
     def as_forest(self) -> "Forest":
-        """The one-tree forest; it takes the tree's key, size and hash."""
-        key, size = self.key, self.size
-        shared = size <= _MEMO_SIZE_LIMIT
-        if shared and (hit := _forest_table.get(key)) is not None:
-            return hit
-        forest = object.__new__(Forest)
-        set_trees, set_key, set_size, set_hash = _FOREST_SETTERS
-        set_trees(forest, (self,))
-        set_key(forest, key)
-        set_size(forest, size)
-        set_hash(forest, self._hash)
-        return _forest_table.share(key, forest) if shared else forest
+        """The one-tree forest; a one-tree forest's key is its tree's."""
+        return Forest._build((self,), self.size, self.key)
 
 
 def _below(tree: RootedTree) -> "Forest":
@@ -352,7 +343,7 @@ class Forest(_Keyed):
     isomorphism of decorated forests.
     """
 
-    __slots__ = ("trees", "key", "size", "_hash")
+    __slots__ = ("trees", "key", "size")
 
     trees: tuple[RootedTree, ...]
     key: str
@@ -377,11 +368,10 @@ class Forest(_Keyed):
         if shared and (hit := _forest_table.get(key)) is not None:
             return hit
         self = object.__new__(cls)
-        set_trees, set_key, set_size, set_hash = _FOREST_SETTERS
+        set_trees, set_key, set_size = _FOREST_SETTERS
         set_trees(self, trees)
         set_key(self, key)
         set_size(self, size)
-        set_hash(self, hash(key))
         return _forest_table.share(key, self) if shared else self
 
     @property
@@ -430,8 +420,8 @@ def b_plus(decoration: Decoration, forest: Forest) -> RootedTree:
 
 
 def _grafted(decoration: Decoration, forest: Forest) -> Forest:
-    """B+^decoration(forest) as a one-tree forest: one key, one hash, no sort.
-    A one-tree forest's key is its tree's, so a shared forest is returned
+    """B+^decoration(forest) as a one-tree forest: one key, no sort.  A
+    one-tree forest's key is its tree's, so a shared forest is returned
     before the tree is built or looked up."""
     key = _b_plus_key(decoration, forest)
     size = forest.size + 1
@@ -561,7 +551,6 @@ def graft_at(tree: RootedTree, ref: VertexRef, scion: RootedTree | Forest) -> Ro
     if scion_f.is_empty:
         subtree_at(tree, ref)  # still validate the ref
         return tree
-    scion = scion_f.trees[0]
     # the vertices from the root down to ref, then rebuilt from ref upwards
     spine = [tree]
     for i in ref:
@@ -570,7 +559,7 @@ def graft_at(tree: RootedTree, ref: VertexRef, scion: RootedTree | Forest) -> Ro
         except IndexError:
             raise ValueError(f"vertex ref {ref} does not resolve in {tree.key!r}") from None
     node = spine.pop()
-    rebuilt = RootedTree(node.decoration, node.children + (scion,))
+    rebuilt = b_plus(node.decoration, concat(_below(node), scion_f))
     for node, i in zip(reversed(spine), reversed(ref)):
         children = list(node.children)
         children[i] = rebuilt

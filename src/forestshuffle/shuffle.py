@@ -21,10 +21,9 @@ invisible.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 
-from .forest import _ATOM_RE, EMPTY, Forest, _below, _by_key, _gc_paused, _grafted, _Memo, b_plus, concat
+from .forest import _ATOM_RE, EMPTY, Forest, _below, _gc_paused, _grafted, _Memo, concat
 from .linalg import LinComb, _combine, _exact, _Exact, bilinear
 
 __all__ = [
@@ -54,16 +53,11 @@ _MATCH, _MISS = ({_PAIRED: 1}, 1), ({}, 1)
 # numerator, so a clean input gives a clean output.
 def _graft(dec, terms: dict, rest: Forest = EMPTY) -> dict:
     """F -> B+^dec(F) rest on every forest of ``terms``, keeping its
-    coefficient.  One forest is built per term: the grafted tree goes into
-    its place among the sorted trees of ``rest``."""
-    trees, out = rest.trees, {}
-    if not trees:
+    coefficient: the one-tree forest ``_grafted`` builds, joined to ``rest``
+    by ``concat``."""
+    if rest.is_empty:
         return {_grafted(dec, f): c for f, c in terms.items()}
-    for f, c in terms.items():
-        tree = b_plus(dec, f)
-        i = bisect_left(trees, tree.key, key=_by_key)
-        out[Forest._build(trees[:i] + (tree,) + trees[i:], rest.size + tree.size)] = c
-    return out
+    return {concat(_grafted(dec, f), rest): c for f, c in terms.items()}
 
 
 def _concat(nums: dict[Forest, int], rest: Forest) -> dict[Forest, int]:

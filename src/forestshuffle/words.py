@@ -7,9 +7,8 @@ first letter.  ``word_shuffle`` is the classical recursive quasi-shuffle
 runs on letter tuples and on ``linalg._Exact``, like the forest products,
 keeps its sub-results in a ``forest._Memo`` under their size rule (the size
 is the letter count), and builds each result ``Word`` once, at the end.  A
-``Word`` is a ``forest._Keyed`` value: it hashes its key once, at
-construction, and compares by key, as letter texts hold no space, so the
-key determines the letters.
+``Word`` is a ``forest._Keyed`` value: it hashes and compares by its key,
+as letter texts hold no space, so the key determines the letters.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .forest import Decoration, EMPTY, Forest, RootedTree, _gc_paused, _Keyed, _Memo, _preorder
+from .forest import Decoration, EMPTY, Forest, _gc_paused, _grafted, _Keyed, _Memo, _preorder
 from .linalg import _ONE, LinComb, TensorComb, _combine, _exact, _Exact
 
 __all__ = [
@@ -36,7 +35,7 @@ __all__ = [
 class Word(_Keyed):
     """An immutable sequence of letters, each a Decoration."""
 
-    __slots__ = ("letters", "key", "_hash")
+    __slots__ = ("letters", "key")
 
     letters: tuple[Decoration, ...]
     key: str
@@ -46,7 +45,6 @@ class Word(_Keyed):
         key = "(" + " ".join(l.text for l in letters) + ")"
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -118,13 +116,10 @@ def word_shuffle_brute(w: Word, v: Word) -> LinComb[Word]:
 
 def word_to_tree(w: Word) -> Forest:
     """The linear tree of a word; the first letter decorates the root."""
-    if not w.letters:
-        return EMPTY
-    node: RootedTree | None = None
+    forest = EMPTY
     for letter in reversed(w.letters):
-        node = RootedTree(letter, () if node is None else (node,))
-    assert node is not None
-    return node.as_forest()
+        forest = _grafted(letter, forest)
+    return forest
 
 
 def is_linear(forest: Forest) -> bool:

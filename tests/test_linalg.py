@@ -1002,6 +1002,96 @@ def test_keyed_scan_sees_each_kind():
     assert _keyed_faults([Plain, Restated, Keyless]) == ["Plain is no _Keyed", "Restated.__repr__"]
 
 
+# the slot setters each value class's builder writes its fields through
+_SETTERS = {"_TREE_SETTERS": "RootedTree", "_FOREST_SETTERS": "Forest"}
+
+
+class _FieldBuilders(ast.NodeVisitor):
+    """Per function of a module (qualified by class and enclosing function),
+    the value classes it builds field by field: it reads a class's slot
+    setters or calls ``object.__new__`` on the class (``cls`` inside a
+    class means that class)."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.classes: list[str] = []
+        self.found: dict[str, set[str]] = {}
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = _scoped
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node.name)
+        self._scoped(node)
+        self.classes.pop()
+
+    def _note(self, cls: str) -> None:
+        if cls in _SETTERS.values():
+            self.found.setdefault(".".join(self.scope) or "<module>", set()).add(cls)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id in _SETTERS:
+            self._note(_SETTERS[node.id])
+
+    def visit_Call(self, node):
+        fn = node.func
+        if (
+            isinstance(fn, ast.Attribute)
+            and fn.attr == "__new__"
+            and getattr(fn.value, "id", None) == "object"
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+        ):
+            arg = node.args[0].id
+            self._note(self.classes[-1] if arg == "cls" and self.classes else arg)
+        self.generic_visit(node)
+
+
+def _field_builders(source: str) -> dict[str, set[str]]:
+    visitor = _FieldBuilders()
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def test_each_value_class_has_one_builder():
+    """Only ``RootedTree._build`` makes a tree and only ``Forest._build`` a
+    forest; every other builder goes through them, so the hash-consing
+    table lookup and the field layout live in one place per class."""
+    root = Path(forestshuffle.__file__).parent
+    found = {
+        f"{path.stem}.{where}": classes
+        for path in sorted(root.glob("*.py"))
+        for where, classes in _field_builders(path.read_text(encoding="utf-8")).items()
+    }
+    assert found == {"forest.RootedTree._build": {"RootedTree"}, "forest.Forest._build": {"Forest"}}
+
+
+def test_field_builder_scan_sees_each_kind():
+    source = (
+        "class Forest:\n"
+        "    def _build(cls):\n        return object.__new__(cls)\n"
+        "class RootedTree:\n"
+        "    def as_forest(self):\n"
+        "        forest = object.__new__(Forest)\n"
+        "        _FOREST_SETTERS[0](forest, (self,))\n"
+        "class Decoration:\n"
+        "    def __new__(cls):\n        return object.__new__(cls)\n"
+        "_TREE_SETTERS = _slot_setters(RootedTree)\n"
+        "def outer():\n    def inner():\n        return _TREE_SETTERS\n"
+        "print(_FOREST_SETTERS)\n"
+    )
+    assert _field_builders(source) == {
+        "Forest._build": {"Forest"},
+        "RootedTree.as_forest": {"Forest"},
+        "outer.inner": {"RootedTree"},
+        "<module>": {"Forest"},
+    }
+
+
 def _guard_faults(module: str, source: str) -> tuple[list[str], list[str]]:
     """The bound names a module's ``GuardExceeded.check`` calls pass, and its
     faults: a ``GuardExceeded(...)`` built outside ``GuardExceeded.check``,
