@@ -35,7 +35,9 @@ give ``Fraction`` values.  The two formulas' values have denominator 1: the
 root rule copies coefficients, alpha is an integer and so is c_gamma.  The
 transpose's forest rule divides by a normalization.  The family
 enumeration names each family's vertex set by an O(1) record; only
-``admissible_families`` flattens it.
+``admissible_families`` flattens it, to the vertices' preorder positions:
+a subtree is the block of its size from its root's position, so ``gamma``
+is read from slices of one ``_preorder`` walk of the tree.
 
 Three recursions keep a ``forest._Memo`` under its size rule: ``_dual``
 and ``_transpose`` their ``_Exact`` values by forest key, and
@@ -76,7 +78,6 @@ from .forest import (
     concat,
     graft_at,
     leaf_refs,
-    vertex_refs,
 )
 from .linalg import LinComb, TensorComb, _combine, _Exact
 from .sampling import _forests_on_multiset, _multiset_splits
@@ -86,7 +87,7 @@ __all__ = [
     "AdmissibleFamily",
     "admissible_families",
     "is_admissible_direct",
-    "contraction_fertility",
+    "contraction_product",
     "dual_recursive",
     "reduced_dual",
     "dual_combinatorial",
@@ -102,7 +103,8 @@ __all__ = [
 ORACLE_GUARD = 8
 
 # Most admissible families one tree may have; a linear tree with 16 vertices
-# has exactly this many.
+# has exactly this many.  A tree of n vertices has at most 2^n families, so
+# one of at most 16 vertices is admitted without counting them.
 FAMILY_GUARD = 2**16
 
 _ONE = Fraction(1)
@@ -181,8 +183,8 @@ def _families(tree: RootedTree) -> tuple[tuple, ...]:
     A record names gamma in O(1): True for the whole vertex set, False for
     the empty one, and (i, child record, joins) for a family of child i,
     joined by the root and the other children when ``joins`` is true.
-    ``_gamma`` flattens a record to vertex refs.  The families are a tuple,
-    so no caller can change one that ``_family_cache`` shares.
+    ``_positions`` flattens a record to preorder positions.  The families
+    are a tuple, so no caller can change one that ``_family_cache`` shares.
     """
     kids = tree.children
     n = len(kids)
@@ -208,28 +210,40 @@ def _families(tree: RootedTree) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _gamma(tree: RootedTree, record) -> frozenset[VertexRef]:
-    """The vertex refs a ``_family_sets`` record names, down one path."""
-    refs: list[VertexRef] = []
-    prefix: VertexRef = ()
+def _positions(tree: RootedTree, record) -> list[int]:
+    """The preorder positions of the vertices a ``_family_sets`` record
+    names, ascending, down one path.  In preorder a vertex at position p
+    heads its subtree's block, positions p to p + size - 1, so a joined
+    root and its other children are the blocks before and after the
+    chosen child's."""
+    out: list[int] = []
+    after: list[range] = []  # the blocks after each chosen child, outermost first
+    pos = 0
     while isinstance(record, tuple):
         i, record, joins = record
+        kids = tree.children
+        # child i follows its parent and its elder siblings' blocks
+        start = pos + 1
+        for kid in kids[:i]:
+            start += kid.size
         if joins:
-            refs.append(prefix)
-            for j, kid in enumerate(tree.children):
-                if j != i:
-                    refs.extend([prefix + (j,) + p for p in vertex_refs(kid)])
-        prefix += (i,)
-        tree = tree.children[i]
+            out.extend(range(pos, start))
+            after.append(range(start + kids[i].size, pos + tree.size))
+        pos, tree = start, kids[i]
     if record:
-        refs.extend([prefix + p for p in vertex_refs(tree)])
-    return frozenset(refs)
+        out.extend(range(pos, pos + tree.size))
+    for block in reversed(after):
+        out.extend(block)
+    return out
 
 
 def _checked_families(tree: RootedTree) -> tuple[tuple, ...]:
     """``_families`` of a tree, refused past ``FAMILY_GUARD`` families; the
-    children's come from the memo, the tree's own is not stored."""
-    GuardExceeded.check(family_count(tree), FAMILY_GUARD, "admissible family count")
+    children's come from the memo, the tree's own is not stored.  A tree of
+    n vertices has at most 2^n families, so only a tree too large for that
+    to settle it is counted."""
+    if tree.size >= FAMILY_GUARD.bit_length():
+        GuardExceeded.check(family_count(tree), FAMILY_GUARD, "admissible family count")
     return _families(tree)
 
 
@@ -241,13 +255,20 @@ def admissible_families(tree: RootedTree) -> tuple[AdmissibleFamily, ...]:
     present with contracted fertility 1.  Guarded to ``FAMILY_GUARD``
     families: a linear tree with n vertices has 2^n of them.
     """
-    families = [
-        AdmissibleFamily(_gamma(tree, record), g, h, c) for record, g, h, c in _checked_families(tree)
-    ]
-    return tuple(sorted(families, key=lambda fam: (len(fam.gamma), sorted(fam.gamma))))
+    refs = [ref for ref, _ in _preorder(tree)]
+    rows = []
+    for record, g, h, c in _checked_families(tree):
+        pos = _positions(tree, record)
+        rows.append((len(pos), pos, g, h, c))
+    # preorder is the lexicographic order of refs, so ascending positions
+    # sort as sorted refs do
+    rows.sort(key=lambda row: row[:2])
+    return tuple([AdmissibleFamily(frozenset([refs[p] for p in pos]), g, h, c) for _, pos, g, h, c in rows])
 
 
-def is_admissible_direct(tree: RootedTree, gamma: Iterable[VertexRef]) -> bool:
+def is_admissible_direct(
+    tree: RootedTree, gamma: Iterable[VertexRef], walk: list[tuple[VertexRef, RootedTree]] | None = None
+) -> bool:
     """Check the defining conditions of admissibility on a vertex set.
 
     Both induced sides must be trees (or empty), and every branching is
@@ -258,9 +279,11 @@ def is_admissible_direct(tree: RootedTree, gamma: Iterable[VertexRef]) -> bool:
     tree complement r[u,v], but r had one child; the corresponding tensor
     never occurs in the dual coproduct, and the inductive enumeration
     rightly excludes the set).  Fertility may only vary between 0 and 1.
+    ``walk`` is the tree's ``_preorder`` walk, for a caller that checks
+    many sets of one tree; it is walked here when not given.
     """
     gamma = frozenset(gamma)
-    walk = _preorder(tree)
+    walk = _preorder(tree) if walk is None else walk
     all_refs = frozenset([ref for ref, _ in walk])
     if not gamma <= all_refs:
         raise ValueError("gamma contains refs that do not resolve")
@@ -285,8 +308,8 @@ def contraction_fertility(
     gamma, or entirely inside the complement, collapses to a single vertex.
     Returns the undecorated contraction together with the product of the
     fertilities of its internal vertices (1 when the contraction has at
-    most one vertex).  This is the independent oracle for the fertilities
-    carried by ``admissible_families``.
+    most one vertex).  The tests' reference for ``contraction_product``,
+    which finds the product without building the contraction.
     """
     gamma = frozenset(gamma)
     walk = _preorder(tree)
@@ -306,6 +329,37 @@ def _contract(
     if all(kid_side is side for kid_side, _ in kids):
         return side, RootedTree(UNIT)
     return None, RootedTree(UNIT, [c for _, c in kids])
+
+
+def contraction_product(
+    tree: RootedTree, gamma: Iterable[VertexRef], walk: list[tuple[VertexRef, RootedTree]] | None = None
+) -> int:
+    """The fertility product of ``contraction_fertility``, from one fold
+    over the tree's walk that builds no tree.
+
+    A vertex stays internal in the contraction exactly when its subtree
+    meets both sides of gamma, and there it keeps all its children, so the
+    product runs over those vertices' fertilities.  The fertilities that
+    ``admissible_families`` carries are checked against it.  ``walk`` is as
+    for ``is_admissible_direct``.
+    """
+    gamma = frozenset(gamma)
+    walk = _preorder(tree) if walk is None else walk
+    if not gamma <= {ref for ref, _ in walk}:
+        raise ValueError("gamma contains refs that do not resolve")
+    product = 1
+
+    def side(ref: VertexRef, _node: RootedTree, kids: list[bool | None]) -> bool | None:
+        # a vertex's side of gamma when its whole subtree lies there, else None
+        nonlocal product
+        own = ref in gamma
+        if kids.count(own) == len(kids):
+            return own
+        product *= len(kids)
+        return None
+
+    _fold(walk, side)
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +455,24 @@ def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
     Must agree with ``dual_recursive`` exactly, on trees and forests alike.
     A tree has one split, with alpha(0, 1) = 1, and its boundary families
     are the trivial terms T⊗∅ and ∅⊗T.  Reads the families' records as
-    enumerated, without building their vertex sets.
+    enumerated, without building their vertex sets, and each distinct
+    component's once.
     """
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))
-    reduced = []
-    for tree in forest.trees:
-        # families with the same two legs add up
-        parts = [
-            ({(h, g): c}, 1, 1) for _, g, h, c in _checked_families(tree) if not (g.is_empty or h.is_empty)
-        ]
-        reduced.append(_combine(parts)[0])
+    trees = forest.trees
+    reduced: list[dict] = []
+    for i, tree in enumerate(trees):
+        # trees are sorted, so equal components sit next to each other
+        if i and trees[i - 1] == tree:
+            reduced.append(reduced[-1])
+            continue
+        terms: dict = {}
+        for _, g, h, c in _checked_families(tree):
+            if not (g.is_empty or h.is_empty):
+                # families with the same two legs add up
+                terms[h, g] = terms.get((h, g), 0) + c
+        reduced.append(terms)
     return TensorComb._wrap(_alpha_terms(forest, reduced))
 
 

@@ -21,7 +21,7 @@ from functools import partial
 from .coalgebra import antipode_square_residual, counit, trunk_coproduct
 from .dual import (
     admissible_families,
-    contraction_fertility,
+    contraction_product,
     dual_combinatorial,
     dual_oracle,
     dual_oracle_brute,
@@ -659,16 +659,18 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
             c != 0,
         )
 
-    # complement closure and lemma-vs-direct fertility
+    # complement closure and lemma-vs-direct fertility, all on one walk of
+    # each tree
     for tf in trees_up_to(cfg.degree(6), alphabet):
         t = tf.single_tree()
+        walk = _preorder(t)
         fams = admissible_families(t)
-        by_set = {frozenset(f.gamma): f.c_gamma for f in fams}
-        refs = frozenset(vertex_refs(t))
-        ok_closure = all(frozenset(refs - g) in by_set and by_set[frozenset(refs - g)] == c for g, c in by_set.items())
+        by_set = {f.gamma: f.c_gamma for f in fams}
+        refs = frozenset([ref for ref, _ in walk])
+        ok_closure = all(refs - g in by_set and by_set[refs - g] == c for g, c in by_set.items())
         rep.check("complement closure with equal fertility", tf.key, True, ok_closure)
-        ok_direct = all(is_admissible_direct(t, f.gamma) for f in fams)
-        ok_fert = all(contraction_fertility(t, f.gamma)[1] == f.c_gamma for f in fams)
+        ok_direct = all(is_admissible_direct(t, f.gamma, walk) for f in fams)
+        ok_fert = all(contraction_product(t, f.gamma, walk) == f.c_gamma for f in fams)
         rep.check("families satisfy the direct definition", tf.key, True, ok_direct)
         rep.check("lemma fertility == contraction fertility", tf.key, True, ok_fert)
     return rep

@@ -507,7 +507,18 @@ def test_a_deep_comb_workload_is_summarized_beside_the_others(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("name", ["BENCH_30.json", "BENCH_31.json", "BENCH_32.json", "BENCH_33.json", "BENCH_34.json"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "BENCH_30.json",
+        "BENCH_31.json",
+        "BENCH_32.json",
+        "BENCH_33.json",
+        "BENCH_34.json",
+        "BENCH_35.json",
+        "BENCH_36.json",
+    ],
+)
 def test_write_reproduces_a_committed_file(tmp_path, name):
     # together they hold perfbench, tier1 and verify-full runs
     committed = _PATH.parent.parent / name

@@ -302,16 +302,19 @@ class TestErrorPaths:
             assert code == 4 and out == "" and "in sum" in err
 
     def test_families_guard_is_status_4(self, capsys):
-        linear = "a[" * 29 + "a" + "]" * 29  # 2^30 admissible families
-        for argv, counted in (
-            (["families", linear], "admissible family count"),
-            (["dual", linear, "--mode", "combinatorial"], "dual term count"),
-        ):
-            start = time.perf_counter()
-            code, out, err = run(capsys, *argv)
-            assert time.perf_counter() - start < 5
-            assert code == 4 and out == ""
-            assert f"{counted} is guarded to {FAMILY_GUARD}, got {2**30}" in err
+        # 2^n admissible families on a linear tree of n vertices: 17 is the
+        # smallest size the guard counts, 30 is far past it
+        for n in (17, 30):
+            linear = "a[" * (n - 1) + "a" + "]" * (n - 1)
+            for argv, counted in (
+                (["families", linear], "admissible family count"),
+                (["dual", linear, "--mode", "combinatorial"], "dual term count"),
+            ):
+                start = time.perf_counter()
+                code, out, err = run(capsys, *argv)
+                assert time.perf_counter() - start < 5
+                assert code == 4 and out == ""
+                assert f"{counted} is guarded to {FAMILY_GUARD}, got {2**n}" in err
 
     def test_dual_terms_guard_is_status_4(self, capsys):
         # the terms summed before they merge: 2^n on a chain of n vertices,

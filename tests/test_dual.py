@@ -14,6 +14,7 @@ from forestshuffle.dual import (
     _dual_term_count,
     admissible_families,
     contraction_fertility,
+    contraction_product,
     dual_combinatorial,
     dual_oracle,
     dual_oracle_brute,
@@ -29,6 +30,7 @@ from forestshuffle.forest import (
     Decoration,
     Forest,
     GuardExceeded,
+    _preorder,
     graft_at,
     induced_subtree,
     leaf_refs,
@@ -177,6 +179,51 @@ class TestAdmissibleFamilies:
         with pytest.raises(GuardExceeded):
             dual_combinatorial(Forest([linear(30), P("b").single_tree()]))
 
+    def test_family_count_is_at_most_two_to_the_size(self):
+        # the bound that lets a tree of at most 16 vertices skip the count;
+        # only a chain reaches it
+        for tf in trees_up_to(7, default_alphabet(("a", "b"))):
+            t = tf.single_tree()
+            chain = all(len(node.children) <= 1 for _, node in _preorder(t))
+            assert family_count(t) <= 2**t.size
+            assert (family_count(t) == 2**t.size) == chain, t.key
+
+    def test_only_a_tree_past_the_size_bound_is_counted(self, monkeypatch):
+        import forestshuffle.dual as dual
+
+        counted = []
+        monkeypatch.setattr(dual, "family_count", lambda t: counted.append(t.size) or 2)
+        for n in (16, 17):
+            # a star: a root over n - 1 leaves has only its two boundary families
+            star = P("a[" + ",".join(["b"] * (n - 1)) + "]").single_tree()
+            assert len(admissible_families(star)) == 2
+        assert counted == [FAMILY_GUARD.bit_length()] == [17]
+
+    def test_families_walk_their_tree_once(self, monkeypatch):
+        import forestshuffle.dual as dual
+
+        walked = []
+        walk = dual._preorder
+        monkeypatch.setattr(dual, "_preorder", lambda t: walked.append(t.key) or walk(t))
+        tree = P("a[b[c[a]],b[a,c[a,b]]]").single_tree()
+        fams = admissible_families(tree)
+        assert walked == [tree.key] and len(fams) == family_count(tree)
+
+    def test_equal_components_are_enumerated_once(self, monkeypatch):
+        import forestshuffle.dual as dual
+
+        enumerated = []
+        enumerate_families = dual._checked_families
+
+        def counted(tree):
+            enumerated.append(tree.key)
+            return enumerate_families(tree)
+
+        monkeypatch.setattr(dual, "_checked_families", counted)
+        f = P("a[b] a[b] a[b] b[a,a] b[a,a] c")
+        assert dual_combinatorial(f) == dual_recursive(f)
+        assert enumerated == ["a[b]", "b[a,a]", "c"]
+
     def test_dual_term_count(self):
         # the terms both formulas sum before they merge: on distinct
         # decorations none merge, and the count depends only on the shape
@@ -250,8 +297,27 @@ class TestContraction:
         cont, c = contraction_fertility(t, gamma)
         assert cont.size == 14
         assert c == 18
+        assert contraction_product(t, gamma) == 18
         via_lemma = {frozenset(f.gamma): f.c_gamma for f in admissible_families(t)}
         assert via_lemma[gamma] == 18
+
+    def test_product_without_the_tree_on_every_vertex_subset(self):
+        # every subset, not only the families, and through a given walk
+        for tf in trees_up_to(5, default_alphabet(("a", "b"))):
+            t = tf.single_tree()
+            walk = _preorder(t)
+            refs = [ref for ref, _ in walk]
+            for r in range(len(refs) + 1):
+                for gamma in map(frozenset, itertools.combinations(refs, r)):
+                    expected = contraction_fertility(t, gamma)[1]
+                    assert contraction_product(t, gamma) == contraction_product(t, gamma, walk) == expected
+                    assert is_admissible_direct(t, gamma, walk) == is_admissible_direct(t, gamma)
+
+    def test_refs_that_do_not_resolve(self):
+        t = P("a[b]").single_tree()
+        for check in (contraction_fertility, contraction_product, is_admissible_direct):
+            with pytest.raises(ValueError, match="do not resolve"):
+                check(t, {(1,)})
 
 
 class TestDualRecursive:

@@ -12,7 +12,7 @@ from hypothesis import given
 
 import forestshuffle.forest as forest
 from forestshuffle.cli import main
-from forestshuffle.dual import admissible_families, contraction_fertility, family_count
+from forestshuffle.dual import admissible_families, contraction_fertility, contraction_product, family_count
 from forestshuffle.forest import (
     EMPTY,
     MAX_TREE_DEPTH,
@@ -313,7 +313,7 @@ class TestStructuralOps:
             admissible_families(chain)
         # no full subtree but the leaf lies on one side, so nothing contracts
         cont, c = contraction_fertility(chain, [deepest])
-        assert cont == _redecorate(chain, lambda _: UNIT) and c == 1
+        assert cont == _redecorate(chain, lambda _: UNIT) and c == 1 == contraction_product(chain, [deepest])
 
 
 def assert_same_forest(built: Forest, reference: Forest) -> None:
