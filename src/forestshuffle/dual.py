@@ -72,7 +72,6 @@ from .forest import (
     _gc_paused,
     _grafted,
     _Memo,
-    _induced_children,
     _preorder,
     _scion_forest,
     concat,
@@ -279,24 +278,39 @@ def is_admissible_direct(
     tree complement r[u,v], but r had one child; the corresponding tensor
     never occurs in the dual coproduct, and the inductive enumeration
     rightly excludes the set).  Fertility may only vary between 0 and 1.
+
+    One fold over the walk checks both sides at once.  Its value at a
+    vertex is the pair (outside, inside): for each side of gamma, the
+    number of that side's vertices in the vertex's subtree with no vertex
+    of their own side above them in it.  Summed over a vertex's children,
+    its own side's entry is its fertility on that side; the sides are trees
+    (or empty) exactly when the root's pair is at most (1, 1).
     ``walk`` is the tree's ``_preorder`` walk, for a caller that checks
     many sets of one tree; it is walked here when not given.
     """
     gamma = frozenset(gamma)
     walk = _preorder(tree) if walk is None else walk
-    all_refs = frozenset([ref for ref, _ in walk])
-    if not gamma <= all_refs:
+    if not gamma <= {ref for ref, _ in walk}:
         raise ValueError("gamma contains refs that do not resolve")
-    inside = _induced_children(walk, gamma)
-    outside = _induced_children(walk, all_refs - gamma)
-    if len(inside[None]) > 1 or len(outside[None]) > 1:
-        return False
-    for ref, node in walk:
-        fert = len(node.children)
-        side = len((inside if ref in gamma else outside)[ref])
-        if max(fert, side) >= 2 and side != fert:
-            return False
-    return True
+    frozen = True
+
+    def tops(ref: VertexRef, _node: RootedTree, kids: list[list[int]]) -> list[int]:
+        nonlocal frozen
+        own = ref in gamma
+        out = inside = 0
+        for kid_out, kid_in in kids:
+            out += kid_out
+            inside += kid_in
+        pair = [out, inside]
+        fert, side = len(kids), pair[own]
+        if side != fert and max(fert, side) >= 2:
+            frozen = False
+        pair[own] = 1
+        return pair
+
+    # the fold runs first: it is what clears ``frozen``
+    roots = _fold(walk, tops)
+    return frozen and max(roots) <= 1
 
 
 def contraction_fertility(

@@ -489,26 +489,6 @@ def _fold(walk: list[tuple[VertexRef, RootedTree]], combine: Callable) -> object
     return values[0]
 
 
-def _induced_children(
-    walk: list[tuple[VertexRef, RootedTree]], selected: Iterable[VertexRef]
-) -> dict[VertexRef | None, list[VertexRef]]:
-    """The edges induced by a vertex subset of the walked tree: each
-    selected vertex maps to the selected vertices whose nearest selected
-    strict ancestor it is, and None maps to those with none (the roots)."""
-    children: dict[VertexRef | None, list[VertexRef]] = {r: [] for r in selected}
-    children[None] = []
-    # the nearest selected vertex at or above each vertex
-    above: dict[VertexRef, VertexRef | None] = {}
-    for ref, _ in walk:
-        parent = above[ref[:-1]] if ref else None
-        if ref in children:
-            children[parent].append(ref)
-            above[ref] = ref
-        else:
-            above[ref] = parent
-    return children
-
-
 def _redecorate(tree: RootedTree, fn: Callable[[Decoration], Decoration]) -> RootedTree:
     """The tree with every decoration d replaced by fn(d); fn is called on
     the vertices in preorder over the canonical layout."""
@@ -576,16 +556,16 @@ def induced_subtree(tree: RootedTree, refs: Iterable[VertexRef]) -> Forest:
     """
     selected = set(refs)
     walk = _preorder(tree)
-    children_of = _induced_children(walk, selected)
-    # reversed preorder builds every vertex's induced children before it
-    built: dict[VertexRef, RootedTree] = {}
-    for ref, node in reversed(walk):
-        if ref in selected:
-            built[ref] = RootedTree(node.decoration, [built[c] for c in children_of[ref]])
-    unresolved = selected - built.keys()
+    unresolved = selected - {ref for ref, _ in walk}
     if unresolved:
         raise ValueError(f"vertex ref {unresolved.pop()} does not resolve in {tree.key!r}")
-    return Forest([built[r] for r in children_of[None]])
+
+    def hanging(ref: VertexRef, node: RootedTree, kids: list[list[RootedTree]]) -> list[RootedTree]:
+        # the induced trees hanging in this vertex's subtree
+        below = [t for trees in kids for t in trees]
+        return [RootedTree(node.decoration, below)] if ref in selected else below
+
+    return Forest(_fold(walk, hanging))
 
 
 # ---------------------------------------------------------------------------

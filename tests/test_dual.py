@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from forestshuffle.coalgebra import trunk_coproduct
 from forestshuffle.dual import (
@@ -136,6 +136,20 @@ class TestAdmissibleFamilies:
                         direct[gamma] = contraction_fertility(t, gamma)[1]
             via_lemma = {frozenset(f.gamma): f.c_gamma for f in admissible_families(t)}
             assert via_lemma == direct, t.key
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_trees)
+    def test_lemma_matches_direct_definition_on_any_tree(self, t):
+        # unit, composite and 3-atom decorations, on every vertex subset
+        assume(t.size <= 10)
+        walk = _preorder(t)
+        refs = [ref for ref, _ in walk]
+        direct = {}
+        for r in range(len(refs) + 1):
+            for gamma in map(frozenset, itertools.combinations(refs, r)):
+                if is_admissible_direct(t, gamma, walk):
+                    direct[gamma] = contraction_product(t, gamma, walk)
+        assert direct == {f.gamma: f.c_gamma for f in admissible_families(t)}, t.key
 
     def test_complement_closure(self):
         for tf in trees_up_to(6, default_alphabet(("a", "b"))):
@@ -312,6 +326,15 @@ class TestContraction:
                     expected = contraction_fertility(t, gamma)[1]
                     assert contraction_product(t, gamma) == contraction_product(t, gamma, walk) == expected
                     assert is_admissible_direct(t, gamma, walk) == is_admissible_direct(t, gamma)
+
+    def test_direct_check_on_a_deep_comb(self):
+        # a[a[...,b],b], a branch on every level: the complement of the root
+        # has two roots, found without recursing
+        depth = 400
+        comb = P("a[" * (depth - 1) + "a" + ",b]" * (depth - 1)).single_tree()
+        assert comb.size == 2 * depth - 1
+        assert not is_admissible_direct(comb, {()})
+        assert is_admissible_direct(comb, vertex_refs(comb))
 
     def test_refs_that_do_not_resolve(self):
         t = P("a[b]").single_tree()

@@ -12,7 +12,13 @@ from hypothesis import given
 
 import forestshuffle.forest as forest
 from forestshuffle.cli import main
-from forestshuffle.dual import admissible_families, contraction_fertility, contraction_product, family_count
+from forestshuffle.dual import (
+    admissible_families,
+    contraction_fertility,
+    contraction_product,
+    family_count,
+    is_admissible_direct,
+)
 from forestshuffle.forest import (
     EMPTY,
     MAX_TREE_DEPTH,
@@ -279,6 +285,10 @@ class TestStructuralOps:
         # skip b: the edge a -> c bypasses it
         refs = {(), (0, 0), (1,)}
         assert induced_subtree(t, refs) == P("a[c,d]")
+        # without a: two trees
+        assert induced_subtree(t, refs - {()}) == P("c d")
+        with pytest.raises(ValueError, match=r"vertex ref \(0, 1\) does not resolve in 'a\[b\[c\],d\]'"):
+            induced_subtree(t, [(), (0, 1)])
 
     def test_leaf_refs(self):
         t = P("a[b[c],d]").single_tree()
@@ -296,6 +306,14 @@ class TestStructuralOps:
         assert grafted.size == depth + 1
         assert subtree_at(grafted, deepest).key == "a[c]"
         assert induced_subtree(chain, refs) == chain.as_forest()
+        # every other vertex from the root: the a's at even depth
+        every_other = refs[::2]
+        a = Decoration(["a"])
+        expected = RootedTree(a)
+        for _ in range(depth // 2 - 1):
+            expected = RootedTree(a, [expected])
+        assert induced_subtree(chain, every_other) == expected.as_forest()
+        assert is_admissible_direct(chain, every_other)
 
     def test_deep_chain_visits_and_folds(self):
         # every whole-tree visit and fold outside forest.py reads its walk
