@@ -517,6 +517,7 @@ def test_a_deep_comb_workload_is_summarized_beside_the_others(tmp_path):
         "BENCH_34.json",
         "BENCH_35.json",
         "BENCH_36.json",
+        "BENCH_37.json",
     ],
 )
 def test_write_reproduces_a_committed_file(tmp_path, name):
