@@ -265,6 +265,18 @@ def admissible_families(tree: RootedTree) -> tuple[AdmissibleFamily, ...]:
     return tuple([AdmissibleFamily(frozenset([refs[p] for p in pos]), g, h, c) for _, pos, g, h, c in rows])
 
 
+def _checked_gamma(
+    tree: RootedTree, gamma: Iterable[VertexRef], walk: list[tuple[VertexRef, RootedTree]] | None
+) -> tuple[frozenset[VertexRef], list[tuple[VertexRef, RootedTree]]]:
+    """``gamma`` as a frozenset, with the tree's ``_preorder`` walk (walked
+    here when not given); refs that do not resolve raise ``ValueError``."""
+    gamma = frozenset(gamma)
+    walk = _preorder(tree) if walk is None else walk
+    if not gamma <= {ref for ref, _ in walk}:
+        raise ValueError("gamma contains refs that do not resolve")
+    return gamma, walk
+
+
 def is_admissible_direct(
     tree: RootedTree, gamma: Iterable[VertexRef], walk: list[tuple[VertexRef, RootedTree]] | None = None
 ) -> bool:
@@ -288,10 +300,7 @@ def is_admissible_direct(
     ``walk`` is the tree's ``_preorder`` walk, for a caller that checks
     many sets of one tree; it is walked here when not given.
     """
-    gamma = frozenset(gamma)
-    walk = _preorder(tree) if walk is None else walk
-    if not gamma <= {ref for ref, _ in walk}:
-        raise ValueError("gamma contains refs that do not resolve")
+    gamma, walk = _checked_gamma(tree, gamma, walk)
     frozen = True
 
     def tops(ref: VertexRef, _node: RootedTree, kids: list[list[int]]) -> list[int]:
@@ -325,10 +334,7 @@ def contraction_fertility(
     most one vertex).  The tests' reference for ``contraction_product``,
     which finds the product without building the contraction.
     """
-    gamma = frozenset(gamma)
-    walk = _preorder(tree)
-    if not gamma <= {ref for ref, _ in walk}:
-        raise ValueError("gamma contains refs that do not resolve")
+    gamma, walk = _checked_gamma(tree, gamma, None)
     _, cont = _fold(walk, lambda ref, _, kids: _contract(ref in gamma, kids))
     return cont, math.prod([len(node.children) for _, node in _preorder(cont) if node.children])
 
@@ -357,10 +363,7 @@ def contraction_product(
     ``admissible_families`` carries are checked against it.  ``walk`` is as
     for ``is_admissible_direct``.
     """
-    gamma = frozenset(gamma)
-    walk = _preorder(tree) if walk is None else walk
-    if not gamma <= {ref for ref, _ in walk}:
-        raise ValueError("gamma contains refs that do not resolve")
+    gamma, walk = _checked_gamma(tree, gamma, walk)
     product = 1
 
     def side(ref: VertexRef, _node: RootedTree, kids: list[bool | None]) -> bool | None:

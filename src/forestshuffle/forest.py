@@ -29,7 +29,12 @@ enumeration).  Equality and hashing stay by key; sharing only saves memory
 and collector work.  ``parse_forest`` looks its text up in the forest table
 first: canonical text of a shared value returns it unparsed.
 
-All values are immutable and hashable; every operation is a pure function.
+Every value class (``Decoration``, ``RootedTree``, ``Forest`` and
+``words.Word``) takes its value rules from ``_Keyed``: it is immutable, and
+equal, hashed and ordered by its canonical key.  A decoration's key is its
+text, which starts the key of each tree whose root it decorates, so
+decorations sort as the canonical child sort orders their one-vertex
+trees.  Every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ __all__ = [
     "concat",
     "parse_forest",
     "vertex_refs",
-    "subtree_at",
     "leaf_refs",
     "graft_at",
     "induced_subtree",
@@ -206,60 +210,14 @@ _tree_table = _Memo()  # tree key -> RootedTree
 _forest_table = _Memo()  # forest key -> Forest
 
 
-class Decoration:
-    """A multiset of atom symbols; the unit is the empty multiset.
-
-    The product is multiset union, so it is commutative and associative
-    with the unit as neutral element.  Renders as the atoms sorted
-    lexicographically and joined by '*'; the unit renders as "1".
-    """
-
-    __slots__ = ("atoms", "text")
-
-    atoms: tuple[str, ...]
-    text: str
-
-    def __new__(cls, atoms: Iterable[str] = ()):
-        atoms = tuple(sorted(atoms))
-        shared = len(atoms) <= _MEMO_SIZE_LIMIT
-        if shared and (hit := _decoration_table.get(atoms)) is not None:
-            return hit
-        for a in atoms:
-            if a == "1" or not _ATOM_RE.fullmatch(a):
-                raise ValueError(f"invalid atom {a!r}")
-        self = object.__new__(cls)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "text", "*".join(atoms) if atoms else "1")
-        return _decoration_table.share(atoms, self) if shared else self
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Decoration is immutable")
-
-    def __mul__(self, other: "Decoration") -> "Decoration":
-        return Decoration(self.atoms + other.atoms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Decoration) and self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
-
-    def __lt__(self, other: "Decoration") -> bool:
-        return self.atoms < other.atoms
-
-    def __repr__(self) -> str:
-        return f"Decoration({self.text!r})"
-
-
-UNIT = Decoration()
-
-
 class _Keyed:
-    """The value rules of ``RootedTree``, ``Forest`` and ``words.Word``: a
-    subclass's constructors fill its ``key`` slot once, a value hashes as
-    its key (a ``str`` keeps its own hash once computed, so no slot copies
-    it), and values of two classes differ even on one key (a tree and its
-    one-tree forest, the empty word and ``EMPTY``)."""
+    """The value rules of ``Decoration``, ``RootedTree``, ``Forest`` and
+    ``words.Word``: a subclass's constructors fill its ``key`` slot once
+    with its canonical text, a value is equal, hashed and ordered by that
+    key (a ``str`` keeps its own hash once computed, so no slot copies it),
+    and values of two classes differ even on one key (a decoration and its
+    one-vertex tree, a tree and its one-tree forest, the empty word and
+    ``EMPTY``)."""
 
     __slots__ = ()
 
@@ -277,6 +235,40 @@ class _Keyed:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.key!r})"
+
+
+class Decoration(_Keyed):
+    """A multiset of atom symbols; the unit is the empty multiset.
+
+    The product is multiset union, so it is commutative and associative
+    with the unit as neutral element.  ``key`` renders it: the atoms sorted
+    lexicographically and joined by '*', or "1" for the unit.  Atoms hold
+    no '*' and none is "1", so the key determines the atoms.
+    """
+
+    __slots__ = ("atoms", "key")
+
+    atoms: tuple[str, ...]
+    key: str
+
+    def __new__(cls, atoms: Iterable[str] = ()):
+        atoms = tuple(sorted(atoms))
+        shared = len(atoms) <= _MEMO_SIZE_LIMIT
+        if shared and (hit := _decoration_table.get(atoms)) is not None:
+            return hit
+        for a in atoms:
+            if a == "1" or not _ATOM_RE.fullmatch(a):
+                raise ValueError(f"invalid atom {a!r}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "key", "*".join(atoms) if atoms else "1")
+        return _decoration_table.share(atoms, self) if shared else self
+
+    def __mul__(self, other: "Decoration") -> "Decoration":
+        return Decoration(self.atoms + other.atoms)
+
+
+UNIT = Decoration()
 
 
 class RootedTree(_Keyed):
@@ -298,9 +290,9 @@ class RootedTree(_Keyed):
     def __new__(cls, decoration: Decoration, children: Sequence["RootedTree"] = ()):
         children = tuple(sorted(children, key=_by_key))
         if children:
-            key = decoration.text + "[" + ",".join([c.key for c in children]) + "]"
+            key = decoration.key + "[" + ",".join([c.key for c in children]) + "]"
         else:
-            key = decoration.text
+            key = decoration.key
         return cls._build(decoration, children, key, 1 + sum([c.size for c in children]))
 
     @classmethod
@@ -410,8 +402,8 @@ def _b_plus_key(decoration: Decoration, forest: Forest) -> str:
     """The key of B+^decoration(forest).  Tree keys hold no whitespace, so
     this turns the forest key into the comma-joined child keys."""
     if forest.trees:
-        return decoration.text + "[" + forest.key.replace(" ", ",") + "]"
-    return decoration.text
+        return decoration.key + "[" + forest.key.replace(" ", ",") + "]"
+    return decoration.key
 
 
 def b_plus(decoration: Decoration, forest: Forest) -> RootedTree:
@@ -450,15 +442,21 @@ def concat(first: Forest, second: Forest) -> Forest:
 # vertex references and structural operations on a single tree
 
 
-def subtree_at(tree: RootedTree, ref: VertexRef) -> RootedTree:
-    """The vertex-plus-all-descendants subtree rooted at ``ref``."""
-    node = tree
+def _spine(tree: RootedTree, ref: VertexRef) -> list[RootedTree]:
+    """The vertices from the root down to ``ref``, in order; a ref that
+    does not resolve raises ``ValueError``."""
+    spine = [tree]
     for i in ref:
         try:
-            node = node.children[i]
+            spine.append(spine[-1].children[i])
         except IndexError:
             raise ValueError(f"vertex ref {ref} does not resolve in {tree.key!r}") from None
-    return node
+    return spine
+
+
+def subtree_at(tree: RootedTree, ref: VertexRef) -> RootedTree:
+    """The vertex-plus-all-descendants subtree rooted at ``ref``."""
+    return _spine(tree, ref)[-1]
 
 
 def _preorder(tree: RootedTree) -> list[tuple[VertexRef, RootedTree]]:
@@ -528,16 +526,10 @@ def graft_at(tree: RootedTree, ref: VertexRef, scion: RootedTree | Forest) -> Ro
     issued for the input are invalidated.
     """
     scion_f = _scion_forest(scion)
+    spine = _spine(tree, ref)
     if scion_f.is_empty:
-        subtree_at(tree, ref)  # still validate the ref
         return tree
-    # the vertices from the root down to ref, then rebuilt from ref upwards
-    spine = [tree]
-    for i in ref:
-        try:
-            spine.append(spine[-1].children[i])
-        except IndexError:
-            raise ValueError(f"vertex ref {ref} does not resolve in {tree.key!r}") from None
+    # rebuilt from ref upwards
     node = spine.pop()
     rebuilt = b_plus(node.decoration, concat(_below(node), scion_f))
     for node, i in zip(reversed(spine), reversed(ref)):

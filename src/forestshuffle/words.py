@@ -8,7 +8,7 @@ runs on letter tuples and on ``linalg._Exact``, like the forest products,
 keeps its sub-results in a ``forest._Memo`` under their size rule (the size
 is the letter count), and builds each result ``Word`` once, at the end.  A
 ``Word`` is a ``forest._Keyed`` value: it hashes and compares by its key,
-as letter texts hold no space, so the key determines the letters.
+as letter keys hold no space, so the key determines the letters.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class Word(_Keyed):
 
     def __init__(self, letters: Iterable[Decoration] = ()):
         letters = tuple(letters)
-        key = "(" + " ".join(l.text for l in letters) + ")"
+        key = "(" + " ".join(l.key for l in letters) + ")"
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "key", key)
 

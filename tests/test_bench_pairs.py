@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -507,19 +508,18 @@ def test_a_deep_comb_workload_is_summarized_beside_the_others(tmp_path):
     ]
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "BENCH_30.json",
-        "BENCH_31.json",
-        "BENCH_32.json",
-        "BENCH_33.json",
-        "BENCH_34.json",
-        "BENCH_35.json",
-        "BENCH_36.json",
-        "BENCH_37.json",
-    ],
-)
+def _committed_bench_files() -> list[str]:
+    """Every committed BENCH_<n>.json with n >= 30, in order of n: the files
+    written by ``bench_pairs.write``."""
+    numbered = [
+        (int(m.group(1)), path.name)
+        for path in _PATH.parent.parent.glob("BENCH_*.json")
+        if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))
+    ]
+    return [name for n, name in sorted(numbered) if n >= 30]
+
+
+@pytest.mark.parametrize("name", _committed_bench_files())
 def test_write_reproduces_a_committed_file(tmp_path, name):
     # together they hold perfbench, tier1 and verify-full runs
     committed = _PATH.parent.parent / name

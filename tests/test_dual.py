@@ -113,7 +113,7 @@ class TestAdmissibleFamilies:
         # child.  The tensor r[u,v] (x) s[x,y] never occurs in the dual
         # coproduct, so the set must not count as admissible.
         t = P("r[s[u[x],v[y]]]").single_tree()
-        by_atom = {subtree_at(t, ref).decoration.text: ref for ref in vertex_refs(t)}
+        by_atom = {subtree_at(t, ref).decoration.key: ref for ref in vertex_refs(t)}
         gamma = frozenset(by_atom[x] for x in "sxy")
         assert induced_subtree(t, gamma) == P("s[x,y]")
         complement = frozenset(vertex_refs(t)) - gamma
@@ -302,7 +302,7 @@ class TestContraction:
     def test_twenty_vertex_worked_example(self):
         t = P("a[b[c[d[g,h,i,j],e,f[k[l,m[n[o[r[s,t]],p,q]]]]]]]").single_tree()
         assert t.size == 20
-        by_atom = {subtree_at(t, r).decoration.text: r for r in vertex_refs(t)}
+        by_atom = {subtree_at(t, r).decoration.key: r for r in vertex_refs(t)}
         gamma = frozenset(by_atom[x] for x in "a c d e g h i j k l m r s t".split())
         assert is_admissible_direct(t, gamma)
         assert induced_subtree(t, gamma) == P("a[c[d[g,h,i,j],e,k[l,m[r[s,t]]]]]")

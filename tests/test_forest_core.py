@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -71,14 +73,14 @@ def deep_chain() -> RootedTree:
 class TestDecoration:
     def test_unit(self):
         assert UNIT == Decoration()
-        assert UNIT.text == "1"
+        assert UNIT.key == "1"
         a = Decoration(["a"])
         assert a * UNIT == a == UNIT * a
 
     def test_product_is_multiset_union(self):
         a, b = Decoration(["a"]), Decoration(["b"])
-        assert (a * b).text == "a*b"
-        assert (a * a).text == "a*a"
+        assert (a * b).key == "a*b"
+        assert (a * a).key == "a*a"
         assert a * b == b * a
 
     @given(st1=forests)
@@ -94,12 +96,26 @@ class TestDecoration:
         with pytest.raises(ValueError):
             Decoration(["a b"])
 
+    def test_the_unit_sorts_by_its_key(self):
+        # by key: "0" < "1"
+        zero = Decoration(["0"])
+        assert zero < UNIT and not UNIT < zero
+        assert sorted([UNIT, zero]) == [zero, UNIT]
+
+    def test_decorations_are_ordered_and_hashed_by_key(self):
+        atoms = ["0", "0a", "10", "A", "_", "a", "a_", "b"]
+        decs = [UNIT] + [Decoration(pair) for pair in itertools.combinations_with_replacement(atoms, 2)]
+        decs += [Decoration([a]) for a in atoms]
+        random.Random(0).shuffle(decs)
+        assert [d.key for d in sorted(decs)] == sorted(d.key for d in decs)
+        assert all(hash(d) == hash(d.key) for d in decs)
+
 
 class TestParseRender:
     def test_direct_grammar(self):
         f = P("a[b,c]")
         t = f.single_tree()
-        assert t.decoration.text == "a"
+        assert t.decoration.key == "a"
         assert [c.key for c in t.children] == ["b", "c"]
 
     def test_multiset_commutativity(self):
@@ -198,7 +214,13 @@ class TestCanonicalKey:
 
 
 class TestKeyedValues:
-    """RootedTree, Forest and Word take their value rules from forest._Keyed."""
+    """Decoration, RootedTree, Forest and Word take their value rules from
+    forest._Keyed."""
+
+    def test_a_decoration_and_its_one_vertex_tree_differ(self):
+        a = Decoration(["a"])
+        assert a.key == RootedTree(a).key == "a"
+        assert a != RootedTree(a) and RootedTree(a) != a
 
     def test_a_tree_and_its_one_tree_forest_differ(self):
         tree = P("a[b]").single_tree()
@@ -215,9 +237,12 @@ class TestKeyedValues:
         assert repr(P("a[b]").single_tree()) == "RootedTree('a[b]')"
         assert repr(P("b a")) == "Forest('a b')"
         assert repr(Word([a, b])) == "Word('(a b)')"
+        assert repr(a * b) == "Decoration('a*b')" and repr(UNIT) == "Decoration('1')"
 
     @pytest.mark.parametrize(
-        "value", [P("a[b]").single_tree(), P("a b"), Word([Decoration(["a"])])], ids=repr
+        "value",
+        [P("a[b]").single_tree(), P("a b"), Word([Decoration(["a"])]), Decoration(["a", "b"])],
+        ids=repr,
     )
     def test_values_are_immutable(self, value):
         name = type(value).__name__
@@ -275,8 +300,17 @@ class TestStructuralOps:
             assert graft_at(t, ref, EMPTY) == t
 
     def test_graft_invalid_ref(self):
-        with pytest.raises(ValueError):
-            graft_at(P("a").single_tree(), (3,), P("b"))
+        t = P("a[b]").single_tree()
+        for ref in [(3,), (0, 0), (1,)]:
+            message = rf"^vertex ref {re.escape(str(ref))} does not resolve in 'a\[b\]'$"
+            for scion in (P("c"), EMPTY):
+                with pytest.raises(ValueError, match=message):
+                    graft_at(t, ref, scion)
+            with pytest.raises(ValueError, match=message):
+                subtree_at(t, ref)
+            # the scion is checked before the ref
+            with pytest.raises(ValueError, match="got a forest of 2 trees"):
+                graft_at(t, ref, P("c d"))
 
     def test_induced_subtree(self):
         t = P("a[b[c],d]").single_tree()
@@ -321,7 +355,7 @@ class TestStructuralOps:
         depth = DEEP_CHAIN_DEPTH
         deepest = (0,) * (depth - 1)
         numbered = tree_to_word(decorate_distinct(chain).as_forest())
-        assert [d.text for d in numbered.letters] == [f"v{i}" for i in range(depth)]
+        assert [d.key for d in numbered.letters] == [f"v{i}" for i in range(depth)]
         assert not is_primitive(chain)
         assert is_linear(chain.as_forest())
         word = tree_to_word(chain.as_forest())

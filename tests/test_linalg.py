@@ -976,7 +976,7 @@ def test_every_keyed_value_takes_the_one_base():
         if isinstance(value, type) and value.__module__ == module.__name__
     }
     keyed = {cls.__name__ for cls in classes if "key" in getattr(cls, "__slots__", ())}
-    assert keyed == {"RootedTree", "Forest", "Word"}
+    assert keyed == {"Decoration", "RootedTree", "Forest", "Word"}
     assert _keyed_faults(classes) == []
     assert [name for name in _KEYED_RULES if name in vars(_Keyed)] == list(_KEYED_RULES)
 
