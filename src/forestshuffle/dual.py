@@ -34,10 +34,10 @@ wraps its value in a ``TensorComb``, whose ``items()`` and ``coefficient()``
 give ``Fraction`` values.  The two formulas' values have denominator 1: the
 root rule copies coefficients, alpha is an integer and so is c_gamma.  The
 transpose's forest rule divides by a normalization.  The family
-enumeration names each family's vertex set by an O(1) record; only
-``admissible_families`` flattens it, to the vertices' preorder positions:
-a subtree is the block of its size from its root's position, so ``gamma``
-is read from slices of one ``_preorder`` walk of the tree.
+enumeration names each family's vertex set by a bitmask over the tree's
+preorder positions (a subtree is the block of its size from its root's
+position); only ``admissible_families`` reads ``gamma`` from it, as the
+refs at the set bits of one ``_preorder`` walk of the tree.
 
 Three recursions keep a ``forest._Memo`` under its size rule: ``_dual``
 and ``_transpose`` their ``_Exact`` values by forest key, and
@@ -155,7 +155,7 @@ def _dual_term_count(forest: Forest) -> int:
     return 2 + 2 ** (len(counts) - 1) * sum([c - 2 for c in counts])
 
 
-_family_cache = _Memo()  # tree key -> ((record, t_gamma, t_complement, c_gamma), ...)
+_family_cache = _Memo()  # tree key -> ((mask, t_gamma, t_complement, c_gamma), ...)
 
 
 def _family_sets(tree: RootedTree) -> tuple[tuple, ...]:
@@ -166,7 +166,7 @@ def _family_sets(tree: RootedTree) -> tuple[tuple, ...]:
 
 
 def _families(tree: RootedTree) -> tuple[tuple, ...]:
-    """Inductive enumeration of admissible families, each as (record, t_gamma,
+    """Inductive enumeration of admissible families, each as (mask, t_gamma,
     t_complement, c_gamma).
 
     Single-child root: families of the child, each taken with and without
@@ -179,10 +179,10 @@ def _families(tree: RootedTree) -> tuple[tuple, ...]:
     canonical parts with ``_grafted`` and ``concat`` instead of being induced
     again from the vertex sets.
 
-    A record names gamma in O(1): True for the whole vertex set, False for
-    the empty one, and (i, child record, joins) for a family of child i,
-    joined by the root and the other children when ``joins`` is true.
-    ``_positions`` flattens a record to preorder positions.  The families
+    Bit p of ``mask`` is set when the vertex at preorder position p is in
+    gamma.  In preorder a child's subtree is the block of its size from its
+    root's position, so a child's mask shifts there, and joining the root
+    and the other children sets every bit outside that block.  The families
     are a tuple, so no caller can change one that ``_family_cache`` shares.
     """
     kids = tree.children
@@ -191,49 +191,26 @@ def _families(tree: RootedTree) -> tuple[tuple, ...]:
     if n == 1:
         out: list[tuple] = []
         for sub, g, h, c in _family_sets(kids[0]):
-            out.append(((0, sub, False), g, _grafted(dec, h), c))
-            out.append(((0, sub, True), _grafted(dec, g), h, c))
+            out.append((sub << 1, g, _grafted(dec, h), c))
+            out.append(((sub << 1) | 1, _grafted(dec, g), h, c))
         return tuple(out)
 
     whole = tree.as_forest()
-    out = [(False, EMPTY, whole, 1), (True, whole, EMPTY, 1)]
+    full = (1 << tree.size) - 1
+    out = [(0, EMPTY, whole, 1), (full, whole, EMPTY, 1)]
+    start = 1  # child i's position: after the root and its elder siblings
     for i in range(n):
         kid = kids[i]
         # a subsequence of the sorted children is sorted
         others = Forest._build(kids[:i] + kids[i + 1 :], tree.size - 1 - kid.size)
+        outside = full ^ (((1 << kid.size) - 1) << start)
         for sub, g, h, c in _family_sets(kid):
             if g.is_empty or h.is_empty:
                 continue
-            out.append(((i, sub, False), g, _grafted(dec, concat(others, h)), n * c))
-            out.append(((i, sub, True), _grafted(dec, concat(others, g)), h, n * c))
+            out.append((sub << start, g, _grafted(dec, concat(others, h)), n * c))
+            out.append(((sub << start) | outside, _grafted(dec, concat(others, g)), h, n * c))
+        start += kid.size
     return tuple(out)
-
-
-def _positions(tree: RootedTree, record) -> list[int]:
-    """The preorder positions of the vertices a ``_family_sets`` record
-    names, ascending, down one path.  In preorder a vertex at position p
-    heads its subtree's block, positions p to p + size - 1, so a joined
-    root and its other children are the blocks before and after the
-    chosen child's."""
-    out: list[int] = []
-    after: list[range] = []  # the blocks after each chosen child, outermost first
-    pos = 0
-    while isinstance(record, tuple):
-        i, record, joins = record
-        kids = tree.children
-        # child i follows its parent and its elder siblings' blocks
-        start = pos + 1
-        for kid in kids[:i]:
-            start += kid.size
-        if joins:
-            out.extend(range(pos, start))
-            after.append(range(start + kids[i].size, pos + tree.size))
-        pos, tree = start, kids[i]
-    if record:
-        out.extend(range(pos, pos + tree.size))
-    for block in reversed(after):
-        out.extend(block)
-    return out
 
 
 def _checked_families(tree: RootedTree) -> tuple[tuple, ...]:
@@ -256,8 +233,8 @@ def admissible_families(tree: RootedTree) -> tuple[AdmissibleFamily, ...]:
     """
     refs = [ref for ref, _ in _preorder(tree)]
     rows = []
-    for record, g, h, c in _checked_families(tree):
-        pos = _positions(tree, record)
+    for mask, g, h, c in _checked_families(tree):
+        pos = [p for p in range(tree.size) if mask >> p & 1]
         rows.append((len(pos), pos, g, h, c))
     # preorder is the lexicographic order of refs, so ascending positions
     # sort as sorted refs do
@@ -471,9 +448,8 @@ def dual_combinatorial(forest: Forest) -> TensorComb[Forest]:
 
     Must agree with ``dual_recursive`` exactly, on trees and forests alike.
     A tree has one split, with alpha(0, 1) = 1, and its boundary families
-    are the trivial terms T⊗∅ and ∅⊗T.  Reads the families' records as
-    enumerated, without building their vertex sets, and each distinct
-    component's once.
+    are the trivial terms T⊗∅ and ∅⊗T.  Reads the families as enumerated,
+    ignoring their vertex sets, and each distinct component's once.
     """
     if forest.is_empty:
         return TensorComb.of((EMPTY, EMPTY))

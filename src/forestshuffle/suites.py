@@ -36,6 +36,7 @@ from .forest import (
     Decoration,
     Forest,
     RootedTree,
+    _fold,
     _gc_paused,
     _Parser,
     _preorder,
@@ -267,12 +268,12 @@ def _distinct_forest_shapes(n: int) -> list[Forest]:
 # ---------------------------------------------------------------------------
 
 
-def _shuffled(node: RootedTree, rng: random.Random) -> RootedTree:
+def _shuffled(tree: RootedTree, rng: random.Random) -> RootedTree:
     """The tree rebuilt with the children of every vertex passed in a
-    random order, deepest vertices first."""
-    kids = [_shuffled(c, rng) for c in node.children]
-    rng.shuffle(kids)
-    return RootedTree(node.decoration, kids)
+    random order, each vertex after its subtrees (reversed preorder)."""
+    return _fold(
+        _preorder(tree), lambda _, node, kids: RootedTree(node.decoration, rng.sample(kids, len(kids)))
+    )
 
 
 def suite_forest_core(cfg: SuiteConfig) -> SuiteReport:
@@ -614,7 +615,9 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
             got = TensorComb.sum_of(cograft.get(tf, ()))
             rep.check("grafting pairs the trunk coproduct", tf.key, trunk_coproduct(tf), got)
 
-    cap = max(1, cfg.degree(5) - 2)
+    # at least 3 vertices, so that at every degree the samples reach a tree
+    # with two leaves, where a leaf graft has more than one term
+    cap = max(3, cfg.degree(5) - 2)
     # the samples draw from few small trees: graft each basis pair once
     op = partial(bilinear, _tabled(graft_linear, {}))
     lop = partial(bilinear, _tabled(graft_leaves, {}))

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import forestshuffle
+from forestshuffle import shuffle
 from forestshuffle.cli import (
     GRAFT_GUARD,
     RB_DEGREE_GUARD,
@@ -24,6 +25,7 @@ from forestshuffle.cli import (
 from forestshuffle.dual import FAMILY_GUARD, _dual_term_count
 from forestshuffle.forest import MAX_TREE_DEPTH, parse_forest
 from forestshuffle.primitives import COUNT_GUARD
+from forestshuffle.sampling import default_alphabet, forests_up_to
 
 
 def run(capsys, *argv):
@@ -59,6 +61,35 @@ class TestShuffleVerb:
     def test_star_and_diamond_products(self, capsys):
         code, out, _ = run(capsys, "shuffle", "a", "b", "--product", "diamond")
         assert code == 0 and out.strip() == "1 a*b"
+
+    def test_leaf_count_is_the_unit_cases_of_the_product(self, monkeypatch):
+        # with every product memo missing, each call of _shuffle or _star on
+        # an empty operand is one leaf of the recursion the verb runs
+        for memo in (shuffle._shuffle_cache, shuffle._star_cache, shuffle._diamond_cache):
+            monkeypatch.setattr(memo, "get", lambda key: None)
+        units = []
+        for name in ("_shuffle", "_star"):
+            def counted(first, second, p, q, real=getattr(shuffle, name)):
+                if first.is_empty or second.is_empty:
+                    units.append((first, second))
+                return real(first, second, p, q)
+
+            monkeypatch.setattr(shuffle, name, counted)
+        products = {
+            "shuffle": shuffle.forest_shuffle,
+            "star": shuffle.star_product,
+            "diamond": shuffle.diamond_product,
+        }
+        operands = forests_up_to(3, default_alphabet(("a", "b")), include_empty=False)
+        assert len(operands) == 35
+        for product, op in products.items():
+            for lam in (0, 1):
+                for f in operands:
+                    for g in operands:
+                        units.clear()
+                        op(f, g, lam)
+                        leaves = _recursion_leaves(product, f, g, Fraction(lam))
+                        assert leaves == len(units), (product, lam, f.key, g.key)
 
 
 class TestOtherVerbs:

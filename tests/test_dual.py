@@ -31,6 +31,7 @@ from forestshuffle.forest import (
     Forest,
     GuardExceeded,
     _preorder,
+    _redecorate,
     graft_at,
     induced_subtree,
     leaf_refs,
@@ -50,6 +51,7 @@ from forestshuffle.sampling import (
     trees_up_to,
 )
 from forestshuffle.shuffle import shuffle_coefficient
+from forestshuffle.suites import _relabel
 from forestshuffle.words import Word, deshuffle, word_to_tree
 
 from conftest import any_forests, any_trees
@@ -409,6 +411,23 @@ class TestDualRecursive:
     def test_matches_combinatorial_with_repeated_decorations(self):
         for f in forests_up_to(5, default_alphabet(("a", "b"))):
             assert dual_recursive(f) == dual_combinatorial(f), f.key
+
+    @pytest.mark.parametrize("route", [dual_recursive, dual_combinatorial])
+    def test_commutes_with_relabelling(self, route):
+        # the route's terms on the distinctly relabelled forest, mapped back
+        # leg by leg and summed, are its terms on the forest itself.  A forest
+        # rule that split equal components apart fewer times than distinct
+        # ones fails only here: both routes share that rule, and the σ
+        # reference relabels before it calls dual_recursive
+        def back_to(leg, back):
+            return Forest([_redecorate(t, back.__getitem__) for t in leg.trees])
+
+        for f in forests_up_to(5, default_alphabet(("a", "b"))):
+            g, back = _relabel(f.trees)
+            projected = TensorComb.sum_of(
+                ((back_to(x, back), back_to(y, back)), c) for (x, y), c in route(g).items()
+            )
+            assert route(f) == projected, f.key
 
     def test_cocommutative(self):
         for f in distinct_forest_shapes(6):

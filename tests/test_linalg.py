@@ -755,7 +755,6 @@ PINNED_RECURSIONS = {
     "shuffle._diamond": "MAX_TREE_DEPTH (the operands' depths in sum)",
     "shuffle._shuffle": "MAX_TREE_DEPTH (the operands' depths in sum)",
     "shuffle._star": "MAX_TREE_DEPTH (the operands' depths in sum)",
-    "suites._shuffled": "suite trees of at most 8 vertices",
     "words._word_shuffle": "the size its caller asks for",
 }
 

@@ -36,7 +36,7 @@ def test_a_wrong_family_entry_fails_recursive_against_combinatorial(monkeypatch)
     real = dual._family_sets(tree)
     assert type(real) is tuple  # a shared hit that no caller can change
     assert any(not (g.is_empty or h.is_empty) for _, g, h, _ in real)
-    wrong = tuple((record, g, h, 2 * c) for record, g, h, c in real)
+    wrong = tuple((mask, g, h, 2 * c) for mask, g, h, c in real)
     monkeypatch.setitem(dual._family_cache, tree.key, wrong)
     # the asked tree's own families are computed, not read: a[a]'s entry
     # is read by the trees above it, such as b[a[a]]

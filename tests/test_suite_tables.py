@@ -56,15 +56,16 @@ def test_a_sigma_table_keyed_on_the_leg_alone_fails(monkeypatch):
     assert _failed_families("dual") == {"oracle == σ-refined reciprocal formula (2 atoms)": 141}
 
 
-# below degree 5 the samples draw trees of at most 2 vertices, so every
-# grafting has one leaf and one term: a leaf graft that ignores its scion
-# reads the same on both sides of the check
+# at every degree the samples draw trees of up to 3 vertices, so some
+# grafting lands on the two leaves of a cherry: a leaf graft that ignores
+# its scion then reads differently on the two sides of the check
 @pytest.mark.parametrize(
     "op, max_degree, families",
     [
         (graft_linear, 4, {"tip-grafting associator symmetric in first two",
                            "tip-grafting associator symmetric in last two"}),
         (graft_leaves, 5, {"leaf-grafting associator symmetric in last two"}),
+        (graft_leaves, 4, {"leaf-grafting associator symmetric in last two"}),
     ],
 )
 def test_a_graft_table_keyed_without_the_scion_fails(monkeypatch, op, max_degree, families):
