@@ -78,7 +78,7 @@ from .forest import (
     graft_at,
     leaf_refs,
 )
-from .linalg import LinComb, TensorComb, _combine, _Exact
+from .linalg import _ONE, LinComb, TensorComb, _combine, _Exact
 from .sampling import _forests_on_multiset, _multiset_splits
 from .shuffle import shuffle_coefficient
 
@@ -105,9 +105,6 @@ ORACLE_GUARD = 8
 # has exactly this many.  A tree of n vertices has at most 2^n families, so
 # one of at most 16 vertices is admitted without counting them.
 FAMILY_GUARD = 2**16
-
-_ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # admissible families

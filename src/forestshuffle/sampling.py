@@ -3,8 +3,11 @@
 Exhaustive enumerators produce each isomorphism class exactly once, in
 canonical-key order.  The one enumeration lists the forests on an exact
 decoration multiset (memoized per multiset); the forests of a size are its
-union over that size's multisets (memoized per (size, alphabet)).  Random
-generators are deterministic functions of the supplied ``random.Random``.
+union over that size's multisets (memoized per (size, alphabet)).
+``words_of_size`` lists the words of a length, and ``operand_tuples`` is the
+one sweep over operand pairs and triples whose sizes add up to a total,
+taking each operand from any of these enumerators.  Random generators are
+deterministic functions of the supplied ``random.Random``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .forest import Decoration, EMPTY, Forest, RootedTree, _grafted, concat
 from .words import Word
@@ -22,6 +25,8 @@ __all__ = [
     "forests_of_size",
     "trees_up_to",
     "forests_up_to",
+    "words_of_size",
+    "operand_tuples",
     "random_tree",
     "random_forest",
     "random_word",
@@ -118,6 +123,23 @@ def forests_up_to(n: int, alphabet: tuple[Decoration, ...], include_empty: bool 
     for s in range(0 if include_empty else 1, n + 1):
         out.extend(forests_of_size(s, alphabet))
     return out
+
+
+def words_of_size(n: int, alphabet: tuple[Decoration, ...]) -> tuple[Word, ...]:
+    """All words of n letters, in ``itertools.product`` order."""
+    return tuple(Word(letters) for letters in itertools.product(alphabet, repeat=n))
+
+
+def operand_tuples(
+    of_size: Callable[[int], Sequence], total: int, arity: int, least: int = 1
+) -> Iterator[tuple]:
+    """Every tuple of ``arity`` operands, operand i taken from
+    ``of_size(n_i)``, with each n_i at least ``least`` and the n_i summing to
+    ``total``.  Size tuples come in ascending order, and within one the last
+    operand varies fastest."""
+    for sizes in itertools.product(range(least, total + 1), repeat=arity):
+        if sum(sizes) == total:
+            yield from itertools.product(*(of_size(n) for n in sizes))
 
 
 def random_tree(rng: random.Random, size: int, alphabet: Sequence[Decoration]) -> Forest:

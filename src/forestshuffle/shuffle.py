@@ -61,8 +61,9 @@ def _graft(dec, terms: dict, rest: Forest = EMPTY) -> dict:
 
 
 def _concat(nums: dict[Forest, int], rest: Forest) -> dict[Forest, int]:
-    if rest.is_empty:
-        return nums
+    """Every forest of ``nums`` joined to ``rest``, keeping its coefficient.
+    Both callers split a pair of forests of which one has two or more
+    trees, so ``rest`` is never empty."""
     return {concat(f, rest): c for f, c in nums.items()}
 
 
@@ -305,24 +306,18 @@ def find_nonassociativity_witness(max_degree: int) -> tuple[Forest, Forest, Fore
     """Search for forests x, y, z decorated by a, b, c, d with
     (x⧢y)⧢z != x⧢(y⧢z) at weight 0.
 
-    Scans nonempty forests in canonical order by total degree; returns the
-    first witness found, or None if none exists up to ``max_degree``.
+    Scans triples of nonempty forests by ascending total degree, and within
+    one degree by ascending sizes (x, y, z), each size's forests in
+    canonical order; returns the first witness found, or None if none exists
+    up to ``max_degree``.
     """
-    from .sampling import default_alphabet, forests_of_size
+    from .sampling import default_alphabet, forests_of_size, operand_tuples
 
     alphabet = default_alphabet(("a", "b", "c", "d"))
-    pool: list[Forest] = []
-    for n in range(1, max_degree - 1):
-        pool.extend(forests_of_size(n, alphabet))
-    for x in pool:
-        for y in pool:
-            if x.size + y.size >= max_degree:
-                continue
-            for z in pool:
-                if x.size + y.size + z.size > max_degree:
-                    continue
-                left = bilinear(forest_shuffle, forest_shuffle(x, y), LinComb.of(z))
-                right = bilinear(forest_shuffle, LinComb.of(x), forest_shuffle(y, z))
-                if left != right:
-                    return (x, y, z)
+    for total in range(3, max_degree + 1):
+        for x, y, z in operand_tuples(lambda n: forests_of_size(n, alphabet), total, 3):
+            left = bilinear(forest_shuffle, forest_shuffle(x, y), LinComb.of(z))
+            right = bilinear(forest_shuffle, LinComb.of(x), forest_shuffle(y, z))
+            if left != right:
+                return (x, y, z)
     return None

@@ -11,7 +11,6 @@ the route it checks.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -71,11 +70,13 @@ from .sampling import (
     default_alphabet,
     forests_of_size,
     forests_up_to,
+    operand_tuples,
     random_forest,
     random_tree,
     random_word,
     trees_of_size,
     trees_up_to,
+    words_of_size,
 )
 from .shuffle import (
     diamond_product,
@@ -84,7 +85,7 @@ from .shuffle import (
     shuffle_coefficient,
     star_product,
 )
-from .words import Word, deconcatenation, deshuffle, is_linear, word_shuffle, word_shuffle_brute, word_to_tree
+from .words import deconcatenation, deshuffle, is_linear, word_shuffle, word_shuffle_brute, word_to_tree
 
 __all__ = ["SuiteConfig", "SuiteReport", "CaseFailure", "SUITES", "run_suite"]
 
@@ -162,6 +163,11 @@ def _show(value) -> str:
 
 def _alphabet2() -> tuple[Decoration, ...]:
     return default_alphabet(("a", "b"))
+
+
+def _trees_or_empty(n: int, alphabet: tuple[Decoration, ...]) -> tuple[Forest, ...]:
+    """The trees of n vertices, and ∅ alone at n = 0."""
+    return (EMPTY,) if n == 0 else trees_of_size(n, alphabet)
 
 
 def _relabel(trees) -> tuple[Forest, dict[Decoration, Decoration]]:
@@ -293,30 +299,19 @@ def suite_forest_core(cfg: SuiteConfig) -> SuiteReport:
         g = Forest([_shuffled(t, rng) for t in rng.sample(f.trees, len(f.trees))])
         rep.check("canonical key permutation invariance", f.key, f.key, g.key)
 
-    top = cfg.degree(5)
-    # the pool comes in nondecreasing size, so each inner loop stops at the
-    # first operand that overshoots: every other one would overshoot too
-    pool = forests_up_to(top, alphabet)
-    for f in pool:
-        for g in pool:
-            if f.size + g.size > top:
-                break
+    forests = lambda n: forests_of_size(n, alphabet)
+    for total in range(0, cfg.degree(5) + 1):
+        for f, g in operand_tuples(forests, total, 2, least=0):
             rep.check("concat commutative", f"{f.key} | {g.key}", concat(f, g), concat(g, f))
-    for f in pool:
-        for g in pool:
-            if f.size + g.size > top:
-                break
-            for h in pool:
-                if f.size + g.size + h.size > top:
-                    break
-                rep.check(
-                    "concat associative",
-                    f"{f.key} | {g.key} | {h.key}",
-                    concat(concat(f, g), h),
-                    concat(f, concat(g, h)),
-                )
-    for f in pool:
-        rep.check("concat unital", f.key, concat(EMPTY, f), f)
+        for f, g, h in operand_tuples(forests, total, 3, least=0):
+            rep.check(
+                "concat associative",
+                f"{f.key} | {g.key} | {h.key}",
+                concat(concat(f, g), h),
+                concat(f, concat(g, h)),
+            )
+        for f in forests(total):
+            rep.check("concat unital", f.key, concat(EMPTY, f), f)
 
     for tf in trees_up_to(cfg.degree(5), alphabet):
         t = tf.single_tree()
@@ -368,27 +363,19 @@ def suite_shuffle(cfg: SuiteConfig) -> SuiteReport:
     # word compatibility along the linear-tree injection; at weight 0 the
     # word shuffle is checked against its interleaving reference as well
     for lam in (Fraction(0), Fraction(1)):
-        for n1 in range(0, cfg.degree(5) + 1):
-            for n2 in range(0, cfg.degree(5) - n1 + 1):
-                for letters1 in itertools.product(alphabet, repeat=n1):
-                    for letters2 in itertools.product(alphabet, repeat=n2):
-                        w1, w2 = Word(letters1), Word(letters2)
-                        in_words = word_shuffle(w1, w2, lam)
-                        if not lam:
-                            rep.check(
-                                "word shuffle == interleavings",
-                                f"{w1.key} | {w2.key}",
-                                word_shuffle_brute(w1, w2),
-                                in_words,
-                            )
-                        lhs = forest_shuffle(word_to_tree(w1), word_to_tree(w2), lam)
-                        rhs = LinComb({word_to_tree(w): c for w, c in in_words.items()})
-                        rep.check(
-                            f"word compatibility (weight {lam})",
-                            f"{w1.key} | {w2.key}",
-                            rhs,
-                            lhs,
-                        )
+        for total in range(0, cfg.degree(5) + 1):
+            for w1, w2 in operand_tuples(lambda n: words_of_size(n, alphabet), total, 2, least=0):
+                in_words = word_shuffle(w1, w2, lam)
+                if not lam:
+                    rep.check(
+                        "word shuffle == interleavings",
+                        f"{w1.key} | {w2.key}",
+                        word_shuffle_brute(w1, w2),
+                        in_words,
+                    )
+                lhs = forest_shuffle(word_to_tree(w1), word_to_tree(w2), lam)
+                rhs = LinComb({word_to_tree(w): c for w, c in in_words.items()})
+                rep.check(f"word compatibility (weight {lam})", f"{w1.key} | {w2.key}", rhs, lhs)
 
     # every coefficient is a positive rational times a power of the weight
     for _ in range(cfg.count(60)):
@@ -413,19 +400,9 @@ def suite_shuffle(cfg: SuiteConfig) -> SuiteReport:
 
     # every basis tree of a shuffle of two nonempty trees has a fertility-1 vertex
     for total in range(2, cfg.degree(6) + 1):
-        for k in range(1, total):
-            for t1 in trees_of_size(k, alphabet):
-                for t2 in trees_of_size(total - k, alphabet):
-                    ok = all(
-                        not is_primitive(f.single_tree())
-                        for f, _ in forest_shuffle(t1, t2, Fraction(0)).items()
-                    )
-                    rep.check(
-                        "shuffle support has fertility-1 vertex",
-                        f"{t1.key} | {t2.key}",
-                        True,
-                        ok,
-                    )
+        for t1, t2 in operand_tuples(lambda n: trees_of_size(n, alphabet), total, 2):
+            ok = all(not is_primitive(f.single_tree()) for f, _ in forest_shuffle(t1, t2, Fraction(0)).items())
+            rep.check("shuffle support has fertility-1 vertex", f"{t1.key} | {t2.key}", True, ok)
 
     # star agrees with the shuffle on linear operands
     for _ in range(cfg.count(50)):
@@ -483,18 +460,16 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
         return lhs == rhs
 
     for total in range(0, cfg.degree(5) + 1):
-        for k in range(0, total + 1):
-            for t1 in [EMPTY] if k == 0 else trees_of_size(k, alphabet):
-                for t2 in [EMPTY] if total == k else trees_of_size(total - k, alphabet):
-                    # the split square holds no weight: one per pair
-                    split = _split_square(t1, t2)
-                    for lam in (Fraction(0), Fraction(1), Fraction(-1)):
-                        rep.check(
-                            f"bialgebra compatibility (weight {lam})",
-                            f"{t1.key} | {t2.key}",
-                            True,
-                            bialgebra_case(t1, t2, lam, split),
-                        )
+        for t1, t2 in operand_tuples(lambda n: _trees_or_empty(n, alphabet), total, 2, least=0):
+            # the split square holds no weight: one per pair
+            split = _split_square(t1, t2)
+            for lam in (Fraction(0), Fraction(1), Fraction(-1)):
+                rep.check(
+                    f"bialgebra compatibility (weight {lam})",
+                    f"{t1.key} | {t2.key}",
+                    True,
+                    bialgebra_case(t1, t2, lam, split),
+                )
     for lam in (Fraction(0), Fraction(1), Fraction(-1)):
         for _ in range(cfg.count(20)):
             t1 = random_tree(rng, rng.randint(1, 4), alphabet)
@@ -515,8 +490,7 @@ def suite_coalgebra(cfg: SuiteConfig) -> SuiteReport:
         )
 
     for n in range(0, cfg.degree(5) + 1):
-        for letters in itertools.product(alphabet, repeat=n):
-            w = Word(letters)
+        for w in words_of_size(n, alphabet):
             lhs = trunk_coproduct(word_to_tree(w))
             rhs = TensorComb(
                 {
@@ -593,25 +567,19 @@ def suite_dual(cfg: SuiteConfig) -> SuiteReport:
         rep.check("transpose == brute oracle (2 atoms)", f.key, dual_oracle_brute(f), dual_oracle(f))
 
     for n in range(0, cfg.degree(5) + 1):
-        for letters in itertools.product(alphabet, repeat=n):
-            w = Word(letters)
+        for w in words_of_size(n, alphabet):
             rhs = TensorComb(
                 {(word_to_tree(x), word_to_tree(y)): c for (x, y), c in deshuffle(w).items()}
             )
             rep.check("linear trees deshuffle", w.key, rhs, dual_recursive(word_to_tree(w)))
 
     # grafting/trunk-coproduct pairing, batched per degree
-    for n in range(1, cfg.degree(6) + 1):
+    for total in range(1, cfg.degree(6) + 1):
         cograft: dict[Forest, list[tuple[tuple[Forest, Forest], Fraction]]] = {}
-        pool: dict[int, list[Forest]] = {0: [EMPTY]}
-        for s in range(1, n + 1):
-            pool[s] = list(trees_of_size(s, alphabet))
-        for k in range(0, n + 1):
-            for t1 in pool[k]:
-                for t2 in pool[n - k]:
-                    for f, c in graft_linear(t1, t2).items():
-                        cograft.setdefault(f, []).append(((t1, t2), c))
-        for tf in pool[n]:
+        for t1, t2 in operand_tuples(lambda n: _trees_or_empty(n, alphabet), total, 2, least=0):
+            for f, c in graft_linear(t1, t2).items():
+                cograft.setdefault(f, []).append(((t1, t2), c))
+        for tf in trees_of_size(total, alphabet):
             got = TensorComb.sum_of(cograft.get(tf, ()))
             rep.check("grafting pairs the trunk coproduct", tf.key, trunk_coproduct(tf), got)
 
@@ -732,24 +700,20 @@ def suite_rota_baxter(cfg: SuiteConfig) -> SuiteReport:
         walg = word_algebra(lam)
         falg = forest_algebra(lam)
         for total in range(2, cfg.degree(4) + 1):
-            for k in range(1, total):
-                for w1 in itertools.product(alphabet, repeat=k):
-                    for w2 in itertools.product(alphabet, repeat=total - k):
-                        x, y = LinComb.of(Word(w1)), LinComb.of(Word(w2))
-                        rep.check(
-                            f"word Rota-Baxter identity (weight {lam})",
-                            f"{Word(w1).key} | {Word(w2).key}",
-                            LinComb.zero(),
-                            rb_residual(walg, x, y),
-                        )
-                for f1 in forests_of_size(k, alphabet):
-                    for f2 in forests_of_size(total - k, alphabet):
-                        rep.check(
-                            f"forest Rota-Baxter identity (weight {lam})",
-                            f"{f1.key} | {f2.key}",
-                            LinComb.zero(),
-                            rb_residual(falg, LinComb.of(f1), LinComb.of(f2)),
-                        )
+            for w1, w2 in operand_tuples(lambda n: words_of_size(n, alphabet), total, 2):
+                rep.check(
+                    f"word Rota-Baxter identity (weight {lam})",
+                    f"{w1.key} | {w2.key}",
+                    LinComb.zero(),
+                    rb_residual(walg, LinComb.of(w1), LinComb.of(w2)),
+                )
+            for f1, f2 in operand_tuples(lambda n: forests_of_size(n, alphabet), total, 2):
+                rep.check(
+                    f"forest Rota-Baxter identity (weight {lam})",
+                    f"{f1.key} | {f2.key}",
+                    LinComb.zero(),
+                    rb_residual(falg, LinComb.of(f1), LinComb.of(f2)),
+                )
         for _ in range(cfg.count(200 // len(WEIGHTS))):
             x = LinComb.of(random_forest(rng, rng.randint(1, cfg.degree(7) - 1), alphabet))
             y = LinComb.of(

@@ -557,8 +557,9 @@ class TestVerify:
 
 class TestGoldenOutput:
     """The --json output of the product kernels, of the admissible-family
-    routes, of the strict-duality oracle, of the induced-map checks and of
-    the verification suites, pinned byte for byte."""
+    routes, of the strict-duality oracle, of the induced-map checks, of the
+    verification suites, of pair and of primitives, and the text form of
+    families, pinned byte for byte."""
 
     PAIRS = [
         ("a", "b"),
@@ -611,14 +612,43 @@ class TestGoldenOutput:
     DUAL_DIGEST = "5e286e43784596a752bbfa6e75d84f4071ac7eadd0f27a9bc8400f8b268bfb5f"
     ORACLE_DIGEST = "1adf9c196cba094a1b8c216fea0ef540f190b6b78166278e4ae74caa4fdd2136"
 
+    # (target, first, second, weight): a fused root, split components, a
+    # 1/(kn) prefactor, and a target outside the support
+    PAIR_ARGS = [
+        ("a[b]", "a", "b", "0"),
+        ("a b*c", "a b", "c", "1"),
+        ("a[b[a[b]]] c", "a[b]", "b[a] c", "0"),
+        ("a*d[b,c]", "a[b,c]", "d", "2"),
+        ("a[b,c[d]]", "a[b,c]", "d", "2/3"),
+        ("a b", "a", "a", "1"),
+    ]
+
+    # sha256 of the concatenated outputs of the forms no other digest reaches
+    FAMILY_TEXT_DIGEST = "002da50c5e776abf05ed337a66c08214f67a1cd68b00bfd2db71de1fe57160a6"
+    PAIR_DIGEST = "01447457e972f965745aaf0390742943d97136139b6a84ea702afea15cfed861"
+    PRIMITIVE_LIST_DIGEST = "6a41306d39d8b2778c26f665ce4b5d6e89434cf7e3f632ef8e75bad7d4faa862"
+    PRIMITIVE_COUNT_DIGEST = "a40b8a2bd32f7eea93ccb482b5a6969d237a716b01ffbd20c898c1098b81588a"
+
     @pytest.mark.parametrize(
         "argvs, expected",
         [
             ([["families", t, "--json"] for t in FAMILY_TREES], FAMILY_DIGEST),
             ([["dual", f, "--mode", "combinatorial", "--json"] for f in DUAL_FORESTS], DUAL_DIGEST),
             ([["dual", f, "--mode", "oracle", "--json"] for f in DUAL_FORESTS], ORACLE_DIGEST),
+            ([["families", t] for t in FAMILY_TREES], FAMILY_TEXT_DIGEST),
+            ([["pair", f, a, b, "--lambda", lam, "--json"] for f, a, b, lam in PAIR_ARGS], PAIR_DIGEST),
+            ([["primitives", "--list", str(n), "--json"] for n in (1, 2, 5, 8)], PRIMITIVE_LIST_DIGEST),
+            ([["primitives", "--count", str(n), "--json"] for n in (0, 1, 30)], PRIMITIVE_COUNT_DIGEST),
         ],
-        ids=["families", "dual-combinatorial", "dual-oracle"],
+        ids=[
+            "families",
+            "dual-combinatorial",
+            "dual-oracle",
+            "families-text",
+            "pair-json",
+            "primitives-list-json",
+            "primitives-count-json",
+        ],
     )
     def test_family_json_digest(self, capsys, argvs, expected):
         digest = hashlib.sha256()

@@ -585,10 +585,11 @@ def test_package_namespace_resolves():
 
 
 def _source_files():
-    """The package's modules and the test files."""
+    """The package's modules, the test files and the benchmark pair tool."""
     root = Path(forestshuffle.__file__).parent
     modules = sorted(p for p in root.glob("*.py") if p.name != "__init__.py")
-    return modules + sorted(Path(__file__).parent.glob("*.py"))
+    tests = Path(__file__).parent
+    return modules + sorted(tests.glob("*.py")) + [tests.parent / "tools" / "bench_pairs.py"]
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -1,9 +1,21 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+
+import pytest
 
 from forestshuffle.forest import EMPTY, UNIT, Decoration
-from forestshuffle.sampling import default_alphabet, forests_of_size, trees_of_size
+from forestshuffle.sampling import (
+    default_alphabet,
+    forests_of_size,
+    forests_up_to,
+    operand_tuples,
+    trees_of_size,
+    words_of_size,
+)
+from forestshuffle.suites import _trees_or_empty
+from forestshuffle.words import Word
 
 # (alphabet, largest size): two atoms, the unit alone (shapes), three and four
 # atoms, and decorations that are products of atoms
@@ -41,3 +53,47 @@ class TestExhaustiveEnumeration:
         assert forests_of_size(0, ab) == (EMPTY,)
         # the alphabet's order and repeats do not matter
         assert forests_of_size(4, ab) == forests_of_size(4, ab[::-1] + ab)
+
+
+class TestOperandSweeps:
+    @pytest.mark.parametrize(
+        "arity, names, top",
+        [(1, ("a", "b"), 5), (2, ("a", "b"), 5), (3, ("a", "b"), 3), (3, ("a",), 4)],
+        ids=["1-ab-5", "2-ab-5", "3-ab-3", "3-a-4"],
+    )
+    @pytest.mark.parametrize("least", [0, 1])
+    def test_operand_tuples_match_a_filtered_product(self, arity, names, top, least):
+        # the filtered product of the pool lists each tuple once, with the
+        # last operand fastest; a stable sort by sizes puts them in the order
+        # the sweep promises
+        alphabet = default_alphabet(names)
+        pool = forests_up_to(top, alphabet, include_empty=least == 0)
+
+        def sizes(t):
+            return tuple(f.size for f in t)
+
+        want: dict[int, list] = {total: [] for total in range(top + 1)}
+        for t in itertools.product(pool, repeat=arity):
+            want.get(sum(sizes(t)), []).append(t)
+        seen = []
+        for total, tuples in want.items():
+            got = list(operand_tuples(lambda n: forests_of_size(n, alphabet), total, arity, least))
+            assert got == sorted(tuples, key=sizes)
+            seen.extend(got)
+        assert any(EMPTY in t for t in seen) == (least == 0)
+
+    def test_trees_with_empty_pair_counts(self):
+        # the {a,b}-tree pairs with ∅ of the bialgebra sweep, by top degree
+        ab = default_alphabet(("a", "b"))
+        trees = lambda n: _trees_or_empty(n, ab)
+        counts = [len(list(operand_tuples(trees, total, 2, least=0))) for total in range(6)]
+        assert sum(counts[:5]) == 237
+        assert sum(counts) == 985
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "b"), ("b", "a", "c")])
+    def test_words_of_size(self, names):
+        alphabet = default_alphabet(names)
+        for n in range(5):
+            words = words_of_size(n, alphabet)
+            assert len(words) == len(alphabet) ** n
+            assert words == tuple(Word(letters) for letters in itertools.product(alphabet, repeat=n))

@@ -123,6 +123,8 @@ class TestForestShuffle:
         left = bilinear(forest_shuffle, forest_shuffle(x, y), LinComb.of(z))
         right = bilinear(forest_shuffle, LinComb.of(x), forest_shuffle(y, z))
         assert left != right
+        # the search runs below degree 4 too, and finds nothing there
+        assert find_nonassociativity_witness(3) is None
 
 
 class TestStarAndDiamond:
